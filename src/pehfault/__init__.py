@@ -24,6 +24,7 @@ from .dataset import (
     RecordingMeta,
     SurrogateSpec,
     build_feature_set,
+    build_feature_sets,
     filter_manifest,
     load_manifest,
     load_recording,

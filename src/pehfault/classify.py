@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import LabeledFeature, Manifest, build_feature_set
+from .dataset import LabeledFeature, Manifest, build_feature_sets
 from .harvester import PehDesign
 
 __all__ = [
@@ -223,13 +223,14 @@ def accuracy_sweep(
 ) -> list[SweepRow]:
     """Mean/std accuracy for every (design, integration period) combination.
 
-    Features are rebuilt per combination; each combination reuses the same
-    seed sequence so rows are comparable.
+    Features for all combinations come from one pass over the recordings
+    (see build_feature_sets); each combination reuses the same seed sequence
+    so rows are comparable. Rows are in design order, then period order.
     """
+    sets = build_feature_sets(manifest, designs, segment_s, segments_per_recording, t_values, r_ohm)
     rows = []
-    for design in designs:
-        for t_s in t_values:
-            features = build_feature_set(manifest, design, segment_s, segments_per_recording, t_s, r_ohm)
+    for design, design_sets in zip(designs, sets):
+        for t_s, features in zip(t_values, design_sets):
             points = points_from_features(features)
             reports = repeated_evaluation(points, k, split_cfg, n_repeats, metric)
             accuracies = np.array([r.accuracy for r in reports])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -218,11 +219,28 @@ def _fault_label(cfg: RunConfig) -> MachineState:
         raise ConfigError(str(exc)) from None
 
 
+def _require_two_labels(cfg: RunConfig, manifest: Manifest) -> None:
+    labels = sorted({meta.label.value for meta in manifest.entries})
+    if not labels:
+        raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
+    if len(labels) < 2:
+        raise DataError(f"{cfg.manifest}: classification needs at least 2 labels, found only {labels[0]!r}")
+
+
 def _write(out_dir: str | Path, name: str, content: str) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / name
-    target.write_text(content)
+    """Write one output file atomically: a temporary file in the target
+    directory, then a rename over the target, so no partial file is left."""
+    target = Path(out_dir) / name
+    tmp = target.with_name(f".{name}.{os.getpid()}.tmp")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(content)
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {target}: {exc.strerror or exc}") from None
     return target
 
 
@@ -294,13 +312,11 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
 def cmd_classify(cfg: RunConfig, args, explicit) -> int:
     _check_periods_fit_segment(cfg, [cfg.t_s])
     manifest = _manifest_for(cfg)
+    _require_two_labels(cfg, manifest)
     design = design_from_thickness(cfg.thickness_mm, _design_table(cfg))
     features = build_feature_set(
         manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm
     )
-    if not features:
-        print("no recordings matched the manifest/filters", file=sys.stderr)
-        return EXIT_DATA_ERROR
     points = points_from_features(features)
     split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
     reports = repeated_evaluation(
@@ -323,6 +339,7 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
 def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
     _check_periods_fit_segment(cfg, cfg.t_values)
     manifest = _manifest_for(cfg)
+    _require_two_labels(cfg, manifest)
     table = _design_table(cfg)
     designs = [design_from_thickness(t, table) for t in cfg.thicknesses]
     rows = accuracy_sweep(

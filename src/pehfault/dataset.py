@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "load_recording",
     "write_recording_f32",
     "build_feature_set",
+    "build_feature_sets",
     "load_surrogate_spec",
     "synth_surrogate_corpus",
 ]
@@ -193,10 +195,10 @@ def _read_sidecar(full: Path) -> dict[str, float]:
 
 
 def _load_raw_recording(full: Path, fs: float) -> np.ndarray:
-    blob = full.read_bytes()
-    if len(blob) % 4 != 0:
-        raise DataError(f"{full}: raw float32 file size {len(blob)} is not a multiple of 4")
-    samples = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+    size = full.stat().st_size
+    if size % 4 != 0:
+        raise DataError(f"{full}: raw float32 file size {size} is not a multiple of 4")
+    samples = np.fromfile(full, dtype="<f4").astype(np.float64)
     declared = _read_sidecar(full)
     if "n_samples" in declared and int(declared["n_samples"]) != len(samples):
         raise DataError(f"{full}: sidecar declares {int(declared['n_samples'])} samples, file holds {len(samples)}")
@@ -230,6 +232,38 @@ def write_recording_f32(samples: np.ndarray, fs: float, path: str | Path) -> Non
     path.with_name(path.name + ".hdr").write_text(f"fs_hz={fs:g}\nn_samples={len(data)}\n")
 
 
+def build_feature_sets(
+    manifest: Manifest,
+    designs: Sequence[PehDesign],
+    segment_s: float,
+    segments_per_recording: int,
+    periods: Sequence[float],
+    r_ohm: float,
+) -> list[list[list[LabeledFeature]]]:
+    """Run the full pipeline over every recording in one pass: segment,
+    simulate the harvester voltage, and integrate per-interval energies.
+
+    Returns sets[i][j], the features of designs[i] at integration period
+    periods[j]. Each recording is loaded and segmented once, each segment is
+    filtered once per design (from zero state), and each voltage is
+    integrated once per period; only one recording is held at a time.
+    Within a set, order is manifest order, then segment index.
+    """
+    sets: list[list[list[LabeledFeature]]] = [[[] for _ in periods] for _ in designs]
+    for meta in manifest.entries:
+        try:
+            ts = load_recording(meta, manifest.root)
+            for index, piece in enumerate(segment(ts, segment_s, segments_per_recording)):
+                for design, design_sets in zip(designs, sets):
+                    voltage = simulate_voltage(design, piece)
+                    for period_s, features in zip(periods, design_sets):
+                        feature = make_feature(voltage, period_s, r_ohm, design.name)
+                        features.append(LabeledFeature(feature, meta.label, meta.path, index))
+        except (DataError, ValueError) as exc:
+            raise DataError(f"{meta.path}: {exc}") from exc
+    return sets
+
+
 def build_feature_set(
     manifest: Manifest,
     design: PehDesign,
@@ -238,25 +272,8 @@ def build_feature_set(
     period_s: float,
     r_ohm: float,
 ) -> list[LabeledFeature]:
-    """Run the full pipeline over every recording: segment, simulate the
-    harvester voltage, and integrate per-interval energies.
-
-    Output order is manifest order, then segment index. Each segment starts
-    the harvester from zero state.
-    """
-    features: list[LabeledFeature] = []
-    for meta in manifest.entries:
-        try:
-            ts = load_recording(meta, manifest.root)
-            for index, piece in enumerate(segment(ts, segment_s, segments_per_recording)):
-                voltage = simulate_voltage(design, piece)
-                feature = make_feature(voltage, period_s, r_ohm, design.name)
-                features.append(LabeledFeature(feature, meta.label, meta.path, index))
-        except DataError as exc:
-            raise DataError(f"{meta.path}: {exc}") from exc
-        except ValueError as exc:
-            raise DataError(f"{meta.path}: {exc}") from exc
-    return features
+    """Features of one design at one integration period (see build_feature_sets)."""
+    return build_feature_sets(manifest, [design], segment_s, segments_per_recording, [period_s], r_ohm)[0][0]
 
 
 @dataclass(frozen=True)

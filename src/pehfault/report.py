@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MachineState, Manifest, build_feature_set
+from .dataset import MachineState, Manifest, build_feature_sets
 from .frontend import integrate_energy, mean_state_energy
 from .harvester import PehDesign, simulate_voltage
 from .signals import synth_sine
@@ -178,15 +178,16 @@ def scatter_points(
     r_ohm: float,
     fault_label: MachineState = MachineState.BALL_CRACK,
 ) -> list[ScatterPoint]:
-    """Mean faulty vs mean healthy harvested energy per design.
+    """Mean faulty vs mean healthy harvested energy per design, in design order.
 
-    diag_distance_j is the perpendicular distance to the 45-degree line,
-    |healthy - faulty| / sqrt(2); designs far from the line separate the
-    two states well.
+    The features of every design come from one pass over the recordings (see
+    build_feature_sets). diag_distance_j is the perpendicular distance to the
+    45-degree line, |healthy - faulty| / sqrt(2); designs far from the line
+    separate the two states well.
     """
+    sets = build_feature_sets(manifest, designs, segment_s, segments_per_recording, [period_s], r_ohm)
     points = []
-    for design in designs:
-        features = build_feature_set(manifest, design, segment_s, segments_per_recording, period_s, r_ohm)
+    for design, (features,) in zip(designs, sets):
         means = mean_state_energy([(lf.feature, lf.label) for lf in features])
         for state in (MachineState.HEALTHY, fault_label):
             if state not in means:

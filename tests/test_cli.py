@@ -1,3 +1,6 @@
+import errno
+from pathlib import Path
+
 import pytest
 
 from pehfault.cli import (
@@ -120,6 +123,45 @@ class TestExtract:
         lines = (tmp_path / "out" / "features.csv").read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("recording_id,segment_index,label,design,T_s")
+
+
+class TestOutputWriting:
+    def test_out_through_regular_file_is_data_error(self, small_corpus, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        out = blocker / "sub"
+        assert main(["extract", *small_flags(small_corpus, out)]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot write ")
+        assert str(out / "features.csv") in err
+
+    def test_failed_write_leaves_previous_output_intact(self, small_corpus, tmp_path, monkeypatch, capsys):
+        (tmp_path / "features.csv").write_text("previous run\n")
+        write_text = Path.write_text
+
+        def half_then_disk_full(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_then_disk_full)
+        assert main(["extract", *small_flags(small_corpus, tmp_path)]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp_path / 'features.csv'}: No space left on device" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
+        assert (tmp_path / "features.csv").read_text() == "previous run\n"
+
+
+class TestSingleLabelManifest:
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_rejected_with_manifest_and_label(self, command, small_corpus, tmp_path, capsys):
+        args = [command, *small_flags(small_corpus, tmp_path), "--labels", "healthy"]
+        if command == "sweep":
+            args += ["--t-values", str(SMALL_SEGMENT_S)]
+        assert main(args) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert str(small_corpus.root / "manifest.csv") in err
+        assert "'healthy'" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestClassify:

@@ -1,12 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import pehfault.dataset
+from pehfault.classify import SplitConfig, accuracy_sweep
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
     ClassSignalSpec,
     MachineState,
     SurrogateSpec,
     build_feature_set,
+    build_feature_sets,
     filter_manifest,
     load_manifest,
     load_recording,
@@ -15,8 +20,10 @@ from pehfault.dataset import (
     write_recording_f32,
 )
 from pehfault.errors import ConfigError, DataError
-from pehfault.frontend import mean_state_energy
-from pehfault.harvester import design_from_thickness
+from pehfault.frontend import make_feature, mean_state_energy
+from pehfault.harvester import design_from_thickness, simulate_voltage
+from pehfault.report import scatter_points
+from pehfault.signals import segment
 from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SPEC
 
 
@@ -191,6 +198,86 @@ class TestBuildFeatureSet:
         manifest = load_manifest(path)
         with pytest.raises(DataError, match="short.txt"):
             build_feature_set(manifest, design_from_thickness(0.50), 3.0, 3, 3.0, 1.0)
+
+
+class TestBuildFeatureSets:
+    designs = [design_from_thickness(t) for t in (0.35, 0.45, 0.50)]
+    periods = [SMALL_SEGMENT_S, SMALL_SEGMENT_S / 2, SMALL_SEGMENT_S / 4]
+
+    def test_matches_per_cell_reference(self, small_corpus):
+        """Differential test against the per-(design, T) loop the one-pass
+        pipeline replaced: every cell reloads, resegments and refilters."""
+        sets = build_feature_sets(small_corpus, self.designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, self.periods, 1.0)
+        assert len(sets) == len(self.designs)
+        for design, design_sets in zip(self.designs, sets):
+            assert len(design_sets) == len(self.periods)
+            for period_s, got in zip(self.periods, design_sets):
+                expected = []
+                for meta in small_corpus.entries:
+                    ts = load_recording(meta, small_corpus.root)
+                    for index, piece in enumerate(segment(ts, SMALL_SEGMENT_S, SMALL_SEGMENTS)):
+                        feature = make_feature(simulate_voltage(design, piece), period_s, 1.0, design.name)
+                        expected.append((feature, meta.label, meta.path, index))
+                assert len(got) == len(expected)
+                for lf, (feature, label, recording_id, index) in zip(got, expected):
+                    assert (lf.label, lf.recording_id, lf.segment_index) == (label, recording_id, index)
+                    assert (lf.feature.design_name, lf.feature.period_s) == (feature.design_name, feature.period_s)
+                    assert np.array_equal(lf.feature.values, feature.values)
+
+    def test_bad_recording_error_prefixed_with_manifest_path(self, small_corpus, tmp_path):
+        good = small_corpus.entries[0]
+        (tmp_path / "good.f32").write_bytes((small_corpus.root / good.path).read_bytes())
+        data = np.zeros(int(good.fs), dtype="<f4")
+        data[5] = np.inf
+        (tmp_path / "bad.f32").write_bytes(data.tobytes())
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            "path,label,bearing_type,load_w,fs_hz\n"
+            f"good.f32,healthy,6204,0,{good.fs:g}\n"
+            f"bad.f32,ball_crack,6204,0,{good.fs:g}\n"
+        )
+        with pytest.raises(DataError) as info:
+            build_feature_sets(load_manifest(path), self.designs, SMALL_SEGMENT_S, 1, self.periods, 1.0)
+        assert str(info.value).startswith("bad.f32: ")
+        assert "non-finite sample at index 5" in str(info.value)
+
+    def test_sweep_and_scatter_load_once_and_filter_once(self, small_corpus, monkeypatch):
+        loads, filters = Counter(), Counter()
+
+        def counting_load(meta, root="."):
+            loads[meta.path] += 1
+            return load_recording(meta, root)
+
+        def counting_simulate(design, accel):
+            filters[design.name, accel.samples.tobytes()] += 1
+            return simulate_voltage(design, accel)
+
+        monkeypatch.setattr(pehfault.dataset, "load_recording", counting_load)
+        monkeypatch.setattr(pehfault.dataset, "simulate_voltage", counting_simulate)
+        n_segments = len(small_corpus.entries) * SMALL_SEGMENTS
+        for run in (
+            lambda: accuracy_sweep(
+                small_corpus,
+                self.designs,
+                self.periods,
+                segment_s=SMALL_SEGMENT_S,
+                segments_per_recording=SMALL_SEGMENTS,
+                r_ohm=1.0,
+                k=3,
+                split_cfg=SplitConfig(0.8, seed=0),
+                n_repeats=1,
+            ),
+            lambda: scatter_points(
+                small_corpus, self.designs, segment_s=SMALL_SEGMENT_S, segments_per_recording=SMALL_SEGMENTS,
+                period_s=SMALL_SEGMENT_S, r_ohm=1.0,
+            ),
+        ):
+            loads.clear()
+            filters.clear()
+            run()
+            assert loads == Counter({meta.path: 1 for meta in small_corpus.entries})
+            assert len(filters) == len(self.designs) * n_segments
+            assert set(filters.values()) == {1}
 
 
 class TestSurrogateCorpus:
