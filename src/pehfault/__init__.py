@@ -33,10 +33,9 @@ from .dataset import (
     write_recording_f32,
 )
 from .errors import ConfigError, DataError
-from .frontend import EnergySamples, FeatureVector, integrate_energy, make_feature, mean_state_energy
+from .frontend import integrate_energy, make_feature, mean_state_energy
 from .harvester import (
     DEFAULT_DESIGNS,
-    BiquadFilter,
     PehDesign,
     design_from_thickness,
     frf_magnitude,

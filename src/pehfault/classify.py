@@ -91,20 +91,9 @@ class KnnModel:
     metric: str = "raw"
 
 
-def _point_values(point) -> np.ndarray:
-    vector = point[0]
-    values = getattr(vector, "values", vector)
-    return np.atleast_1d(np.asarray(values, dtype=np.float64))
-
-
-def _point_label(point) -> str:
-    label = point[1]
-    return getattr(label, "value", label)
-
-
 def points_from_features(features: Sequence[LabeledFeature]) -> list[tuple[np.ndarray, str]]:
-    """Adapt pipeline output to (vector, label) pairs for fit/evaluate."""
-    return [(lf.feature.values, lf.label.value) for lf in features]
+    """(vector, label) pairs of pipeline output: the points fit/evaluate take."""
+    return [(lf.values, lf.label.value) for lf in features]
 
 
 def _to_space(x: np.ndarray, metric: str) -> np.ndarray:
@@ -121,12 +110,12 @@ def knn_fit(train: Sequence, k: int, metric: str = "raw") -> KnnModel:
         raise ValueError(f"k={k} exceeds the {len(train)} training points")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    vectors = [_point_values(p) for p in train]
+    vectors = [np.atleast_1d(np.asarray(vector, dtype=np.float64)) for vector, _ in train]
     dim = len(vectors[0])
     for v in vectors:
         if len(v) != dim:
             raise ValueError(f"inconsistent feature dimensions: {len(v)} vs {dim}")
-    return KnnModel(k, np.vstack(vectors), tuple(_point_label(p) for p in train), metric)
+    return KnnModel(k, np.vstack(vectors), tuple(label for _, label in train), metric)
 
 
 def knn_predict(model: KnnModel, feature) -> str:
@@ -135,7 +124,7 @@ def knn_predict(model: KnnModel, feature) -> str:
     Distance ties resolve to the lower training index; vote ties resolve to
     the label of the nearest neighbor among the tied labels.
     """
-    query = np.atleast_1d(np.asarray(getattr(feature, "values", feature), dtype=np.float64))
+    query = np.atleast_1d(np.asarray(feature, dtype=np.float64))
     if query.shape != (model.features.shape[1],):
         raise ValueError(f"query dimension {query.shape} does not match model dimension {model.features.shape[1]}")
     deltas = _to_space(model.features, model.metric) - _to_space(query, model.metric)
@@ -165,12 +154,11 @@ class EvalReport:
 def evaluate(model: KnnModel, validation: Sequence, config: dict | None = None) -> EvalReport:
     if not validation:
         raise ValueError("validation set is empty")
-    labels = tuple(sorted(set(model.labels) | {_point_label(p) for p in validation}))
+    labels = tuple(sorted(set(model.labels) | {label for _, label in validation}))
     index = {label: i for i, label in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for point in validation:
-        predicted = knn_predict(model, point[0])
-        confusion[index[_point_label(point)], index[predicted]] += 1
+    for vector, label in validation:
+        confusion[index[label], index[knn_predict(model, vector)]] += 1
     accuracy = float(np.trace(confusion) / confusion.sum())
     return EvalReport(accuracy, labels, confusion, dict(config or {}))
 
@@ -189,7 +177,7 @@ def repeated_evaluation(
     reports = []
     for i in range(n_repeats):
         cfg_i = replace(split_cfg, seed=split_cfg.seed + i)
-        train, validation = split(points, cfg_i, label_of=_point_label)
+        train, validation = split(points, cfg_i, label_of=lambda point: point[1])
         model = knn_fit(train, k, metric)
         echo = dict(config or {})
         echo.update(seed=cfg_i.seed, k=k, n_train=len(train), n_validation=len(validation))
@@ -249,6 +237,7 @@ def accuracy_sweep(
 
 
 def _fmt(x: float) -> str:
+    """The one number format of every CSV: repr, so values round-trip exactly."""
     return repr(float(x))
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -21,6 +21,7 @@ import numpy as np
 from .classify import (
     METRICS,
     SplitConfig,
+    _fmt,
     accuracy_sweep,
     points_from_features,
     repeated_evaluation,
@@ -35,6 +36,7 @@ from .dataset import (
     load_manifest,
     load_surrogate_spec,
     synth_surrogate_corpus,
+    write_atomic,
 )
 from .errors import ConfigError, DataError
 from .harvester import DEFAULT_DESIGNS, design_from_thickness, load_design_table
@@ -177,12 +179,12 @@ _OVERRIDES = {
 def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     cfg = RunConfig()
     explicit: set[str] = set()
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in parse_config_file(args.config).items():
             setattr(cfg, key, value)
             explicit.add(key)
     for arg_name, field_name in _OVERRIDES.items():
-        value = getattr(args, arg_name, None)
+        value = vars(args).get(arg_name)
         if value is not None:
             setattr(cfg, field_name, value)
             explicit.add(field_name)
@@ -219,55 +221,31 @@ def _fault_label(cfg: RunConfig) -> MachineState:
         raise ConfigError(str(exc)) from None
 
 
-def _require_two_labels(cfg: RunConfig, manifest: Manifest) -> None:
-    labels = sorted({meta.label.value for meta in manifest.entries})
-    if not labels:
+def _require_classes(cfg: RunConfig, manifest: Manifest) -> None:
+    """At least 2 labels, and for a stratified split at least 2 features
+    (recordings x segments per recording) in every class."""
+    counts = Counter(meta.label.value for meta in manifest.entries)
+    if not counts:
         raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
-    if len(labels) < 2:
-        raise DataError(f"{cfg.manifest}: classification needs at least 2 labels, found only {labels[0]!r}")
+    if len(counts) < 2:
+        raise DataError(f"{cfg.manifest}: classification needs at least 2 labels, found only {next(iter(counts))!r}")
+    short = sorted(label for label, n in counts.items() if n * cfg.segments_per_recording < 2)
+    if cfg.stratified and short:
+        raise DataError(
+            f"{cfg.manifest}: a stratified split needs >= 2 features per class; {short[0]!r} has "
+            f"{counts[short[0]]} recording(s) x {cfg.segments_per_recording} segment(s)"
+        )
 
 
-def _write(out_dir: str | Path, name: str, content: str) -> Path:
-    """Write one output file atomically: a temporary file in the target
-    directory, then a rename over the target, so no partial file is left."""
-    target = Path(out_dir) / name
-    tmp = target.with_name(f".{name}.{os.getpid()}.tmp")
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            tmp.write_text(content)
-            os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot write {target}: {exc.strerror or exc}") from None
-    return target
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _features_csv(features, t_s: float, dim: int) -> str:
+def _features_csv(features, design_name: str, t_s: float, dim: int) -> str:
     header = ["recording_id", "segment_index", "label", "design", "T_s"]
     header += [f"feature_{i}" for i in range(dim)]
     lines = [",".join(header)]
     for lf in features:
-        row = [lf.recording_id, str(lf.segment_index), lf.label.value, lf.feature.design_name, _fmt(lf.feature.period_s)]
-        row += [_fmt(v) for v in lf.feature.values]
+        row = [lf.recording_id, str(lf.segment_index), lf.label.value, design_name, _fmt(t_s)]
+        row += [_fmt(v) for v in lf.values]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def _merge_confusions(reports) -> tuple[tuple[str, ...], np.ndarray]:
-    labels = tuple(sorted({label for r in reports for label in r.labels}))
-    index = {label: i for i, label in enumerate(labels)}
-    total = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for r in reports:
-        for ti, t_label in enumerate(r.labels):
-            for pi, p_label in enumerate(r.labels):
-                total[index[t_label], index[p_label]] += r.confusion[ti, pi]
-    return labels, total
 
 
 def _format_confusion(labels, confusion) -> str:
@@ -300,8 +278,8 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
     features = build_feature_set(
         manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm
     )
-    dim = len(features[0].feature.values) if features else int(math.floor(cfg.segment_s / cfg.t_s + 1e-9))
-    target = _write(cfg.out_dir, "features.csv", _features_csv(features, cfg.t_s, dim))
+    dim = len(features[0].values) if features else int(math.floor(cfg.segment_s / cfg.t_s + 1e-9))
+    target = write_atomic(Path(cfg.out_dir) / "features.csv", _features_csv(features, design.name, cfg.t_s, dim))
     print(f"wrote {len(features)} feature rows to {target}")
     if not features:
         print("no recordings matched the manifest/filters", file=sys.stderr)
@@ -312,7 +290,7 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
 def cmd_classify(cfg: RunConfig, args, explicit) -> int:
     _check_periods_fit_segment(cfg, [cfg.t_s])
     manifest = _manifest_for(cfg)
-    _require_two_labels(cfg, manifest)
+    _require_classes(cfg, manifest)
     design = design_from_thickness(cfg.thickness_mm, _design_table(cfg))
     features = build_feature_set(
         manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm
@@ -326,12 +304,12 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
     lines = ["repeat,seed,accuracy,n_train,n_validation"]
     for i, r in enumerate(reports):
         lines.append(f"{i},{r.config['seed']},{_fmt(r.accuracy)},{r.config['n_train']},{r.config['n_validation']}")
-    target = _write(cfg.out_dir, "classification.csv", "\n".join(lines) + "\n")
-    labels, confusion = _merge_confusions(reports)
+    target = write_atomic(Path(cfg.out_dir) / "classification.csv", "\n".join(lines) + "\n")
     print(f"design {design.name}, T={cfg.t_s:g}s, k={cfg.k}, {cfg.n_repeats} split(s), seed0={cfg.seed}")
     print(f"mean accuracy {accuracies.mean():.4f} (std {accuracies.std():.4f})")
     print("confusion over all repeats:")
-    print(_format_confusion(labels, confusion))
+    # Every split partitions the same points, so every report has the same labels.
+    print(_format_confusion(reports[0].labels, sum(r.confusion for r in reports)))
     print(f"wrote per-repeat results to {target}")
     return EXIT_OK
 
@@ -339,7 +317,7 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
 def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
     _check_periods_fit_segment(cfg, cfg.t_values)
     manifest = _manifest_for(cfg)
-    _require_two_labels(cfg, manifest)
+    _require_classes(cfg, manifest)
     table = _design_table(cfg)
     designs = [design_from_thickness(t, table) for t in cfg.thicknesses]
     rows = accuracy_sweep(
@@ -355,7 +333,7 @@ def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
         metric=cfg.metric,
     )
     content = sweep_csv(rows)
-    target = _write(cfg.out_dir, "sweep.csv", content)
+    target = write_atomic(Path(cfg.out_dir) / "sweep.csv", content)
     print(content, end="")
     print(f"wrote sweep table to {target}")
     return EXIT_OK
@@ -378,8 +356,8 @@ def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
         )
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    csv_target = _write(cfg.out_dir, "scatter.csv", scatter_csv(points))
-    svg_target = _write(cfg.out_dir, "scatter.svg", scatter_svg(points))
+    csv_target = write_atomic(Path(cfg.out_dir) / "scatter.csv", scatter_csv(points))
+    svg_target = write_atomic(Path(cfg.out_dir) / "scatter.svg", scatter_svg(points))
     for p in points:
         print(
             f"{p.design}: healthy {p.mean_healthy_j:.6g} J, faulty {p.mean_faulty_j:.6g} J, "

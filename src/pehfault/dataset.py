@@ -13,7 +13,9 @@ Recording formats:
 
 from __future__ import annotations
 
+import csv
 import enum
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .frontend import FeatureVector, make_feature
+from .frontend import make_feature
 from .harvester import PehDesign, simulate_voltage
 from .signals import SignalUnit, TimeSeries, segment
 
@@ -36,6 +38,7 @@ __all__ = [
     "load_manifest",
     "filter_manifest",
     "load_recording",
+    "write_atomic",
     "write_recording_f32",
     "build_feature_set",
     "build_feature_sets",
@@ -99,7 +102,7 @@ class Manifest:
 
 @dataclass(frozen=True)
 class LabeledFeature:
-    feature: FeatureVector
+    values: np.ndarray
     label: MachineState
     recording_id: str
     segment_index: int
@@ -110,16 +113,21 @@ def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest not found: {path}")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        # A blank line is no field or one whitespace-only field.
+        rows = [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
+    if not rows:
         raise DataError(f"empty manifest: {path}")
-    header = tuple(col.strip() for col in lines[0].split(","))
-    if header != MANIFEST_FIELDS:
-        raise DataError(f"{path}:1: manifest header must be {','.join(MANIFEST_FIELDS)}, got {lines[0]!r}")
+    header_line, header = rows[0][0], [col.strip() for col in rows[0][1]]
+    if tuple(header) != MANIFEST_FIELDS:
+        raise DataError(
+            f"{path}:{header_line}: manifest header must be {','.join(MANIFEST_FIELDS)}, got {','.join(header)!r}"
+        )
     entries: list[RecordingMeta] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = [f.strip() for f in line.split(",")]
+    for lineno, row in rows[1:]:
+        fields = [f.strip() for f in row]
         if len(fields) != len(MANIFEST_FIELDS):
             raise DataError(f"{path}:{lineno}: expected {len(MANIFEST_FIELDS)} fields, got {len(fields)}")
         rec_path, label_token, bearing, load_token, fs_token = fields
@@ -224,12 +232,30 @@ def load_recording(meta: RecordingMeta, root: str | Path = ".") -> TimeSeries:
     return TimeSeries(samples, meta.fs, SignalUnit.ACCELERATION_G)
 
 
+def write_atomic(path: str | Path, content: str | bytes) -> Path:
+    """Write one file atomically: a temporary file in the target directory,
+    then a rename over the target, so no partial file is left. An OSError
+    becomes a DataError naming the target."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_bytes(content) if isinstance(content, bytes) else tmp.write_text(content)
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {target}: {exc.strerror or exc}") from None
+    return target
+
+
 def write_recording_f32(samples: np.ndarray, fs: float, path: str | Path) -> None:
     """Write a raw little-endian float32 recording plus its sidecar header."""
     path = Path(path)
     data = np.asarray(samples, dtype="<f4")
-    path.write_bytes(data.tobytes())
-    path.with_name(path.name + ".hdr").write_text(f"fs_hz={fs:g}\nn_samples={len(data)}\n")
+    write_atomic(path, data.tobytes())
+    write_atomic(path.with_name(path.name + ".hdr"), f"fs_hz={fs:g}\nn_samples={len(data)}\n")
 
 
 def build_feature_sets(
@@ -257,8 +283,8 @@ def build_feature_sets(
                 for design, design_sets in zip(designs, sets):
                     voltage = simulate_voltage(design, piece)
                     for period_s, features in zip(periods, design_sets):
-                        feature = make_feature(voltage, period_s, r_ohm, design.name)
-                        features.append(LabeledFeature(feature, meta.label, meta.path, index))
+                        values = make_feature(voltage, period_s, r_ohm)
+                        features.append(LabeledFeature(values, meta.label, meta.path, index))
         except (DataError, ValueError) as exc:
             raise DataError(f"{meta.path}: {exc}") from exc
     return sets
@@ -443,6 +469,4 @@ def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) 
             name = f"{state.value}_{index:02d}.f32"
             write_recording_f32(samples, spec.fs, out_dir / name)
             rows.append(f"{name},{state.value},{spec.bearing_type},{spec.load_w},{spec.fs:g}")
-    manifest_path = out_dir / "manifest.csv"
-    manifest_path.write_text("\n".join(rows) + "\n")
-    return load_manifest(manifest_path)
+    return load_manifest(write_atomic(out_dir / "manifest.csv", "\n".join(rows) + "\n"))

@@ -2,45 +2,22 @@
 
 Converts a voltage trace into the sequence of per-interval harvested energies
 (the ideal rectifier dissipates v**2/R into the load; each integration
-interval spans round(period_s * fs) samples) and packs them into feature
-vectors for classification.
+interval spans round(period_s * fs) samples). That energy array is the
+feature vector the classifier sees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .signals import TimeSeries
 
-__all__ = ["EnergySamples", "FeatureVector", "integrate_energy", "make_feature", "mean_state_energy"]
+__all__ = ["integrate_energy", "make_feature", "mean_state_energy"]
 
 
-@dataclass(frozen=True)
-class EnergySamples:
-    """Per-interval harvested energies in Joules, sampled at 1/period_s Hz."""
-
-    energies: np.ndarray
-    period_s: float
-    r_ohm: float
-
-    @property
-    def feature_rate_hz(self) -> float:
-        return 1.0 / self.period_s
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Energy samples from one voltage trace, tagged with their origin."""
-
-    values: np.ndarray
-    design_name: str
-    period_s: float
-
-
-def integrate_energy(v: TimeSeries, period_s: float, r_ohm: float) -> EnergySamples:
+def integrate_energy(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
     """Energy per consecutive disjoint interval: sum(v**2) / (R * fs) over each
     round(period_s * fs)-sample window; a trailing partial interval is discarded.
 
@@ -58,26 +35,26 @@ def integrate_energy(v: TimeSeries, period_s: float, r_ohm: float) -> EnergySamp
         raise ValueError(f"integration period {period_s}s is shorter than one sample at fs={v.fs}")
     n_intervals = len(v) // n_per
     squared = v.samples[: n_intervals * n_per] ** 2
-    energies = squared.reshape(n_intervals, n_per).sum(axis=1) / (r_ohm * v.fs)
-    return EnergySamples(energies, period_s, r_ohm)
+    return squared.reshape(n_intervals, n_per).sum(axis=1) / (r_ohm * v.fs)
 
 
-def make_feature(v: TimeSeries, period_s: float, r_ohm: float, design_name: str = "") -> FeatureVector:
+def make_feature(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
     """Feature vector of per-interval energies; dimension = floor(duration / period_s)."""
-    samples = integrate_energy(v, period_s, r_ohm)
-    if len(samples.energies) == 0:
+    energies = integrate_energy(v, period_s, r_ohm)
+    if len(energies) == 0:
         raise ValueError(
             f"trace of {v.duration_s:g}s is shorter than one integration period of {period_s:g}s"
         )
-    return FeatureVector(samples.energies, design_name, period_s)
+    return energies
 
 
-def mean_state_energy(features: Iterable[tuple[FeatureVector, object]]) -> dict:
-    """Arithmetic mean energy per label, averaged over all vector components."""
+def mean_state_energy(features: Iterable[tuple[np.ndarray, object]]) -> dict:
+    """Arithmetic mean energy per label over (values, label) pairs, averaged
+    over all vector components."""
     sums: dict = {}
     counts: dict = {}
-    for feature, label in features:
-        values = np.ravel(feature.values)
+    for values, label in features:
+        values = np.ravel(values)
         sums[label] = sums.get(label, 0.0) + float(values.sum())
         counts[label] = counts.get(label, 0) + len(values)
     if not sums:

@@ -24,7 +24,6 @@ from .signals import SignalUnit, TimeSeries, synth_sine
 
 __all__ = [
     "PehDesign",
-    "BiquadFilter",
     "DEFAULT_DESIGNS",
     "MIN_FS_PER_F0",
     "design_from_thickness",
@@ -98,14 +97,14 @@ def load_design_table(path: str | Path) -> tuple[PehDesign, ...]:
         raise DataError(f"design table not found: {path}")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise DataError(f"empty design table: {path}")
-    header = tuple(col.strip() for col in rows[0])
+    header = tuple(col.strip() for col in rows[0][1])
     if header != DESIGN_TABLE_FIELDS:
         raise DataError(f"design table header must be {','.join(DESIGN_TABLE_FIELDS)}, got {','.join(header)}")
     designs = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(DESIGN_TABLE_FIELDS):
             raise DataError(f"{path}:{lineno}: expected {len(DESIGN_TABLE_FIELDS)} fields, got {len(row)}")
         try:
@@ -151,52 +150,17 @@ def _biquad_coefficients(design: PehDesign, fs: float) -> tuple[np.ndarray, np.n
     return b, a
 
 
-@dataclass
-class BiquadFilter:
-    """Discrete realization of a design at a fixed sample rate.
-
-    Direct form II transposed with two state variables; process() consumes a
-    block and carries state across calls, so one instance must not be shared
-    between threads.
-    """
-
-    b: np.ndarray
-    a: np.ndarray
-    fs: float
-    state: np.ndarray
-
-    @classmethod
-    def from_design(cls, design: PehDesign, fs: float) -> "BiquadFilter":
-        if fs < MIN_FS_PER_F0 * design.f0_hz:
-            raise ValueError(
-                f"sampling rate too low: {fs} Hz < {MIN_FS_PER_F0:g} * f0 = {MIN_FS_PER_F0 * design.f0_hz:g} Hz"
-            )
-        b, a = _biquad_coefficients(design, fs)
-        return cls(b=b, a=a, fs=fs, state=np.zeros(2))
-
-    def process(self, x: np.ndarray) -> np.ndarray:
-        y, self.state = sps.lfilter(self.b, self.a, np.asarray(x, dtype=np.float64), zi=self.state)
-        return y
-
-    def reset(self) -> None:
-        self.state = np.zeros(2)
-
-    @property
-    def poles(self) -> np.ndarray:
-        return np.roots(self.a)
-
-    def is_stable(self) -> bool:
-        return bool(np.all(np.abs(self.poles) < 1.0))
-
-
 def simulate_voltage(design: PehDesign, accel: TimeSeries) -> TimeSeries:
     """Voltage trace of a design driven by base acceleration, zero initial state."""
     if accel.unit is not SignalUnit.ACCELERATION_G:
         raise ValueError(f"input must be acceleration in g, got unit {accel.unit.value}")
     if len(accel) == 0:
         raise ValueError("cannot simulate an empty series")
-    filt = BiquadFilter.from_design(design, accel.fs)
-    return TimeSeries(filt.process(accel.samples), accel.fs, SignalUnit.VOLTS)
+    if accel.fs < MIN_FS_PER_F0 * design.f0_hz:
+        raise ValueError(
+            f"sampling rate too low: {accel.fs} Hz < {MIN_FS_PER_F0:g} * f0 = {MIN_FS_PER_F0 * design.f0_hz:g} Hz"
+        )
+    return TimeSeries(sps.lfilter(*_biquad_coefficients(design, accel.fs), accel.samples), accel.fs, SignalUnit.VOLTS)
 
 
 def measure_steady_gain(

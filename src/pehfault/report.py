@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .classify import _fmt, points_from_features
 from .dataset import MachineState, Manifest, build_feature_sets
 from .frontend import integrate_energy, mean_state_energy
 from .harvester import PehDesign, simulate_voltage
@@ -132,7 +133,7 @@ def run_thought_experiment(
         vibration = synth_sine(f_hz, 1.0, 0.0, fs, period_s)
         for j, design in enumerate((design_healthy, design_faulty)):
             voltage = simulate_voltage(design, vibration)
-            energies[i, j] = integrate_energy(voltage, period_s, r_ohm).energies[0]
+            energies[i, j] = integrate_energy(voltage, period_s, r_ohm)[0]
     return ThoughtExperimentReport(
         f_healthy_hz=f_healthy_hz,
         f_faulty_hz=f_faulty_hz,
@@ -188,20 +189,16 @@ def scatter_points(
     sets = build_feature_sets(manifest, designs, segment_s, segments_per_recording, [period_s], r_ohm)
     points = []
     for design, (features,) in zip(designs, sets):
-        means = mean_state_energy([(lf.feature, lf.label) for lf in features])
+        means = mean_state_energy(points_from_features(features))
         for state in (MachineState.HEALTHY, fault_label):
-            if state not in means:
+            if state.value not in means:
                 raise ValueError(f"manifest holds no {state.value!r} recordings")
-        healthy = means[MachineState.HEALTHY]
-        faulty = means[fault_label]
+        healthy = means[MachineState.HEALTHY.value]
+        faulty = means[fault_label.value]
         points.append(
             ScatterPoint(design.name, design.thickness_mm, healthy, faulty, abs(healthy - faulty) / math.sqrt(2.0))
         )
     return points
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def scatter_csv(points: Sequence[ScatterPoint]) -> str:

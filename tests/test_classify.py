@@ -276,7 +276,7 @@ def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):
     feats_base = build_feature_set(small_corpus, base, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
     feats_scaled = build_feature_set(small_corpus, scaled, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
     for lf_base, lf_scaled in zip(feats_base, feats_scaled):
-        np.testing.assert_allclose(lf_scaled.feature.values, factor**2 * lf_base.feature.values, rtol=1e-9)
+        np.testing.assert_allclose(lf_scaled.values, factor**2 * lf_base.values, rtol=1e-9)
     cfg = SplitConfig(0.8, seed=2)
     train_b, val_b = split(points_from_features(feats_base), cfg, label_of=lambda p: p[1])
     train_s, val_s = split(points_from_features(feats_scaled), cfg, label_of=lambda p: p[1])

@@ -164,6 +164,26 @@ class TestSingleLabelManifest:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestTooFewSamplesPerClass:
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_one_recording_one_segment_is_data_error(self, command, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(
+            "count_per_class=1\nfs_hz=8192\nduration_s=1.0\nhealthy.tones=200:1.0\nball_crack.tones=150:1.0\n"
+        )
+        assert main(["surrogate-gen", "--spec", str(spec), "--out", str(tmp_path)]) == EXIT_OK
+        manifest = tmp_path / "corpus" / "manifest.csv"
+        out = tmp_path / "out"
+        args = [command, "--manifest", str(manifest), "--out", str(out), "--segment", "0.5", "--segments", "1"]
+        args += ["--T", "0.5"] if command == "classify" else ["--t-values", "0.5"]
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {manifest}: ")
+        assert "'ball_crack' has 1 recording(s) x 1 segment(s)" in err
+        assert not out.exists()
+
+
 class TestClassify:
     def test_repeat_seed_deterministic(self, small_corpus, tmp_path, capsys):
         args = ["classify", *small_flags(small_corpus, tmp_path / "a"), "--repeats", "1", "--seed", "7"]
@@ -303,6 +323,18 @@ class TestEnergyReport:
 
 
 class TestSurrogateGen:
+    def test_write_failure_is_data_error_without_manifest_or_temp_files(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("count_per_class=2\nfs_hz=8192\nduration_s=0.5\nhealthy.tones=200:1.0\nball_crack.tones=150:1.0\n")
+        corpus = tmp_path / "out" / "corpus"
+        (corpus / "healthy_01.f32").mkdir(parents=True)
+        assert main(["surrogate-gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot write {corpus / 'healthy_01.f32'}: ")
+        assert "Traceback" not in err
+        assert not (corpus / "manifest.csv").exists()
+        assert not list(corpus.glob(".*.tmp"))
+
     def test_seeded_determinism(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text(

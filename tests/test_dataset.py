@@ -101,6 +101,19 @@ class TestLoadManifest:
         with pytest.raises(DataError, match="not found"):
             load_manifest(path)
 
+    def test_quoted_path_with_comma(self, tmp_path):
+        write_text_recording(tmp_path / "a,b.txt", [0.0])
+        path = tmp_path / "manifest.csv"
+        path.write_text('path,label,bearing_type,load_w,fs_hz\n"a,b.txt",healthy,6204,0,51200\n')
+        assert [m.path for m in load_manifest(path).entries] == ["a,b.txt"]
+
+    def test_error_names_physical_line_after_blank_lines(self, tmp_path):
+        write_text_recording(tmp_path / "a.txt", [0.0])
+        path = tmp_path / "manifest.csv"
+        path.write_text("path,label,bearing_type,load_w,fs_hz\n\n\na.txt,ballcrak,6204,0,8000\n")
+        with pytest.raises(DataError, match=r"manifest\.csv:4: .*'ballcrak'"):
+            load_manifest(path)
+
     def test_filter_manifest(self, tmp_path):
         rows = [("h0.txt", "healthy"), ("h1.txt", "healthy"), ("b0.txt", "ball_crack"), ("b1.txt", "ball_crack")]
         manifest = load_manifest(make_manifest(tmp_path, rows))
@@ -182,7 +195,7 @@ class TestBuildFeatureSet:
         design = design_from_thickness(0.50)
         run = lambda: build_feature_set(small_corpus, design, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
         a, b = run(), run()
-        assert all(np.array_equal(x.feature.values, y.feature.values) for x, y in zip(a, b))
+        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
     def test_empty_manifest_gives_empty_list(self, tmp_path):
         path = tmp_path / "manifest.csv"
@@ -216,13 +229,12 @@ class TestBuildFeatureSets:
                 for meta in small_corpus.entries:
                     ts = load_recording(meta, small_corpus.root)
                     for index, piece in enumerate(segment(ts, SMALL_SEGMENT_S, SMALL_SEGMENTS)):
-                        feature = make_feature(simulate_voltage(design, piece), period_s, 1.0, design.name)
-                        expected.append((feature, meta.label, meta.path, index))
+                        values = make_feature(simulate_voltage(design, piece), period_s, 1.0)
+                        expected.append((values, meta.label, meta.path, index))
                 assert len(got) == len(expected)
-                for lf, (feature, label, recording_id, index) in zip(got, expected):
+                for lf, (values, label, recording_id, index) in zip(got, expected):
                     assert (lf.label, lf.recording_id, lf.segment_index) == (label, recording_id, index)
-                    assert (lf.feature.design_name, lf.feature.period_s) == (feature.design_name, feature.period_s)
-                    assert np.array_equal(lf.feature.values, feature.values)
+                    assert np.array_equal(lf.values, values)
 
     def test_bad_recording_error_prefixed_with_manifest_path(self, small_corpus, tmp_path):
         good = small_corpus.entries[0]
@@ -303,7 +315,7 @@ class TestSurrogateCorpus:
     def test_default_spec_separates_classes(self, default_corpus):
         design = design_from_thickness(0.50)
         features = build_feature_set(default_corpus, design, 3.0, 3, 3.0, 1.0)
-        means = mean_state_energy([(lf.feature, lf.label) for lf in features])
+        means = mean_state_energy([(lf.values, lf.label) for lf in features])
         ratio = means[MachineState.HEALTHY] / means[MachineState.BALL_CRACK]
         assert ratio >= 3.0
 
