@@ -83,12 +83,17 @@ def split(items: Sequence, cfg: SplitConfig, label_of: Callable = lambda item: i
 
 @dataclass(frozen=True)
 class KnnModel:
-    """Lazy learner: stores the training points verbatim."""
+    """Lazy learner: stores the training points verbatim, plus what every
+    prediction reuses: the points in metric space and their labels as codes
+    into `classes`."""
 
     k: int
     features: np.ndarray
     labels: tuple[str, ...]
-    metric: str = "raw"
+    metric: str
+    space: np.ndarray
+    classes: tuple[str, ...]
+    codes: np.ndarray
 
 
 def points_from_features(features: Sequence[LabeledFeature]) -> list[tuple[np.ndarray, str]]:
@@ -115,30 +120,72 @@ def knn_fit(train: Sequence, k: int, metric: str = "raw") -> KnnModel:
     for v in vectors:
         if len(v) != dim:
             raise ValueError(f"inconsistent feature dimensions: {len(v)} vs {dim}")
-    return KnnModel(k, np.vstack(vectors), tuple(label for _, label in train), metric)
+    features = np.vstack(vectors)
+    labels = tuple(label for _, label in train)
+    classes = tuple(dict.fromkeys(labels))
+    code_of = {label: i for i, label in enumerate(classes)}
+    codes = np.array([code_of[label] for label in labels])
+    return KnnModel(k, features, labels, metric, _to_space(features, metric), classes, codes)
 
 
-def knn_predict(model: KnnModel, feature) -> str:
+# Bytes of one (queries x train) float64 distance block; queries are taken in
+# blocks of as many rows as fit, at least one.
+_BLOCK_BYTES = 8 << 20
+
+
+def _distances(space: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(queries x train) Euclidean distances in metric space. Squared
+    differences are added one dimension at a time in index order, the
+    brute-force oracle's sum, so equal sums and hence ties are the same."""
+    total = np.zeros((len(queries), len(space)))
+    delta = np.empty_like(total)
+    for j in range(space.shape[1]):
+        np.subtract(space[:, j], queries[:, j, None], out=delta)
+        total += np.multiply(delta, delta, out=delta)
+    return np.sqrt(total, out=total)
+
+
+def _nearest(distances: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of the k nearest points in (distance, index)
+    order: the first k of a stable argsort of the row."""
+    chosen = np.sort(np.argpartition(distances, k - 1, axis=1)[:, :k], axis=1)
+    by_distance = np.argsort(np.take_along_axis(distances, chosen, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(chosen, by_distance, axis=1)
+    # Unless exactly k points lie within the k-th distance (more tie at it, or
+    # a NaN distance compares false), the partition may have picked the wrong
+    # ones, so sort the row in full.
+    kth = np.take_along_axis(distances, order[:, -1:], axis=1)
+    for row in np.flatnonzero((distances <= kth).sum(axis=1) != k):
+        order[row] = np.argsort(distances[row], kind="stable")[:k]
+    return order
+
+
+def knn_predict(model: KnnModel, queries):
     """Majority label among the k nearest points by Euclidean distance.
 
-    Distance ties resolve to the lower training index; vote ties resolve to
-    the label of the nearest neighbor among the tied labels.
+    `queries` is one vector, which returns one label, or a 2-D block of query
+    rows, which returns a tuple of labels. Distance ties resolve to the lower
+    training index; vote ties resolve to the label of the nearest neighbor
+    among the tied labels.
     """
-    query = np.atleast_1d(np.asarray(feature, dtype=np.float64))
-    if query.shape != (model.features.shape[1],):
-        raise ValueError(f"query dimension {query.shape} does not match model dimension {model.features.shape[1]}")
-    deltas = _to_space(model.features, model.metric) - _to_space(query, model.metric)
-    distances = np.sqrt((deltas**2).sum(axis=1))
-    order = np.argsort(distances, kind="stable")[: model.k]
-    votes: dict[str, int] = {}
-    for i in order:
-        label = model.labels[i]
-        votes[label] = votes.get(label, 0) + 1
-    best = max(votes.values())
-    for i in order:
-        if votes[model.labels[i]] == best:
-            return model.labels[i]
-    raise AssertionError("unreachable: some neighbor must carry the winning label")
+    block = np.asarray(queries, dtype=np.float64)
+    single = block.ndim < 2
+    block = np.atleast_2d(block)
+    dim = model.features.shape[1]
+    if block.shape[1:] != (dim,):
+        raise ValueError(f"query dimension {block.shape[1:]} does not match model dimension {dim}")
+    block = _to_space(block, model.metric)
+    rows = max(1, _BLOCK_BYTES // (8 * len(model.space)))
+    winners = []
+    for start in range(0, len(block), rows):
+        neighbors = model.codes[_nearest(_distances(model.space, block[start : start + rows]), model.k)]
+        # votes per label code; the nearest neighbor whose label has the most wins
+        votes = (neighbors[:, :, None] == np.arange(len(model.classes))).sum(axis=1)
+        held = np.take_along_axis(votes, neighbors, axis=1)
+        first_best = np.argmax(held == held.max(axis=1, keepdims=True), axis=1)
+        winners.extend(neighbors[np.arange(len(neighbors)), first_best].tolist())
+    labels = tuple(model.classes[code] for code in winners)
+    return labels[0] if single else labels
 
 
 @dataclass(frozen=True)
@@ -157,8 +204,9 @@ def evaluate(model: KnnModel, validation: Sequence, config: dict | None = None) 
     labels = tuple(sorted(set(model.labels) | {label for _, label in validation}))
     index = {label: i for i, label in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for vector, label in validation:
-        confusion[index[label], index[knn_predict(model, vector)]] += 1
+    predicted = knn_predict(model, np.vstack([vector for vector, _ in validation]))
+    for (_, label), guess in zip(validation, predicted):
+        confusion[index[label], index[guess]] += 1
     accuracy = float(np.trace(confusion) / confusion.sum())
     return EvalReport(accuracy, labels, confusion, dict(config or {}))
 

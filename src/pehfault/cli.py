@@ -39,6 +39,7 @@ from .dataset import (
     write_atomic,
 )
 from .errors import ConfigError, DataError
+from .frontend import MIN_CYCLES_PER_PERIOD
 from .harvester import DEFAULT_DESIGNS, design_from_thickness, load_design_table
 from .report import (
     EnergyCostModel,
@@ -125,6 +126,10 @@ def parse_config_file(path: str | Path) -> dict:
 def validate_config(cfg: RunConfig) -> None:
     if cfg.t_s <= 0 or any(t <= 0 for t in cfg.t_values):
         raise ConfigError("integration period must be positive")
+    if not cfg.t_values:
+        raise ConfigError("--t-values is empty: give at least one integration period")
+    if not cfg.thicknesses:
+        raise ConfigError("--thicknesses is empty: give at least one design thickness")
     if cfg.r_ohm <= 0:
         raise ConfigError("load resistance must be positive")
     if cfg.segment_s <= 0:
@@ -148,6 +153,20 @@ def _check_periods_fit_segment(cfg: RunConfig, periods) -> None:
         if t_s > cfg.segment_s:
             raise ConfigError(
                 f"integration period {t_s:g}s cannot exceed the segment length {cfg.segment_s:g}s"
+            )
+
+
+def _check_periods(cfg: RunConfig, periods, designs) -> None:
+    """Every integration period fits in a segment and spans at least
+    MIN_CYCLES_PER_PERIOD cycles of the lowest resonance in use."""
+    _check_periods_fit_segment(cfg, periods)
+    slowest = min(designs, key=lambda design: design.f0_hz)
+    for t_s in periods:
+        if t_s * slowest.f0_hz < MIN_CYCLES_PER_PERIOD:
+            raise ConfigError(
+                f"integration period {t_s:g}s spans {t_s * slowest.f0_hz:g} cycles of {slowest.name} "
+                f"({slowest.f0_hz:g} Hz); it needs >= {MIN_CYCLES_PER_PERIOD:g} (T >= "
+                f"{MIN_CYCLES_PER_PERIOD / slowest.f0_hz:g}s)"
             )
 
 
@@ -216,9 +235,12 @@ def _manifest_for(cfg: RunConfig) -> Manifest:
 
 def _fault_label(cfg: RunConfig) -> MachineState:
     try:
-        return MachineState.from_token(cfg.fault_label)
+        state = MachineState.from_token(cfg.fault_label)
     except DataError as exc:
         raise ConfigError(str(exc)) from None
+    if state is MachineState.HEALTHY:
+        raise ConfigError("--fault-label must name a fault state, not healthy, which it is compared with")
+    return state
 
 
 def _require_classes(cfg: RunConfig, manifest: Manifest) -> None:
@@ -272,9 +294,9 @@ def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
 
 
 def cmd_extract(cfg: RunConfig, args, explicit) -> int:
-    _check_periods_fit_segment(cfg, [cfg.t_s])
-    manifest = _manifest_for(cfg)
     design = design_from_thickness(cfg.thickness_mm, _design_table(cfg))
+    _check_periods(cfg, [cfg.t_s], [design])
+    manifest = _manifest_for(cfg)
     features = build_feature_set(
         manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm
     )
@@ -288,10 +310,10 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
 
 
 def cmd_classify(cfg: RunConfig, args, explicit) -> int:
-    _check_periods_fit_segment(cfg, [cfg.t_s])
+    design = design_from_thickness(cfg.thickness_mm, _design_table(cfg))
+    _check_periods(cfg, [cfg.t_s], [design])
     manifest = _manifest_for(cfg)
     _require_classes(cfg, manifest)
-    design = design_from_thickness(cfg.thickness_mm, _design_table(cfg))
     features = build_feature_set(
         manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm
     )
@@ -315,11 +337,11 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
-    _check_periods_fit_segment(cfg, cfg.t_values)
-    manifest = _manifest_for(cfg)
-    _require_classes(cfg, manifest)
     table = _design_table(cfg)
     designs = [design_from_thickness(t, table) for t in cfg.thicknesses]
+    _check_periods(cfg, cfg.t_values, designs)
+    manifest = _manifest_for(cfg)
+    _require_classes(cfg, manifest)
     rows = accuracy_sweep(
         manifest,
         designs,
@@ -340,10 +362,11 @@ def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
 
 
 def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
-    _check_periods_fit_segment(cfg, [cfg.t_s])
-    manifest = _manifest_for(cfg)
+    fault_label = _fault_label(cfg)
     table = _design_table(cfg)
     designs = [design_from_thickness(t, table) for t in cfg.thicknesses]
+    _check_periods(cfg, [cfg.t_s], designs)
+    manifest = _manifest_for(cfg)
     try:
         points = scatter_points(
             manifest,
@@ -352,7 +375,7 @@ def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
             segments_per_recording=cfg.segments_per_recording,
             period_s=cfg.t_s,
             r_ohm=cfg.r_ohm,
-            fault_label=_fault_label(cfg),
+            fault_label=fault_label,
         )
     except ValueError as exc:
         raise DataError(str(exc)) from None

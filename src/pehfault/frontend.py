@@ -14,7 +14,11 @@ import numpy as np
 
 from .signals import TimeSeries
 
-__all__ = ["integrate_energy", "make_feature", "mean_state_energy"]
+__all__ = ["MIN_CYCLES_PER_PERIOD", "integrate_energy", "make_feature", "mean_state_energy"]
+
+# An integration period must span at least this many cycles of the lowest
+# harvester resonance in use, so the energies form a low-rate sequence.
+MIN_CYCLES_PER_PERIOD = 10.0
 
 
 def integrate_energy(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
@@ -22,7 +26,8 @@ def integrate_energy(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray
     round(period_s * fs)-sample window; a trailing partial interval is discarded.
 
     The caller is responsible for choosing period_s to cover many signal
-    cycles so the samples form a low-frequency sequence.
+    cycles (the CLI requires MIN_CYCLES_PER_PERIOD resonance cycles) so the
+    samples form a low-frequency sequence.
     """
     if period_s <= 0:
         raise ValueError(f"integration period must be positive, got {period_s}")

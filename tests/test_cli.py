@@ -357,3 +357,53 @@ class TestSurrogateGen:
         a = sorted((tmp_path / "a" / "corpus").glob("*.f32"))[0].read_bytes()
         b = sorted((tmp_path / "b" / "corpus").glob("*.f32"))[0].read_bytes()
         assert a == b
+
+
+def _missing_recordings_manifest(tmp_path):
+    """A manifest whose recordings do not exist: a command that reads it
+    before checking its configuration ends in a data error, not exit 2."""
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "path,label,bearing_type,load_w,fs_hz\nmissing_0.f32,healthy,6204,0,8192\nmissing_1.f32,ball_crack,6204,0,8192\n"
+    )
+    return manifest
+
+
+class TestRejectedBeforeReading:
+    def test_scatter_healthy_fault_label(self, tmp_path, capsys):
+        manifest = _missing_recordings_manifest(tmp_path)
+        out = tmp_path / "out"
+        args = ["scatter", "--manifest", str(manifest), "--out", str(out), "--fault-label", "healthy"]
+        assert main(args) == EXIT_CONFIG_ERROR
+        assert "--fault-label" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--t-values", "--thicknesses"])
+    def test_sweep_empty_list(self, flag, tmp_path, capsys):
+        manifest = _missing_recordings_manifest(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--manifest", str(manifest), "--out", str(out), flag, ","]) == EXIT_CONFIG_ERROR
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, design", [("extract", "peh_0.50mm"), ("classify", "peh_0.50mm"), ("sweep", "peh_0.35mm"), ("scatter", "peh_0.35mm")]
+    )
+    def test_period_under_ten_resonance_cycles(self, command, design, tmp_path, capsys):
+        manifest = _missing_recordings_manifest(tmp_path)
+        out = tmp_path / "out"
+        period = ["--t-values", "0.001"] if command == "sweep" else ["--T", "0.001"]
+        args = [command, "--manifest", str(manifest), "--out", str(out), "--segment", "0.01", *period]
+        assert main(args) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "integration period 0.001s" in err and design in err
+        assert not out.exists()
+
+
+def test_period_of_exactly_ten_resonance_cycles_accepted(small_corpus, tmp_path, capsys):
+    """peh_0.50mm resonates at 200 Hz: T = 0.05 s spans 10 cycles, 0.049 s does not."""
+    args = ["classify", *small_flags(small_corpus, tmp_path), "--thickness", "0.50", "--repeats", "1"]
+    assert main([*args, "--T", "0.05"]) == EXIT_OK
+    assert main([*args, "--T", "0.049"]) == EXIT_CONFIG_ERROR
+    assert "0.049s spans 9.8 cycles of peh_0.50mm" in capsys.readouterr().err
+    assert main(["energy-report", "--T", "0.001"]) == EXIT_OK
