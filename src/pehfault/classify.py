@@ -4,12 +4,12 @@ evaluation, and the design x integration-period sweep."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import LabeledFeature, Manifest, build_feature_sets
+from .dataset import LabeledFeature, Manifest, build_feature_sets, csv_text
 from .harvester import PehDesign
 
 __all__ = [
@@ -284,16 +284,6 @@ def accuracy_sweep(
     return rows
 
 
-def _fmt(x: float) -> str:
-    """The one number format of every CSV: repr, so values round-trip exactly."""
-    return repr(float(x))
-
-
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    lines = ["design,thickness_mm,T_s,mean_accuracy,std_accuracy,n_repeats,seed0"]
-    for row in rows:
-        lines.append(
-            f"{row.design},{_fmt(row.thickness_mm)},{_fmt(row.t_s)},{_fmt(row.mean_accuracy)},"
-            f"{_fmt(row.std_accuracy)},{row.n_repeats},{row.seed0}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ["design", "thickness_mm", "T_s", "mean_accuracy", "std_accuracy", "n_repeats", "seed0"]
+    return csv_text(header, map(astuple, rows))

@@ -21,7 +21,6 @@ import numpy as np
 from .classify import (
     METRICS,
     SplitConfig,
-    _fmt,
     accuracy_sweep,
     points_from_features,
     repeated_evaluation,
@@ -32,15 +31,18 @@ from .dataset import (
     MachineState,
     Manifest,
     build_feature_set,
+    csv_text,
     filter_manifest,
+    load_design_table,
     load_manifest,
     load_surrogate_spec,
+    read_key_values,
     synth_surrogate_corpus,
     write_atomic,
 )
 from .errors import ConfigError, DataError
 from .frontend import MIN_CYCLES_PER_PERIOD
-from .harvester import DEFAULT_DESIGNS, design_from_thickness, load_design_table
+from .harvester import DEFAULT_DESIGNS, design_from_thickness
 from .report import (
     EnergyCostModel,
     format_sampling_cost,
@@ -87,17 +89,16 @@ class RunConfig:
 
 def _convert_field(name: str, raw: str):
     if name in ("thicknesses", "t_values"):
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        return _comma_floats(raw)
     if name == "labels":
-        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+        return _comma_strs(raw)
     if name == "stratified":
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
-    default = RunConfig.__dataclass_fields__[name].default
-    return type(default)(raw)
+    return type(getattr(RunConfig, name))(raw)  # the field's default gives its type
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -106,14 +107,7 @@ def parse_config_file(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     known = {f.name for f in fields(RunConfig)}
     values: dict = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
+    for lineno, key, raw in read_key_values(path, ConfigError):
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
@@ -170,31 +164,6 @@ def _check_periods(cfg: RunConfig, periods, designs) -> None:
             )
 
 
-# CLI argument name -> RunConfig field it overrides.
-_OVERRIDES = {
-    "manifest": "manifest",
-    "design_table": "design_table",
-    "thickness": "thickness_mm",
-    "thicknesses": "thicknesses",
-    "t_s": "t_s",
-    "t_values": "t_values",
-    "r_ohm": "r_ohm",
-    "segment": "segment_s",
-    "segments": "segments_per_recording",
-    "train_fraction": "train_fraction",
-    "seed": "seed",
-    "repeats": "n_repeats",
-    "k": "k",
-    "metric": "metric",
-    "labels": "labels",
-    "bearing_type": "bearing_type",
-    "load_w": "load_w",
-    "fault_label": "fault_label",
-    "spec": "surrogate_spec",
-    "out": "out_dir",
-}
-
-
 def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     cfg = RunConfig()
     explicit: set[str] = set()
@@ -202,11 +171,12 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
         for key, value in parse_config_file(args.config).items():
             setattr(cfg, key, value)
             explicit.add(key)
-    for arg_name, field_name in _OVERRIDES.items():
-        value = vars(args).get(arg_name)
+    # Each flag's dest is the RunConfig field it overrides.
+    for name in (f.name for f in fields(RunConfig)):
+        value = vars(args).get(name)
         if value is not None:
-            setattr(cfg, field_name, value)
-            explicit.add(field_name)
+            setattr(cfg, name, value)
+            explicit.add(name)
     validate_config(cfg)
     return cfg, explicit
 
@@ -260,14 +230,9 @@ def _require_classes(cfg: RunConfig, manifest: Manifest) -> None:
 
 
 def _features_csv(features, design_name: str, t_s: float, dim: int) -> str:
-    header = ["recording_id", "segment_index", "label", "design", "T_s"]
-    header += [f"feature_{i}" for i in range(dim)]
-    lines = [",".join(header)]
-    for lf in features:
-        row = [lf.recording_id, str(lf.segment_index), lf.label.value, design_name, _fmt(t_s)]
-        row += [_fmt(v) for v in lf.values]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(dim))]
+    rows = [(lf.recording_id, lf.segment_index, lf.label.value, design_name, t_s, *lf.values) for lf in features]
+    return csv_text(header, rows)
 
 
 def _format_confusion(labels, confusion) -> str:
@@ -323,10 +288,11 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
         points, cfg.k, split_cfg, cfg.n_repeats, cfg.metric, config={"design": design.name, "T_s": cfg.t_s}
     )
     accuracies = np.array([r.accuracy for r in reports])
-    lines = ["repeat,seed,accuracy,n_train,n_validation"]
-    for i, r in enumerate(reports):
-        lines.append(f"{i},{r.config['seed']},{_fmt(r.accuracy)},{r.config['n_train']},{r.config['n_validation']}")
-    target = write_atomic(Path(cfg.out_dir) / "classification.csv", "\n".join(lines) + "\n")
+    header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
+    rows = [
+        (i, r.config["seed"], r.accuracy, r.config["n_train"], r.config["n_validation"]) for i, r in enumerate(reports)
+    ]
+    target = write_atomic(Path(cfg.out_dir) / "classification.csv", csv_text(header, rows))
     print(f"design {design.name}, T={cfg.t_s:g}s, k={cfg.k}, {cfg.n_repeats} split(s), seed0={cfg.seed}")
     print(f"mean accuracy {accuracies.mean():.4f} (std {accuracies.std():.4f})")
     print("confusion over all repeats:")
@@ -422,7 +388,7 @@ def _comma_strs(raw: str) -> tuple:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat key=value run configuration file")
-    common.add_argument("--out", metavar="DIR", help="output directory (default: out)")
+    common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory (default: out)")
     common.add_argument("--seed", type=int, help="base random seed")
 
     manifesty = argparse.ArgumentParser(add_help=False)
@@ -433,8 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     manifesty.add_argument("--load-w", dest="load_w", type=int, help="restrict to one load in Watts")
     manifesty.add_argument("--T", dest="t_s", type=float, help="integration period in seconds")
     manifesty.add_argument("--r-ohm", dest="r_ohm", type=float, help="load resistance in Ohms")
-    manifesty.add_argument("--segment", type=float, help="segment length in seconds")
-    manifesty.add_argument("--segments", type=int, help="segments per recording")
+    manifesty.add_argument("--segment", dest="segment_s", type=float, help="segment length in seconds")
+    manifesty.add_argument("--segments", dest="segments_per_recording", type=int, help="segments per recording")
+
+    knn = argparse.ArgumentParser(add_help=False)
+    knn.add_argument("--k", type=int, help="number of neighbors")
+    knn.add_argument("--repeats", dest="n_repeats", type=int, help="number of seeded splits")
+    knn.add_argument("--train-fraction", dest="train_fraction", type=float)
+    knn.add_argument("--metric", choices=METRICS)
 
     parser = argparse.ArgumentParser(
         prog="pehfault",
@@ -453,24 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_thought_experiment)
 
     p = sub.add_parser("extract", parents=[common, manifesty], help="write the labeled feature CSV")
-    p.add_argument("--thickness", type=float, help="design thickness in mm")
+    p.add_argument("--thickness", dest="thickness_mm", type=float, help="design thickness in mm")
     p.set_defaults(handler=cmd_extract)
 
-    p = sub.add_parser("classify", parents=[common, manifesty], help="repeated split/fit/evaluate on one design")
-    p.add_argument("--thickness", type=float, help="design thickness in mm")
-    p.add_argument("--k", type=int, help="number of neighbors")
-    p.add_argument("--repeats", type=int, help="number of seeded splits")
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--metric", choices=METRICS)
+    p = sub.add_parser("classify", parents=[common, manifesty, knn], help="repeated split/fit/evaluate on one design")
+    p.add_argument("--thickness", dest="thickness_mm", type=float, help="design thickness in mm")
     p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("sweep", parents=[common, manifesty], help="accuracy over designs x integration periods")
+    p = sub.add_parser("sweep", parents=[common, manifesty, knn], help="accuracy over designs x integration periods")
     p.add_argument("--thicknesses", type=_comma_floats, help="comma-separated design thicknesses in mm")
     p.add_argument("--t-values", dest="t_values", type=_comma_floats, help="comma-separated integration periods in s")
-    p.add_argument("--k", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--metric", choices=METRICS)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("scatter", parents=[common, manifesty], help="per-design class-mean energies vs the 45-degree line")
@@ -487,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_energy_report)
 
     p = sub.add_parser("surrogate-gen", parents=[common], help="write a seeded synthetic corpus + manifest")
-    p.add_argument("--spec", metavar="PATH", help="surrogate recipe file (defaults to the built-in recipe)")
+    p.add_argument("--spec", dest="surrogate_spec", metavar="PATH", help="surrogate recipe file (default: built-in)")
     p.set_defaults(handler=cmd_surrogate_gen)
 
     return parser

@@ -1,5 +1,6 @@
-"""Labeled vibration recordings: manifest parsing, recording file formats, the
-end-to-end feature pipeline, and a synthetic surrogate corpus generator.
+"""Labeled vibration recordings, every file syntax the package reads or writes
+(key=value, headed CSV, manifest, design table, recordings), the end-to-end
+feature pipeline, and a synthetic surrogate corpus generator.
 
 Manifest format: CSV with header row `path,label,bearing_type,load_w,fs_hz`;
 paths are resolved relative to the manifest's directory.
@@ -15,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +37,11 @@ __all__ = [
     "ClassSignalSpec",
     "SurrogateSpec",
     "DEFAULT_SURROGATE_SPEC",
+    "read_key_values",
+    "read_csv_table",
+    "csv_text",
     "load_manifest",
+    "load_design_table",
     "filter_manifest",
     "load_recording",
     "write_atomic",
@@ -47,6 +53,7 @@ __all__ = [
 ]
 
 MANIFEST_FIELDS = ("path", "label", "bearing_type", "load_w", "fs_hz")
+DESIGN_TABLE_FIELDS = ("name", "thickness_mm", "f0_hz", "bw3db_hz", "peak_gain_v_per_g", "r_ohm")
 VALID_LOADS_W = (0, 200, 400)
 RAW_SUFFIXES = (".f32", ".raw")
 
@@ -108,46 +115,87 @@ class LabeledFeature:
     segment_index: int
 
 
-def load_manifest(path: str | Path) -> Manifest:
-    """Parse and validate a manifest CSV; duplicate paths are rejected."""
+def read_key_values(path: str | Path, error: type[Exception]) -> list[tuple[int, str, str]]:
+    """(line, key, value) of each line of a flat key=value file, both sides
+    stripped; blank lines and `#` comment lines are skipped. A line without
+    `=` raises `error` naming the file and line."""
+    entries = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        entries.append((lineno, key.strip(), value.strip()))
+    return entries
+
+
+def read_csv_table(path: str | Path, header: Sequence[str], what: str) -> list[tuple[int, list[str]]]:
+    """(line, fields) of each data row of a CSV file that starts with `header`,
+    fields stripped. Blank lines are skipped; errors name the physical line."""
     path = Path(path)
     if not path.is_file():
-        raise DataError(f"manifest not found: {path}")
+        raise DataError(f"{what} not found: {path}")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         # A blank line is no field or one whitespace-only field.
-        rows = [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
+        rows = [(reader.line_num, [f.strip() for f in row]) for row in reader if len(row) > 1 or "".join(row).strip()]
     if not rows:
-        raise DataError(f"empty manifest: {path}")
-    header_line, header = rows[0][0], [col.strip() for col in rows[0][1]]
-    if tuple(header) != MANIFEST_FIELDS:
-        raise DataError(
-            f"{path}:{header_line}: manifest header must be {','.join(MANIFEST_FIELDS)}, got {','.join(header)!r}"
-        )
+        raise DataError(f"empty {what}: {path}")
+    (header_line, found), rows = rows[0], rows[1:]
+    if tuple(found) != tuple(header):
+        raise DataError(f"{path}:{header_line}: {what} header must be {','.join(header)}, got {','.join(found)!r}")
+    for lineno, fields in rows:
+        if len(fields) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+    return rows
+
+
+def _fmt(x: float) -> str:
+    """The one number format of every CSV: repr, so values round-trip exactly."""
+    return repr(float(x))
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV document: strings and integers as they are, every other number
+    through `_fmt`, a field holding a comma or quote quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell if isinstance(cell, (str, int)) else _fmt(cell) for cell in row] for row in rows)
+    return out.getvalue()
+
+
+def load_manifest(path: str | Path) -> Manifest:
+    """Parse and validate a manifest CSV; duplicate paths are rejected."""
+    path = Path(path)
     entries: list[RecordingMeta] = []
     seen: set[str] = set()
-    for lineno, row in rows[1:]:
-        fields = [f.strip() for f in row]
-        if len(fields) != len(MANIFEST_FIELDS):
-            raise DataError(f"{path}:{lineno}: expected {len(MANIFEST_FIELDS)} fields, got {len(fields)}")
-        rec_path, label_token, bearing, load_token, fs_token = fields
+    for lineno, (rec_path, label, bearing, load_w, fs) in read_csv_table(path, MANIFEST_FIELDS, "manifest"):
         if rec_path in seen:
             raise DataError(f"{path}:{lineno}: duplicate recording path {rec_path!r}")
         seen.add(rec_path)
         try:
-            label = MachineState.from_token(label_token)
-            load_w = int(load_token)
-            fs = float(fs_token)
-        except DataError as exc:
+            entries.append(RecordingMeta(rec_path, MachineState.from_token(label), bearing, int(load_w), float(fs)))
+        except (DataError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        entries.append(RecordingMeta(rec_path, label, bearing, load_w, fs))
     root = path.resolve().parent
     for meta in entries:
         if not (root / meta.path).is_file():
             raise DataError(f"{path}: recording file not found: {root / meta.path}")
     return Manifest(tuple(entries), root)
+
+
+def load_design_table(path: str | Path) -> tuple[PehDesign, ...]:
+    """Read a design table from CSV with header name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g,r_ohm."""
+    designs = []
+    for lineno, (name, *numbers) in read_csv_table(path, DESIGN_TABLE_FIELDS, "design table"):
+        try:
+            designs.append(PehDesign(name, *(float(value) for value in numbers)))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+    return tuple(designs)
 
 
 def filter_manifest(
@@ -188,15 +236,9 @@ def _read_sidecar(full: Path) -> dict[str, float]:
     if not sidecar.is_file():
         return {}
     declared: dict[str, float] = {}
-    for lineno, line in enumerate(sidecar.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"{sidecar}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
+    for lineno, key, value in read_key_values(sidecar, DataError):
         try:
-            declared[key.strip()] = float(value)
+            declared[key] = float(value)
         except ValueError:
             raise DataError(f"{sidecar}:{lineno}: unparseable value {value!r}") from None
     return declared
@@ -375,17 +417,10 @@ def load_surrogate_spec(path: str | Path) -> SurrogateSpec:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"surrogate spec not found: {path}")
-    plain: dict[str, str] = {}
+    plain: dict = {}
     tones: dict[MachineState, tuple[tuple[float, float], ...]] = {}
     sigmas: dict[MachineState, float] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in read_key_values(path, ConfigError):
         if "." in key:
             label_token, _, attr = key.partition(".")
             try:
@@ -409,24 +444,17 @@ def load_surrogate_spec(path: str | Path) -> SurrogateSpec:
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown per-class key {key!r}")
         elif key in ("count_per_class", "fs_hz", "duration_s", "amplitude_jitter", "bearing_type", "load_w", "seed"):
-            plain[key] = value
+            field = "fs" if key == "fs_hz" else key
+            try:
+                plain[field] = type(getattr(SurrogateSpec, field))(value)  # the field's default gives its type
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if not tones:
         raise ConfigError(f"{path}: no per-class tone lists given")
-    try:
-        return SurrogateSpec(
-            classes={state: ClassSignalSpec(tone_list, sigmas.get(state, 0.0)) for state, tone_list in tones.items()},
-            count_per_class=int(plain.get("count_per_class", 7)),
-            fs=float(plain.get("fs_hz", 51200.0)),
-            duration_s=float(plain.get("duration_s", 10.0)),
-            amplitude_jitter=float(plain.get("amplitude_jitter", 0.10)),
-            bearing_type=plain.get("bearing_type", "6204"),
-            load_w=int(plain.get("load_w", 0)),
-            seed=int(plain.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    classes = {state: ClassSignalSpec(tone_list, sigmas.get(state, 0.0)) for state, tone_list in tones.items()}
+    return SurrogateSpec(classes, **plain)
 
 
 def _synth_class_recording(cspec: ClassSignalSpec, fs: float, duration_s: float, jitter: float, rng) -> np.ndarray:
@@ -460,7 +488,7 @@ def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) 
     # One seed per recording slot, shared across classes: identical class
     # recipes then synthesize identical recordings (common random numbers).
     slot_seeds = np.random.SeedSequence(seed).spawn(spec.count_per_class)
-    rows = [",".join(MANIFEST_FIELDS)]
+    rows = []
     for state in states:
         cspec = spec.classes[state]
         for index in range(spec.count_per_class):
@@ -468,5 +496,5 @@ def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) 
             samples = _synth_class_recording(cspec, spec.fs, spec.duration_s, spec.amplitude_jitter, rng)
             name = f"{state.value}_{index:02d}.f32"
             write_recording_f32(samples, spec.fs, out_dir / name)
-            rows.append(f"{name},{state.value},{spec.bearing_type},{spec.load_w},{spec.fs:g}")
-    return load_manifest(write_atomic(out_dir / "manifest.csv", "\n".join(rows) + "\n"))
+            rows.append((name, state.value, spec.bearing_type, spec.load_w, f"{spec.fs:g}"))
+    return load_manifest(write_atomic(out_dir / "manifest.csv", csv_text(MANIFEST_FIELDS, rows)))

@@ -12,14 +12,10 @@ exactly on f0 regardless of sample rate.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
-from .errors import DataError
 from .signals import SignalUnit, TimeSeries, synth_sine
 
 __all__ = [
@@ -27,7 +23,6 @@ __all__ = [
     "DEFAULT_DESIGNS",
     "MIN_FS_PER_F0",
     "design_from_thickness",
-    "load_design_table",
     "frf_magnitude",
     "simulate_voltage",
     "measure_steady_gain",
@@ -36,8 +31,6 @@ __all__ = [
 
 # Simulation accuracy guard: require fs >= MIN_FS_PER_F0 * f0.
 MIN_FS_PER_F0 = 20.0
-
-DESIGN_TABLE_FIELDS = ("name", "thickness_mm", "f0_hz", "bw3db_hz", "peak_gain_v_per_g", "r_ohm")
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ class PehDesign:
 
 
 # Resonance rises monotonically with substrate thickness; peak gains and load
-# resistance default to 1.0 and are overridable via load_design_table.
+# resistance default to 1.0 and are overridable via dataset.load_design_table.
 DEFAULT_DESIGNS: tuple[PehDesign, ...] = (
     PehDesign("peh_0.35mm", 0.35, 125.0, 10.0),
     PehDesign("peh_0.40mm", 0.40, 150.0, 10.0),
@@ -88,39 +81,6 @@ def design_from_thickness(thickness_mm: float, table: tuple[PehDesign, ...] = DE
             return design
     known = ", ".join(f"{d.thickness_mm:g}" for d in table)
     raise ValueError(f"unknown design: thickness {thickness_mm:g} mm not in table ({known} mm)")
-
-
-def load_design_table(path: str | Path) -> tuple[PehDesign, ...]:
-    """Read a design table from CSV with header name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g,r_ohm."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"design table not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise DataError(f"empty design table: {path}")
-    header = tuple(col.strip() for col in rows[0][1])
-    if header != DESIGN_TABLE_FIELDS:
-        raise DataError(f"design table header must be {','.join(DESIGN_TABLE_FIELDS)}, got {','.join(header)}")
-    designs = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(DESIGN_TABLE_FIELDS):
-            raise DataError(f"{path}:{lineno}: expected {len(DESIGN_TABLE_FIELDS)} fields, got {len(row)}")
-        try:
-            designs.append(
-                PehDesign(
-                    name=row[0].strip(),
-                    thickness_mm=float(row[1]),
-                    f0_hz=float(row[2]),
-                    bw3db_hz=float(row[3]),
-                    peak_gain_v_per_g=float(row[4]),
-                    r_ohm=float(row[5]),
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return tuple(designs)
 
 
 def frf_magnitude(design: PehDesign, f_hz):
@@ -160,7 +120,9 @@ def simulate_voltage(design: PehDesign, accel: TimeSeries) -> TimeSeries:
         raise ValueError(
             f"sampling rate too low: {accel.fs} Hz < {MIN_FS_PER_F0:g} * f0 = {MIN_FS_PER_F0 * design.f0_hz:g} Hz"
         )
-    return TimeSeries(sps.lfilter(*_biquad_coefficients(design, accel.fs), accel.samples), accel.fs, SignalUnit.VOLTS)
+    from scipy.signal import lfilter  # on first use: a ~1 s import that energy-report and surrogate-gen never need
+
+    return TimeSeries(lfilter(*_biquad_coefficients(design, accel.fs), accel.samples), accel.fs, SignalUnit.VOLTS)
 
 
 def measure_steady_gain(

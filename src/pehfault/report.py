@@ -4,13 +4,13 @@ demo, and per-design class-mean scatter data with a deterministic SVG rendering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .classify import _fmt, points_from_features
-from .dataset import MachineState, Manifest, build_feature_sets
+from .classify import points_from_features
+from .dataset import MachineState, Manifest, build_feature_sets, csv_text
 from .frontend import integrate_energy, mean_state_energy
 from .harvester import PehDesign, simulate_voltage
 from .signals import synth_sine
@@ -202,12 +202,8 @@ def scatter_points(
 
 
 def scatter_csv(points: Sequence[ScatterPoint]) -> str:
-    lines = ["design,thickness_mm,mean_healthy_j,mean_faulty_j,diag_distance_j"]
-    for p in points:
-        lines.append(
-            f"{p.design},{_fmt(p.thickness_mm)},{_fmt(p.mean_healthy_j)},{_fmt(p.mean_faulty_j)},{_fmt(p.diag_distance_j)}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ["design", "thickness_mm", "mean_healthy_j", "mean_faulty_j", "diag_distance_j"]
+    return csv_text(header, map(astuple, points))
 
 
 _SVG_SIZE = 640

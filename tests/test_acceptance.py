@@ -10,7 +10,6 @@ variable; when the dataset is absent the surrogate end-to-end check
 import math
 import os
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from pehfault.harvester import (
 )
 from pehfault.report import run_thought_experiment
 from pehfault.signals import SignalUnit, band_energy_digital, signal_energy, synth_composite, synth_sine
+from tests.test_classify import brute_force_predict
 
 FS = 51200.0
 
@@ -112,17 +112,6 @@ def test_criterion_3_two_design_frequency_shift():
     )
 
 
-def _brute_force_predict(points, k, query):
-    ranked = sorted(
-        (math.sqrt(sum((x - q) ** 2 for x, q in zip(vec, query))), i) for i, (vec, _l) in enumerate(points)
-    )[:k]
-    counts = Counter(points[i][1] for _, i in ranked)
-    best = max(counts.values())
-    for _, i in ranked:
-        if counts[points[i][1]] == best:
-            return points[i][1]
-
-
 def test_criterion_4_knn_oracle_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -136,7 +125,7 @@ def test_criterion_4_knn_oracle_equivalence():
         k = int(rng.integers(1, n + 1))
         model = knn_fit(points, k=k)
         query = rng.integers(-6, 7, size=dim).astype(float)
-        if knn_predict(model, query) != _brute_force_predict(points, k, query):
+        if knn_predict(model, query) != brute_force_predict(points, k, query):
             mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 5.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pehfault.classify import (
     SplitConfig,
+    _distances,
     accuracy_sweep,
     evaluate,
     knn_fit,
@@ -27,12 +28,16 @@ def labeled(n_per_class, classes=("a", "b")):
     return [(np.array([float(i)]), c) for c in classes for i in range(n_per_class)]
 
 
+def oracle_distance(vec, query):
+    """Euclidean distance, squared differences summed in index order. Squares
+    are products: Python's ** on a float calls libm pow, which rounds a few
+    squares in 10^4 differently from the predictor's multiplication."""
+    return math.sqrt(sum((x - q) * (x - q) for x, q in zip(vec, query)))
+
+
 def brute_force_predict(points, k, query):
     """Independent oracle: exhaustive sort of (distance, index), same tie rules."""
-    ranked = sorted(
-        (math.sqrt(sum((x - q) ** 2 for x, q in zip(vec, query))), i)
-        for i, (vec, _label) in enumerate(points)
-    )[:k]
+    ranked = sorted((oracle_distance(vec, query), i) for i, (vec, _label) in enumerate(points))[:k]
     counts = Counter(points[i][1] for _, i in ranked)
     best = max(counts.values())
     for _, i in ranked:
@@ -178,6 +183,15 @@ def test_knn_matches_oracle_property(seed):
     model = knn_fit(points, k=k)
     query = rng.integers(-5, 6, size=dim).astype(float)
     assert knn_predict(model, query) == brute_force_predict(points, k, query)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_oracle_distance_equals_block_distances_bit_for_bit(dim):
+    rng = np.random.default_rng([17, dim])
+    points = rng.uniform(-1.0, 1.0, size=(100, dim))
+    queries = rng.uniform(-1.0, 1.0, size=(60, dim))
+    expected = [[oracle_distance(point, query) for point in points] for query in queries]
+    assert np.array_equal(_distances(points, queries), np.array(expected))
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=1e-3, max_value=1e3))

@@ -1,4 +1,8 @@
 import errno
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,8 @@ from pehfault.cli import (
 )
 from pehfault.errors import ConfigError
 from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_flags(corpus, out_dir):
@@ -50,6 +56,21 @@ class TestConfigHandling:
         assert values["thicknesses"] == (0.35, 0.50)
         assert values["labels"] == ("healthy", "ball_crack")
         assert values["stratified"] is True
+
+    def test_readme_config_example_parses(self, tmp_path):
+        section = (REPO / "README.md").read_text().split("## Configuration file", 1)[1]
+        path = tmp_path / "run.cfg"
+        path.write_text(section.split("```", 2)[1])
+        values = parse_config_file(path)
+        assert set(values) == {f.name for f in fields(RunConfig)}
+        assert values["thickness_mm"] == 0.50 and values["design_table"] == ""
+        validate_config(RunConfig(**values))
+
+    def test_importing_the_cli_leaves_scipy_signal_unloaded(self):
+        code = "import sys, pehfault.cli; print('scipy.signal' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -12,6 +12,7 @@ from pehfault.dataset import (
     SurrogateSpec,
     build_feature_set,
     build_feature_sets,
+    csv_text,
     filter_manifest,
     load_manifest,
     load_recording,
@@ -120,6 +121,11 @@ class TestLoadManifest:
         only_faulty = filter_manifest(manifest, labels=(MachineState.BALL_CRACK,))
         assert [m.path for m in only_faulty.entries] == ["b0.txt", "b1.txt"]
         assert filter_manifest(manifest, load_w=200).entries == ()
+
+
+def test_csv_text_quotes_a_comma_and_writes_numbers_by_repr():
+    text = csv_text(["name", "n", "x"], [("peh,a", 3, np.float64(0.1)), ("b", 0, 1 / 3)])
+    assert text == 'name,n,x\n"peh,a",3,0.1\nb,0,0.3333333333333333\n'
 
 
 class TestLoadRecording:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pehfault.dataset import load_design_table
 from pehfault.errors import DataError
 from pehfault.harvester import (
     DEFAULT_DESIGNS,
@@ -12,7 +13,6 @@ from pehfault.harvester import (
     _biquad_coefficients,
     design_from_thickness,
     frf_magnitude,
-    load_design_table,
     measure_steady_gain,
     simulate_voltage,
     verify_discretization,
