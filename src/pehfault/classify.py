@@ -5,27 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import LabeledFeature, Manifest, build_feature_sets, csv_text
+from .dataset import Manifest, build_feature_sets, csv_text
 from .harvester import PehDesign
-
-__all__ = [
-    "SplitConfig",
-    "KnnModel",
-    "EvalReport",
-    "SweepRow",
-    "split",
-    "points_from_features",
-    "knn_fit",
-    "knn_predict",
-    "evaluate",
-    "repeated_evaluation",
-    "accuracy_sweep",
-    "sweep_csv",
-]
 
 METRICS = ("raw", "log")
 _LOG_FLOOR = 1e-300  # keeps log-energy finite for exactly-zero features
@@ -42,63 +27,49 @@ class SplitConfig:
             raise ValueError(f"train fraction must lie in (0, 1), got {self.train_fraction}")
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def train_size(n: int, train_fraction: float) -> int:
+    """Training members of a group of n: round(train_fraction * n), half up,
+    clamped so both sides stay non-empty."""
+    return min(max(math.floor(train_fraction * n + 0.5), 1), n - 1)
 
 
-def split(items: Sequence, cfg: SplitConfig, label_of: Callable = lambda item: item.label):
-    """Seeded train/validation partition; round(train_fraction * n) per class
-    when stratified, clamped so both sides stay non-empty.
+def split(labels, cfg: SplitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded train/validation partition of the rows with these labels: per
+    class when stratified (classes in order of first appearance, each
+    shuffled by one rng.permutation call), else of all rows at once; each
+    group gets train_size of its rows.
 
-    Membership is randomized but each returned part preserves the input order.
+    Returns the train and validation row indices, each ascending.
     """
+    labels = np.asarray(labels)
     rng = np.random.default_rng(cfg.seed)
-
-    def pick(indices: list[int]) -> tuple[list[int], list[int]]:
-        n_train = min(max(_round_half_up(cfg.train_fraction * len(indices)), 1), len(indices) - 1)
-        shuffled = [indices[p] for p in rng.permutation(len(indices))]
-        return shuffled[:n_train], shuffled[n_train:]
-
     if cfg.stratified:
-        by_label: dict = {}
-        for i, item in enumerate(items):
-            by_label.setdefault(label_of(item), []).append(i)
-        train_idx: list[int] = []
-        val_idx: list[int] = []
-        for label, indices in by_label.items():
-            if len(indices) < 2:
-                raise ValueError(f"stratified split needs >= 2 samples per class; {label!r} has {len(indices)}")
-            tr, va = pick(indices)
-            train_idx += tr
-            val_idx += va
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        groups = [np.flatnonzero(inverse == c) for c in np.argsort(first)]
+        for group in groups:
+            if len(group) < 2:
+                label = labels[group[0]].item()
+                raise ValueError(f"stratified split needs >= 2 samples per class; {label!r} has {len(group)}")
     else:
-        if len(items) < 2:
-            raise ValueError(f"split needs >= 2 samples, got {len(items)}")
-        train_idx, val_idx = pick(list(range(len(items))))
-
-    train_idx.sort()
-    val_idx.sort()
-    return [items[i] for i in train_idx], [items[i] for i in val_idx]
+        if len(labels) < 2:
+            raise ValueError(f"split needs >= 2 samples, got {len(labels)}")
+        groups = [np.arange(len(labels))]
+    in_train = np.zeros(len(labels), dtype=bool)
+    for group in groups:
+        in_train[group[rng.permutation(len(group))[: train_size(len(group), cfg.train_fraction)]]] = True
+    return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 
 @dataclass(frozen=True)
 class KnnModel:
-    """Lazy learner: stores the training points verbatim, plus what every
-    prediction reuses: the points in metric space and their labels as codes
-    into `classes`."""
+    """Lazy learner: the training rows in metric space, which every
+    prediction reuses, and their labels as codes into the sorted `classes`."""
 
     k: int
-    features: np.ndarray
-    labels: tuple[str, ...]
     metric: str
     space: np.ndarray
     classes: tuple[str, ...]
     codes: np.ndarray
-
-
-def points_from_features(features: Sequence[LabeledFeature]) -> list[tuple[np.ndarray, str]]:
-    """(vector, label) pairs of pipeline output: the points fit/evaluate take."""
-    return [(lf.values, lf.label.value) for lf in features]
 
 
 def _to_space(x: np.ndarray, metric: str) -> np.ndarray:
@@ -107,25 +78,19 @@ def _to_space(x: np.ndarray, metric: str) -> np.ndarray:
     return x
 
 
-def knn_fit(train: Sequence, k: int, metric: str = "raw") -> KnnModel:
-    """Store (vector, label) training points; vectors must share one dimension."""
+def knn_fit(features, labels, k: int, metric: str = "raw") -> KnnModel:
+    """Store an (n, dim) training matrix with the labels of its n rows."""
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k > len(train):
-        raise ValueError(f"k={k} exceeds the {len(train)} training points")
+    if k > len(features):
+        raise ValueError(f"k={k} exceeds the {len(features)} training points")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    vectors = [np.atleast_1d(np.asarray(vector, dtype=np.float64)) for vector, _ in train]
-    dim = len(vectors[0])
-    for v in vectors:
-        if len(v) != dim:
-            raise ValueError(f"inconsistent feature dimensions: {len(v)} vs {dim}")
-    features = np.vstack(vectors)
-    labels = tuple(label for _, label in train)
-    classes = tuple(dict.fromkeys(labels))
-    code_of = {label: i for i, label in enumerate(classes)}
-    codes = np.array([code_of[label] for label in labels])
-    return KnnModel(k, features, labels, metric, _to_space(features, metric), classes, codes)
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or len(features) != len(labels):
+        raise ValueError(f"need an (n, dimension) feature matrix and n labels, got {features.shape} and {len(labels)}")
+    classes, codes = np.unique(labels, return_inverse=True)
+    return KnnModel(k, metric, _to_space(features, metric), tuple(classes.tolist()), codes)
 
 
 # Bytes of one (queries x train) float64 distance block; queries are taken in
@@ -171,7 +136,7 @@ def knn_predict(model: KnnModel, queries):
     block = np.asarray(queries, dtype=np.float64)
     single = block.ndim < 2
     block = np.atleast_2d(block)
-    dim = model.features.shape[1]
+    dim = model.space.shape[1]
     if block.shape[1:] != (dim,):
         raise ValueError(f"query dimension {block.shape[1:]} does not match model dimension {dim}")
     block = _to_space(block, model.metric)
@@ -198,38 +163,40 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
 
-def evaluate(model: KnnModel, validation: Sequence, config: dict | None = None) -> EvalReport:
-    if not validation:
+def evaluate(model: KnnModel, features, labels, config: dict | None = None) -> EvalReport:
+    """Predict the rows of an (n, dim) validation matrix and score them against their labels."""
+    if len(labels) == 0:
         raise ValueError("validation set is empty")
-    labels = tuple(sorted(set(model.labels) | {label for _, label in validation}))
-    index = {label: i for i, label in enumerate(labels)}
-    confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    predicted = knn_predict(model, np.vstack([vector for vector, _ in validation]))
-    for (_, label), guess in zip(validation, predicted):
-        confusion[index[label], index[guess]] += 1
+    names = np.union1d(model.classes, labels)
+    predicted = knn_predict(model, features)
+    confusion = np.zeros((len(names), len(names)), dtype=np.int64)
+    np.add.at(confusion, (np.searchsorted(names, labels), np.searchsorted(names, predicted)), 1)
     accuracy = float(np.trace(confusion) / confusion.sum())
-    return EvalReport(accuracy, labels, confusion, dict(config or {}))
+    return EvalReport(accuracy, tuple(names.tolist()), confusion, dict(config or {}))
 
 
 def repeated_evaluation(
-    points: Sequence,
+    features,
+    labels,
     k: int,
     split_cfg: SplitConfig,
     n_repeats: int,
     metric: str = "raw",
     config: dict | None = None,
 ) -> list[EvalReport]:
-    """Repeat split/fit/evaluate with seeds split_cfg.seed + i."""
+    """Repeat split/fit/evaluate on the rows of one feature matrix with seeds split_cfg.seed + i."""
     if n_repeats < 1:
         raise ValueError(f"need at least one repeat, got {n_repeats}")
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
     reports = []
     for i in range(n_repeats):
         cfg_i = replace(split_cfg, seed=split_cfg.seed + i)
-        train, validation = split(points, cfg_i, label_of=lambda point: point[1])
-        model = knn_fit(train, k, metric)
+        train, validation = split(labels, cfg_i)
+        model = knn_fit(features[train], labels[train], k, metric)
         echo = dict(config or {})
         echo.update(seed=cfg_i.seed, k=k, n_train=len(train), n_validation=len(validation))
-        reports.append(evaluate(model, validation, echo))
+        reports.append(evaluate(model, features[validation], labels[validation], echo))
     return reports
 
 
@@ -263,12 +230,11 @@ def accuracy_sweep(
     (see build_feature_sets); each combination reuses the same seed sequence
     so rows are comparable. Rows are in design order, then period order.
     """
-    sets = build_feature_sets(manifest, designs, segment_s, segments_per_recording, t_values, r_ohm)
+    feature_rows, sets = build_feature_sets(manifest, designs, segment_s, segments_per_recording, t_values, r_ohm)
     rows = []
     for design, design_sets in zip(designs, sets):
         for t_s, features in zip(t_values, design_sets):
-            points = points_from_features(features)
-            reports = repeated_evaluation(points, k, split_cfg, n_repeats, metric)
+            reports = repeated_evaluation(features, feature_rows.labels, k, split_cfg, n_repeats, metric)
             accuracies = np.array([r.accuracy for r in reports])
             rows.append(
                 SweepRow(

@@ -18,16 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import (
-    METRICS,
-    SplitConfig,
-    accuracy_sweep,
-    points_from_features,
-    repeated_evaluation,
-    sweep_csv,
-)
+from .classify import METRICS, SplitConfig, accuracy_sweep, repeated_evaluation, sweep_csv, train_size
 from .dataset import (
     DEFAULT_SURROGATE_SPEC,
+    FeatureRows,
     MachineState,
     Manifest,
     build_feature_set,
@@ -42,7 +36,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError
 from .frontend import MIN_CYCLES_PER_PERIOD
-from .harvester import DEFAULT_DESIGNS, design_from_thickness
+from .harvester import DEFAULT_DESIGNS, MIN_FS_PER_F0, design_from_thickness
 from .report import (
     EnergyCostModel,
     format_sampling_cost,
@@ -118,6 +112,10 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    for name in ("thickness_mm", "thicknesses", "t_s", "t_values", "r_ohm", "segment_s", "fs_synth"):
+        value = getattr(cfg, name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if cfg.t_s <= 0 or any(t <= 0 for t in cfg.t_values):
         raise ConfigError("integration period must be positive")
     if not cfg.t_values:
@@ -140,6 +138,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"metric must be one of {METRICS}")
     if cfg.fs_synth <= 0:
         raise ConfigError("synthesis rate must be positive")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
 
 
 def _check_periods_fit_segment(cfg: RunConfig, periods) -> None:
@@ -151,9 +151,14 @@ def _check_periods_fit_segment(cfg: RunConfig, periods) -> None:
 
 
 def _check_periods(cfg: RunConfig, periods, designs) -> None:
-    """Every integration period fits in a segment and spans at least
-    MIN_CYCLES_PER_PERIOD cycles of the lowest resonance in use."""
+    """Every integration period fits in a segment and spans enough cycles (see _check_cycles)."""
     _check_periods_fit_segment(cfg, periods)
+    _check_cycles(periods, designs)
+
+
+def _check_cycles(periods, designs) -> None:
+    """Every integration period spans at least MIN_CYCLES_PER_PERIOD cycles
+    of the lowest resonance in use."""
     slowest = min(designs, key=lambda design: design.f0_hz)
     for t_s in periods:
         if t_s * slowest.f0_hz < MIN_CYCLES_PER_PERIOD:
@@ -181,8 +186,13 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     return cfg, explicit
 
 
-def _design_table(cfg: RunConfig):
-    return load_design_table(cfg.design_table) if cfg.design_table else DEFAULT_DESIGNS
+def _designs(cfg: RunConfig, thicknesses) -> list:
+    """The designs of these thicknesses in the configured design table."""
+    table = load_design_table(cfg.design_table) if cfg.design_table else DEFAULT_DESIGNS
+    try:
+        return [design_from_thickness(t, table) for t in thicknesses]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _manifest_for(cfg: RunConfig) -> Manifest:
@@ -214,8 +224,9 @@ def _fault_label(cfg: RunConfig) -> MachineState:
 
 
 def _require_classes(cfg: RunConfig, manifest: Manifest) -> None:
-    """At least 2 labels, and for a stratified split at least 2 features
-    (recordings x segments per recording) in every class."""
+    """At least 2 labels, for a stratified split at least 2 features
+    (recordings x segments per recording) in every class, and at least k
+    training points in every split."""
     counts = Counter(meta.label.value for meta in manifest.entries)
     if not counts:
         raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
@@ -227,12 +238,16 @@ def _require_classes(cfg: RunConfig, manifest: Manifest) -> None:
             f"{cfg.manifest}: a stratified split needs >= 2 features per class; {short[0]!r} has "
             f"{counts[short[0]]} recording(s) x {cfg.segments_per_recording} segment(s)"
         )
+    groups = [n * cfg.segments_per_recording for n in counts.values()]
+    n_train = sum(train_size(n, cfg.train_fraction) for n in (groups if cfg.stratified else [sum(groups)]))
+    if cfg.k > n_train:
+        raise ConfigError(f"k={cfg.k} exceeds the {n_train} training points")
 
 
-def _features_csv(features, design_name: str, t_s: float, dim: int) -> str:
+def _features_csv(rows: FeatureRows, features, design_name: str, t_s: float, dim: int) -> str:
     header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(dim))]
-    rows = [(lf.recording_id, lf.segment_index, lf.label.value, design_name, t_s, *lf.values) for lf in features]
-    return csv_text(header, rows)
+    lines = zip(rows.recording_ids, rows.segment_indices, rows.labels.tolist(), features.tolist())
+    return csv_text(header, [(rid, index, label, design_name, t_s, *values) for rid, index, label, values in lines])
 
 
 def _format_confusion(labels, confusion) -> str:
@@ -244,12 +259,21 @@ def _format_confusion(labels, confusion) -> str:
 
 
 def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
-    table = _design_table(cfg)
+    designs = _designs(cfg, [args.design_a, args.design_b])
+    for f_hz in (args.f_healthy, args.f_faulty):
+        if not 0 < f_hz < cfg.fs_synth / 2:
+            raise ConfigError(
+                f"tone frequency {f_hz} Hz must lie in (0, fs/2) = (0, {cfg.fs_synth / 2}) to avoid aliasing"
+            )
+    for design in designs:
+        lowest = MIN_FS_PER_F0 * design.f0_hz
+        if cfg.fs_synth < lowest:
+            raise ConfigError(f"sampling rate too low: {cfg.fs_synth} Hz < {MIN_FS_PER_F0:g} * f0 = {lowest:g} Hz")
+    _check_cycles([cfg.t_s], designs)
     report = run_thought_experiment(
         args.f_healthy,
         args.f_faulty,
-        design_from_thickness(args.design_a, table),
-        design_from_thickness(args.design_b, table),
+        *designs,
         period_s=cfg.t_s,
         r_ohm=cfg.r_ohm,
         fs=cfg.fs_synth,
@@ -259,40 +283,39 @@ def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
 
 
 def cmd_extract(cfg: RunConfig, args, explicit) -> int:
-    design = design_from_thickness(cfg.thickness_mm, _design_table(cfg))
+    (design,) = _designs(cfg, [cfg.thickness_mm])
     _check_periods(cfg, [cfg.t_s], [design])
     manifest = _manifest_for(cfg)
-    features = build_feature_set(
+    rows, features = build_feature_set(
         manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm
     )
-    dim = len(features[0].values) if features else int(math.floor(cfg.segment_s / cfg.t_s + 1e-9))
-    target = write_atomic(Path(cfg.out_dir) / "features.csv", _features_csv(features, design.name, cfg.t_s, dim))
+    dim = features.shape[1] if len(features) else int(math.floor(cfg.segment_s / cfg.t_s + 1e-9))
+    content = _features_csv(rows, features, design.name, cfg.t_s, dim)
+    target = write_atomic(Path(cfg.out_dir) / "features.csv", content)
     print(f"wrote {len(features)} feature rows to {target}")
-    if not features:
+    if len(features) == 0:
         print("no recordings matched the manifest/filters", file=sys.stderr)
         return EXIT_DATA_ERROR
     return EXIT_OK
 
 
 def cmd_classify(cfg: RunConfig, args, explicit) -> int:
-    design = design_from_thickness(cfg.thickness_mm, _design_table(cfg))
+    (design,) = _designs(cfg, [cfg.thickness_mm])
     _check_periods(cfg, [cfg.t_s], [design])
     manifest = _manifest_for(cfg)
     _require_classes(cfg, manifest)
-    features = build_feature_set(
+    rows, features = build_feature_set(
         manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm
     )
-    points = points_from_features(features)
     split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
-    reports = repeated_evaluation(
-        points, cfg.k, split_cfg, cfg.n_repeats, cfg.metric, config={"design": design.name, "T_s": cfg.t_s}
-    )
+    echo = {"design": design.name, "T_s": cfg.t_s}
+    reports = repeated_evaluation(features, rows.labels, cfg.k, split_cfg, cfg.n_repeats, cfg.metric, config=echo)
     accuracies = np.array([r.accuracy for r in reports])
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
-    rows = [
+    results = [
         (i, r.config["seed"], r.accuracy, r.config["n_train"], r.config["n_validation"]) for i, r in enumerate(reports)
     ]
-    target = write_atomic(Path(cfg.out_dir) / "classification.csv", csv_text(header, rows))
+    target = write_atomic(Path(cfg.out_dir) / "classification.csv", csv_text(header, results))
     print(f"design {design.name}, T={cfg.t_s:g}s, k={cfg.k}, {cfg.n_repeats} split(s), seed0={cfg.seed}")
     print(f"mean accuracy {accuracies.mean():.4f} (std {accuracies.std():.4f})")
     print("confusion over all repeats:")
@@ -303,8 +326,7 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
-    table = _design_table(cfg)
-    designs = [design_from_thickness(t, table) for t in cfg.thicknesses]
+    designs = _designs(cfg, cfg.thicknesses)
     _check_periods(cfg, cfg.t_values, designs)
     manifest = _manifest_for(cfg)
     _require_classes(cfg, manifest)
@@ -329,22 +351,17 @@ def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
 
 def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
     fault_label = _fault_label(cfg)
-    table = _design_table(cfg)
-    designs = [design_from_thickness(t, table) for t in cfg.thicknesses]
+    designs = _designs(cfg, cfg.thicknesses)
     _check_periods(cfg, [cfg.t_s], designs)
-    manifest = _manifest_for(cfg)
-    try:
-        points = scatter_points(
-            manifest,
-            designs,
-            segment_s=cfg.segment_s,
-            segments_per_recording=cfg.segments_per_recording,
-            period_s=cfg.t_s,
-            r_ohm=cfg.r_ohm,
-            fault_label=fault_label,
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    points = scatter_points(
+        _manifest_for(cfg),
+        designs,
+        segment_s=cfg.segment_s,
+        segments_per_recording=cfg.segments_per_recording,
+        period_s=cfg.t_s,
+        r_ohm=cfg.r_ohm,
+        fault_label=fault_label,
+    )
     csv_target = write_atomic(Path(cfg.out_dir) / "scatter.csv", scatter_csv(points))
     svg_target = write_atomic(Path(cfg.out_dir) / "scatter.svg", scatter_svg(points))
     for p in points:
@@ -468,9 +485,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -29,29 +29,6 @@ from .frontend import make_feature
 from .harvester import PehDesign, simulate_voltage
 from .signals import SignalUnit, TimeSeries, segment
 
-__all__ = [
-    "MachineState",
-    "RecordingMeta",
-    "Manifest",
-    "LabeledFeature",
-    "ClassSignalSpec",
-    "SurrogateSpec",
-    "DEFAULT_SURROGATE_SPEC",
-    "read_key_values",
-    "read_csv_table",
-    "csv_text",
-    "load_manifest",
-    "load_design_table",
-    "filter_manifest",
-    "load_recording",
-    "write_atomic",
-    "write_recording_f32",
-    "build_feature_set",
-    "build_feature_sets",
-    "load_surrogate_spec",
-    "synth_surrogate_corpus",
-]
-
 MANIFEST_FIELDS = ("path", "label", "bearing_type", "load_w", "fs_hz")
 DESIGN_TABLE_FIELDS = ("name", "thickness_mm", "f0_hz", "bw3db_hz", "peak_gain_v_per_g", "r_ohm")
 VALID_LOADS_W = (0, 200, 400)
@@ -108,11 +85,14 @@ class Manifest:
 
 
 @dataclass(frozen=True)
-class LabeledFeature:
-    values: np.ndarray
-    label: MachineState
-    recording_id: str
-    segment_index: int
+class FeatureRows:
+    """Row r of every feature matrix from one pass is segment
+    segment_indices[r] of recording recording_ids[r], whose state is labels[r]
+    (a MachineState value)."""
+
+    labels: np.ndarray
+    recording_ids: tuple[str, ...]
+    segment_indices: tuple[int, ...]
 
 
 def read_key_values(path: str | Path, error: type[Exception]) -> list[tuple[int, str, str]]:
@@ -307,29 +287,40 @@ def build_feature_sets(
     segments_per_recording: int,
     periods: Sequence[float],
     r_ohm: float,
-) -> list[list[list[LabeledFeature]]]:
+) -> tuple[FeatureRows, list[list[np.ndarray]]]:
     """Run the full pipeline over every recording in one pass: segment,
     simulate the harvester voltage, and integrate per-interval energies.
 
-    Returns sets[i][j], the features of designs[i] at integration period
-    periods[j]. Each recording is loaded and segmented once, each segment is
-    filtered once per design (from zero state), and each voltage is
-    integrated once per period; only one recording is held at a time.
-    Within a set, order is manifest order, then segment index.
+    Returns the row metadata and sets[i][j], the float64 (n, dim) feature
+    matrix of designs[i] at integration period periods[j]. Each recording is
+    loaded and segmented once, each segment is filtered once per design (from
+    zero state), and each voltage is integrated once per period; only one
+    recording is held at a time. Rows are in manifest order, then segment
+    index. Every segment must give one dimension per period: a recording
+    whose sampling rate rounds to another is a DataError.
     """
-    sets: list[list[list[LabeledFeature]]] = [[[] for _ in periods] for _ in designs]
+    rows = []
+    cells: list[list[list[np.ndarray]]] = [[[] for _ in periods] for _ in designs]
     for meta in manifest.entries:
         try:
             ts = load_recording(meta, manifest.root)
             for index, piece in enumerate(segment(ts, segment_s, segments_per_recording)):
-                for design, design_sets in zip(designs, sets):
+                rows.append((meta.label.value, meta.path, index))
+                for design, design_cells in zip(designs, cells):
                     voltage = simulate_voltage(design, piece)
-                    for period_s, features in zip(periods, design_sets):
+                    for period_s, cell in zip(periods, design_cells):
                         values = make_feature(voltage, period_s, r_ohm)
-                        features.append(LabeledFeature(values, meta.label, meta.path, index))
+                        if cell and len(values) != len(cell[0]):
+                            raise DataError(
+                                f"{len(values)} features per segment at T={period_s:g}s, where "
+                                f"{manifest.entries[0].path} gives {len(cell[0])} (the sampling rates differ)"
+                            )
+                        cell.append(values)
         except (DataError, ValueError) as exc:
             raise DataError(f"{meta.path}: {exc}") from exc
-    return sets
+    labels, recording_ids, segment_indices = zip(*rows) if rows else ((), (), ())
+    sets = [[np.vstack(cell) if cell else np.empty((0, 0)) for cell in design_cells] for design_cells in cells]
+    return FeatureRows(np.array(labels, dtype=str), recording_ids, segment_indices), sets
 
 
 def build_feature_set(
@@ -339,9 +330,11 @@ def build_feature_set(
     segments_per_recording: int,
     period_s: float,
     r_ohm: float,
-) -> list[LabeledFeature]:
-    """Features of one design at one integration period (see build_feature_sets)."""
-    return build_feature_sets(manifest, [design], segment_s, segments_per_recording, [period_s], r_ohm)[0][0]
+) -> tuple[FeatureRows, np.ndarray]:
+    """Row metadata and feature matrix of one design at one integration
+    period (see build_feature_sets)."""
+    rows, sets = build_feature_sets(manifest, [design], segment_s, segments_per_recording, [period_s], r_ohm)
+    return rows, sets[0][0]
 
 
 @dataclass(frozen=True)
@@ -378,6 +371,8 @@ class SurrogateSpec:
             raise ConfigError("sampling rate and duration must be positive")
         if not 0 <= self.amplitude_jitter < 1:
             raise ConfigError(f"amplitude jitter must lie in [0, 1), got {self.amplitude_jitter}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for state, cspec in self.classes.items():
             for f_hz, _amp in cspec.tones:
                 if not 0 < f_hz < self.fs / 2:

@@ -8,13 +8,9 @@ feature vector the classifier sees.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .signals import TimeSeries
-
-__all__ = ["MIN_CYCLES_PER_PERIOD", "integrate_energy", "make_feature", "mean_state_energy"]
 
 # An integration period must span at least this many cycles of the lowest
 # harvester resonance in use, so the energies form a low-rate sequence.
@@ -53,15 +49,13 @@ def make_feature(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
     return energies
 
 
-def mean_state_energy(features: Iterable[tuple[np.ndarray, object]]) -> dict:
-    """Arithmetic mean energy per label over (values, label) pairs, averaged
-    over all vector components."""
-    sums: dict = {}
-    counts: dict = {}
-    for values, label in features:
-        values = np.ravel(values)
-        sums[label] = sums.get(label, 0.0) + float(values.sum())
-        counts[label] = counts.get(label, 0) + len(values)
-    if not sums:
+def mean_state_energy(features: np.ndarray, labels) -> dict:
+    """Arithmetic mean energy per label over the rows of an (n, dim) feature
+    matrix, averaged over all components: each row is summed, then the row
+    sums of a label are added in row order."""
+    if len(features) == 0:
         raise ValueError("no features given")
-    return {label: sums[label] / counts[label] for label in sums}
+    classes, codes = np.unique(labels, return_inverse=True)
+    sums = np.bincount(codes, weights=features.sum(axis=1))
+    counts = np.bincount(codes) * features.shape[1]
+    return dict(zip(classes.tolist(), (sums / counts).tolist()))

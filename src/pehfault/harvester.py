@@ -18,17 +18,6 @@ import numpy as np
 
 from .signals import SignalUnit, TimeSeries, synth_sine
 
-__all__ = [
-    "PehDesign",
-    "DEFAULT_DESIGNS",
-    "MIN_FS_PER_F0",
-    "design_from_thickness",
-    "frf_magnitude",
-    "simulate_voltage",
-    "measure_steady_gain",
-    "verify_discretization",
-]
-
 # Simulation accuracy guard: require fs >= MIN_FS_PER_F0 * f0.
 MIN_FS_PER_F0 = 20.0
 

@@ -9,25 +9,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import points_from_features
 from .dataset import MachineState, Manifest, build_feature_sets, csv_text
+from .errors import DataError
 from .frontend import integrate_energy, mean_state_energy
 from .harvester import PehDesign, simulate_voltage
 from .signals import synth_sine
-
-__all__ = [
-    "EnergyCostModel",
-    "SamplingCostReport",
-    "ThoughtExperimentReport",
-    "ScatterPoint",
-    "sampling_cost_report",
-    "format_sampling_cost",
-    "run_thought_experiment",
-    "format_thought_experiment",
-    "scatter_points",
-    "scatter_csv",
-    "scatter_svg",
-]
 
 
 @dataclass(frozen=True)
@@ -184,15 +170,17 @@ def scatter_points(
     The features of every design come from one pass over the recordings (see
     build_feature_sets). diag_distance_j is the perpendicular distance to the
     45-degree line, |healthy - faulty| / sqrt(2); designs far from the line
-    separate the two states well.
+    separate the two states well. A manifest without recordings of either
+    state is a DataError, raised before any recording is read.
     """
-    sets = build_feature_sets(manifest, designs, segment_s, segments_per_recording, [period_s], r_ohm)
+    present = {meta.label for meta in manifest.entries}
+    for state in (MachineState.HEALTHY, fault_label):
+        if state not in present:
+            raise DataError(f"manifest holds no {state.value!r} recordings")
+    rows, sets = build_feature_sets(manifest, designs, segment_s, segments_per_recording, [period_s], r_ohm)
     points = []
     for design, (features,) in zip(designs, sets):
-        means = mean_state_energy(points_from_features(features))
-        for state in (MachineState.HEALTHY, fault_label):
-            if state.value not in means:
-                raise ValueError(f"manifest holds no {state.value!r} recordings")
+        means = mean_state_energy(features, rows.labels)
         healthy = means[MachineState.HEALTHY.value]
         faulty = means[fault_label.value]
         points.append(

@@ -14,18 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "SignalUnit",
-    "TimeSeries",
-    "Spectrum",
-    "synth_sine",
-    "synth_composite",
-    "fft_magnitude",
-    "band_energy_digital",
-    "signal_energy",
-    "segment",
-]
-
 
 class SignalUnit(enum.Enum):
     """Physical unit of a sampled trace."""

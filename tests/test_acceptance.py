@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from pehfault.classify import SplitConfig, knn_fit, knn_predict, points_from_features, repeated_evaluation
+from pehfault.classify import SplitConfig, knn_fit, knn_predict, repeated_evaluation
 from pehfault.cli import EXIT_OK, main
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
@@ -35,7 +35,7 @@ from pehfault.harvester import (
 )
 from pehfault.report import run_thought_experiment
 from pehfault.signals import SignalUnit, band_energy_digital, signal_energy, synth_composite, synth_sine
-from tests.test_classify import brute_force_predict
+from tests.test_classify import brute_force_predict, matrix
 
 FS = 51200.0
 
@@ -123,7 +123,7 @@ def test_criterion_4_knn_oracle_equivalence():
             (rng.integers(-6, 7, size=dim).astype(float), str(rng.choice(["a", "b", "c"]))) for _ in range(n)
         ]
         k = int(rng.integers(1, n + 1))
-        model = knn_fit(points, k=k)
+        model = knn_fit(*matrix(points), k=k)
         query = rng.integers(-6, 7, size=dim).astype(float)
         if knn_predict(model, query) != brute_force_predict(points, k, query):
             mismatches += 1
@@ -155,8 +155,8 @@ def test_criterion_5_parseval_and_baseline_consistency():
 def test_criterion_6_surrogate_end_to_end(tmp_path):
     started = time.perf_counter()
     manifest = synth_surrogate_corpus(DEFAULT_SURROGATE_SPEC, seed=0, out_dir=tmp_path / "corpus")
-    features = build_feature_set(manifest, design_from_thickness(0.50), 3.0, 3, 3.0, 1.0)
-    reports = repeated_evaluation(points_from_features(features), 3, SplitConfig(0.8, seed=0), 20)
+    rows, features = build_feature_set(manifest, design_from_thickness(0.50), 3.0, 3, 3.0, 1.0)
+    reports = repeated_evaluation(features, rows.labels, 3, SplitConfig(0.8, seed=0), 20)
     mean_accuracy = float(np.mean([r.accuracy for r in reports]))
     elapsed = time.perf_counter() - started
     ok = mean_accuracy >= 0.85 and elapsed < 60.0
@@ -181,8 +181,8 @@ def test_criterion_7_published_dataset_reproduction():
     manifest = filter_manifest(
         load_manifest(manifest_path), labels=(MachineState.HEALTHY, MachineState.BALL_CRACK)
     )
-    features = build_feature_set(manifest, design_from_thickness(0.45), 3.0, 3, 3.0, 1.0)
-    reports = repeated_evaluation(points_from_features(features), 3, SplitConfig(0.8, seed=0), 20)
+    rows, features = build_feature_set(manifest, design_from_thickness(0.45), 3.0, 3, 3.0, 1.0)
+    reports = repeated_evaluation(features, rows.labels, 3, SplitConfig(0.8, seed=0), 20)
     mean_accuracy = float(np.mean([r.accuracy for r in reports]))
     ok = abs(mean_accuracy - 0.89) <= 0.07
     _conclude("criterion 7: published-dataset accuracy reproduced", ok, f"mean accuracy {mean_accuracy:.3f}")

@@ -14,7 +14,6 @@ from pehfault.classify import (
     evaluate,
     knn_fit,
     knn_predict,
-    points_from_features,
     repeated_evaluation,
     split,
     sweep_csv,
@@ -26,6 +25,15 @@ from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS
 
 def labeled(n_per_class, classes=("a", "b")):
     return [(np.array([float(i)]), c) for c in classes for i in range(n_per_class)]
+
+
+def matrix(points):
+    """The (n, dim) feature matrix and the n labels of (vector, label) pairs."""
+    return np.array([vector for vector, _ in points], dtype=np.float64), [label for _, label in points]
+
+
+def labels_of(points):
+    return np.array([label for _, label in points])
 
 
 def oracle_distance(vec, query):
@@ -47,28 +55,29 @@ def brute_force_predict(points, k, query):
 
 class TestSplit:
     def test_80_20_on_21_per_class(self):
-        items = labeled(21)
-        train, validation = split(items, SplitConfig(0.8, seed=0), label_of=lambda p: p[1])
-        per_class = Counter(label for _, label in train)
+        labels = labels_of(labeled(21))
+        train, validation = split(labels, SplitConfig(0.8, seed=0))
+        per_class = Counter(labels[train].tolist())
         assert per_class == {"a": 17, "b": 17}
-        assert Counter(label for _, label in validation) == {"a": 4, "b": 4}
+        assert Counter(labels[validation].tolist()) == {"a": 4, "b": 4}
 
     def test_half_split_on_two_per_class(self):
-        items = labeled(2)
-        train, validation = split(items, SplitConfig(0.5, seed=1), label_of=lambda p: p[1])
-        assert Counter(label for _, label in train) == {"a": 1, "b": 1}
-        assert Counter(label for _, label in validation) == {"a": 1, "b": 1}
+        labels = labels_of(labeled(2))
+        train, validation = split(labels, SplitConfig(0.5, seed=1))
+        assert Counter(labels[train].tolist()) == {"a": 1, "b": 1}
+        assert Counter(labels[validation].tolist()) == {"a": 1, "b": 1}
 
     def test_same_seed_identical(self):
-        items = labeled(10)
-        first = split(items, SplitConfig(0.8, seed=42), label_of=lambda p: p[1])
-        second = split(items, SplitConfig(0.8, seed=42), label_of=lambda p: p[1])
-        assert [id(p) for p in first[0]] == [id(p) for p in second[0]]
+        labels = labels_of(labeled(10))
+        first = split(labels, SplitConfig(0.8, seed=42))
+        second = split(labels, SplitConfig(0.8, seed=42))
+        assert first[0].tolist() == second[0].tolist()
+        assert first[1].tolist() == second[1].tolist()
 
     def test_single_sample_class_rejected(self):
-        items = labeled(2) + [(np.array([9.0]), "c")]
+        labels = labels_of(labeled(2)).tolist() + ["c"]
         with pytest.raises(ValueError, match="'c'"):
-            split(items, SplitConfig(0.8, seed=0), label_of=lambda p: p[1])
+            split(labels, SplitConfig(0.8, seed=0))
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
@@ -77,8 +86,7 @@ class TestSplit:
             SplitConfig(train_fraction=0.0)
 
     def test_unstratified_partition(self):
-        items = labeled(10)
-        train, validation = split(items, SplitConfig(0.8, seed=3, stratified=False), label_of=lambda p: p[1])
+        train, validation = split(labels_of(labeled(10)), SplitConfig(0.8, seed=3, stratified=False))
         assert len(train) == 16 and len(validation) == 4
 
 
@@ -88,70 +96,75 @@ class TestSplit:
     st.lists(st.integers(min_value=2, max_value=20), min_size=1, max_size=4),
 )
 def test_split_is_partition(seed, fraction, class_sizes):
-    items = [(i, f"class{c}") for c, size in enumerate(class_sizes) for i in range(size)]
+    labels = np.array([f"class{c}" for c, size in enumerate(class_sizes) for _ in range(size)])
     cfg = SplitConfig(train_fraction=fraction, seed=seed)
-    train, validation = split(items, cfg, label_of=lambda p: p[1])
-    assert sorted(map(id, train + validation)) == sorted(map(id, items))
-    assert not {id(p) for p in train} & {id(p) for p in validation}
+    train, validation = split(labels, cfg)
+    assert sorted(train.tolist() + validation.tolist()) == list(range(len(labels)))
+    assert list(train) == sorted(train) and list(validation) == sorted(validation)
     for c, size in enumerate(class_sizes):
-        got = sum(1 for _, label in train if label == f"class{c}")
+        got = int((labels[train] == f"class{c}").sum())
         assert abs(got - fraction * size) <= 1.0
 
 
 class TestKnnFit:
     def test_model_stores_points(self):
-        model = knn_fit(labeled(17), k=3)
+        model = knn_fit(*matrix(labeled(17)), k=3)
         assert model.k == 3
-        assert model.features.shape == (34, 1)
-        assert len(model.labels) == 34
+        assert model.space.shape == (34, 1)
+        assert len(model.codes) == 34
+        assert [model.classes[code] for code in model.codes] == matrix(labeled(17))[1]
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            knn_fit(labeled(5), k=0)
+            knn_fit(*matrix(labeled(5)), k=0)
 
     def test_k_exceeding_points_rejected(self):
         with pytest.raises(ValueError):
-            knn_fit(labeled(2), k=5)
+            knn_fit(*matrix(labeled(2)), k=5)
 
     def test_mixed_dimensions_rejected(self):
-        points = [(np.array([1.0]), "a"), (np.array([1.0, 2.0, 3.0]), "b")]
+        # Mixed dimensions cannot form one matrix: build_feature_sets rejects
+        # them (tests/test_dataset.py); a set that is not an (n, dim) matrix
+        # with n labels is rejected here.
         with pytest.raises(ValueError, match="dimension"):
-            knn_fit(points, k=1)
+            knn_fit(np.array([1.0, 2.0, 3.0]), ["a", "b", "b"], k=1)
+        with pytest.raises(ValueError, match="dimension"):
+            knn_fit(np.zeros((3, 2)), ["a", "b"], k=1)
 
     def test_bad_metric_rejected(self):
         with pytest.raises(ValueError, match="metric"):
-            knn_fit(labeled(3), k=1, metric="cosine")
+            knn_fit(*matrix(labeled(3)), k=1, metric="cosine")
 
 
 class TestKnnPredict:
     def test_single_nearest(self):
-        model = knn_fit([(np.array([1.0]), "A"), (np.array([2.0]), "A"), (np.array([10.0]), "B")], k=1)
+        model = knn_fit([[1.0], [2.0], [10.0]], ["A", "A", "B"], k=1)
         assert knn_predict(model, np.array([9.5])) == "B"
 
     def test_majority_two_vs_one(self):
-        model = knn_fit([(np.array([1.0]), "A"), (np.array([2.0]), "A"), (np.array([3.0]), "B")], k=3)
+        model = knn_fit([[1.0], [2.0], [3.0]], ["A", "A", "B"], k=3)
         assert knn_predict(model, np.array([2.5])) == "A"
 
     def test_vote_tie_prefers_nearest_label(self):
         # two A at distance 2 and 3, two B at distance 1 and 4: tie 2-2, B holds the nearest
         points = [(np.array([2.0]), "A"), (np.array([-3.0]), "A"), (np.array([1.0]), "B"), (np.array([4.0]), "B")]
-        model = knn_fit(points, k=4)
+        model = knn_fit(*matrix(points), k=4)
         assert knn_predict(model, np.array([0.0])) == "B"
 
     def test_distance_tie_prefers_lower_index(self):
         points = [(np.array([1.0]), "A"), (np.array([-1.0]), "B"), (np.array([2.0]), "B")]
-        model = knn_fit(points, k=1)
+        model = knn_fit(*matrix(points), k=1)
         assert knn_predict(model, np.array([0.0])) == "A"
 
     def test_dimension_mismatch_rejected(self):
-        model = knn_fit(labeled(3), k=1)
+        model = knn_fit(*matrix(labeled(3)), k=1)
         with pytest.raises(ValueError, match="dimension"):
             knn_predict(model, np.array([1.0, 2.0]))
 
     def test_log_metric_separates_by_magnitude(self):
         # energies decades apart: log distance groups by order of magnitude
         points = [(np.array([1e-6]), "small"), (np.array([2e-6]), "small"), (np.array([1.0]), "big")]
-        model = knn_fit(points, k=1, metric="log")
+        model = knn_fit(*matrix(points), k=1, metric="log")
         assert knn_predict(model, np.array([4e-6])) == "small"
         assert knn_predict(model, np.array([0.5])) == "big"
         assert knn_predict(model, np.array([0.0])) == "small"  # floored, not -inf
@@ -166,7 +179,7 @@ class TestKnnPredict:
                 (rng.integers(0, 8, size=dim).astype(float), rng.choice(["x", "y", "z"]))
                 for _ in range(n)
             ]
-            model = knn_fit(points, k=int(rng.integers(1, n + 1)))
+            model = knn_fit(*matrix(points), k=int(rng.integers(1, n + 1)))
             for _ in range(20):
                 query = rng.integers(0, 8, size=dim).astype(float)
                 assert knn_predict(model, query) == brute_force_predict(points, model.k, query)
@@ -180,7 +193,7 @@ def test_knn_matches_oracle_property(seed):
     dim = int(rng.integers(1, 5))
     points = [(rng.integers(-5, 6, size=dim).astype(float), rng.choice(["p", "q"])) for _ in range(n)]
     k = int(rng.integers(1, n + 1))
-    model = knn_fit(points, k=k)
+    model = knn_fit(*matrix(points), k=k)
     query = rng.integers(-5, 6, size=dim).astype(float)
     assert knn_predict(model, query) == brute_force_predict(points, k, query)
 
@@ -199,8 +212,9 @@ def test_prediction_invariant_under_uniform_scaling(seed, scale):
     rng = np.random.default_rng(seed)
     points = [(rng.uniform(0, 10, size=2), rng.choice(["u", "v"])) for _ in range(12)]
     queries = [rng.uniform(0, 10, size=2) for _ in range(5)]
-    model = knn_fit(points, k=3)
-    scaled_model = knn_fit([(vec * scale, label) for vec, label in points], k=3)
+    model = knn_fit(*matrix(points), k=3)
+    features, labels = matrix(points)
+    scaled_model = knn_fit(features * scale, labels, k=3)
     for query in queries:
         assert knn_predict(model, query) == knn_predict(scaled_model, query * scale)
 
@@ -208,41 +222,40 @@ def test_prediction_invariant_under_uniform_scaling(seed, scale):
 class TestEvaluate:
     def test_perfect_predictions(self):
         train = [(np.array([0.0]), "A"), (np.array([0.1]), "A"), (np.array([5.0]), "B"), (np.array([5.1]), "B")]
-        model = knn_fit(train, k=1)
-        validation = [(np.array([0.05]), "A"), (np.array([5.05]), "B")]
-        report = evaluate(model, validation)
+        model = knn_fit(*matrix(train), k=1)
+        report = evaluate(model, [[0.05], [5.05]], ["A", "B"])
         assert report.accuracy == 1.0
         assert np.array_equal(report.confusion, np.eye(2, dtype=np.int64))
 
     def test_training_points_self_match(self):
         # distinct coordinates: a training point's nearest neighbor is itself
         train = [(np.array([float(i)]), "a") for i in range(5)] + [(np.array([i + 0.5]), "b") for i in range(5)]
-        model = knn_fit(train, k=1)
-        assert evaluate(model, train).accuracy == 1.0
+        model = knn_fit(*matrix(train), k=1)
+        assert evaluate(model, *matrix(train)).accuracy == 1.0
 
     def test_accuracy_recomputable_from_confusion(self):
         rng = np.random.default_rng(4)
         train = [(rng.uniform(0, 1, size=2), rng.choice(["A", "B"])) for _ in range(20)]
         validation = [(rng.uniform(0, 1, size=2), rng.choice(["A", "B"])) for _ in range(10)]
-        report = evaluate(knn_fit(train, k=3), validation)
+        report = evaluate(knn_fit(*matrix(train), k=3), *matrix(validation))
         assert report.accuracy == np.trace(report.confusion) / report.confusion.sum()
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
-            evaluate(knn_fit(labeled(3), k=1), [])
+            evaluate(knn_fit(*matrix(labeled(3)), k=1), np.empty((0, 1)), [])
 
 
 class TestRepeatedEvaluation:
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         points = [(rng.uniform(0, 1, size=1), label) for label in ["A", "B"] * 10]
-        runs = [repeated_evaluation(points, 3, SplitConfig(0.8, seed=5), 4) for _ in range(2)]
+        runs = [repeated_evaluation(*matrix(points), 3, SplitConfig(0.8, seed=5), 4) for _ in range(2)]
         assert [r.accuracy for r in runs[0]] == [r.accuracy for r in runs[1]]
 
     def test_seeds_advance(self):
         rng = np.random.default_rng(8)
         points = [(rng.uniform(0, 1, size=1), label) for label in ["A", "B"] * 10]
-        reports = repeated_evaluation(points, 1, SplitConfig(0.8, seed=100), 3)
+        reports = repeated_evaluation(*matrix(points), 1, SplitConfig(0.8, seed=100), 3)
         assert [r.config["seed"] for r in reports] == [100, 101, 102]
 
 
@@ -287,13 +300,10 @@ def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):
     factor = 3.7
     base = design_from_thickness(0.50)
     scaled = replace(base, peak_gain_v_per_g=base.peak_gain_v_per_g * factor)
-    feats_base = build_feature_set(small_corpus, base, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
-    feats_scaled = build_feature_set(small_corpus, scaled, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
-    for lf_base, lf_scaled in zip(feats_base, feats_scaled):
-        np.testing.assert_allclose(lf_scaled.values, factor**2 * lf_base.values, rtol=1e-9)
-    cfg = SplitConfig(0.8, seed=2)
-    train_b, val_b = split(points_from_features(feats_base), cfg, label_of=lambda p: p[1])
-    train_s, val_s = split(points_from_features(feats_scaled), cfg, label_of=lambda p: p[1])
-    preds_b = [knn_predict(knn_fit(train_b, k=3), vec) for vec, _ in val_b]
-    preds_s = [knn_predict(knn_fit(train_s, k=3), vec) for vec, _ in val_s]
+    rows, feats_base = build_feature_set(small_corpus, base, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
+    _, feats_scaled = build_feature_set(small_corpus, scaled, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
+    np.testing.assert_allclose(feats_scaled, factor**2 * feats_base, rtol=1e-9)
+    train, validation = split(rows.labels, SplitConfig(0.8, seed=2))
+    preds_b = knn_predict(knn_fit(feats_base[train], rows.labels[train], k=3), feats_base[validation])
+    preds_s = knn_predict(knn_fit(feats_scaled[train], rows.labels[train], k=3), feats_scaled[validation])
     assert preds_b == preds_s

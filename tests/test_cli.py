@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import pehfault.cli
 from pehfault.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
@@ -18,7 +19,7 @@ from pehfault.cli import (
     validate_config,
 )
 from pehfault.errors import ConfigError
-from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS
+from tests.conftest import MIXED_RATE_ERROR, MIXED_RATE_FLAGS, SMALL_SEGMENT_S, SMALL_SEGMENTS, mixed_rate_manifest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -428,3 +429,89 @@ def test_period_of_exactly_ten_resonance_cycles_accepted(small_corpus, tmp_path,
     assert main([*args, "--T", "0.049"]) == EXIT_CONFIG_ERROR
     assert "0.049s spans 9.8 cycles of peh_0.50mm" in capsys.readouterr().err
     assert main(["energy-report", "--T", "0.001"]) == EXIT_OK
+
+
+class TestMixedFeatureDimensions:
+    @pytest.mark.parametrize("command", ["extract", "classify", "sweep", "scatter"])
+    def test_data_error_names_the_recording_and_both_dimensions(self, command, tmp_path, capsys):
+        manifest = mixed_rate_manifest(tmp_path)
+        out = tmp_path / "out"
+        args = [command, "--manifest", str(manifest), "--out", str(out), *MIXED_RATE_FLAGS]
+        if command == "sweep":
+            args += ["--thicknesses", "0.50", "--t-values", "0.1"]
+        assert main(args) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err == f"data error: {MIXED_RATE_ERROR}\n"
+        assert not out.exists()
+
+
+class TestThoughtExperimentPeriod:
+    def test_period_under_ten_resonance_cycles_rejected(self, capsys):
+        assert main(["thought-experiment", "--T", "0.00001"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: integration period 1e-05s spans 0.0015 cycles of peh_0.40mm (150 Hz)")
+
+    def test_ten_cycles_of_the_slower_design_accepted_without_a_segment_limit(self, capsys):
+        """peh_0.40mm resonates at 150 Hz: T = 0.07 s spans 10.5 cycles, 0.066 s
+        only 9.9. A T longer than the 3 s segment is fine: nothing is segmented."""
+        assert main(["thought-experiment", "--T", "0.066"]) == EXIT_CONFIG_ERROR
+        assert main(["thought-experiment", "--T", "0.07"]) == EXIT_OK
+        assert main(["thought-experiment", "--T", "4"]) == EXIT_OK
+        assert "9.9 cycles of peh_0.40mm" in capsys.readouterr().err
+
+
+USER_INPUT_ERRORS = [
+    (["extract", "--thickness", "0.33"], "unknown design: thickness 0.33 mm not in table (0.35, 0.4, 0.45, 0.5 mm)"),
+    (["thought-experiment", "--design-a", "0.33"], "unknown design: thickness 0.33 mm not in table"),
+    (["sweep", "--thicknesses", "0.5,0.9"], "unknown design: thickness 0.9 mm not in table (0.35, 0.4, 0.45, 0.5 mm)"),
+    (
+        ["thought-experiment", "--f-healthy", "30000"],
+        "tone frequency 30000.0 Hz must lie in (0, fs/2) = (0, 25600.0) to avoid aliasing",
+    ),
+    (["classify", "--k", "40"], "k=40 exceeds the 34 training points"),
+    (["sweep", "--k", "40"], "k=40 exceeds the 34 training points"),
+    (["thought-experiment", "--config", "{fs_synth_1000}"], "sampling rate too low: 1000.0 Hz < 20 * f0 = 4000 Hz"),
+    (["classify", "--seed", "-1"], "non-negative"),
+    (["surrogate-gen", "--seed", "-1"], "non-negative"),
+    (["surrogate-gen", "--spec", "{seed_minus_1}"], "non-negative"),
+    (["thought-experiment", "--T", "nan"], "config error: "),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", USER_INPUT_ERRORS, ids=["_".join(argv).replace("--", "") for argv, _ in USER_INPUT_ERRORS]
+)
+def test_user_input_error_is_a_config_error(argv, message, default_corpus, tmp_path, capsys):
+    """Each of these reached the catch-all `except ValueError` that main once
+    had; each now raises ConfigError where it is found."""
+    (tmp_path / "fs.cfg").write_text("fs_synth=1000\n")
+    (tmp_path / "seed.spec").write_text("seed=-1\nfs_hz=8192\nduration_s=1\nhealthy.tones=200:1\n")
+    files = {"fs_synth_1000": tmp_path / "fs.cfg", "seed_minus_1": tmp_path / "seed.spec"}
+    args = [token.format(**files) for token in argv] + ["--out", str(tmp_path / "out")]
+    if argv[0] in ("extract", "classify", "sweep"):
+        args += ["--manifest", str(default_corpus.root / "manifest.csv")]
+    assert main(args) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [["thought-experiment", "--T", "inf"], ["energy-report", "--T", "nan"]])
+def test_non_finite_parameter_is_a_config_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: t_s must be finite")
+
+
+def test_non_finite_load_resistance_rejected_before_reading(tmp_path, capsys):
+    manifest = _missing_recordings_manifest(tmp_path)
+    assert main(["classify", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--r-ohm", "nan"]) == 2
+    assert capsys.readouterr().err == "config error: r_ohm must be finite, got nan\n"
+
+
+def test_value_error_inside_the_pipeline_is_not_a_config_error(small_corpus, tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("a library fault")
+
+    monkeypatch.setattr(pehfault.cli, "repeated_evaluation", broken)
+    with pytest.raises(ValueError, match="a library fault"):
+        main(["classify", *small_flags(small_corpus, tmp_path)])
+    assert "config error" not in capsys.readouterr().err

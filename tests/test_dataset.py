@@ -25,7 +25,7 @@ from pehfault.frontend import make_feature, mean_state_energy
 from pehfault.harvester import design_from_thickness, simulate_voltage
 from pehfault.report import scatter_points
 from pehfault.signals import segment
-from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SPEC
+from tests.conftest import MIXED_RATE_ERROR, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SPEC, mixed_rate_manifest
 
 
 def write_text_recording(path, samples):
@@ -188,26 +188,31 @@ class TestLoadRecording:
 class TestBuildFeatureSet:
     def test_counts_labels_and_order(self, small_corpus):
         design = design_from_thickness(0.50)
-        features = build_feature_set(small_corpus, design, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
-        assert len(features) == len(small_corpus.entries) * SMALL_SEGMENTS
+        rows, features = build_feature_set(small_corpus, design, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
+        assert features.shape == (len(small_corpus.entries) * SMALL_SEGMENTS, 1)
+        assert len(rows.labels) == len(rows.recording_ids) == len(rows.segment_indices) == len(features)
         by_recording = {}
-        for lf in features:
-            by_recording.setdefault(lf.recording_id, []).append(lf.segment_index)
+        for recording_id, index in zip(rows.recording_ids, rows.segment_indices):
+            by_recording.setdefault(recording_id, []).append(index)
         assert all(indices == [0, 1, 2] for indices in by_recording.values())
-        labels = {meta.path: meta.label for meta in small_corpus.entries}
-        assert all(lf.label == labels[lf.recording_id] for lf in features)
+        # Python ints: the CSV writer writes them as they are, other numbers by repr(float).
+        assert all(type(index) is int for index in rows.segment_indices)
+        labels = {meta.path: meta.label.value for meta in small_corpus.entries}
+        assert rows.labels.tolist() == [labels[recording_id] for recording_id in rows.recording_ids]
 
     def test_deterministic_rerun(self, small_corpus):
         design = design_from_thickness(0.50)
         run = lambda: build_feature_set(small_corpus, design, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
-        a, b = run(), run()
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+        (rows_a, a), (rows_b, b) = run(), run()
+        assert np.array_equal(a, b)
+        assert rows_a.recording_ids == rows_b.recording_ids and np.array_equal(rows_a.labels, rows_b.labels)
 
     def test_empty_manifest_gives_empty_list(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("path,label,bearing_type,load_w,fs_hz\n")
         manifest = load_manifest(path)
-        assert build_feature_set(manifest, design_from_thickness(0.50), 3.0, 3, 3.0, 1.0) == []
+        rows, features = build_feature_set(manifest, design_from_thickness(0.50), 3.0, 3, 3.0, 1.0)
+        assert len(rows.labels) == len(rows.recording_ids) == len(features) == 0
 
     def test_errors_annotated_with_recording(self, tmp_path):
         # recording too short for the requested segmentation
@@ -226,7 +231,7 @@ class TestBuildFeatureSets:
     def test_matches_per_cell_reference(self, small_corpus):
         """Differential test against the per-(design, T) loop the one-pass
         pipeline replaced: every cell reloads, resegments and refilters."""
-        sets = build_feature_sets(small_corpus, self.designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, self.periods, 1.0)
+        rows, sets = build_feature_sets(small_corpus, self.designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, self.periods, 1.0)
         assert len(sets) == len(self.designs)
         for design, design_sets in zip(self.designs, sets):
             assert len(design_sets) == len(self.periods)
@@ -236,11 +241,17 @@ class TestBuildFeatureSets:
                     ts = load_recording(meta, small_corpus.root)
                     for index, piece in enumerate(segment(ts, SMALL_SEGMENT_S, SMALL_SEGMENTS)):
                         values = make_feature(simulate_voltage(design, piece), period_s, 1.0)
-                        expected.append((values, meta.label, meta.path, index))
-                assert len(got) == len(expected)
-                for lf, (values, label, recording_id, index) in zip(got, expected):
-                    assert (lf.label, lf.recording_id, lf.segment_index) == (label, recording_id, index)
-                    assert np.array_equal(lf.values, values)
+                        expected.append((values, meta.label.value, meta.path, index))
+                assert got.dtype == np.float64 and got.shape == (len(expected), len(expected[0][0]))
+                for r, (values, *row) in enumerate(expected):
+                    assert [rows.labels[r], rows.recording_ids[r], rows.segment_indices[r]] == row
+                    assert np.array_equal(got[r], values)
+
+    def test_mixed_feature_dimensions_are_a_data_error(self, tmp_path):
+        manifest = load_manifest(mixed_rate_manifest(tmp_path))
+        with pytest.raises(DataError) as info:
+            build_feature_sets(manifest, [design_from_thickness(0.50)], 0.3, 2, [0.1], 1.0)
+        assert str(info.value) == MIXED_RATE_ERROR
 
     def test_bad_recording_error_prefixed_with_manifest_path(self, small_corpus, tmp_path):
         good = small_corpus.entries[0]
@@ -320,9 +331,9 @@ class TestSurrogateCorpus:
 
     def test_default_spec_separates_classes(self, default_corpus):
         design = design_from_thickness(0.50)
-        features = build_feature_set(default_corpus, design, 3.0, 3, 3.0, 1.0)
-        means = mean_state_energy([(lf.values, lf.label) for lf in features])
-        ratio = means[MachineState.HEALTHY] / means[MachineState.BALL_CRACK]
+        rows, features = build_feature_set(default_corpus, design, 3.0, 3, 3.0, 1.0)
+        means = mean_state_energy(features, rows.labels)
+        ratio = means[MachineState.HEALTHY.value] / means[MachineState.BALL_CRACK.value]
         assert ratio >= 3.0
 
     def test_unwritable_directory(self, tmp_path):

@@ -82,31 +82,28 @@ class TestMakeFeature:
 
 class TestMeanStateEnergy:
     def test_singleton(self):
-        assert mean_state_energy([(np.array([2.0]), "healthy")]) == {"healthy": 2.0}
+        assert mean_state_energy(np.array([[2.0]]), ["healthy"]) == {"healthy": 2.0}
 
     def test_two_features_same_label(self):
-        pairs = [
-            (np.array([1.0]), "healthy"),
-            (np.array([3.0]), "healthy"),
-        ]
-        assert mean_state_energy(pairs)["healthy"] == pytest.approx(2.0)
+        assert mean_state_energy(np.array([[1.0], [3.0]]), ["healthy", "healthy"])["healthy"] == pytest.approx(2.0)
 
     def test_matches_flat_recomputation(self):
         rng = np.random.default_rng(9)
-        pairs = []
+        rows, labels = [], []
         raw = {"a": [], "b": []}
         for label in ("a", "b"):
             for _ in range(5):
                 values = rng.uniform(0.0, 2.0, size=3)
                 raw[label].extend(values.tolist())
-                pairs.append((values, label))
-        means = mean_state_energy(pairs)
+                rows.append(values)
+                labels.append(label)
+        means = mean_state_energy(np.array(rows), labels)
         for label in ("a", "b"):
             assert means[label] == pytest.approx(float(np.mean(raw[label])), rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mean_state_energy([])
+            mean_state_energy(np.empty((0, 1)), [])
 
 
 def test_analog_energy_consistent_with_digital_baseline():

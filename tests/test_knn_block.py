@@ -8,7 +8,7 @@ import pytest
 
 from pehfault import classify
 from pehfault.classify import _distances, knn_fit, knn_predict
-from tests.test_classify import brute_force_predict
+from tests.test_classify import brute_force_predict, matrix
 
 _LOG_FLOOR = 1e-300
 
@@ -19,27 +19,28 @@ def _to_space(x: np.ndarray, metric: str) -> np.ndarray:
     return x
 
 
-def per_query_knn_predict(model, feature) -> str:
+def per_query_knn_predict(model, features, labels, feature) -> str:
     """The per-query predictor the block predictor replaced, kept verbatim as
-    the reference.
+    the reference, except that the training matrix and labels, which the
+    model no longer stores, are passed in.
 
     Distance ties resolve to the lower training index; vote ties resolve to
     the label of the nearest neighbor among the tied labels.
     """
     query = np.atleast_1d(np.asarray(feature, dtype=np.float64))
-    if query.shape != (model.features.shape[1],):
-        raise ValueError(f"query dimension {query.shape} does not match model dimension {model.features.shape[1]}")
-    deltas = _to_space(model.features, model.metric) - _to_space(query, model.metric)
+    if query.shape != (features.shape[1],):
+        raise ValueError(f"query dimension {query.shape} does not match model dimension {features.shape[1]}")
+    deltas = _to_space(features, model.metric) - _to_space(query, model.metric)
     distances = np.sqrt((deltas**2).sum(axis=1))
     order = np.argsort(distances, kind="stable")[: model.k]
     votes: dict[str, int] = {}
     for i in order:
-        label = model.labels[i]
+        label = labels[i]
         votes[label] = votes.get(label, 0) + 1
     best = max(votes.values())
     for i in order:
-        if votes[model.labels[i]] == best:
-            return model.labels[i]
+        if votes[labels[i]] == best:
+            return labels[i]
     raise AssertionError("unreachable: some neighbor must carry the winning label")
 
 
@@ -81,13 +82,14 @@ def test_block_matches_per_query_reference_and_oracle(dim, metric, integer, bloc
     boundary_ties = 0
     for _ in range(6):
         points, queries, k = instance(rng, dim, integer, metric)
-        model = knn_fit(points, k, metric)
+        features, labels = matrix(points)
+        model = knn_fit(features, labels, k, metric)
         predicted = knn_predict(model, queries)
         assert isinstance(predicted, tuple) and len(predicted) == len(queries)
         for query, label in zip(queries, predicted):
             assert label == oracle_predict(points, k, query, metric)
             if exact_reference:
-                assert label == per_query_knn_predict(model, query)
+                assert label == per_query_knn_predict(model, features, labels, query)
         ranked = np.sort(_distances(model.space, _to_space(queries, metric)), axis=1)
         if k < len(points):
             boundary_ties += int((ranked[:, k - 1] == ranked[:, k]).sum())
@@ -111,7 +113,7 @@ def test_single_vector_equals_row_zero_of_one_row_block():
     rng = np.random.default_rng(5)
     for dim in (1, 3, 9):
         points, queries, k = instance(rng, dim, integer=True, metric="raw")
-        model = knn_fit(points, k)
+        model = knn_fit(*matrix(points), k)
         for query in queries:
             block = knn_predict(model, query[None, :])
             assert isinstance(block, tuple) and len(block) == 1
@@ -121,7 +123,7 @@ def test_single_vector_equals_row_zero_of_one_row_block():
 
 
 def test_block_dimension_mismatch_rejected():
-    model = knn_fit([(np.array([0.0]), "a"), (np.array([1.0]), "b")], k=1)
+    model = knn_fit([[0.0], [1.0]], ["a", "b"], k=1)
     with pytest.raises(ValueError, match="dimension"):
         knn_predict(model, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="dimension"):
