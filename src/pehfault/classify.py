@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Manifest, build_feature_sets, csv_text
+from .dataset import csv_text
 from .harvester import PehDesign
 
 METRICS = ("raw", "log")
@@ -155,7 +155,8 @@ def knn_predict(model: KnnModel, queries):
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Accuracy plus the label-by-label confusion matrix (rows true, columns predicted)."""
+    """Accuracy plus the label-by-label confusion matrix (rows true, columns
+    predicted); repeated_evaluation sets config to seed, k, n_train and n_validation."""
 
     accuracy: float
     labels: tuple[str, ...]
@@ -163,7 +164,7 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
 
-def evaluate(model: KnnModel, features, labels, config: dict | None = None) -> EvalReport:
+def evaluate(model: KnnModel, features, labels) -> EvalReport:
     """Predict the rows of an (n, dim) validation matrix and score them against their labels."""
     if len(labels) == 0:
         raise ValueError("validation set is empty")
@@ -172,7 +173,7 @@ def evaluate(model: KnnModel, features, labels, config: dict | None = None) -> E
     confusion = np.zeros((len(names), len(names)), dtype=np.int64)
     np.add.at(confusion, (np.searchsorted(names, labels), np.searchsorted(names, predicted)), 1)
     accuracy = float(np.trace(confusion) / confusion.sum())
-    return EvalReport(accuracy, tuple(names.tolist()), confusion, dict(config or {}))
+    return EvalReport(accuracy, tuple(names.tolist()), confusion)
 
 
 def repeated_evaluation(
@@ -182,7 +183,6 @@ def repeated_evaluation(
     split_cfg: SplitConfig,
     n_repeats: int,
     metric: str = "raw",
-    config: dict | None = None,
 ) -> list[EvalReport]:
     """Repeat split/fit/evaluate on the rows of one feature matrix with seeds split_cfg.seed + i."""
     if n_repeats < 1:
@@ -194,9 +194,8 @@ def repeated_evaluation(
         cfg_i = replace(split_cfg, seed=split_cfg.seed + i)
         train, validation = split(labels, cfg_i)
         model = knn_fit(features[train], labels[train], k, metric)
-        echo = dict(config or {})
-        echo.update(seed=cfg_i.seed, k=k, n_train=len(train), n_validation=len(validation))
-        reports.append(evaluate(model, features[validation], labels[validation], echo))
+        config = dict(seed=cfg_i.seed, k=k, n_train=len(train), n_validation=len(validation))
+        reports.append(replace(evaluate(model, features[validation], labels[validation]), config=config))
     return reports
 
 
@@ -212,29 +211,26 @@ class SweepRow:
 
 
 def accuracy_sweep(
-    manifest: Manifest,
+    labels,
+    sets: Sequence[Sequence[np.ndarray]],
     designs: Sequence[PehDesign],
     t_values: Sequence[float],
     *,
-    segment_s: float,
-    segments_per_recording: int,
-    r_ohm: float,
     k: int,
     split_cfg: SplitConfig,
     n_repeats: int,
     metric: str = "raw",
 ) -> list[SweepRow]:
-    """Mean/std accuracy for every (design, integration period) combination.
-
-    Features for all combinations come from one pass over the recordings
-    (see build_feature_sets); each combination reuses the same seed sequence
-    so rows are comparable. Rows are in design order, then period order.
+    """Mean/std accuracy for every (design, integration period) combination:
+    sets[i][j] is the feature matrix of designs[i] at period t_values[j],
+    whose rows all carry `labels`. Each combination reuses the same seed
+    sequence so rows are comparable. Rows are in design order, then period
+    order.
     """
-    feature_rows, sets = build_feature_sets(manifest, designs, segment_s, segments_per_recording, t_values, r_ohm)
     rows = []
     for design, design_sets in zip(designs, sets):
         for t_s, features in zip(t_values, design_sets):
-            reports = repeated_evaluation(features, feature_rows.labels, k, split_cfg, n_repeats, metric)
+            reports = repeated_evaluation(features, labels, k, split_cfg, n_repeats, metric)
             accuracies = np.array([r.accuracy for r in reports])
             rows.append(
                 SweepRow(

@@ -25,6 +25,7 @@ from .dataset import (
     MachineState,
     Manifest,
     build_feature_set,
+    build_feature_sets,
     csv_text,
     filter_manifest,
     load_design_table,
@@ -36,7 +37,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError
 from .frontend import MIN_CYCLES_PER_PERIOD
-from .harvester import DEFAULT_DESIGNS, MIN_FS_PER_F0, design_from_thickness
+from .harvester import DEFAULT_DESIGNS, design_from_thickness
 from .report import (
     EnergyCostModel,
     format_sampling_cost,
@@ -260,24 +261,13 @@ def _format_confusion(labels, confusion) -> str:
 
 def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
     designs = _designs(cfg, [args.design_a, args.design_b])
-    for f_hz in (args.f_healthy, args.f_faulty):
-        if not 0 < f_hz < cfg.fs_synth / 2:
-            raise ConfigError(
-                f"tone frequency {f_hz} Hz must lie in (0, fs/2) = (0, {cfg.fs_synth / 2}) to avoid aliasing"
-            )
-    for design in designs:
-        lowest = MIN_FS_PER_F0 * design.f0_hz
-        if cfg.fs_synth < lowest:
-            raise ConfigError(f"sampling rate too low: {cfg.fs_synth} Hz < {MIN_FS_PER_F0:g} * f0 = {lowest:g} Hz")
     _check_cycles([cfg.t_s], designs)
-    report = run_thought_experiment(
-        args.f_healthy,
-        args.f_faulty,
-        *designs,
-        period_s=cfg.t_s,
-        r_ohm=cfg.r_ohm,
-        fs=cfg.fs_synth,
-    )
+    try:
+        report = run_thought_experiment(
+            args.f_healthy, args.f_faulty, *designs, period_s=cfg.t_s, r_ohm=cfg.r_ohm, fs=cfg.fs_synth
+        )
+    except ValueError as exc:  # every input is a parameter: a tone outside (0, fs/2), fs under 20 * f0
+        raise ConfigError(str(exc)) from None
     print(format_thought_experiment(report))
     return EXIT_OK
 
@@ -286,9 +276,7 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
     (design,) = _designs(cfg, [cfg.thickness_mm])
     _check_periods(cfg, [cfg.t_s], [design])
     manifest = _manifest_for(cfg)
-    rows, features = build_feature_set(
-        manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm
-    )
+    rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
     dim = features.shape[1] if len(features) else int(math.floor(cfg.segment_s / cfg.t_s + 1e-9))
     content = _features_csv(rows, features, design.name, cfg.t_s, dim)
     target = write_atomic(Path(cfg.out_dir) / "features.csv", content)
@@ -304,12 +292,9 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
     _check_periods(cfg, [cfg.t_s], [design])
     manifest = _manifest_for(cfg)
     _require_classes(cfg, manifest)
-    rows, features = build_feature_set(
-        manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm
-    )
+    rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
     split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
-    echo = {"design": design.name, "T_s": cfg.t_s}
-    reports = repeated_evaluation(features, rows.labels, cfg.k, split_cfg, cfg.n_repeats, cfg.metric, config=echo)
+    reports = repeated_evaluation(features, rows.labels, cfg.k, split_cfg, cfg.n_repeats, cfg.metric)
     accuracies = np.array([r.accuracy for r in reports])
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
     results = [
@@ -330,19 +315,12 @@ def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
     _check_periods(cfg, cfg.t_values, designs)
     manifest = _manifest_for(cfg)
     _require_classes(cfg, manifest)
-    rows = accuracy_sweep(
-        manifest,
-        designs,
-        cfg.t_values,
-        segment_s=cfg.segment_s,
-        segments_per_recording=cfg.segments_per_recording,
-        r_ohm=cfg.r_ohm,
-        k=cfg.k,
-        split_cfg=SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified),
-        n_repeats=cfg.n_repeats,
-        metric=cfg.metric,
+    rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, cfg.t_values, cfg.r_ohm)
+    split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
+    sweep = accuracy_sweep(
+        rows.labels, sets, designs, cfg.t_values, k=cfg.k, split_cfg=split_cfg, n_repeats=cfg.n_repeats, metric=cfg.metric
     )
-    content = sweep_csv(rows)
+    content = sweep_csv(sweep)
     target = write_atomic(Path(cfg.out_dir) / "sweep.csv", content)
     print(content, end="")
     print(f"wrote sweep table to {target}")
@@ -353,15 +331,13 @@ def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
     fault_label = _fault_label(cfg)
     designs = _designs(cfg, cfg.thicknesses)
     _check_periods(cfg, [cfg.t_s], designs)
-    points = scatter_points(
-        _manifest_for(cfg),
-        designs,
-        segment_s=cfg.segment_s,
-        segments_per_recording=cfg.segments_per_recording,
-        period_s=cfg.t_s,
-        r_ohm=cfg.r_ohm,
-        fault_label=fault_label,
-    )
+    manifest = _manifest_for(cfg)
+    present = {meta.label for meta in manifest.entries}
+    for state in (MachineState.HEALTHY, fault_label):
+        if state not in present:
+            raise DataError(f"manifest holds no {state.value!r} recordings")
+    rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, [cfg.t_s], cfg.r_ohm)
+    points = scatter_points(rows.labels, [matrix for (matrix,) in sets], designs, fault_label)
     csv_target = write_atomic(Path(cfg.out_dir) / "scatter.csv", scatter_csv(points))
     svg_target = write_atomic(Path(cfg.out_dir) / "scatter.svg", scatter_svg(points))
     for p in points:

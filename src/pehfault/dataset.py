@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,7 @@ from .harvester import PehDesign, simulate_voltage
 from .signals import SignalUnit, TimeSeries, segment
 
 MANIFEST_FIELDS = ("path", "label", "bearing_type", "load_w", "fs_hz")
-DESIGN_TABLE_FIELDS = ("name", "thickness_mm", "f0_hz", "bw3db_hz", "peak_gain_v_per_g", "r_ohm")
+DESIGN_TABLE_FIELDS = ("name", "thickness_mm", "f0_hz", "bw3db_hz", "peak_gain_v_per_g")
 VALID_LOADS_W = (0, 200, 400)
 RAW_SUFFIXES = (".f32", ".raw")
 
@@ -168,7 +169,7 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def load_design_table(path: str | Path) -> tuple[PehDesign, ...]:
-    """Read a design table from CSV with header name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g,r_ohm."""
+    """Read a design table from CSV with header name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g."""
     designs = []
     for lineno, (name, *numbers) in read_csv_table(path, DESIGN_TABLE_FIELDS, "design table"):
         try:
@@ -367,8 +368,11 @@ class SurrogateSpec:
             raise ConfigError("surrogate spec needs at least one class")
         if self.count_per_class < 1:
             raise ConfigError(f"count per class must be >= 1, got {self.count_per_class}")
-        if self.fs <= 0 or self.duration_s <= 0:
-            raise ConfigError("sampling rate and duration must be positive")
+        if not (0 < self.fs < math.inf and 0 < self.duration_s < math.inf):  # NaN fails too
+            raise ConfigError("sampling rate and duration must be positive and finite")
+        n_samples = round(self.duration_s * self.fs)
+        if n_samples < 1:
+            raise ConfigError(f"duration_s={self.duration_s:g} at fs_hz={self.fs:g} gives {n_samples} samples; need >= 1")
         if not 0 <= self.amplitude_jitter < 1:
             raise ConfigError(f"amplitude jitter must lie in [0, 1), got {self.amplitude_jitter}")
         if self.seed < 0:

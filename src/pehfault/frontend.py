@@ -17,9 +17,10 @@ from .signals import TimeSeries
 MIN_CYCLES_PER_PERIOD = 10.0
 
 
-def integrate_energy(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
-    """Energy per consecutive disjoint interval: sum(v**2) / (R * fs) over each
-    round(period_s * fs)-sample window; a trailing partial interval is discarded.
+def make_feature(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
+    """Feature vector of per-interval energies: sum(v**2) / (R * fs) over each
+    consecutive disjoint round(period_s * fs)-sample window; a trailing partial
+    interval is discarded, so dimension = floor(duration / period_s).
 
     The caller is responsible for choosing period_s to cover many signal
     cycles (the CLI requires MIN_CYCLES_PER_PERIOD resonance cycles) so the
@@ -29,24 +30,14 @@ def integrate_energy(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray
         raise ValueError(f"integration period must be positive, got {period_s}")
     if r_ohm <= 0:
         raise ValueError(f"load resistance must be positive, got {r_ohm}")
-    if len(v) == 0:
-        raise ValueError("cannot integrate an empty series")
     n_per = int(round(period_s * v.fs))
     if n_per < 1:
         raise ValueError(f"integration period {period_s}s is shorter than one sample at fs={v.fs}")
     n_intervals = len(v) // n_per
+    if n_intervals == 0:
+        raise ValueError(f"trace of {v.duration_s:g}s is shorter than one integration period of {period_s:g}s")
     squared = v.samples[: n_intervals * n_per] ** 2
     return squared.reshape(n_intervals, n_per).sum(axis=1) / (r_ohm * v.fs)
-
-
-def make_feature(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
-    """Feature vector of per-interval energies; dimension = floor(duration / period_s)."""
-    energies = integrate_energy(v, period_s, r_ohm)
-    if len(energies) == 0:
-        raise ValueError(
-            f"trace of {v.duration_s:g}s is shorter than one integration period of {period_s:g}s"
-        )
-    return energies
 
 
 def mean_state_energy(features: np.ndarray, labels) -> dict:

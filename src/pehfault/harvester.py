@@ -27,8 +27,7 @@ class PehDesign:
     """One harvester design, characterized by its band-pass response.
 
     peak_gain_v_per_g is the voltage amplitude per 1 g of sinusoidal base
-    acceleration at resonance; r_ohm is the load across which harvested
-    energy is dissipated.
+    acceleration at resonance.
     """
 
     name: str
@@ -36,7 +35,6 @@ class PehDesign:
     f0_hz: float
     bw3db_hz: float
     peak_gain_v_per_g: float = 1.0
-    r_ohm: float = 1.0
 
     def __post_init__(self) -> None:
         if self.f0_hz <= 0:
@@ -45,16 +43,14 @@ class PehDesign:
             raise ValueError(f"3-dB bandwidth must lie in (0, f0), got {self.bw3db_hz} for f0={self.f0_hz}")
         if self.peak_gain_v_per_g <= 0:
             raise ValueError(f"peak gain must be positive, got {self.peak_gain_v_per_g}")
-        if self.r_ohm <= 0:
-            raise ValueError(f"load resistance must be positive, got {self.r_ohm}")
 
     @property
     def quality(self) -> float:
         return self.f0_hz / self.bw3db_hz
 
 
-# Resonance rises monotonically with substrate thickness; peak gains and load
-# resistance default to 1.0 and are overridable via dataset.load_design_table.
+# Resonance rises monotonically with substrate thickness; peak gains default
+# to 1.0 and are overridable via dataset.load_design_table.
 DEFAULT_DESIGNS: tuple[PehDesign, ...] = (
     PehDesign("peh_0.35mm", 0.35, 125.0, 10.0),
     PehDesign("peh_0.40mm", 0.40, 150.0, 10.0),

@@ -9,9 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MachineState, Manifest, build_feature_sets, csv_text
-from .errors import DataError
-from .frontend import integrate_energy, mean_state_energy
+from .dataset import MachineState, csv_text
+from .frontend import make_feature, mean_state_energy
 from .harvester import PehDesign, simulate_voltage
 from .signals import synth_sine
 
@@ -29,8 +28,10 @@ class EnergyCostModel:
     bits_per_sample: int = 16
 
     def __post_init__(self) -> None:
-        if self.e_adc_per_sample_j < 0 or self.e_tx_per_sample_j < 0 or self.bits_per_sample < 0:
-            raise ValueError("cost model entries must be non-negative")
+        for name in ("e_adc_per_sample_j", "e_tx_per_sample_j", "bits_per_sample"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,9 @@ class SamplingCostReport:
 
 def sampling_cost_report(fs_raw_hz: float, period_s: float, cost: EnergyCostModel = EnergyCostModel()) -> SamplingCostReport:
     """Compare raw-rate acquisition against one energy sample per integration period."""
-    if fs_raw_hz <= 0 or period_s <= 0:
-        raise ValueError("raw rate and integration period must be positive")
+    for name, value in (("fs_raw_hz", fs_raw_hz), ("period_s", period_s)):
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     feature_rate = 1.0 / period_s
     ratio = fs_raw_hz * period_s
     per_sample = cost.e_adc_per_sample_j + cost.e_tx_per_sample_j
@@ -119,7 +121,7 @@ def run_thought_experiment(
         vibration = synth_sine(f_hz, 1.0, 0.0, fs, period_s)
         for j, design in enumerate((design_healthy, design_faulty)):
             voltage = simulate_voltage(design, vibration)
-            energies[i, j] = integrate_energy(voltage, period_s, r_ohm)[0]
+            energies[i, j] = make_feature(voltage, period_s, r_ohm)[0]
     return ThoughtExperimentReport(
         f_healthy_hz=f_healthy_hz,
         f_faulty_hz=f_faulty_hz,
@@ -156,31 +158,22 @@ class ScatterPoint:
 
 
 def scatter_points(
-    manifest: Manifest,
+    labels,
+    features: Sequence[np.ndarray],
     designs: Sequence[PehDesign],
-    *,
-    segment_s: float,
-    segments_per_recording: int,
-    period_s: float,
-    r_ohm: float,
-    fault_label: MachineState = MachineState.BALL_CRACK,
+    fault_label: MachineState,
 ) -> list[ScatterPoint]:
-    """Mean faulty vs mean healthy harvested energy per design, in design order.
+    """Mean faulty vs mean healthy harvested energy per design, in design
+    order: features[i] is the feature matrix of designs[i], whose rows carry
+    `labels`, which must include both states.
 
-    The features of every design come from one pass over the recordings (see
-    build_feature_sets). diag_distance_j is the perpendicular distance to the
-    45-degree line, |healthy - faulty| / sqrt(2); designs far from the line
-    separate the two states well. A manifest without recordings of either
-    state is a DataError, raised before any recording is read.
+    diag_distance_j is the perpendicular distance to the 45-degree line,
+    |healthy - faulty| / sqrt(2); designs far from the line separate the two
+    states well.
     """
-    present = {meta.label for meta in manifest.entries}
-    for state in (MachineState.HEALTHY, fault_label):
-        if state not in present:
-            raise DataError(f"manifest holds no {state.value!r} recordings")
-    rows, sets = build_feature_sets(manifest, designs, segment_s, segments_per_recording, [period_s], r_ohm)
     points = []
-    for design, (features,) in zip(designs, sets):
-        means = mean_state_energy(features, rows.labels)
+    for design, matrix in zip(designs, features):
+        means = mean_state_energy(matrix, labels)
         healthy = means[MachineState.HEALTHY.value]
         faulty = means[fault_label.value]
         points.append(

@@ -24,7 +24,7 @@ from pehfault.dataset import (
     load_manifest,
     synth_surrogate_corpus,
 )
-from pehfault.frontend import integrate_energy
+from pehfault.frontend import make_feature
 from pehfault.harvester import (
     DEFAULT_DESIGNS,
     PehDesign,
@@ -48,7 +48,7 @@ def _conclude(criterion: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_analytic_integration():
     started = time.perf_counter()
     voltage = synth_sine(200.0, 1.0, 0.0, FS, 3.0, unit=SignalUnit.VOLTS)  # 600 full cycles
-    energy = integrate_energy(voltage, 3.0, 1.0)[0]
+    energy = make_feature(voltage, 3.0, 1.0)[0]
     elapsed = time.perf_counter() - started
     ok = abs(energy - 1.5) / 1.5 <= 1e-3 and elapsed < 1.0
     _conclude("criterion 1: sine integration matches A^2*T/2", ok, f"y={energy:.6f} J in {elapsed:.2f}s")
@@ -140,8 +140,8 @@ def test_criterion_5_parseval_and_baseline_consistency():
 
     design = PehDesign("gain2", 0.45, 175.0, 10.0, peak_gain_v_per_g=2.0)
     accel = synth_sine(design.f0_hz, 1.0, 0.0, FS, 3.0)
-    harvested = float(integrate_energy(simulate_voltage(design, accel), 3.0, design.r_ohm).sum())
-    band = band_energy_digital(accel, design.f0_hz - 10.0, design.f0_hz + 10.0, design.r_ohm)
+    harvested = float(make_feature(simulate_voltage(design, accel), 3.0, 1.0).sum())
+    band = band_energy_digital(accel, design.f0_hz - 10.0, design.f0_hz + 10.0, 1.0)
     pipeline_err = abs(harvested - design.peak_gain_v_per_g**2 * band) / (design.peak_gain_v_per_g**2 * band)
 
     ok = parseval_err <= 1e-6 and pipeline_err <= 0.05

@@ -18,7 +18,7 @@ from pehfault.classify import (
     split,
     sweep_csv,
 )
-from pehfault.dataset import build_feature_set
+from pehfault.dataset import build_feature_set, build_feature_sets
 from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness
 from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS
 
@@ -260,34 +260,19 @@ class TestRepeatedEvaluation:
 
 
 class TestAccuracySweep:
+    def sweep(self, corpus, designs, n_repeats):
+        rows, sets = build_feature_sets(corpus, designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
+        split_cfg = SplitConfig(0.8, seed=0)
+        return accuracy_sweep(rows.labels, sets, designs, [SMALL_SEGMENT_S], k=3, split_cfg=split_cfg, n_repeats=n_repeats)
+
     def test_four_designs_one_period(self, small_corpus):
-        rows = accuracy_sweep(
-            small_corpus,
-            DEFAULT_DESIGNS,
-            [SMALL_SEGMENT_S],
-            segment_s=SMALL_SEGMENT_S,
-            segments_per_recording=SMALL_SEGMENTS,
-            r_ohm=1.0,
-            k=3,
-            split_cfg=SplitConfig(0.8, seed=0),
-            n_repeats=3,
-        )
+        rows = self.sweep(small_corpus, DEFAULT_DESIGNS, n_repeats=3)
         assert len(rows) == 4
         assert [r.thickness_mm for r in rows] == [0.35, 0.40, 0.45, 0.50]
         assert all(0.0 <= r.mean_accuracy <= 1.0 for r in rows)
 
     def test_single_repeat_zero_std(self, small_corpus):
-        rows = accuracy_sweep(
-            small_corpus,
-            [design_from_thickness(0.50)],
-            [SMALL_SEGMENT_S],
-            segment_s=SMALL_SEGMENT_S,
-            segments_per_recording=SMALL_SEGMENTS,
-            r_ohm=1.0,
-            k=3,
-            split_cfg=SplitConfig(0.8, seed=0),
-            n_repeats=1,
-        )
+        rows = self.sweep(small_corpus, [design_from_thickness(0.50)], n_repeats=1)
         assert rows[0].std_accuracy == 0.0
 
     def test_csv_header(self):

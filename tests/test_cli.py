@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pehfault.cli
+import pehfault.dataset
 from pehfault.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
@@ -18,10 +19,16 @@ from pehfault.cli import (
     parse_config_file,
     validate_config,
 )
+from pehfault.dataset import DEFAULT_SURROGATE_SPEC, load_design_table, load_surrogate_spec
 from pehfault.errors import ConfigError
 from tests.conftest import MIXED_RATE_ERROR, MIXED_RATE_FLAGS, SMALL_SEGMENT_S, SMALL_SEGMENTS, mixed_rate_manifest
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def readme_example(heading: str) -> str:
+    """The first code block after `heading` in the README."""
+    return (REPO / "README.md").read_text().split(heading, 1)[1].split("```", 2)[1]
 
 
 def small_flags(corpus, out_dir):
@@ -59,13 +66,23 @@ class TestConfigHandling:
         assert values["stratified"] is True
 
     def test_readme_config_example_parses(self, tmp_path):
-        section = (REPO / "README.md").read_text().split("## Configuration file", 1)[1]
         path = tmp_path / "run.cfg"
-        path.write_text(section.split("```", 2)[1])
+        path.write_text(readme_example("## Configuration file"))
         values = parse_config_file(path)
         assert set(values) == {f.name for f in fields(RunConfig)}
         assert values["thickness_mm"] == 0.50 and values["design_table"] == ""
         validate_config(RunConfig(**values))
+
+    def test_readme_design_table_example_parses(self, tmp_path):
+        path = tmp_path / "designs.csv"
+        path.write_text(readme_example("**Design table**"))
+        (design,) = load_design_table(path)
+        assert (design.name, design.thickness_mm, design.f0_hz, design.peak_gain_v_per_g) == ("custom_a", 0.45, 175.0, 2.0)
+
+    def test_readme_surrogate_recipe_example_is_the_built_in_recipe(self, tmp_path):
+        path = tmp_path / "recipe.cfg"
+        path.write_text(readme_example("**Surrogate recipe**"))
+        assert load_surrogate_spec(path) == DEFAULT_SURROGATE_SPEC
 
     def test_importing_the_cli_leaves_scipy_signal_unloaded(self):
         code = "import sys, pehfault.cli; print('scipy.signal' in sys.modules)"
@@ -145,6 +162,18 @@ class TestExtract:
         lines = (tmp_path / "out" / "features.csv").read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("recording_id,segment_index,label,design,T_s")
+
+    def test_design_table_with_a_load_resistance_column_is_a_data_error(self, small_corpus, tmp_path, capsys):
+        """The load is --r-ohm alone: a table in the old six-column format is
+        rejected by its header, not read with the column ignored."""
+        table = tmp_path / "designs.csv"
+        table.write_text("name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g,r_ohm\ncustom,0.5,200,10,1.0,100\n")
+        out = tmp_path / "out"
+        args = ["extract", *small_flags(small_corpus, out), "--thickness", "0.5", "--design-table", str(table)]
+        assert main(args) == EXIT_DATA_ERROR
+        expected = "design table header must be name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g, got"
+        assert capsys.readouterr().err.startswith(f"data error: {table}:1: {expected}")
+        assert not out.exists()
 
 
 class TestOutputWriting:
@@ -251,6 +280,16 @@ class TestSweep:
 
 
 class TestScatter:
+    def test_missing_fault_state_rejected_before_reading(self, small_corpus, tmp_path, monkeypatch, capsys):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a recording was read")
+
+        monkeypatch.setattr(pehfault.dataset, "load_recording", no_reading)
+        out = tmp_path / "out"
+        assert main(["scatter", *small_flags(small_corpus, out), "--labels", "healthy"]) == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == "data error: manifest holds no 'ball_crack' recordings\n"
+        assert not (out / "scatter.csv").exists()
+
     def test_four_points_and_discriminating_design(self, default_corpus, tmp_path, capsys):
         args = [
             "scatter",
@@ -345,6 +384,13 @@ class TestEnergyReport:
 
 
 class TestSurrogateGen:
+    def test_duration_under_one_sample_is_a_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("fs_hz=8192\nduration_s=0.00001\nhealthy.tones=200:1.0\nball_crack.tones=150:1.0\n")
+        assert main(["surrogate-gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "config error: duration_s=1e-05 at fs_hz=8192 gives 0 samples; need >= 1\n"
+        assert not list(tmp_path.rglob("*.f32"))
+
     def test_write_failure_is_data_error_without_manifest_or_temp_files(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text("count_per_class=2\nfs_hz=8192\nduration_s=0.5\nhealthy.tones=200:1.0\nball_crack.tones=150:1.0\n")
@@ -475,6 +521,10 @@ USER_INPUT_ERRORS = [
     (["surrogate-gen", "--seed", "-1"], "non-negative"),
     (["surrogate-gen", "--spec", "{seed_minus_1}"], "non-negative"),
     (["thought-experiment", "--T", "nan"], "config error: "),
+    (["energy-report", "--fs-raw", "nan"], "fs_raw_hz must be positive and finite, got nan"),
+    (["energy-report", "--fs-raw", "inf"], "fs_raw_hz must be positive and finite, got inf"),
+    (["energy-report", "--e-adc", "nan"], "e_adc_per_sample_j must be non-negative and finite, got nan"),
+    (["energy-report", "--e-tx", "nan"], "e_tx_per_sample_j must be non-negative and finite, got nan"),
 ]
 
 
@@ -483,7 +533,8 @@ USER_INPUT_ERRORS = [
 )
 def test_user_input_error_is_a_config_error(argv, message, default_corpus, tmp_path, capsys):
     """Each of these reached the catch-all `except ValueError` that main once
-    had; each now raises ConfigError where it is found."""
+    had, or (energy-report's NaN and infinite values) was accepted; each now
+    raises ConfigError where it is found."""
     (tmp_path / "fs.cfg").write_text("fs_synth=1000\n")
     (tmp_path / "seed.spec").write_text("seed=-1\nfs_hz=8192\nduration_s=1\nhealthy.tones=200:1\n")
     files = {"fs_synth_1000": tmp_path / "fs.cfg", "seed_minus_1": tmp_path / "seed.spec"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pehfault.dataset
-from pehfault.classify import SplitConfig, accuracy_sweep
+from pehfault.cli import main
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
     ClassSignalSpec,
@@ -23,7 +23,6 @@ from pehfault.dataset import (
 from pehfault.errors import ConfigError, DataError
 from pehfault.frontend import make_feature, mean_state_energy
 from pehfault.harvester import design_from_thickness, simulate_voltage
-from pehfault.report import scatter_points
 from pehfault.signals import segment
 from tests.conftest import MIXED_RATE_ERROR, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SPEC, mixed_rate_manifest
 
@@ -270,7 +269,7 @@ class TestBuildFeatureSets:
         assert str(info.value).startswith("bad.f32: ")
         assert "non-finite sample at index 5" in str(info.value)
 
-    def test_sweep_and_scatter_load_once_and_filter_once(self, small_corpus, monkeypatch):
+    def test_sweep_and_scatter_load_once_and_filter_once(self, small_corpus, tmp_path, monkeypatch):
         loads, filters = Counter(), Counter()
 
         def counting_load(meta, root="."):
@@ -284,26 +283,18 @@ class TestBuildFeatureSets:
         monkeypatch.setattr(pehfault.dataset, "load_recording", counting_load)
         monkeypatch.setattr(pehfault.dataset, "simulate_voltage", counting_simulate)
         n_segments = len(small_corpus.entries) * SMALL_SEGMENTS
-        for run in (
-            lambda: accuracy_sweep(
-                small_corpus,
-                self.designs,
-                self.periods,
-                segment_s=SMALL_SEGMENT_S,
-                segments_per_recording=SMALL_SEGMENTS,
-                r_ohm=1.0,
-                k=3,
-                split_cfg=SplitConfig(0.8, seed=0),
-                n_repeats=1,
-            ),
-            lambda: scatter_points(
-                small_corpus, self.designs, segment_s=SMALL_SEGMENT_S, segments_per_recording=SMALL_SEGMENTS,
-                period_s=SMALL_SEGMENT_S, r_ohm=1.0,
-            ),
+        flags = [
+            "--manifest", str(small_corpus.root / "manifest.csv"), "--out", str(tmp_path),
+            "--segment", str(SMALL_SEGMENT_S), "--segments", str(SMALL_SEGMENTS),
+            "--thicknesses", ",".join(f"{design.thickness_mm:g}" for design in self.designs),
+        ]
+        for argv in (
+            ["sweep", *flags, "--t-values", ",".join(map(str, self.periods)), "--repeats", "1"],
+            ["scatter", *flags, "--T", str(SMALL_SEGMENT_S)],
         ):
             loads.clear()
             filters.clear()
-            run()
+            assert main(argv) == 0
             assert loads == Counter({meta.path: 1 for meta in small_corpus.entries})
             assert len(filters) == len(self.designs) * n_segments
             assert set(filters.values()) == {1}

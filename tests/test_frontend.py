@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pehfault.frontend import integrate_energy, make_feature, mean_state_energy
+from pehfault.frontend import make_feature, mean_state_energy
 from pehfault.harvester import design_from_thickness, simulate_voltage
 from pehfault.signals import SignalUnit, TimeSeries, band_energy_digital, synth_sine
 
@@ -30,19 +30,19 @@ class TestIntegrateEnergy:
     def test_constant_trace(self):
         fs, period, c, r = 1000.0, 2.0, 3.0, 5.0
         v = volts(np.full(int(period * fs), c), fs=fs)
-        result = integrate_energy(v, period, r)
+        result = make_feature(v, period, r)
         assert len(result) == 1
         assert result[0] == pytest.approx(c * c * period / r, rel=1e-9)
 
     def test_unit_sine_closed_form(self):
         v = synth_sine(200.0, 1.0, 0.0, 51200.0, 3.0, unit=SignalUnit.VOLTS)
-        result = integrate_energy(v, 3.0, 1.0)
+        result = make_feature(v, 3.0, 1.0)
         assert result[0] == pytest.approx(1.5, rel=1e-3)
 
     def test_matches_trapezoid_oracle_on_noise(self):
         rng = np.random.default_rng(21)
         v = volts(rng.standard_normal(8192), fs=2048.0)
-        result = integrate_energy(v, 0.5, 2.0)
+        result = make_feature(v, 0.5, 2.0)
         oracle = trapezoid_oracle(v, 0.5, 2.0)
         assert len(result) >= len(oracle)
         for got, want in zip(result, oracle):
@@ -50,19 +50,19 @@ class TestIntegrateEnergy:
 
     def test_trailing_partial_interval_discarded(self):
         v = volts(np.ones(2500), fs=1000.0)
-        result = integrate_energy(v, 1.0, 1.0)
+        result = make_feature(v, 1.0, 1.0)
         assert len(result) == 2  # floor(2.5 / 1.0)
 
     def test_rejects_bad_arguments(self):
         v = volts(np.ones(100))
         with pytest.raises(ValueError):
-            integrate_energy(v, 0.0, 1.0)
+            make_feature(v, 0.0, 1.0)
         with pytest.raises(ValueError):
-            integrate_energy(v, 1.0, 0.0)
+            make_feature(v, 1.0, 0.0)
         with pytest.raises(ValueError):
-            integrate_energy(volts([]), 1.0, 1.0)
+            make_feature(volts([]), 1.0, 1.0)
         with pytest.raises(ValueError):
-            integrate_energy(v, 1e-9, 1.0)  # shorter than one sample
+            make_feature(v, 1e-9, 1.0)  # shorter than one sample
 
 
 class TestMakeFeature:
@@ -112,8 +112,8 @@ def test_analog_energy_consistent_with_digital_baseline():
     design = design_from_thickness(0.45)
     accel = synth_sine(design.f0_hz, 1.0, 0.0, 51200.0, 3.0)
     voltage = simulate_voltage(design, accel)
-    harvested = float(integrate_energy(voltage, 3.0, design.r_ohm).sum())
-    band = band_energy_digital(accel, design.f0_hz - 10.0, design.f0_hz + 10.0, design.r_ohm)
+    harvested = float(make_feature(voltage, 3.0, 1.0).sum())
+    band = band_energy_digital(accel, design.f0_hz - 10.0, design.f0_hz + 10.0, 1.0)
     assert harvested == pytest.approx(design.peak_gain_v_per_g**2 * band, rel=0.05)
 
 
@@ -127,8 +127,11 @@ noise_trace = hnp.arrays(
 @given(noise_trace, st.integers(min_value=1, max_value=16))
 def test_energies_never_negative(samples, n_per):
     v = volts(samples, fs=64.0)
-    result = integrate_energy(v, n_per / 64.0, 1.0)
-    assert np.all(result >= 0.0)
+    if len(samples) < n_per:
+        with pytest.raises(ValueError, match="shorter than one integration period"):
+            make_feature(v, n_per / 64.0, 1.0)
+    else:
+        assert np.all(make_feature(v, n_per / 64.0, 1.0) >= 0.0)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=6))
@@ -136,8 +139,8 @@ def test_interval_sums_are_additive(seed, n_per, n_int):
     rng = np.random.default_rng(seed)
     fs = 64.0
     v = volts(rng.standard_normal(n_per * n_int), fs=fs)
-    fine = integrate_energy(v, n_per / fs, 1.0)
-    coarse = integrate_energy(v, n_per * n_int / fs, 1.0)
+    fine = make_feature(v, n_per / fs, 1.0)
+    coarse = make_feature(v, n_per * n_int / fs, 1.0)
     assert len(fine) == n_int
     assert float(fine.sum()) == pytest.approx(float(coarse[0]), rel=1e-12)
 
@@ -151,8 +154,8 @@ def test_amplitude_and_resistance_scale_laws(seed, alpha, beta):
     rng = np.random.default_rng(seed)
     fs = 64.0
     samples = rng.standard_normal(128)
-    base = integrate_energy(volts(samples, fs), 0.5, 1.0)
-    scaled_v = integrate_energy(volts(alpha * samples, fs), 0.5, 1.0)
-    scaled_r = integrate_energy(volts(samples, fs), 0.5, beta)
+    base = make_feature(volts(samples, fs), 0.5, 1.0)
+    scaled_v = make_feature(volts(alpha * samples, fs), 0.5, 1.0)
+    scaled_r = make_feature(volts(samples, fs), 0.5, beta)
     np.testing.assert_allclose(scaled_v, alpha**2 * base, rtol=1e-12)
     np.testing.assert_allclose(scaled_r, base / beta, rtol=1e-12)

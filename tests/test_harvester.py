@@ -39,7 +39,7 @@ class TestDesignTable:
     def test_all_defaults(self):
         pairs = [(d.thickness_mm, d.f0_hz) for d in DEFAULT_DESIGNS]
         assert pairs == [(0.35, 125.0), (0.40, 150.0), (0.45, 175.0), (0.50, 200.0)]
-        assert all(d.peak_gain_v_per_g == 1.0 and d.r_ohm == 1.0 for d in DEFAULT_DESIGNS)
+        assert all(d.peak_gain_v_per_g == 1.0 for d in DEFAULT_DESIGNS)
 
     def test_unknown_thickness(self):
         with pytest.raises(ValueError, match="unknown design"):
@@ -52,15 +52,13 @@ class TestDesignTable:
             PehDesign("bad", 0.4, 150.0, 150.0)  # bw must stay below f0
         with pytest.raises(ValueError):
             PehDesign("bad", 0.4, 150.0, 10.0, peak_gain_v_per_g=0.0)
-        with pytest.raises(ValueError):
-            PehDesign("bad", 0.4, 150.0, 10.0, r_ohm=-1.0)
 
     def test_table_override_file(self, tmp_path):
         path = tmp_path / "designs.csv"
         path.write_text(
-            "name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g,r_ohm\n"
-            "custom_a,0.35,130,12,2.5,100\n"
-            "custom_b,0.50,210,8,1.5,50\n"
+            "name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g\n"
+            "custom_a,0.35,130,12,2.5\n"
+            "custom_b,0.50,210,8,1.5\n"
         )
         table = load_design_table(path)
         assert len(table) == 2
@@ -75,13 +73,13 @@ class TestDesignTable:
 
     def test_table_quoted_name_with_comma(self, tmp_path):
         path = tmp_path / "designs.csv"
-        path.write_text('name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g,r_ohm\n"peh,a",0.35,130,12,2.5,100\n')
+        path.write_text('name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g\n"peh,a",0.35,130,12,2.5\n')
         assert [d.name for d in load_design_table(path)] == ["peh,a"]
 
     def test_table_error_names_physical_line_after_blank_lines(self, tmp_path):
         path = tmp_path / "designs.csv"
-        path.write_text("name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g,r_ohm\n\n\nx,0.35,130\n")
-        with pytest.raises(DataError, match=r"designs\.csv:4: expected 6 fields"):
+        path.write_text("name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g\n\n\nx,0.35,130\n")
+        with pytest.raises(DataError, match=r"designs\.csv:4: expected 5 fields"):
             load_design_table(path)
 
     def test_table_missing_file(self, tmp_path):
