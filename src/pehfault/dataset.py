@@ -65,8 +65,8 @@ class RecordingMeta:
     fs: float
 
     def __post_init__(self) -> None:
-        if self.fs <= 0:
-            raise DataError(f"{self.path}: sampling rate must be positive, got {self.fs}")
+        if not 0 < self.fs < math.inf:  # NaN fails too
+            raise DataError(f"{self.path}: sampling rate must be positive and finite, got {self.fs}")
         if self.load_w not in VALID_LOADS_W:
             raise DataError(f"{self.path}: load must be one of {VALID_LOADS_W} W, got {self.load_w}")
 
@@ -197,8 +197,20 @@ def filter_manifest(
 
 
 def _load_text_recording(full: Path) -> np.ndarray:
+    """One value per line, read as `float(line)` reads it. The whole file is
+    converted in one numpy call (which applies `float()` to each line); a
+    blank, bad or non-finite line sends it through the per-line loop, which
+    skips blank lines and names the first bad `file:line`."""
+    lines = full.read_text().splitlines()
+    try:
+        samples = np.array(lines, dtype=np.float64)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(samples).all():
+            return samples
     values = []
-    for lineno, line in enumerate(full.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         token = line.strip()
         if not token:
             continue

@@ -12,6 +12,7 @@ exactly on f0 regardless of sample rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,15 @@ class PehDesign:
     peak_gain_v_per_g: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.f0_hz <= 0:
-            raise ValueError(f"resonance frequency must be positive, got {self.f0_hz}")
+        for what, value in (
+            ("thickness", self.thickness_mm),
+            ("resonance frequency", self.f0_hz),
+            ("peak gain", self.peak_gain_v_per_g),
+        ):
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{what} must be positive and finite, got {value}")
         if not 0 < self.bw3db_hz < self.f0_hz:
             raise ValueError(f"3-dB bandwidth must lie in (0, f0), got {self.bw3db_hz} for f0={self.f0_hz}")
-        if self.peak_gain_v_per_g <= 0:
-            raise ValueError(f"peak gain must be positive, got {self.peak_gain_v_per_g}")
 
     @property
     def quality(self) -> float:

@@ -5,6 +5,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pehfault.cli
@@ -19,7 +20,7 @@ from pehfault.cli import (
     parse_config_file,
     validate_config,
 )
-from pehfault.dataset import DEFAULT_SURROGATE_SPEC, load_design_table, load_surrogate_spec
+from pehfault.dataset import DEFAULT_SURROGATE_SPEC, DESIGN_TABLE_FIELDS, load_design_table, load_surrogate_spec
 from pehfault.errors import ConfigError
 from tests.conftest import MIXED_RATE_ERROR, MIXED_RATE_FLAGS, SMALL_SEGMENT_S, SMALL_SEGMENTS, mixed_rate_manifest
 
@@ -174,6 +175,58 @@ class TestExtract:
         expected = "design table header must be name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g, got"
         assert capsys.readouterr().err.startswith(f"data error: {table}:1: {expected}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("column", range(1, 5), ids=lambda i: DESIGN_TABLE_FIELDS[i])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_design_table_value_not_finite_and_positive_is_a_data_error(
+        self, column, value, small_corpus, tmp_path, capsys
+    ):
+        fields = ["custom", "0.5", "200", "10", "1.0"]
+        fields[column] = value
+        table = tmp_path / "designs.csv"
+        table.write_text(",".join(DESIGN_TABLE_FIELDS) + "\n" + ",".join(fields) + "\n")
+        out = tmp_path / "out"
+        args = ["extract", *small_flags(small_corpus, out), "--thickness", "0.5", "--design-table", str(table)]
+        assert main(args) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {table}:2: ") and f"got {float(value)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_manifest_rate_not_finite_is_a_data_error_before_reading(self, rate, tmp_path, monkeypatch, capsys):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a recording was read")
+
+        monkeypatch.setattr(pehfault.dataset, "load_recording", no_reading)
+        manifest = _missing_recordings_manifest(tmp_path)
+        manifest.write_text(manifest.read_text().replace("0,8192\nmissing_1", f"0,{rate}\nmissing_1"))
+        out = tmp_path / "out"
+        assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == EXIT_DATA_ERROR
+        expected = f"data error: {manifest}:2: missing_0.f32: sampling rate must be positive and finite, got {rate}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def test_text_corpus_gives_the_f32_features_byte_for_byte(self, tmp_path):
+        """The same corpus as raw float32 and as text (one repr per line)
+        extracts to the same features.csv, up to the recording suffix."""
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("count_per_class=2\nfs_hz=8192\nduration_s=1\nhealthy.tones=200:1.0\nball_crack.tones=150:1.0\n")
+        assert main(["surrogate-gen", "--spec", str(spec), "--out", str(tmp_path / "f32"), "--seed", "5"]) == EXIT_OK
+        f32 = tmp_path / "f32" / "corpus"
+        text = tmp_path / "text"
+        text.mkdir()
+        for recording in f32.glob("*.f32"):
+            samples = np.fromfile(recording, dtype="<f4").tolist()
+            (text / recording.with_suffix(".txt").name).write_text("".join(f"{v!r}\n" for v in samples))
+        (text / "manifest.csv").write_text((f32 / "manifest.csv").read_text().replace(".f32,", ".txt,"))
+        flags = ["--segment", "0.5", "--segments", "2", "--T", "0.25"]
+        features = {}
+        for name, corpus in (("f32", f32), ("text", text)):
+            out = tmp_path / f"out_{name}"
+            assert main(["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(out), *flags]) == EXIT_OK
+            features[name] = (out / "features.csv").read_bytes()
+        assert features["text"].count(b".txt,") == 8  # one per row, in the recording column
+        assert features["text"].replace(b".txt,", b".f32,") == features["f32"]
 
 
 class TestOutputWriting:

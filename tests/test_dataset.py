@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pehfault.dataset
 from pehfault.cli import main
@@ -9,6 +11,7 @@ from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
     ClassSignalSpec,
     MachineState,
+    RecordingMeta,
     SurrogateSpec,
     build_feature_set,
     build_feature_sets,
@@ -129,8 +132,6 @@ def test_csv_text_quotes_a_comma_and_writes_numbers_by_repr():
 
 class TestLoadRecording:
     def meta(self, name, fs=51200.0):
-        from pehfault.dataset import RecordingMeta
-
         return RecordingMeta(name, MachineState.HEALTHY, "6204", 0, fs)
 
     def test_text_recording_paper_shape(self, tmp_path):
@@ -182,6 +183,95 @@ class TestLoadRecording:
         (tmp_path / "rec.f32").write_bytes(b"\x00" * 10)
         with pytest.raises(DataError, match="multiple of 4"):
             load_recording(self.meta("rec.f32"), tmp_path)
+
+
+def per_line_oracle(full):
+    """The text loader as it was before the one-call parse: one `float()` per
+    non-blank line, the first bad line named as `file:line`."""
+    values = []
+    for lineno, line in enumerate(full.read_text().splitlines(), start=1):
+        token = line.strip()
+        if not token:
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            raise DataError(f"{full}:{lineno}: unparseable sample {token!r}") from None
+        if not np.isfinite(value):
+            raise DataError(f"{full}:{lineno}: non-finite sample {token!r}")
+        values.append(value)
+    return np.asarray(values, dtype=np.float64)
+
+
+def outcome(load, full):
+    """The array a loader returns, or the message of the DataError it raises."""
+    try:
+        return load(full)
+    except DataError as exc:
+        return str(exc)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+finite_f32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+padding = st.sampled_from(["", " ", "\t", " \t  "])
+blank_lines = st.lists(st.sampled_from(["", " ", "\t"]), max_size=3)
+sample_line = st.tuples(
+    blank_lines, padding, st.one_of(finite, finite_f32), st.sampled_from([repr, lambda v: "%.17g" % v]), padding
+)
+
+
+class TestTextParseMatchesPerLineLoop:
+    """The one-call parse returns exactly what the per-line loop it replaced
+    returns, and raises the same error where that loop raised one."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(sample_line, min_size=1, max_size=40), blank_lines, st.sampled_from(["\n", "\r\n"]))
+    def test_finite_values_in_any_layout(self, tmp_path, lines, trailing, newline):
+        text = []
+        for blanks, left, value, fmt, right in lines:
+            text += [*blanks, f"{left}{fmt(value)}{right}"]
+        full = tmp_path / "rec.txt"
+        full.write_bytes(newline.join([*text, *trailing]).encode() + newline.encode())
+        got = pehfault.dataset._load_text_recording(full)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, per_line_oracle(full))
+        assert np.array_equal(got, [value for _, _, value, _, _ in lines])
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["", " ", "1_000", " -2.5\t", "1.0 2.0", "inf", "-Infinity", "nan", "1e400", "0x10"]),
+                st.text(alphabet="0123456789.eE+-_ \tinfatyINFATY", max_size=8),
+            ),
+            max_size=12,
+        )
+    )
+    def test_arbitrary_lines_accepted_or_rejected_alike(self, tmp_path, lines):
+        full = tmp_path / "rec.txt"
+        full.write_text("\n".join(lines))
+        got, want = outcome(pehfault.dataset._load_text_recording, full), outcome(per_line_oracle, full)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5\n\n0.25\n1.0 2.0\n", "4: unparseable sample '1.0 2.0'"),
+            ("\n\n0.5\ninf\n1.0\n", "4: non-finite sample 'inf'"),
+            ("0.5\n-inf\n", "2: non-finite sample '-inf'"),
+            ("0.5\nabc\n", "2: unparseable sample 'abc'"),
+        ],
+    )
+    def test_error_names_the_file_line(self, tmp_path, text, message):
+        full = tmp_path / "rec.txt"
+        full.write_text(text)
+        with pytest.raises(DataError) as caught:
+            load_recording(RecordingMeta("rec.txt", MachineState.HEALTHY, "6204", 0, 51200.0), tmp_path)
+        assert str(caught.value) == f"{full}:{message}"
+        assert outcome(per_line_oracle, full) == str(caught.value)
 
 
 class TestBuildFeatureSet:

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pehfault.frontend import make_feature, mean_state_energy
-from pehfault.harvester import design_from_thickness, simulate_voltage
+from pehfault.harvester import PehDesign, design_from_thickness, frf_magnitude, simulate_voltage
 from pehfault.signals import SignalUnit, TimeSeries, band_energy_digital, synth_sine
 
 
@@ -159,3 +161,50 @@ def test_amplitude_and_resistance_scale_laws(seed, alpha, beta):
     scaled_r = make_feature(volts(samples, fs), 0.5, beta)
     np.testing.assert_allclose(scaled_v, alpha**2 * base, rtol=1e-12)
     np.testing.assert_allclose(scaled_r, base / beta, rtol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(min_value=100.0, max_value=400.0),
+    st.floats(min_value=0.1, max_value=0.4),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(min_value=0.1, max_value=1.0), st.floats(0.0, 2 * math.pi)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_segment_energy_matches_the_spectral_oracle(f0, relative_bw, gain, tones):
+    """One segment of tones on FFT bins between f0/2 and 2*f0, through the
+    simulated harvester from zero state: the summed features equal
+    sum_k |H(f_k)|^2 |X_k|^2 / (N R fs) over all N bins, with H the analytic
+    response, up to the transient the zero initial state adds.
+
+    The transient is the filter's free response, |y_tr(t)| <= C exp(-sigma t)
+    with sigma = w0/(2Q), and C bounded from the state it must cancel at t=0:
+    |y(0)| <= S = sum G_k a_k, |y'(0)| <= G (w0/Q) sum a_k + sum 2 pi f_k G_k a_k.
+    It moves the energy by at most (2 S C / sigma + C^2 / (2 sigma)) / R; the
+    5e-3 relative term covers the bilinear frequency warping."""
+    fs, duration, r_ohm = 51200.0, 4.0, 2.0
+    n = int(fs * duration)
+    design = PehDesign("oracle", 0.4, f0, relative_bw * f0, gain)
+    low, high = int(0.5 * f0 * duration), int(2.0 * f0 * duration)
+    bins = {low + round(position * (high - low)): (amp, phase) for position, amp, phase in tones}
+    f = np.array(list(bins)) / duration
+    amps, phases = (np.array(column) for column in zip(*bins.values()))
+    t = np.arange(n) / fs
+    x = (amps[:, None] * np.cos(2 * np.pi * f[:, None] * t + phases[:, None])).sum(axis=0)
+
+    voltage = simulate_voltage(design, TimeSeries(x, fs, SignalUnit.ACCELERATION_G))
+    harvested = float(make_feature(voltage, 0.5, r_ohm).sum())
+    h = frf_magnitude(design, np.abs(np.fft.fftfreq(n, 1 / fs)))
+    oracle = float((h**2 * np.abs(np.fft.fft(x)) ** 2).sum() / (n * r_ohm * fs))
+
+    w0, q = 2 * np.pi * f0, design.quality
+    sigma, wd = w0 / (2 * q), w0 * math.sqrt(1 - 1 / (4 * q * q))
+    g_k = frf_magnitude(design, f)
+    s = float((g_k * amps).sum())
+    slope = gain * w0 / q * float(amps.sum()) + float((2 * np.pi * f * g_k * amps).sum())
+    c = s + (slope + sigma * s) / wd
+    transient = (2 * s * c / sigma + c * c / (2 * sigma)) / r_ohm
+    assert abs(harvested - oracle) <= 5e-3 * oracle + transient
