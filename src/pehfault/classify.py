@@ -4,7 +4,7 @@ evaluation, and the design x integration-period sweep."""
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -155,13 +155,11 @@ def knn_predict(model: KnnModel, queries):
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Accuracy plus the label-by-label confusion matrix (rows true, columns
-    predicted); repeated_evaluation sets config to seed, k, n_train and n_validation."""
+    """Accuracy plus the label-by-label confusion matrix (rows true, columns predicted)."""
 
     accuracy: float
     labels: tuple[str, ...]
     confusion: np.ndarray
-    config: dict = field(default_factory=dict)
 
 
 def evaluate(model: KnnModel, features, labels) -> EvalReport:
@@ -191,11 +189,9 @@ def repeated_evaluation(
     labels = np.asarray(labels)
     reports = []
     for i in range(n_repeats):
-        cfg_i = replace(split_cfg, seed=split_cfg.seed + i)
-        train, validation = split(labels, cfg_i)
+        train, validation = split(labels, replace(split_cfg, seed=split_cfg.seed + i))
         model = knn_fit(features[train], labels[train], k, metric)
-        config = dict(seed=cfg_i.seed, k=k, n_train=len(train), n_validation=len(validation))
-        reports.append(replace(evaluate(model, features[validation], labels[validation]), config=config))
+        reports.append(evaluate(model, features[validation], labels[validation]))
     return reports
 
 

@@ -39,11 +39,12 @@ from .errors import ConfigError, DataError
 from .frontend import MIN_CYCLES_PER_PERIOD
 from .harvester import DEFAULT_DESIGNS, design_from_thickness
 from .report import (
-    EnergyCostModel,
+    BITS_PER_SAMPLE,
+    E_ADC_PER_SAMPLE_J,
+    E_TX_PER_SAMPLE_J,
     format_sampling_cost,
     format_thought_experiment,
     run_thought_experiment,
-    sampling_cost_report,
     scatter_csv,
     scatter_points,
     scatter_svg,
@@ -143,23 +144,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
 
 
-def _check_periods_fit_segment(cfg: RunConfig, periods) -> None:
+def _check_periods(periods, designs, segment_s: float = math.inf) -> None:
+    """Every integration period fits in a segment of segment_s and spans at
+    least MIN_CYCLES_PER_PERIOD cycles of the lowest resonance in use."""
     for t_s in periods:
-        if t_s > cfg.segment_s:
-            raise ConfigError(
-                f"integration period {t_s:g}s cannot exceed the segment length {cfg.segment_s:g}s"
-            )
-
-
-def _check_periods(cfg: RunConfig, periods, designs) -> None:
-    """Every integration period fits in a segment and spans enough cycles (see _check_cycles)."""
-    _check_periods_fit_segment(cfg, periods)
-    _check_cycles(periods, designs)
-
-
-def _check_cycles(periods, designs) -> None:
-    """Every integration period spans at least MIN_CYCLES_PER_PERIOD cycles
-    of the lowest resonance in use."""
+        if t_s > segment_s:
+            raise ConfigError(f"integration period {t_s:g}s cannot exceed the segment length {segment_s:g}s")
     slowest = min(designs, key=lambda design: design.f0_hz)
     for t_s in periods:
         if t_s * slowest.f0_hz < MIN_CYCLES_PER_PERIOD:
@@ -261,20 +251,18 @@ def _format_confusion(labels, confusion) -> str:
 
 def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
     designs = _designs(cfg, [args.design_a, args.design_b])
-    _check_cycles([cfg.t_s], designs)
+    _check_periods([cfg.t_s], designs)
     try:
-        report = run_thought_experiment(
-            args.f_healthy, args.f_faulty, *designs, period_s=cfg.t_s, r_ohm=cfg.r_ohm, fs=cfg.fs_synth
-        )
+        energies = run_thought_experiment(args.f_healthy, args.f_faulty, *designs, cfg.t_s, cfg.r_ohm, cfg.fs_synth)
     except ValueError as exc:  # every input is a parameter: a tone outside (0, fs/2), fs under 20 * f0
         raise ConfigError(str(exc)) from None
-    print(format_thought_experiment(report))
+    print(format_thought_experiment(args.f_healthy, args.f_faulty, [design.name for design in designs], energies))
     return EXIT_OK
 
 
 def cmd_extract(cfg: RunConfig, args, explicit) -> int:
     (design,) = _designs(cfg, [cfg.thickness_mm])
-    _check_periods(cfg, [cfg.t_s], [design])
+    _check_periods([cfg.t_s], [design], cfg.segment_s)
     manifest = _manifest_for(cfg)
     rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
     dim = features.shape[1] if len(features) else int(math.floor(cfg.segment_s / cfg.t_s + 1e-9))
@@ -289,7 +277,7 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
 
 def cmd_classify(cfg: RunConfig, args, explicit) -> int:
     (design,) = _designs(cfg, [cfg.thickness_mm])
-    _check_periods(cfg, [cfg.t_s], [design])
+    _check_periods([cfg.t_s], [design], cfg.segment_s)
     manifest = _manifest_for(cfg)
     _require_classes(cfg, manifest)
     rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
@@ -297,9 +285,10 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
     reports = repeated_evaluation(features, rows.labels, cfg.k, split_cfg, cfg.n_repeats, cfg.metric)
     accuracies = np.array([r.accuracy for r in reports])
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
-    results = [
-        (i, r.config["seed"], r.accuracy, r.config["n_train"], r.config["n_validation"]) for i, r in enumerate(reports)
-    ]
+    results = []
+    for i, r in enumerate(reports):
+        n_validation = int(r.confusion.sum())  # a numpy integer would print as 168.0
+        results.append((i, cfg.seed + i, r.accuracy, len(features) - n_validation, n_validation))
     target = write_atomic(Path(cfg.out_dir) / "classification.csv", csv_text(header, results))
     print(f"design {design.name}, T={cfg.t_s:g}s, k={cfg.k}, {cfg.n_repeats} split(s), seed0={cfg.seed}")
     print(f"mean accuracy {accuracies.mean():.4f} (std {accuracies.std():.4f})")
@@ -312,7 +301,7 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
 
 def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
     designs = _designs(cfg, cfg.thicknesses)
-    _check_periods(cfg, cfg.t_values, designs)
+    _check_periods(cfg.t_values, designs, cfg.segment_s)
     manifest = _manifest_for(cfg)
     _require_classes(cfg, manifest)
     rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, cfg.t_values, cfg.r_ohm)
@@ -330,7 +319,7 @@ def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
 def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
     fault_label = _fault_label(cfg)
     designs = _designs(cfg, cfg.thicknesses)
-    _check_periods(cfg, [cfg.t_s], designs)
+    _check_periods([cfg.t_s], designs, cfg.segment_s)
     manifest = _manifest_for(cfg)
     present = {meta.label for meta in manifest.entries}
     for state in (MachineState.HEALTHY, fault_label):
@@ -350,12 +339,12 @@ def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
 
 
 def cmd_energy_report(cfg: RunConfig, args, explicit) -> int:
+    costs = dict(e_adc_per_sample_j=args.e_adc, e_tx_per_sample_j=args.e_tx, bits_per_sample=args.bits)
     try:
-        cost = EnergyCostModel(args.e_adc, args.e_tx, args.bits)
-        report = sampling_cost_report(args.fs_raw, cfg.t_s, cost)
+        text = format_sampling_cost(args.fs_raw, cfg.t_s, **costs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    print(format_sampling_cost(report))
+    print(text)
     return EXIT_OK
 
 
@@ -438,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy-report", parents=[common], help="sampling and energy comparison of the two architectures")
     p.add_argument("--fs-raw", dest="fs_raw", type=float, default=51200.0, help="raw acquisition rate (Hz)")
     p.add_argument("--T", dest="t_s", type=float, help="integration period in seconds")
-    p.add_argument("--e-adc", dest="e_adc", type=float, default=EnergyCostModel().e_adc_per_sample_j, help="ADC J/sample")
-    p.add_argument("--e-tx", dest="e_tx", type=float, default=EnergyCostModel().e_tx_per_sample_j, help="radio J/sample")
-    p.add_argument("--bits", type=int, default=EnergyCostModel().bits_per_sample, help="bits per transmitted sample")
+    p.add_argument("--e-adc", dest="e_adc", type=float, default=E_ADC_PER_SAMPLE_J, help="ADC J/sample")
+    p.add_argument("--e-tx", dest="e_tx", type=float, default=E_TX_PER_SAMPLE_J, help="radio J/sample")
+    p.add_argument("--bits", type=int, default=BITS_PER_SAMPLE, help="bits per transmitted sample")
     p.set_defaults(handler=cmd_energy_report)
 
     p = sub.add_parser("surrogate-gen", parents=[common], help="write a seeded synthetic corpus + manifest")

@@ -4,7 +4,7 @@ demo, and per-design class-mean scatter data with a deterministic SVG rendering.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,90 +15,43 @@ from .harvester import PehDesign, simulate_voltage
 from .signals import synth_sine
 
 
-@dataclass(frozen=True)
-class EnergyCostModel:
-    """Linear per-sample acquisition costs.
-
-    Defaults are illustrative placeholders for a generic ADC + low-power radio,
-    not measured figures; both architectures are costed with the same model.
-    """
-
-    e_adc_per_sample_j: float = 2e-9
-    e_tx_per_sample_j: float = 1.6e-6
-    bits_per_sample: int = 16
-
-    def __post_init__(self) -> None:
-        for name in ("e_adc_per_sample_j", "e_tx_per_sample_j", "bits_per_sample"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+# Linear per-sample acquisition costs: illustrative placeholders for a generic
+# ADC + low-power radio, not measured figures; both architectures are costed
+# with the same model.
+E_ADC_PER_SAMPLE_J = 2e-9
+E_TX_PER_SAMPLE_J = 1.6e-6
+BITS_PER_SAMPLE = 16
 
 
-@dataclass(frozen=True)
-class SamplingCostReport:
-    fs_raw_hz: float
-    feature_rate_hz: float
-    reduction_ratio: float
-    log10_reduction: float
-    raw_power_w: float
-    feature_power_w: float
-    raw_bits_per_s: float
-    feature_bits_per_s: float
-
-
-def sampling_cost_report(fs_raw_hz: float, period_s: float, cost: EnergyCostModel = EnergyCostModel()) -> SamplingCostReport:
+def format_sampling_cost(
+    fs_raw_hz: float,
+    period_s: float,
+    *,
+    e_adc_per_sample_j: float = E_ADC_PER_SAMPLE_J,
+    e_tx_per_sample_j: float = E_TX_PER_SAMPLE_J,
+    bits_per_sample: int = BITS_PER_SAMPLE,
+) -> str:
     """Compare raw-rate acquisition against one energy sample per integration period."""
+    for name, value in (
+        ("e_adc_per_sample_j", e_adc_per_sample_j),
+        ("e_tx_per_sample_j", e_tx_per_sample_j),
+        ("bits_per_sample", bits_per_sample),
+    ):
+        if not 0 <= value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be non-negative and finite, got {value}")
     for name, value in (("fs_raw_hz", fs_raw_hz), ("period_s", period_s)):
         if not 0 < value < math.inf:  # NaN fails too
             raise ValueError(f"{name} must be positive and finite, got {value}")
     feature_rate = 1.0 / period_s
     ratio = fs_raw_hz * period_s
-    per_sample = cost.e_adc_per_sample_j + cost.e_tx_per_sample_j
-    return SamplingCostReport(
-        fs_raw_hz=fs_raw_hz,
-        feature_rate_hz=feature_rate,
-        reduction_ratio=ratio,
-        log10_reduction=math.log10(ratio),
-        raw_power_w=fs_raw_hz * per_sample,
-        feature_power_w=feature_rate * per_sample,
-        raw_bits_per_s=fs_raw_hz * cost.bits_per_sample,
-        feature_bits_per_s=feature_rate * cost.bits_per_sample,
-    )
-
-
-def format_sampling_cost(report: SamplingCostReport) -> str:
+    per_sample = e_adc_per_sample_j + e_tx_per_sample_j
     lines = [
-        f"raw architecture:     {report.fs_raw_hz:g} Hz sampling ({report.raw_bits_per_s:g} bit/s)",
-        f"feature architecture: {report.feature_rate_hz:.2f} Hz sampling ({report.feature_bits_per_s:g} bit/s)",
-        f"sampling reduction:   {report.reduction_ratio:g}x (10^{report.log10_reduction:.2f})",
-        f"modeled ADC+TX power: raw {report.raw_power_w:g} J/s, feature {report.feature_power_w:g} J/s",
+        f"raw architecture:     {fs_raw_hz:g} Hz sampling ({fs_raw_hz * bits_per_sample:g} bit/s)",
+        f"feature architecture: {feature_rate:.2f} Hz sampling ({feature_rate * bits_per_sample:g} bit/s)",
+        f"sampling reduction:   {ratio:g}x (10^{math.log10(ratio):.2f})",
+        f"modeled ADC+TX power: raw {fs_raw_hz * per_sample:g} J/s, feature {feature_rate * per_sample:g} J/s",
     ]
     return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class ThoughtExperimentReport:
-    """Per-interval energies of two sinusoid machine states through two designs.
-
-    energies[i][j] is the first integration-interval energy of input i
-    (0 healthy, 1 faulty) through design j.
-    """
-
-    f_healthy_hz: float
-    f_faulty_hz: float
-    design_names: tuple[str, str]
-    energies: np.ndarray
-    decisions: tuple[str, str] = field(init=False)
-
-    def __post_init__(self) -> None:
-        # Decision rule: the design harvesting more energy marks the state
-        # whose vibration frequency sits in its pass-band.
-        labels = ("healthy", "faulty")
-        object.__setattr__(
-            self,
-            "decisions",
-            tuple(labels[0] if row[0] >= row[1] else labels[1] for row in self.energies),
-        )
 
 
 def run_thought_experiment(
@@ -106,12 +59,13 @@ def run_thought_experiment(
     f_faulty_hz: float,
     design_healthy: PehDesign,
     design_faulty: PehDesign,
-    period_s: float = 3.0,
-    r_ohm: float = 1.0,
-    fs: float = 51200.0,
-) -> ThoughtExperimentReport:
+    period_s: float,
+    r_ohm: float,
+    fs: float,
+) -> np.ndarray:
     """Drive unit sines at both machine-state frequencies through both designs
-    and collect the first integration-interval energy of each combination.
+    and return the first integration-interval energy of each combination:
+    energies[i, j] is that of input i (0 healthy, 1 faulty) through design j.
 
     design_healthy should be tuned near f_healthy_hz and design_faulty near
     f_faulty_hz for the decision rule to be meaningful.
@@ -122,26 +76,22 @@ def run_thought_experiment(
         for j, design in enumerate((design_healthy, design_faulty)):
             voltage = simulate_voltage(design, vibration)
             energies[i, j] = make_feature(voltage, period_s, r_ohm)[0]
-    return ThoughtExperimentReport(
-        f_healthy_hz=f_healthy_hz,
-        f_faulty_hz=f_faulty_hz,
-        design_names=(design_healthy.name, design_faulty.name),
-        energies=energies,
-    )
+    return energies
 
 
-def format_thought_experiment(report: ThoughtExperimentReport) -> str:
-    name_a, name_b = report.design_names
+def format_thought_experiment(
+    f_healthy_hz: float, f_faulty_hz: float, design_names: Sequence[str], energies: np.ndarray
+) -> str:
+    name_a, name_b = design_names
     width = max(len(name_a), len(name_b), 12)
     lines = [
-        f"machine states: healthy vibrates at {report.f_healthy_hz:g} Hz, faulty at {report.f_faulty_hz:g} Hz",
+        f"machine states: healthy vibrates at {f_healthy_hz:g} Hz, faulty at {f_faulty_hz:g} Hz",
         f"{'input':>18} | {name_a:>{width}} | {name_b:>{width}} | decision",
     ]
-    for row_label, row, decision in zip(
-        (f"healthy ({report.f_healthy_hz:g} Hz)", f"faulty ({report.f_faulty_hz:g} Hz)"),
-        report.energies,
-        report.decisions,
-    ):
+    for row_label, row in zip((f"healthy ({f_healthy_hz:g} Hz)", f"faulty ({f_faulty_hz:g} Hz)"), energies):
+        # Decision rule: the design harvesting more energy marks the state
+        # whose vibration frequency sits in its pass-band.
+        decision = "healthy" if row[0] >= row[1] else "faulty"
         lines.append(f"{row_label:>18} | {row[0]:>{width}.6g} | {row[1]:>{width}.6g} | {decision}")
     return "\n".join(lines)
 

@@ -31,8 +31,8 @@ class TimeSeries:
     unit: SignalUnit
 
     def __post_init__(self) -> None:
-        if self.fs <= 0:
-            raise ValueError(f"sampling rate must be positive, got {self.fs}")
+        if not 0 < self.fs < np.inf:  # NaN fails too
+            raise ValueError(f"sampling rate must be positive and finite, got {self.fs}")
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
 
     def __len__(self) -> int:
@@ -65,10 +65,10 @@ class Spectrum:
 
 
 def _check_rate_and_duration(fs: float, duration_s: float) -> None:
-    if fs <= 0:
-        raise ValueError(f"sampling rate must be positive, got {fs}")
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    if not 0 < fs < np.inf:  # NaN fails too
+        raise ValueError(f"sampling rate must be positive and finite, got {fs}")
+    if not 0 < duration_s < np.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
 
 
 def _check_tone(f_hz: float, fs: float) -> None:

@@ -98,11 +98,11 @@ def test_criterion_2_frequency_response_fidelity():
 
 def test_criterion_3_two_design_frequency_shift():
     started = time.perf_counter()
-    report = run_thought_experiment(
+    energies = run_thought_experiment(
         200.0, 150.0, design_from_thickness(0.50), design_from_thickness(0.40), period_s=3.0, r_ohm=1.0, fs=FS
     )
-    healthy_ratio = report.energies[0, 0] / report.energies[0, 1]
-    faulty_ratio = report.energies[1, 1] / report.energies[1, 0]
+    healthy_ratio = energies[0, 0] / energies[0, 1]
+    faulty_ratio = energies[1, 1] / energies[1, 0]
     elapsed = time.perf_counter() - started
     ok = healthy_ratio >= 20.0 and faulty_ratio >= 20.0 and elapsed < 5.0
     _conclude(

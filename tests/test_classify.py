@@ -253,10 +253,19 @@ class TestRepeatedEvaluation:
         assert [r.accuracy for r in runs[0]] == [r.accuracy for r in runs[1]]
 
     def test_seeds_advance(self):
+        """Report i is `evaluate` on the split seeded split_cfg.seed + i."""
         rng = np.random.default_rng(8)
         points = [(rng.uniform(0, 1, size=1), label) for label in ["A", "B"] * 10]
-        reports = repeated_evaluation(*matrix(points), 1, SplitConfig(0.8, seed=100), 3)
-        assert [r.config["seed"] for r in reports] == [100, 101, 102]
+        features, labels = matrix(points)[0], labels_of(points)
+        split_cfg = SplitConfig(0.8, seed=100)
+        reports = repeated_evaluation(features, labels, 1, split_cfg, 3)
+        for i, report in enumerate(reports):
+            train, validation = split(labels, replace(split_cfg, seed=100 + i))
+            expected = evaluate(knn_fit(features[train], labels[train], k=1), features[validation], labels[validation])
+            assert (report.accuracy, report.labels) == (expected.accuracy, expected.labels)
+            np.testing.assert_array_equal(report.confusion, expected.confusion)
+        # the three splits score differently, so a seed that did not advance would show
+        assert len({r.confusion.tobytes() for r in reports}) == 3
 
 
 class TestAccuracySweep:

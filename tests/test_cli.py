@@ -15,13 +15,14 @@ from pehfault.cli import (
     EXIT_DATA_ERROR,
     EXIT_OK,
     RunConfig,
-    _check_periods_fit_segment,
+    _check_periods,
     main,
     parse_config_file,
     validate_config,
 )
 from pehfault.dataset import DEFAULT_SURROGATE_SPEC, DESIGN_TABLE_FIELDS, load_design_table, load_surrogate_spec
 from pehfault.errors import ConfigError
+from pehfault.harvester import DEFAULT_DESIGNS
 from tests.conftest import MIXED_RATE_ERROR, MIXED_RATE_FLAGS, SMALL_SEGMENT_S, SMALL_SEGMENTS, mixed_rate_manifest
 
 REPO = Path(__file__).resolve().parents[1]
@@ -105,7 +106,7 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             validate_config(RunConfig(train_fraction=1.5))
         with pytest.raises(ConfigError, match="segment"):
-            _check_periods_fit_segment(RunConfig(t_s=5.0, segment_s=3.0), [5.0])
+            _check_periods([5.0], DEFAULT_DESIGNS, segment_s=3.0)
 
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -310,8 +311,12 @@ class TestClassify:
         lines = (tmp_path / "classification.csv").read_text().splitlines()
         assert lines[0] == "repeat,seed,accuracy,n_train,n_validation"
         assert len(lines) == 3
-        assert lines[1].split(",")[1] == "3"
-        assert lines[2].split(",")[1] == "4"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[1] for row in rows] == ["3", "4"]  # seed0 + repeat
+        for row in rows:
+            # every split partitions all the feature rows; counts print as integers
+            assert int(row[3]) + int(row[4]) == len(small_corpus.entries) * SMALL_SEGMENTS
+            assert row[3].isdigit() and row[4].isdigit()
 
 
 class TestSweep:
@@ -416,6 +421,60 @@ class TestScatter:
             "0.25",
         ]
         assert main(args) == EXIT_DATA_ERROR
+
+
+DEMO_STDOUT = {
+    "thought-experiment": """\
+machine states: healthy vibrates at 200 Hz, faulty at 150 Hz
+             input |   peh_0.50mm |   peh_0.40mm | decision
+  healthy (200 Hz) |      1.47612 |    0.0194352 | healthy
+   faulty (150 Hz) |    0.0109936 |      1.47613 | faulty
+""",
+    "thought-experiment --f-healthy 180 --f-faulty 180": """\
+machine states: healthy vibrates at 180 Hz, faulty at 180 Hz
+             input |   peh_0.50mm |   peh_0.40mm | decision
+  healthy (180 Hz) |     0.079975 |    0.0482228 | healthy
+   faulty (180 Hz) |     0.079975 |    0.0482228 | healthy
+""",
+    # one design twice: every row ties, and a tie decides healthy
+    "thought-experiment --design-b 0.50": """\
+machine states: healthy vibrates at 200 Hz, faulty at 150 Hz
+             input |   peh_0.50mm |   peh_0.50mm | decision
+  healthy (200 Hz) |      1.47612 |      1.47612 | healthy
+   faulty (150 Hz) |    0.0109936 |    0.0109936 | healthy
+""",
+    "energy-report --fs-raw 51200 --T 3": """\
+raw architecture:     51200 Hz sampling (819200 bit/s)
+feature architecture: 0.33 Hz sampling (5.33333 bit/s)
+sampling reduction:   153600x (10^5.19)
+modeled ADC+TX power: raw 0.0820224 J/s, feature 5.34e-07 J/s
+""",
+    "energy-report --fs-raw 4 --T 0.25": """\
+raw architecture:     4 Hz sampling (64 bit/s)
+feature architecture: 4.00 Hz sampling (64 bit/s)
+sampling reduction:   1x (10^0.00)
+modeled ADC+TX power: raw 6.408e-06 J/s, feature 6.408e-06 J/s
+""",
+    "energy-report --e-adc 0 --e-tx 0": """\
+raw architecture:     51200 Hz sampling (819200 bit/s)
+feature architecture: 0.33 Hz sampling (5.33333 bit/s)
+sampling reduction:   153600x (10^5.19)
+modeled ADC+TX power: raw 0 J/s, feature 0 J/s
+""",
+    "energy-report --bits 8": """\
+raw architecture:     51200 Hz sampling (409600 bit/s)
+feature architecture: 0.33 Hz sampling (2.66667 bit/s)
+sampling reduction:   153600x (10^5.19)
+modeled ADC+TX power: raw 0.0820224 J/s, feature 5.34e-07 J/s
+""",
+}
+
+
+@pytest.mark.parametrize("command", DEMO_STDOUT)
+def test_demo_command_stdout_is_pinned(command, capsys):
+    """The exact text of the two demo commands, defaults included."""
+    assert main(command.split()) == EXIT_OK
+    assert capsys.readouterr() == (DEMO_STDOUT[command], "")
 
 
 class TestEnergyReport:

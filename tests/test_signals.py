@@ -49,6 +49,33 @@ class TestSynthSine:
             synth_sine(200.0, 1.0, 0.0, -1.0, 1.0)
 
 
+NOT_FINITE = [float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("value", NOT_FINITE)
+class TestNonFiniteRateAndDuration:
+    """NaN passes a `<= 0` test and infinity is positive: both must be
+    rejected by name, not reach the tone check or allocate samples."""
+
+    def test_time_series_rate(self, value):
+        with pytest.raises(ValueError, match=f"^sampling rate must be positive and finite, got {value}$"):
+            make_ts([0.0, 1.0], fs=value)
+
+    def test_sine_rate(self, value):
+        with pytest.raises(ValueError, match=f"^sampling rate must be positive and finite, got {value}$"):
+            synth_sine(100.0, 1.0, 0.0, value, 1.0)
+
+    def test_sine_duration(self, value):
+        with pytest.raises(ValueError, match=f"^duration must be positive and finite, got {value}$"):
+            synth_sine(100.0, 1.0, 0.0, 1000.0, value)
+
+    def test_composite_rate_and_duration(self, value):
+        with pytest.raises(ValueError, match=f"^sampling rate must be positive and finite, got {value}$"):
+            synth_composite([], 0.1, value, 1.0, seed=0)
+        with pytest.raises(ValueError, match=f"^duration must be positive and finite, got {value}$"):
+            synth_composite([], 0.1, 1000.0, value, seed=0)
+
+
 class TestSynthComposite:
     def test_degenerate_equals_sine(self):
         a = synth_composite([(200.0, 1.0)], 0.0, 51200.0, 1.0, seed=0)
