@@ -4,13 +4,10 @@ evaluation, and the design x integration-period sweep."""
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-
-from .dataset import csv_text
-from .harvester import PehDesign
 
 METRICS = ("raw", "log")
 _LOG_FLOOR = 1e-300  # keeps log-energy finite for exactly-zero features
@@ -195,53 +192,22 @@ def repeated_evaluation(
     return reports
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    design: str
-    thickness_mm: float
-    t_s: float
-    mean_accuracy: float
-    std_accuracy: float
-    n_repeats: int
-    seed0: int
-
-
 def accuracy_sweep(
     labels,
     sets: Sequence[Sequence[np.ndarray]],
-    designs: Sequence[PehDesign],
-    t_values: Sequence[float],
     *,
     k: int,
     split_cfg: SplitConfig,
     n_repeats: int,
     metric: str = "raw",
-) -> list[SweepRow]:
-    """Mean/std accuracy for every (design, integration period) combination:
-    sets[i][j] is the feature matrix of designs[i] at period t_values[j],
-    whose rows all carry `labels`. Each combination reuses the same seed
-    sequence so rows are comparable. Rows are in design order, then period
-    order.
+) -> np.ndarray:
+    """Accuracy of every repeat on every feature matrix, whose rows all carry
+    `labels`: entry [i, j, r] is that of repeat r (seed split_cfg.seed + r) on
+    sets[i][j]. Every matrix reuses the same seed sequence, so the entries
+    are comparable.
     """
-    rows = []
-    for design, design_sets in zip(designs, sets):
-        for t_s, features in zip(t_values, design_sets):
-            reports = repeated_evaluation(features, labels, k, split_cfg, n_repeats, metric)
-            accuracies = np.array([r.accuracy for r in reports])
-            rows.append(
-                SweepRow(
-                    design=design.name,
-                    thickness_mm=design.thickness_mm,
-                    t_s=t_s,
-                    mean_accuracy=float(accuracies.mean()),
-                    std_accuracy=float(accuracies.std()),
-                    n_repeats=n_repeats,
-                    seed0=split_cfg.seed,
-                )
-            )
-    return rows
 
+    def accuracies(features) -> list[float]:
+        return [r.accuracy for r in repeated_evaluation(features, labels, k, split_cfg, n_repeats, metric)]
 
-def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    header = ["design", "thickness_mm", "T_s", "mean_accuracy", "std_accuracy", "n_repeats", "seed0"]
-    return csv_text(header, map(astuple, rows))
+    return np.array([[accuracies(features) for features in row] for row in sets])

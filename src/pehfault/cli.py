@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import METRICS, SplitConfig, accuracy_sweep, repeated_evaluation, sweep_csv, train_size
+from .classify import METRICS, SplitConfig, accuracy_sweep, repeated_evaluation, train_size
 from .dataset import (
     DEFAULT_SURROGATE_SPEC,
     FeatureRows,
@@ -45,7 +45,6 @@ from .report import (
     format_sampling_cost,
     format_thought_experiment,
     run_thought_experiment,
-    scatter_csv,
     scatter_points,
     scatter_svg,
 )
@@ -196,12 +195,15 @@ def _manifest_for(cfg: RunConfig) -> Manifest:
             labels = tuple(MachineState.from_token(tok) for tok in cfg.labels)
         except DataError as exc:
             raise ConfigError(str(exc)) from None
-    return filter_manifest(
+    manifest = filter_manifest(
         manifest,
         labels=labels,
         bearing_type=cfg.bearing_type or None,
         load_w=cfg.load_w if cfg.load_w >= 0 else None,
     )
+    if not manifest.entries:
+        raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
+    return manifest
 
 
 def _fault_label(cfg: RunConfig) -> MachineState:
@@ -219,8 +221,6 @@ def _require_classes(cfg: RunConfig, manifest: Manifest) -> None:
     (recordings x segments per recording) in every class, and at least k
     training points in every split."""
     counts = Counter(meta.label.value for meta in manifest.entries)
-    if not counts:
-        raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
     if len(counts) < 2:
         raise DataError(f"{cfg.manifest}: classification needs at least 2 labels, found only {next(iter(counts))!r}")
     short = sorted(label for label, n in counts.items() if n * cfg.segments_per_recording < 2)
@@ -235,8 +235,9 @@ def _require_classes(cfg: RunConfig, manifest: Manifest) -> None:
         raise ConfigError(f"k={cfg.k} exceeds the {n_train} training points")
 
 
-def _features_csv(rows: FeatureRows, features, design_name: str, t_s: float, dim: int) -> str:
-    header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(dim))]
+def _features_csv(rows: FeatureRows, features, design_name: str, t_s: float) -> str:
+    dims = (f"feature_{i}" for i in range(features.shape[1]))
+    header = ["recording_id", "segment_index", "label", "design", "T_s", *dims]
     lines = zip(rows.recording_ids, rows.segment_indices, rows.labels.tolist(), features.tolist())
     return csv_text(header, [(rid, index, label, design_name, t_s, *values) for rid, index, label, values in lines])
 
@@ -265,13 +266,8 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
     _check_periods([cfg.t_s], [design], cfg.segment_s)
     manifest = _manifest_for(cfg)
     rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
-    dim = features.shape[1] if len(features) else int(math.floor(cfg.segment_s / cfg.t_s + 1e-9))
-    content = _features_csv(rows, features, design.name, cfg.t_s, dim)
-    target = write_atomic(Path(cfg.out_dir) / "features.csv", content)
+    target = write_atomic(Path(cfg.out_dir) / "features.csv", _features_csv(rows, features, design.name, cfg.t_s))
     print(f"wrote {len(features)} feature rows to {target}")
-    if len(features) == 0:
-        print("no recordings matched the manifest/filters", file=sys.stderr)
-        return EXIT_DATA_ERROR
     return EXIT_OK
 
 
@@ -306,10 +302,14 @@ def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
     _require_classes(cfg, manifest)
     rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, cfg.t_values, cfg.r_ohm)
     split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
-    sweep = accuracy_sweep(
-        rows.labels, sets, designs, cfg.t_values, k=cfg.k, split_cfg=split_cfg, n_repeats=cfg.n_repeats, metric=cfg.metric
-    )
-    content = sweep_csv(sweep)
+    accuracies = accuracy_sweep(rows.labels, sets, k=cfg.k, split_cfg=split_cfg, n_repeats=cfg.n_repeats, metric=cfg.metric)
+    header = ["design", "thickness_mm", "T_s", "mean_accuracy", "std_accuracy", "n_repeats", "seed0"]
+    results = [
+        (design.name, design.thickness_mm, t_s, acc.mean(), acc.std(), cfg.n_repeats, cfg.seed)
+        for design, design_accuracies in zip(designs, accuracies)
+        for t_s, acc in zip(cfg.t_values, design_accuracies)
+    ]
+    content = csv_text(header, results)
     target = write_atomic(Path(cfg.out_dir) / "sweep.csv", content)
     print(content, end="")
     print(f"wrote sweep table to {target}")
@@ -326,14 +326,15 @@ def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
         if state not in present:
             raise DataError(f"manifest holds no {state.value!r} recordings")
     rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, [cfg.t_s], cfg.r_ohm)
-    points = scatter_points(rows.labels, [matrix for (matrix,) in sets], designs, fault_label)
-    csv_target = write_atomic(Path(cfg.out_dir) / "scatter.csv", scatter_csv(points))
-    svg_target = write_atomic(Path(cfg.out_dir) / "scatter.svg", scatter_svg(points))
-    for p in points:
-        print(
-            f"{p.design}: healthy {p.mean_healthy_j:.6g} J, faulty {p.mean_faulty_j:.6g} J, "
-            f"distance to diagonal {p.diag_distance_j:.6g} J"
-        )
+    points = scatter_points(rows.labels, [matrix for (matrix,) in sets], fault_label)
+    header = ["design", "thickness_mm", "mean_healthy_j", "mean_faulty_j", "diag_distance_j"]
+    # The perpendicular distance to the 45-degree line: designs far from it
+    # separate the two states well.
+    results = [(d.name, d.thickness_mm, h, f, abs(h - f) / math.sqrt(2.0)) for d, (h, f) in zip(designs, points)]
+    csv_target = write_atomic(Path(cfg.out_dir) / "scatter.csv", csv_text(header, results))
+    svg_target = write_atomic(Path(cfg.out_dir) / "scatter.svg", scatter_svg([d.name for d in designs], points))
+    for name, _, healthy, faulty, distance in results:
+        print(f"{name}: healthy {healthy:.6g} J, faulty {faulty:.6g} J, distance to diagonal {distance:.6g} J")
     print(f"wrote {csv_target} and {svg_target}")
     return EXIT_OK
 

@@ -225,6 +225,8 @@ def _load_text_recording(full: Path) -> np.ndarray:
 
 
 def _read_sidecar(full: Path) -> dict[str, float]:
+    """The values a `<file>.hdr` sidecar declares: each finite, and
+    n_samples a whole number; any other is a DataError naming the line."""
     sidecar = full.with_name(full.name + ".hdr")
     if not sidecar.is_file():
         return {}
@@ -234,6 +236,10 @@ def _read_sidecar(full: Path) -> dict[str, float]:
             declared[key] = float(value)
         except ValueError:
             raise DataError(f"{sidecar}:{lineno}: unparseable value {value!r}") from None
+        if key == "n_samples" and not declared[key].is_integer():  # NaN and infinity fail too
+            raise DataError(f"{sidecar}:{lineno}: n_samples must be a whole number, got {value!r}")
+        if not math.isfinite(declared[key]):
+            raise DataError(f"{sidecar}:{lineno}: {key} must be finite, got {value!r}")
     return declared
 
 
@@ -484,17 +490,10 @@ def _synth_class_recording(cspec: ClassSignalSpec, fs: float, duration_s: float,
 def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) -> Manifest:
     """Write a seeded synthetic corpus (recordings + manifest.csv) and load it back.
 
-    Byte-identical output for identical spec and seed.
+    Byte-identical output for identical spec and seed. A failed write is a
+    DataError naming the file (see write_atomic).
     """
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_bytes(b"")
-        probe.unlink()
-    except OSError as exc:
-        raise DataError(f"unwritable directory {out_dir}: {exc}") from exc
-
     states = sorted(spec.classes, key=lambda s: s.value)
     # One seed per recording slot, shared across classes: identical class
     # recipes then synthesize identical recordings (common random numbers).

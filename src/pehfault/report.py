@@ -4,12 +4,11 @@ demo, and per-design class-mean scatter data with a deterministic SVG rendering.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import MachineState, csv_text
+from .dataset import MachineState
 from .frontend import make_feature, mean_state_energy
 from .harvester import PehDesign, simulate_voltage
 from .signals import synth_sine
@@ -96,55 +95,26 @@ def format_thought_experiment(
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
-    """Class-mean energies for one design and its distance from the 45-degree line."""
-
-    design: str
-    thickness_mm: float
-    mean_healthy_j: float
-    mean_faulty_j: float
-    diag_distance_j: float
-
-
-def scatter_points(
-    labels,
-    features: Sequence[np.ndarray],
-    designs: Sequence[PehDesign],
-    fault_label: MachineState,
-) -> list[ScatterPoint]:
-    """Mean faulty vs mean healthy harvested energy per design, in design
-    order: features[i] is the feature matrix of designs[i], whose rows carry
-    `labels`, which must include both states.
-
-    diag_distance_j is the perpendicular distance to the 45-degree line,
-    |healthy - faulty| / sqrt(2); designs far from the line separate the two
-    states well.
-    """
+def scatter_points(labels, features: Sequence[np.ndarray], fault_label: MachineState) -> list[tuple[float, float]]:
+    """(mean healthy, mean faulty) harvested energy of each feature matrix, in
+    order; the rows of every matrix carry `labels`, which must include both
+    states."""
     points = []
-    for design, matrix in zip(designs, features):
+    for matrix in features:
         means = mean_state_energy(matrix, labels)
-        healthy = means[MachineState.HEALTHY.value]
-        faulty = means[fault_label.value]
-        points.append(
-            ScatterPoint(design.name, design.thickness_mm, healthy, faulty, abs(healthy - faulty) / math.sqrt(2.0))
-        )
+        points.append((means[MachineState.HEALTHY.value], means[fault_label.value]))
     return points
-
-
-def scatter_csv(points: Sequence[ScatterPoint]) -> str:
-    header = ["design", "thickness_mm", "mean_healthy_j", "mean_faulty_j", "diag_distance_j"]
-    return csv_text(header, map(astuple, points))
 
 
 _SVG_SIZE = 640
 _SVG_MARGIN = 70
 
 
-def scatter_svg(points: Sequence[ScatterPoint]) -> str:
-    """Fixed-layout SVG scatter of mean faulty vs mean healthy energy with the
-    dashed 45-degree diagonal. Pure function of the points (no timestamps)."""
-    span = max([p.mean_healthy_j for p in points] + [p.mean_faulty_j for p in points], default=1.0)
+def scatter_svg(names: Sequence[str], points: Sequence[tuple[float, float]]) -> str:
+    """Fixed-layout SVG scatter of mean faulty vs mean healthy energy, one
+    (healthy, faulty) point per name, with the dashed 45-degree diagonal.
+    Pure function of its arguments (no timestamps)."""
+    span = max([energy for point in points for energy in point], default=1.0)
     span = span * 1.1 if span > 0 else 1.0
     plot = _SVG_SIZE - 2 * _SVG_MARGIN
 
@@ -167,9 +137,9 @@ def scatter_svg(points: Sequence[ScatterPoint]) -> str:
         f'<text x="18" y="{_SVG_SIZE / 2:.0f}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {_SVG_SIZE / 2:.0f})">mean faulty energy (J)</text>',
     ]
-    for p in points:
-        cx, cy = sx(p.mean_healthy_j), sy(p.mean_faulty_j)
+    for name, (healthy, faulty) in zip(names, points):
+        cx, cy = sx(healthy), sy(faulty)
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="5" fill="steelblue"/>')
-        parts.append(f'<text x="{cx + 8:.2f}" y="{cy - 8:.2f}" font-size="12">{p.design}</text>')
+        parts.append(f'<text x="{cx + 8:.2f}" y="{cy - 8:.2f}" font-size="12">{name}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -16,7 +16,6 @@ from pehfault.classify import (
     knn_predict,
     repeated_evaluation,
     split,
-    sweep_csv,
 )
 from pehfault.dataset import build_feature_set, build_feature_sets
 from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness
@@ -269,23 +268,15 @@ class TestRepeatedEvaluation:
 
 
 class TestAccuracySweep:
-    def sweep(self, corpus, designs, n_repeats):
-        rows, sets = build_feature_sets(corpus, designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
-        split_cfg = SplitConfig(0.8, seed=0)
-        return accuracy_sweep(rows.labels, sets, designs, [SMALL_SEGMENT_S], k=3, split_cfg=split_cfg, n_repeats=n_repeats)
-
     def test_four_designs_one_period(self, small_corpus):
-        rows = self.sweep(small_corpus, DEFAULT_DESIGNS, n_repeats=3)
-        assert len(rows) == 4
-        assert [r.thickness_mm for r in rows] == [0.35, 0.40, 0.45, 0.50]
-        assert all(0.0 <= r.mean_accuracy <= 1.0 for r in rows)
-
-    def test_single_repeat_zero_std(self, small_corpus):
-        rows = self.sweep(small_corpus, [design_from_thickness(0.50)], n_repeats=1)
-        assert rows[0].std_accuracy == 0.0
-
-    def test_csv_header(self):
-        assert sweep_csv([]).splitlines()[0] == "design,thickness_mm,T_s,mean_accuracy,std_accuracy,n_repeats,seed0"
+        """Entry [i, j, r] is repeat r of repeated_evaluation on sets[i][j]."""
+        rows, sets = build_feature_sets(small_corpus, DEFAULT_DESIGNS, SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
+        split_cfg = SplitConfig(0.8, seed=0)
+        accuracies = accuracy_sweep(rows.labels, sets, k=3, split_cfg=split_cfg, n_repeats=3)
+        assert accuracies.shape == (4, 1, 3)
+        for design_sets, design_accuracies in zip(sets, accuracies):
+            reports = repeated_evaluation(design_sets[0], rows.labels, 3, split_cfg, 3)
+            assert design_accuracies[0].tolist() == [r.accuracy for r in reports]
 
 
 def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,7 +21,13 @@ from pehfault.cli import (
     parse_config_file,
     validate_config,
 )
-from pehfault.dataset import DEFAULT_SURROGATE_SPEC, DESIGN_TABLE_FIELDS, load_design_table, load_surrogate_spec
+from pehfault.dataset import (
+    DEFAULT_SURROGATE_SPEC,
+    DESIGN_TABLE_FIELDS,
+    load_design_table,
+    load_surrogate_spec,
+    write_recording_f32,
+)
 from pehfault.errors import ConfigError
 from pehfault.harvester import DEFAULT_DESIGNS
 from tests.conftest import MIXED_RATE_ERROR, MIXED_RATE_FLAGS, SMALL_SEGMENT_S, SMALL_SEGMENTS, mixed_rate_manifest
@@ -156,14 +163,37 @@ class TestExtract:
         assert lines[0] == "recording_id,segment_index,label,design,T_s,feature_0"
         assert len(lines) == 1 + len(small_corpus.entries) * SMALL_SEGMENTS
 
-    def test_empty_manifest_header_only_and_nonzero_exit(self, tmp_path, capsys):
+    def test_empty_manifest_is_a_data_error_before_writing(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("path,label,bearing_type,load_w,fs_hz\n")
         code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA_ERROR
-        lines = (tmp_path / "out" / "features.csv").read_text().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("recording_id,segment_index,label,design,T_s")
+        assert capsys.readouterr() == ("", f"data error: {manifest}: no recordings matched the manifest/filters\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["n_samples=inf", "n_samples=1e400", "n_samples=-inf", "n_samples=nan", "n_samples=8192.5", "fs_hz=nan", "fs_hz=inf"],
+    )
+    def test_sidecar_value_not_finite_or_not_whole_is_a_data_error(self, line, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        manifest = ["path,label,bearing_type,load_w,fs_hz"]
+        for name, label in (("a.f32", "healthy"), ("b.f32", "ball_crack")):
+            write_recording_f32(rng.standard_normal(8192), 8192, tmp_path / name)
+            manifest.append(f"{name},{label},6204,0,8192")
+        (tmp_path / "manifest.csv").write_text("\n".join(manifest) + "\n")
+        sidecar = tmp_path / "b.f32.hdr"
+        key, _, value = line.partition("=")
+        lines = sidecar.read_text().splitlines()
+        lineno = next(i for i, old in enumerate(lines, start=1) if old.startswith(f"{key}="))
+        lines[lineno - 1] = line
+        sidecar.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        args = ["extract", "--manifest", str(tmp_path / "manifest.csv"), "--out", str(out), "--segment", "0.5"]
+        assert main([*args, "--segments", "2", "--T", "0.25"]) == EXIT_DATA_ERROR
+        rule = "must be a whole number" if key == "n_samples" else "must be finite"
+        assert capsys.readouterr().err == f"data error: b.f32: {sidecar}:{lineno}: {key} {rule}, got {value!r}\n"
+        assert not out.exists()
 
     def test_design_table_with_a_load_resistance_column_is_a_data_error(self, small_corpus, tmp_path, capsys):
         """The load is --r-ohm alone: a table in the old six-column format is
@@ -336,6 +366,12 @@ class TestSweep:
         assert lines[0] == "design,thickness_mm,T_s,mean_accuracy,std_accuracy,n_repeats,seed0"
         assert len(lines) == 3
 
+    def test_single_repeat_writes_zero_std(self, small_corpus, tmp_path, capsys):
+        args = ["sweep", *small_flags(small_corpus, tmp_path), "--thicknesses", "0.50", "--t-values", str(SMALL_SEGMENT_S)]
+        assert main([*args, "--repeats", "1"]) == EXIT_OK
+        (row,) = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert row.split(",")[4:6] == ["0.0", "1"]
+
 
 class TestScatter:
     def test_missing_fault_state_rejected_before_reading(self, small_corpus, tmp_path, monkeypatch, capsys):
@@ -421,6 +457,39 @@ class TestScatter:
             "0.25",
         ]
         assert main(args) == EXIT_DATA_ERROR
+
+
+# The stdout of sweep and scatter in the README experiment (seed 0), with
+# {out} for the output directory, and the SHA-256 of the scatter.svg it writes.
+README_SWEEP_STDOUT = """\
+design,thickness_mm,T_s,mean_accuracy,std_accuracy,n_repeats,seed0
+peh_0.35mm,0.35,1.0,1.0,0.0,20,0
+peh_0.35mm,0.35,3.0,1.0,0.0,20,0
+peh_0.40mm,0.4,1.0,1.0,0.0,20,0
+peh_0.40mm,0.4,3.0,1.0,0.0,20,0
+peh_0.45mm,0.45,1.0,1.0,0.0,20,0
+peh_0.45mm,0.45,3.0,1.0,0.0,20,0
+peh_0.50mm,0.5,1.0,1.0,0.0,20,0
+peh_0.50mm,0.5,3.0,1.0,0.0,20,0
+wrote sweep table to {out}/sweep.csv
+"""
+README_SCATTER_STDOUT = """\
+peh_0.35mm: healthy 0.488653 J, faulty 0.297037 J, distance to diagonal 0.135493 J
+peh_0.40mm: healthy 0.0404399 J, faulty 0.0966347 J, distance to diagonal 0.0397357 J
+peh_0.45mm: healthy 0.0702029 J, faulty 0.120019 J, distance to diagonal 0.0352254 J
+peh_0.50mm: healthy 1.46225 J, faulty 0.0301411 J, distance to diagonal 1.01265 J
+wrote {out}/scatter.csv and {out}/scatter.svg
+"""
+README_SCATTER_SVG_SHA256 = "1d98ca82eea50bec8f0f64ccb5337ad55e94bc80a154cd808d02dab800f2952c"
+
+
+def test_readme_sweep_and_scatter_stdout_and_svg_are_pinned(default_corpus, tmp_path, capsys):
+    base = ["--manifest", str(default_corpus.root / "manifest.csv"), "--out", str(tmp_path), "--seed", "0"]
+    assert main(["sweep", "--thicknesses", "0.35,0.40,0.45,0.50", "--t-values", "1,3", *base]) == EXIT_OK
+    assert capsys.readouterr() == (README_SWEEP_STDOUT.format(out=tmp_path), "")
+    assert main(["scatter", *base]) == EXIT_OK
+    assert capsys.readouterr() == (README_SCATTER_STDOUT.format(out=tmp_path), "")
+    assert hashlib.sha256((tmp_path / "scatter.svg").read_bytes()).hexdigest() == README_SCATTER_SVG_SHA256
 
 
 DEMO_STDOUT = {
