@@ -37,7 +37,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError
 from .frontend import MIN_CYCLES_PER_PERIOD
-from .harvester import DEFAULT_DESIGNS, design_from_thickness
+from .harvester import DEFAULT_DESIGNS, MIN_FS_PER_F0, design_from_thickness
 from .report import (
     BITS_PER_SAMPLE,
     E_ADC_PER_SAMPLE_J,
@@ -82,34 +82,16 @@ class RunConfig:
     out_dir: str = "out"
 
 
-def _convert_field(name: str, raw: str):
-    if name in ("thicknesses", "t_values"):
-        return _comma_floats(raw)
-    if name == "labels":
-        return _comma_strs(raw)
-    if name == "stratified":
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
         raise ValueError(f"expected a boolean, got {raw!r}")
-    return type(getattr(RunConfig, name))(raw)  # the field's default gives its type
+    return raw.lower() in ("true", "1", "yes", "on")
 
 
 def parse_config_file(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    known = {f.name for f in fields(RunConfig)}
-    values: dict = {}
-    for lineno, key, raw in read_key_values(path, ConfigError):
-        if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _convert_field(key, raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-    return values
+    keys = {f.name: type(f.default) for f in fields(RunConfig)}  # the field's default gives its type
+    keys.update(thicknesses=_comma_floats, t_values=_comma_floats, labels=_comma_strs, stratified=_boolean)
+    return read_key_values(path, "config file", ConfigError, keys)
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -185,7 +167,9 @@ def _designs(cfg: RunConfig, thicknesses) -> list:
         raise ConfigError(str(exc)) from None
 
 
-def _manifest_for(cfg: RunConfig) -> Manifest:
+def _manifest_for(cfg: RunConfig, designs) -> Manifest:
+    """The manifest's entries that pass the filters: at least one, each
+    sampled at >= MIN_FS_PER_F0 times the highest resonance in use."""
     if not cfg.manifest:
         raise ConfigError("a manifest path is required (--manifest or config key manifest)")
     manifest = load_manifest(cfg.manifest)
@@ -203,6 +187,13 @@ def _manifest_for(cfg: RunConfig) -> Manifest:
     )
     if not manifest.entries:
         raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
+    fastest = max(designs, key=lambda design: design.f0_hz)
+    for meta in manifest.entries:
+        if meta.fs < MIN_FS_PER_F0 * fastest.f0_hz:
+            raise DataError(
+                f"{cfg.manifest}: {meta.path}: sampling rate {meta.fs:g} Hz < {MIN_FS_PER_F0:g} * f0 = "
+                f"{MIN_FS_PER_F0 * fastest.f0_hz:g} Hz of {fastest.name}"
+            )
     return manifest
 
 
@@ -264,7 +255,7 @@ def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
 def cmd_extract(cfg: RunConfig, args, explicit) -> int:
     (design,) = _designs(cfg, [cfg.thickness_mm])
     _check_periods([cfg.t_s], [design], cfg.segment_s)
-    manifest = _manifest_for(cfg)
+    manifest = _manifest_for(cfg, [design])
     rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
     target = write_atomic(Path(cfg.out_dir) / "features.csv", _features_csv(rows, features, design.name, cfg.t_s))
     print(f"wrote {len(features)} feature rows to {target}")
@@ -274,7 +265,7 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
 def cmd_classify(cfg: RunConfig, args, explicit) -> int:
     (design,) = _designs(cfg, [cfg.thickness_mm])
     _check_periods([cfg.t_s], [design], cfg.segment_s)
-    manifest = _manifest_for(cfg)
+    manifest = _manifest_for(cfg, [design])
     _require_classes(cfg, manifest)
     rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
     split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
@@ -298,7 +289,7 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
 def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
     designs = _designs(cfg, cfg.thicknesses)
     _check_periods(cfg.t_values, designs, cfg.segment_s)
-    manifest = _manifest_for(cfg)
+    manifest = _manifest_for(cfg, designs)
     _require_classes(cfg, manifest)
     rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, cfg.t_values, cfg.r_ohm)
     split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
@@ -320,7 +311,7 @@ def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
     fault_label = _fault_label(cfg)
     designs = _designs(cfg, cfg.thicknesses)
     _check_periods([cfg.t_s], designs, cfg.segment_s)
-    manifest = _manifest_for(cfg)
+    manifest = _manifest_for(cfg, designs)
     present = {meta.label for meta in manifest.entries}
     for state in (MachineState.HEALTHY, fault_label):
         if state not in present:

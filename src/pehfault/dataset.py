@@ -8,8 +8,11 @@ paths are resolved relative to the manifest's directory.
 Recording formats:
   * text: one decimal value per line (any extension other than the raw ones);
   * raw: little-endian 32-bit floats (`.f32` or `.raw`), optionally with a
-    sidecar text header `<file>.hdr` declaring `fs_hz=` and `n_samples=`,
-    which are validated when present.
+    sidecar text header `<file>.hdr` declaring `fs_hz=` and `n_samples=`.
+
+Every input-file rule (UTF-8, unknown and repeated keys, `file:line` in each
+error) lives in read_text, read_key_values and read_csv_table; each format
+declares only its keys or columns and their converters.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -96,41 +99,74 @@ class FeatureRows:
     segment_indices: tuple[int, ...]
 
 
-def read_key_values(path: str | Path, error: type[Exception]) -> list[tuple[int, str, str]]:
-    """(line, key, value) of each line of a flat key=value file, both sides
-    stripped; blank lines and `#` comment lines are skipped. A line without
-    `=` raises `error` naming the file and line."""
-    entries = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+def read_text(path: str | Path, what: str, error: type[Exception]) -> str:
+    """The contents of a UTF-8 text file. A missing file raises `error`
+    `<what> not found: <path>`, a byte that is not UTF-8 `<path>: not UTF-8
+    text (byte <offset>)`."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        return path.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_key_values(path: str | Path, what: str, error: type[Exception], keys: dict[str, Callable[[str], Any]]) -> dict:
+    """The values of a flat key=value file, each converted by its key's entry
+    in `keys`. Both sides are stripped; blank lines and `#` comment lines are
+    skipped. A line without `=`, a key not in `keys`, a key given twice or a
+    value whose converter raises ValueError raises `error` naming the file and
+    line (see read_text for the file itself)."""
+    values = {}
+    for lineno, line in enumerate(read_text(path, what, error).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not equals:
             raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        entries.append((lineno, key.strip(), value.strip()))
-    return entries
+        if key not in keys:
+            raise error(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise error(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            values[key] = keys[key](value)
+        except ValueError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from None
+    return values
 
 
-def read_csv_table(path: str | Path, header: Sequence[str], what: str) -> list[tuple[int, list[str]]]:
-    """(line, fields) of each data row of a CSV file that starts with `header`,
-    fields stripped. Blank lines are skipped; errors name the physical line."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{what} not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        # A blank line is no field or one whitespace-only field.
-        rows = [(reader.line_num, [f.strip() for f in row]) for row in reader if len(row) > 1 or "".join(row).strip()]
+def read_csv_table(
+    path: str | Path, what: str, columns: dict[str, Callable[[str], Any]], make: Callable, unique: Sequence[str] = ()
+) -> list:
+    """One `make(*values)` per data row of a CSV file whose header is the
+    names of `columns`, each field stripped and converted by its column's
+    entry. Blank lines are skipped. A row of the wrong length, a converter or
+    `make` raising ValueError or DataError, or a row repeating another's
+    `unique` attribute is a DataError naming the physical line (see read_text
+    for the file itself)."""
+    reader = csv.reader(io.StringIO(read_text(path, what, DataError), newline=""))
+    # A blank line is no field or one whitespace-only field.
+    rows = [(reader.line_num, [f.strip() for f in row]) for row in reader if len(row) > 1 or "".join(row).strip()]
     if not rows:
         raise DataError(f"empty {what}: {path}")
     (header_line, found), rows = rows[0], rows[1:]
-    if tuple(found) != tuple(header):
-        raise DataError(f"{path}:{header_line}: {what} header must be {','.join(header)}, got {','.join(found)!r}")
+    if tuple(found) != tuple(columns):
+        raise DataError(f"{path}:{header_line}: {what} header must be {','.join(columns)}, got {','.join(found)!r}")
+    made, seen = [], {name: set() for name in unique}
     for lineno, fields in rows:
-        if len(fields) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
-    return rows
+        if len(fields) != len(columns):
+            raise DataError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(fields)}")
+        try:
+            made.append(make(*(convert(field) for convert, field in zip(columns.values(), fields))))
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        for name, values in seen.items():
+            if getattr(made[-1], name) in values:
+                raise DataError(f"{path}:{lineno}: duplicate {name} {getattr(made[-1], name)!r}")
+            values.add(getattr(made[-1], name))
+    return made
 
 
 def _fmt(x: float) -> str:
@@ -150,18 +186,9 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def load_manifest(path: str | Path) -> Manifest:
     """Parse and validate a manifest CSV; duplicate paths are rejected."""
-    path = Path(path)
-    entries: list[RecordingMeta] = []
-    seen: set[str] = set()
-    for lineno, (rec_path, label, bearing, load_w, fs) in read_csv_table(path, MANIFEST_FIELDS, "manifest"):
-        if rec_path in seen:
-            raise DataError(f"{path}:{lineno}: duplicate recording path {rec_path!r}")
-        seen.add(rec_path)
-        try:
-            entries.append(RecordingMeta(rec_path, MachineState.from_token(label), bearing, int(load_w), float(fs)))
-        except (DataError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    root = path.resolve().parent
+    columns = dict(zip(MANIFEST_FIELDS, (str, MachineState.from_token, str, int, float)))
+    entries = read_csv_table(path, "manifest", columns, RecordingMeta, unique=("path",))
+    root = Path(path).resolve().parent
     for meta in entries:
         if not (root / meta.path).is_file():
             raise DataError(f"{path}: recording file not found: {root / meta.path}")
@@ -169,14 +196,10 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def load_design_table(path: str | Path) -> tuple[PehDesign, ...]:
-    """Read a design table from CSV with header name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g."""
-    designs = []
-    for lineno, (name, *numbers) in read_csv_table(path, DESIGN_TABLE_FIELDS, "design table"):
-        try:
-            designs.append(PehDesign(name, *(float(value) for value in numbers)))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return tuple(designs)
+    """Read a design table from CSV with header name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g;
+    a repeated name or thickness is rejected."""
+    columns = dict(zip(DESIGN_TABLE_FIELDS, (str, float, float, float, float)))
+    return tuple(read_csv_table(path, "design table", columns, PehDesign, unique=("name", "thickness_mm")))
 
 
 def filter_manifest(
@@ -201,7 +224,7 @@ def _load_text_recording(full: Path) -> np.ndarray:
     converted in one numpy call (which applies `float()` to each line); a
     blank, bad or non-finite line sends it through the per-line loop, which
     skips blank lines and names the first bad `file:line`."""
-    lines = full.read_text().splitlines()
+    lines = read_text(full, "recording file", DataError).splitlines()
     try:
         samples = np.array(lines, dtype=np.float64)
     except ValueError:
@@ -224,23 +247,21 @@ def _load_text_recording(full: Path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _read_sidecar(full: Path) -> dict[str, float]:
-    """The values a `<file>.hdr` sidecar declares: each finite, and
-    n_samples a whole number; any other is a DataError naming the line."""
-    sidecar = full.with_name(full.name + ".hdr")
-    if not sidecar.is_file():
-        return {}
-    declared: dict[str, float] = {}
-    for lineno, key, value in read_key_values(sidecar, DataError):
-        try:
-            declared[key] = float(value)
-        except ValueError:
-            raise DataError(f"{sidecar}:{lineno}: unparseable value {value!r}") from None
-        if key == "n_samples" and not declared[key].is_integer():  # NaN and infinity fail too
-            raise DataError(f"{sidecar}:{lineno}: n_samples must be a whole number, got {value!r}")
-        if not math.isfinite(declared[key]):
-            raise DataError(f"{sidecar}:{lineno}: {key} must be finite, got {value!r}")
-    return declared
+def _sidecar_value(rule: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
+    """A sidecar value converter: the number, if it passes `ok`."""
+
+    def convert(value: str) -> float:
+        if not ok(float(value)):
+            raise ValueError(f"{rule}, got {value!r}")
+        return float(value)
+
+    return convert
+
+
+SIDECAR_KEYS = {
+    "fs_hz": _sidecar_value("fs_hz must be finite", math.isfinite),
+    "n_samples": _sidecar_value("n_samples must be a whole number", float.is_integer),  # NaN and infinity fail too
+}
 
 
 def _load_raw_recording(full: Path, fs: float) -> np.ndarray:
@@ -248,11 +269,12 @@ def _load_raw_recording(full: Path, fs: float) -> np.ndarray:
     if size % 4 != 0:
         raise DataError(f"{full}: raw float32 file size {size} is not a multiple of 4")
     samples = np.fromfile(full, dtype="<f4").astype(np.float64)
-    declared = _read_sidecar(full)
-    if "n_samples" in declared and int(declared["n_samples"]) != len(samples):
-        raise DataError(f"{full}: sidecar declares {int(declared['n_samples'])} samples, file holds {len(samples)}")
+    sidecar = full.with_name(full.name + ".hdr")
+    declared = read_key_values(sidecar, "sidecar", DataError, SIDECAR_KEYS) if sidecar.is_file() else {}
+    if "n_samples" in declared and declared["n_samples"] != len(samples):
+        raise DataError(f"{sidecar}: sidecar declares {int(declared['n_samples'])} samples, file holds {len(samples)}")
     if "fs_hz" in declared and abs(declared["fs_hz"] - fs) > 1e-6 * fs:
-        raise DataError(f"{full}: sidecar declares fs={declared['fs_hz']:g} Hz, manifest says {fs:g} Hz")
+        raise DataError(f"{sidecar}: sidecar declares fs={declared['fs_hz']:g} Hz, manifest says {fs:g} Hz")
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
         raise DataError(f"{full}: non-finite sample at index {bad[0]}")
@@ -424,6 +446,18 @@ DEFAULT_SURROGATE_SPEC = SurrogateSpec(
 )
 
 
+def _tones(value: str) -> tuple[tuple[float, float], ...]:
+    pairs = [pair.split(":") for pair in value.split(",") if pair.strip()]
+    if not all(len(pair) == 2 for pair in pairs):
+        raise ValueError(f"tones must be f:amp,f:amp,..., got {value!r}")
+    return tuple((float(f_hz), float(amplitude)) for f_hz, amplitude in pairs)
+
+
+RECIPE_KEYS = dict(count_per_class=int, fs_hz=float, duration_s=float, amplitude_jitter=float, bearing_type=str, load_w=int, seed=int)
+RECIPE_KEYS.update({f"{state.value}.tones": _tones for state in MachineState})
+RECIPE_KEYS.update({f"{state.value}.noise_sigma": float for state in MachineState})
+
+
 def load_surrogate_spec(path: str | Path) -> SurrogateSpec:
     """Read a surrogate recipe from a flat key-value file.
 
@@ -431,46 +465,15 @@ def load_surrogate_spec(path: str | Path) -> SurrogateSpec:
     bearing_type, load_w, seed. Per-class keys use a `<label>.` prefix:
     `<label>.tones=f:amp,f:amp,...` and `<label>.noise_sigma=`.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"surrogate spec not found: {path}")
-    plain: dict = {}
-    tones: dict[MachineState, tuple[tuple[float, float], ...]] = {}
-    sigmas: dict[MachineState, float] = {}
-    for lineno, key, value in read_key_values(path, ConfigError):
-        if "." in key:
-            label_token, _, attr = key.partition(".")
-            try:
-                state = MachineState.from_token(label_token)
-            except DataError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            if attr == "tones":
-                try:
-                    tones[state] = tuple(
-                        (float(pair.split(":")[0]), float(pair.split(":")[1]))
-                        for pair in value.split(",")
-                        if pair.strip()
-                    )
-                except (ValueError, IndexError):
-                    raise ConfigError(f"{path}:{lineno}: tones must be f:amp,f:amp,..., got {value!r}") from None
-            elif attr == "noise_sigma":
-                try:
-                    sigmas[state] = float(value)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: unparseable noise sigma {value!r}") from None
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown per-class key {key!r}")
-        elif key in ("count_per_class", "fs_hz", "duration_s", "amplitude_jitter", "bearing_type", "load_w", "seed"):
-            field = "fs" if key == "fs_hz" else key
-            try:
-                plain[field] = type(getattr(SurrogateSpec, field))(value)  # the field's default gives its type
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    if not tones:
+    values = read_key_values(path, "surrogate spec", ConfigError, RECIPE_KEYS)
+    classes = {
+        state: ClassSignalSpec(values[f"{state.value}.tones"], values.get(f"{state.value}.noise_sigma", 0.0))
+        for state in MachineState
+        if f"{state.value}.tones" in values
+    }
+    if not classes:
         raise ConfigError(f"{path}: no per-class tone lists given")
-    classes = {state: ClassSignalSpec(tone_list, sigmas.get(state, 0.0)) for state, tone_list in tones.items()}
+    plain = {("fs" if key == "fs_hz" else key): value for key, value in values.items() if "." not in key}
     return SurrogateSpec(classes, **plain)
 
 

@@ -6,6 +6,7 @@ from pehfault.dataset import (
     ClassSignalSpec,
     MachineState,
     SurrogateSpec,
+    load_surrogate_spec,
     synth_surrogate_corpus,
     write_recording_f32,
 )
@@ -49,6 +50,28 @@ def mixed_rate_manifest(root):
     path = root / "manifest.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+TINY_RECIPE = "count_per_class=1\nfs_hz=8192\nduration_s=1\nhealthy.tones=200:1.0\nball_crack.tones=150:1.0\n"
+TINY_FLAGS = ["--segment", "0.5", "--segments", "2", "--T", "0.25"]
+
+
+def tiny_corpus(root, text=False):
+    """A surrogate-gen corpus of one 1 s recording per state; with `text`,
+    the recordings are rewritten as text (one repr per line) and the raw
+    files and sidecars removed."""
+    (root / "recipe.cfg").write_text(TINY_RECIPE)
+    corpus = root / "corpus"
+    synth_surrogate_corpus(load_surrogate_spec(root / "recipe.cfg"), 0, corpus)
+    if text:
+        for recording in sorted(corpus.glob("*.f32")):
+            samples = np.fromfile(recording, dtype="<f4").tolist()
+            recording.with_suffix(".txt").write_text("".join(f"{v!r}\n" for v in samples))
+            recording.unlink()
+            recording.with_name(recording.name + ".hdr").unlink()
+        manifest = corpus / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace(".f32,", ".txt,"))
+    return corpus
 
 
 @pytest.fixture(scope="session")

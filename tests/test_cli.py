@@ -30,7 +30,15 @@ from pehfault.dataset import (
 )
 from pehfault.errors import ConfigError
 from pehfault.harvester import DEFAULT_DESIGNS
-from tests.conftest import MIXED_RATE_ERROR, MIXED_RATE_FLAGS, SMALL_SEGMENT_S, SMALL_SEGMENTS, mixed_rate_manifest
+from tests.conftest import (
+    MIXED_RATE_ERROR,
+    MIXED_RATE_FLAGS,
+    SMALL_SEGMENT_S,
+    SMALL_SEGMENTS,
+    TINY_FLAGS,
+    mixed_rate_manifest,
+    tiny_corpus,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -747,3 +755,116 @@ def test_value_error_inside_the_pipeline_is_not_a_config_error(small_corpus, tmp
     with pytest.raises(ValueError, match="a library fault"):
         main(["classify", *small_flags(small_corpus, tmp_path)])
     assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["fshz=9999", "n_sample=5", "fs_hz=8192"])
+def test_unknown_or_repeated_sidecar_key_is_a_data_error(line, tmp_path, capsys):
+    """A sidecar key the format does not declare, or one given twice, is
+    named with its line; it is not skipped."""
+    corpus = tiny_corpus(tmp_path)
+    sidecar = corpus / "healthy_00.f32.hdr"
+    sidecar.write_text(sidecar.read_text() + line + "\n")
+    key = line.partition("=")[0]
+    rule = f"duplicate key {key!r}" if key == "fs_hz" else f"unknown key {key!r}"
+    out = tmp_path / "out"
+    assert main(["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(out), *TINY_FLAGS]) == EXIT_DATA_ERROR
+    assert capsys.readouterr() == ("", f"data error: healthy_00.f32: {sidecar}:3: {rule}\n")
+    assert not out.exists()
+
+
+def _non_utf8_case(kind, root):
+    """(argv, the file that gets the bad byte, exit code, stderr prefix) for
+    one input file kind, on a tiny corpus under root."""
+    corpus = tiny_corpus(root, text=kind == "text recording")
+    manifest = corpus / "manifest.csv"
+    out = ["--out", str(root / "out")]
+    extract = ["extract", "--manifest", str(manifest), *out, *TINY_FLAGS]
+    if kind == "manifest":
+        return extract, manifest, EXIT_DATA_ERROR, ""
+    if kind == "design table":
+        table = root / "designs.csv"
+        table.write_text(",".join(DESIGN_TABLE_FIELDS) + "\ncustom_a,0.5,200,10,1.0\n")
+        return [*extract, "--design-table", str(table)], table, EXIT_DATA_ERROR, ""
+    if kind == "config":
+        config = root / "run.cfg"
+        config.write_text(f"manifest={manifest}\nthickness_mm=0.5\n")
+        return ["extract", "--config", str(config), *out, *TINY_FLAGS], config, EXIT_CONFIG_ERROR, ""
+    if kind == "recipe":
+        return ["surrogate-gen", "--spec", str(root / "recipe.cfg"), *out], root / "recipe.cfg", EXIT_CONFIG_ERROR, ""
+    if kind == "sidecar":
+        return extract, corpus / "healthy_00.f32.hdr", EXIT_DATA_ERROR, "healthy_00.f32: "
+    return extract, corpus / "healthy_00.txt", EXIT_DATA_ERROR, "healthy_00.txt: "
+
+
+@pytest.mark.parametrize("kind", ["manifest", "design table", "config", "recipe", "sidecar", "text recording"])
+def test_non_utf8_byte_in_an_input_file_names_the_file_and_offset(kind, tmp_path, capsys):
+    argv, target, code, prefix = _non_utf8_case(kind, tmp_path)
+    content = target.read_bytes()
+    offset = content.index(b"\n") + 1  # the start of the second line
+    target.write_bytes(content[:offset] + b"\xff" + content[offset:])
+    assert main(argv) == code
+    error = "config error" if code == EXIT_CONFIG_ERROR else "data error"
+    assert capsys.readouterr() == ("", f"{error}: {prefix}{target}: not UTF-8 text (byte {offset})\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+@pytest.mark.parametrize(
+    "row, repeated", [("custom_a,0.45,175,10,1.0", "name 'custom_a'"), ("custom_b,0.50,210,10,1.0", "thickness_mm 0.5")]
+)
+def test_design_table_repeating_a_name_or_thickness_is_a_data_error(command, row, repeated, tmp_path, capsys):
+    """Without this, a repeated thickness silently took its first row, and a
+    repeated name wrote sweep rows that cannot be told apart."""
+    table = tmp_path / "designs.csv"
+    table.write_text(",".join(DESIGN_TABLE_FIELDS) + "\ncustom_a,0.5,200,10,1.0\n\n" + row + "\n")
+    out = tmp_path / "out"
+    args = [command, "--manifest", str(_missing_recordings_manifest(tmp_path)), "--out", str(out)]
+    args += ["--design-table", str(table), "--thickness" if command == "classify" else "--thicknesses", "0.5"]
+    assert main(args) == EXIT_DATA_ERROR
+    assert capsys.readouterr() == ("", f"data error: {table}:4: duplicate {repeated}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "classify", "sweep", "scatter"])
+def test_manifest_rate_under_twenty_times_the_highest_resonance_is_rejected_before_reading(
+    command, tmp_path, monkeypatch, capsys
+):
+    """peh_0.50mm resonates at 200 Hz, so every recording needs fs >= 4000 Hz;
+    sweep and scatter use it beside the slower designs."""
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("a recording was read")
+
+    monkeypatch.setattr(pehfault.dataset, "load_recording", no_reading)
+    lines = ["path,label,bearing_type,load_w,fs_hz"]
+    for name, label, fs in (("a.f32", "healthy", 8192), ("b.f32", "ball_crack", 3999), ("c.f32", "healthy", 100)):
+        write_recording_f32(np.zeros(8), fs, tmp_path / name)
+        lines.append(f"{name},{label},6204,0,{fs}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    args = [command, "--manifest", str(manifest), "--out", str(out)]
+    if command == "sweep":
+        args += ["--thicknesses", "0.35,0.50"]
+    assert main(args) == EXIT_DATA_ERROR
+    expected = f"data error: {manifest}: b.f32: sampling rate 3999 Hz < 20 * f0 = 4000 Hz of peh_0.50mm\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, rule",
+    [
+        ("energy-report", "--config", "k=3\n\nk=5\n", "duplicate key 'k'"),
+        ("surrogate-gen", "--spec", "healthy.tones=200:1\nfs_hz=8192\nhealthy.tones=100:1\n", "duplicate key 'healthy.tones'"),
+        ("surrogate-gen", "--spec", "healthy.tones=200:1\n# a comment\nhealthy.sigma=0.1\n", "unknown key 'healthy.sigma'"),
+        ("surrogate-gen", "--spec", "healthy.tones=200:1\nfs_hz=8192\nhealthyy.tones=100:1\n", "unknown key 'healthyy.tones'"),
+    ],
+)
+def test_a_config_or_recipe_key_given_twice_or_unknown_is_a_config_error(command, flag, text, rule, tmp_path, capsys):
+    """Neither format lets a later line silently replace an earlier one."""
+    path = tmp_path / "input.cfg"
+    path.write_text(text)
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", f"config error: {path}:3: {rule}\n")
+    assert not (tmp_path / "out").exists()
