@@ -164,7 +164,7 @@ def _designs(cfg: RunConfig, thicknesses) -> list:
     try:
         return [design_from_thickness(t, table) for t in thicknesses]
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{cfg.design_table}: {exc}" if cfg.design_table else str(exc)) from None
 
 
 def _manifest_for(cfg: RunConfig, designs) -> Manifest:
@@ -178,7 +178,7 @@ def _manifest_for(cfg: RunConfig, designs) -> Manifest:
         try:
             labels = tuple(MachineState.from_token(tok) for tok in cfg.labels)
         except DataError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"labels: {exc}") from None
     manifest = filter_manifest(
         manifest,
         labels=labels,

@@ -22,6 +22,8 @@ import enum
 import io
 import math
 import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -29,9 +31,9 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .frontend import make_feature
-from .harvester import PehDesign, simulate_voltage
-from .signals import SignalUnit, TimeSeries, segment
+from .frontend import interval_samples
+from .harvester import PehDesign, filter_coefficients
+from .signals import SignalUnit, TimeSeries, window_samples
 
 MANIFEST_FIELDS = ("path", "label", "bearing_type", "load_w", "fs_hz")
 DESIGN_TABLE_FIELDS = ("name", "thickness_mm", "f0_hz", "bw3db_hz", "peak_gain_v_per_g")
@@ -335,33 +337,101 @@ def build_feature_sets(
     Returns the row metadata and sets[i][j], the float64 (n, dim) feature
     matrix of designs[i] at integration period periods[j]. Each recording is
     loaded and segmented once, each segment is filtered once per design (from
-    zero state), and each voltage is integrated once per period; only one
-    recording is held at a time. Rows are in manifest order, then segment
-    index. Every segment must give one dimension per period: a recording
-    whose sampling rate rounds to another is a DataError.
+    zero state), and each voltage is integrated once per period, with the
+    arithmetic of harvester.simulate_voltage and frontend.make_feature. Rows
+    are in manifest order, then segment index. Every segment must give one
+    dimension per period: a recording whose sampling rate rounds to another
+    is a DataError.
+
+    The calling thread loads the recordings one at a time in manifest order
+    and makes the checks of segment, simulate_voltage and make_feature once
+    per recording, in the order the per-segment loop makes them. The filter
+    and integration of each (recording, design) go to a pool of one thread
+    per CPU this process may run on (at most one per recording); at most
+    that many recordings are in the pool, while the calling thread loads the
+    next. Each recording fills its own rows of the matrices, so the result
+    does not depend on the thread count. Errors come out in manifest order,
+    as from the per-segment loop: a recording's error is raised only once
+    every earlier recording is done, and on any error the work not yet
+    started is cancelled.
     """
-    rows = []
-    cells: list[list[list[np.ndarray]]] = [[[] for _ in periods] for _ in designs]
-    for meta in manifest.entries:
+    from scipy.signal import lfilter  # on first use, as in simulate_voltage
+
+    entries, count = manifest.entries, segments_per_recording
+    rows: list[tuple[str, str, int]] = []
+    sets: list[list[np.ndarray]] = [[np.empty((0, 0)) for _ in periods] for _ in designs]
+    dims: list[int] = []  # features per segment at each period, as the first recording gives them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(cpus, len(entries)))
+    pending: deque[tuple[RecordingMeta, list[Future]]] = deque()  # in the pool, in manifest order
+
+    def settle() -> None:
+        meta, futures = pending.popleft()
         try:
-            ts = load_recording(meta, manifest.root)
-            for index, piece in enumerate(segment(ts, segment_s, segments_per_recording)):
-                rows.append((meta.label.value, meta.path, index))
-                for design, design_cells in zip(designs, cells):
-                    voltage = simulate_voltage(design, piece)
-                    for period_s, cell in zip(periods, design_cells):
-                        values = make_feature(voltage, period_s, r_ohm)
-                        if cell and len(values) != len(cell[0]):
-                            raise DataError(
-                                f"{len(values)} features per segment at T={period_s:g}s, where "
-                                f"{manifest.entries[0].path} gives {len(cell[0])} (the sampling rates differ)"
-                            )
-                        cell.append(values)
+            for future in futures:
+                future.result()
         except (DataError, ValueError) as exc:
             raise DataError(f"{meta.path}: {exc}") from exc
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for position, meta in enumerate(entries):
+            try:
+                ts = load_recording(meta, manifest.root)
+                n_win = window_samples(ts, segment_s, count)
+                filters, windows = [], []
+                for design in designs:  # each check in the per-segment loop's order
+                    filters.append(filter_coefficients(design, ts))
+                    windows = _windows(n_win, ts.fs, periods, r_ohm, dims, entries[0].path)
+            except (DataError, ValueError) as exc:
+                while pending:  # an error of an earlier recording comes first
+                    settle()
+                raise DataError(f"{meta.path}: {exc}") from exc
+            while len(pending) >= workers:
+                settle()
+            if not dims and windows:
+                dims = [dim for _, dim in windows]
+                sets = [[np.empty((len(entries) * count, dim)) for dim in dims] for _ in designs]
+            rows += [(meta.label.value, meta.path, index) for index in range(count)]
+            pieces = ts.samples[: count * n_win].reshape(count, n_win)
+            scale, first_row = r_ohm * ts.fs, position * count
+            futures = [
+                pool.submit(_filter_and_integrate, lfilter, pieces, b, a, windows, scale, matrices, first_row)
+                for (b, a), matrices in zip(filters, sets)
+            ]
+            pending.append((meta, futures))
+        while pending:
+            settle()
+    finally:
+        pool.shutdown(cancel_futures=True)
     labels, recording_ids, segment_indices = zip(*rows) if rows else ((), (), ())
-    sets = [[np.vstack(cell) if cell else np.empty((0, 0)) for cell in design_cells] for design_cells in cells]
     return FeatureRows(np.array(labels, dtype=str), recording_ids, segment_indices), sets
+
+
+def _windows(n_win: int, fs: float, periods, r_ohm: float, dims: list[int], first: str) -> list[tuple[int, int]]:
+    """(samples per interval, intervals) of an n_win-sample segment at each
+    period, after the checks of make_feature; with `dims`, the counts of the
+    first recording `first`, each must equal its period's."""
+    windows = []
+    for j, period_s in enumerate(periods):
+        windows.append(interval_samples(n_win, fs, period_s, r_ohm))
+        if dims and windows[-1][1] != dims[j]:
+            raise DataError(
+                f"{windows[-1][1]} features per segment at T={period_s:g}s, where "
+                f"{first} gives {dims[j]} (the sampling rates differ)"
+            )
+    return windows
+
+
+def _filter_and_integrate(lfilter, pieces, b, a, windows, scale, matrices, first_row) -> None:
+    """Filter each row of `pieces` with the biquad (b, a), square it, and sum
+    it over each (samples per interval, intervals) of `windows`, divided by
+    `scale`, into rows first_row, ... of the matching matrix."""
+    for row, piece in enumerate(pieces, start=first_row):
+        v = lfilter(b, a, piece)
+        np.square(v, out=v)
+        for (n_per, dim), matrix in zip(windows, matrices):
+            matrix[row] = v[: dim * n_per].reshape(dim, n_per).sum(axis=1) / scale
 
 
 def build_feature_set(
@@ -466,15 +536,18 @@ def load_surrogate_spec(path: str | Path) -> SurrogateSpec:
     `<label>.tones=f:amp,f:amp,...` and `<label>.noise_sigma=`.
     """
     values = read_key_values(path, "surrogate spec", ConfigError, RECIPE_KEYS)
-    classes = {
-        state: ClassSignalSpec(values[f"{state.value}.tones"], values.get(f"{state.value}.noise_sigma", 0.0))
-        for state in MachineState
-        if f"{state.value}.tones" in values
-    }
-    if not classes:
-        raise ConfigError(f"{path}: no per-class tone lists given")
     plain = {("fs" if key == "fs_hz" else key): value for key, value in values.items() if "." not in key}
-    return SurrogateSpec(classes, **plain)
+    try:
+        classes = {
+            state: ClassSignalSpec(values[f"{state.value}.tones"], values.get(f"{state.value}.noise_sigma", 0.0))
+            for state in MachineState
+            if f"{state.value}.tones" in values
+        }
+        if not classes:
+            raise ConfigError("no per-class tone lists given")
+        return SurrogateSpec(classes, **plain)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _synth_class_recording(cspec: ClassSignalSpec, fs: float, duration_s: float, jitter: float, rng) -> np.ndarray:

@@ -26,18 +26,25 @@ def make_feature(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
     cycles (the CLI requires MIN_CYCLES_PER_PERIOD resonance cycles) so the
     samples form a low-frequency sequence.
     """
+    n_per, n_intervals = interval_samples(len(v), v.fs, period_s, r_ohm)
+    squared = v.samples[: n_intervals * n_per] ** 2
+    return squared.reshape(n_intervals, n_per).sum(axis=1) / (r_ohm * v.fs)
+
+
+def interval_samples(n: int, fs: float, period_s: float, r_ohm: float) -> tuple[int, int]:
+    """The checks of `make_feature` on a trace of n samples at fs, and its
+    (samples per interval, number of intervals)."""
     if period_s <= 0:
         raise ValueError(f"integration period must be positive, got {period_s}")
     if r_ohm <= 0:
         raise ValueError(f"load resistance must be positive, got {r_ohm}")
-    n_per = int(round(period_s * v.fs))
+    n_per = int(round(period_s * fs))
     if n_per < 1:
-        raise ValueError(f"integration period {period_s}s is shorter than one sample at fs={v.fs}")
-    n_intervals = len(v) // n_per
+        raise ValueError(f"integration period {period_s}s is shorter than one sample at fs={fs}")
+    n_intervals = n // n_per
     if n_intervals == 0:
-        raise ValueError(f"trace of {v.duration_s:g}s is shorter than one integration period of {period_s:g}s")
-    squared = v.samples[: n_intervals * n_per] ** 2
-    return squared.reshape(n_intervals, n_per).sum(axis=1) / (r_ohm * v.fs)
+        raise ValueError(f"trace of {n / fs:g}s is shorter than one integration period of {period_s:g}s")
+    return n_per, n_intervals
 
 
 def mean_state_energy(features: np.ndarray, labels) -> dict:

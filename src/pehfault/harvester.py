@@ -99,8 +99,9 @@ def _biquad_coefficients(design: PehDesign, fs: float) -> tuple[np.ndarray, np.n
     return b, a
 
 
-def simulate_voltage(design: PehDesign, accel: TimeSeries) -> TimeSeries:
-    """Voltage trace of a design driven by base acceleration, zero initial state."""
+def filter_coefficients(design: PehDesign, accel: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of `simulate_voltage`, and the biquad (b, a) it filters
+    `accel` with."""
     if accel.unit is not SignalUnit.ACCELERATION_G:
         raise ValueError(f"input must be acceleration in g, got unit {accel.unit.value}")
     if len(accel) == 0:
@@ -109,9 +110,15 @@ def simulate_voltage(design: PehDesign, accel: TimeSeries) -> TimeSeries:
         raise ValueError(
             f"sampling rate too low: {accel.fs} Hz < {MIN_FS_PER_F0:g} * f0 = {MIN_FS_PER_F0 * design.f0_hz:g} Hz"
         )
+    return _biquad_coefficients(design, accel.fs)
+
+
+def simulate_voltage(design: PehDesign, accel: TimeSeries) -> TimeSeries:
+    """Voltage trace of a design driven by base acceleration, zero initial state."""
+    b, a = filter_coefficients(design, accel)
     from scipy.signal import lfilter  # on first use: a ~1 s import that energy-report and surrogate-gen never need
 
-    return TimeSeries(lfilter(*_biquad_coefficients(design, accel.fs), accel.samples), accel.fs, SignalUnit.VOLTS)
+    return TimeSeries(lfilter(b, a, accel.samples), accel.fs, SignalUnit.VOLTS)
 
 
 def measure_steady_gain(

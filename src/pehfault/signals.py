@@ -160,12 +160,8 @@ def band_energy_digital(ts: TimeSeries, f_lo: float, f_hi: float, r_ohm: float =
     return float(np.sum(sp.magnitudes[sel] ** 2) / (len(ts) * r_ohm * ts.fs))
 
 
-def segment(ts: TimeSeries, window_s: float, count: int) -> list[TimeSeries]:
-    """Split into `count` contiguous non-overlapping windows starting at t=0.
-
-    Each window holds round(window_s * fs) samples; the series must be long
-    enough to supply all of them.
-    """
+def window_samples(ts: TimeSeries, window_s: float, count: int) -> int:
+    """The checks of `segment`, and the samples in each of its windows."""
     if window_s <= 0:
         raise ValueError(f"window must be positive, got {window_s}")
     if count < 1:
@@ -177,4 +173,14 @@ def segment(ts: TimeSeries, window_s: float, count: int) -> list[TimeSeries]:
         raise ValueError(
             f"insufficient duration: need {count}x{window_s}s = {count * n_win} samples, have {len(ts)}"
         )
+    return n_win
+
+
+def segment(ts: TimeSeries, window_s: float, count: int) -> list[TimeSeries]:
+    """Split into `count` contiguous non-overlapping windows starting at t=0.
+
+    Each window holds round(window_s * fs) samples; the series must be long
+    enough to supply all of them.
+    """
+    n_win = window_samples(ts, window_s, count)
     return [TimeSeries(ts.samples[i * n_win : (i + 1) * n_win], ts.fs, ts.unit) for i in range(count)]

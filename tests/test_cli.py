@@ -24,6 +24,7 @@ from pehfault.cli import (
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
     DESIGN_TABLE_FIELDS,
+    MachineState,
     load_design_table,
     load_surrogate_spec,
     write_recording_f32,
@@ -577,7 +578,7 @@ class TestSurrogateGen:
         spec = tmp_path / "spec.cfg"
         spec.write_text("fs_hz=8192\nduration_s=0.00001\nhealthy.tones=200:1.0\nball_crack.tones=150:1.0\n")
         assert main(["surrogate-gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == "config error: duration_s=1e-05 at fs_hz=8192 gives 0 samples; need >= 1\n"
+        assert capsys.readouterr().err == f"config error: {spec}: duration_s=1e-05 at fs_hz=8192 gives 0 samples; need >= 1\n"
         assert not list(tmp_path.rglob("*.f32"))
 
     def test_write_failure_is_data_error_without_manifest_or_temp_files(self, tmp_path, capsys):
@@ -868,3 +869,33 @@ def test_a_config_or_recipe_key_given_twice_or_unknown_is_a_config_error(command
     assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
     assert capsys.readouterr() == ("", f"config error: {path}:3: {rule}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_recipe_rule_broken_after_parsing_names_the_recipe(tmp_path, capsys):
+    """fs_hz and count_per_class swapped: every key parses, but the tone now
+    lies above fs/2."""
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text("count_per_class=8192\nfs_hz=1\nduration_s=1\nhealthy.tones=100:1.0\nball_crack.tones=60:0.5\n")
+    assert main(["surrogate-gen", "--spec", str(recipe), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", f"config error: {recipe}: healthy: tone at 100.0 Hz outside (0, fs/2)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_thickness_missing_from_the_design_table_names_the_table(tmp_path, capsys):
+    table = tmp_path / "designs.csv"
+    table.write_text(",".join(DESIGN_TABLE_FIELDS) + "\ncustom_a,0.5,200,10,1.0\n")
+    args = ["classify", "--manifest", str(_missing_recordings_manifest(tmp_path)), "--out", str(tmp_path / "out")]
+    assert main([*args, "--design-table", str(table), "--thickness", "0.45"]) == EXIT_CONFIG_ERROR
+    expected = f"config error: {table}: unknown design: thickness 0.45 mm not in table (0.5 mm)\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unknown_label_token_names_the_key(tmp_path, capsys):
+    corpus = tiny_corpus(tmp_path)
+    out = tmp_path / "out"
+    argv = ["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(out), "--labels", "healthy,nan", *TINY_FLAGS]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    valid = ", ".join(state.value for state in MachineState)
+    assert capsys.readouterr() == ("", f"config error: labels: unknown label token 'nan' (valid: {valid})\n")
+    assert not out.exists()

@@ -1,8 +1,12 @@
+import os
 import re
+import threading
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +30,7 @@ from pehfault.dataset import (
 )
 from pehfault.errors import ConfigError, DataError
 from pehfault.frontend import make_feature, mean_state_energy
-from pehfault.harvester import design_from_thickness, simulate_voltage
+from pehfault.harvester import _biquad_coefficients, design_from_thickness, simulate_voltage
 from pehfault.signals import segment
 from tests.conftest import MIXED_RATE_ERROR, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SPEC, mixed_rate_manifest
 
@@ -361,18 +365,22 @@ class TestBuildFeatureSets:
         assert "non-finite sample at index 5" in str(info.value)
 
     def test_sweep_and_scatter_load_once_and_filter_once(self, small_corpus, tmp_path, monkeypatch):
-        loads, filters = Counter(), Counter()
+        """Counted where the pipeline filters: each scipy.signal.lfilter call
+        is keyed by its coefficients and input row. The calls come from the
+        worker threads, so they are appended (atomic) and counted after."""
+        loads, calls = Counter(), []
+        lfilter = scipy.signal.lfilter
 
         def counting_load(meta, root="."):
             loads[meta.path] += 1
             return load_recording(meta, root)
 
-        def counting_simulate(design, accel):
-            filters[design.name, accel.samples.tobytes()] += 1
-            return simulate_voltage(design, accel)
+        def counting_lfilter(b, a, x, *args, **kwargs):
+            calls.append((np.asarray(b).tobytes() + np.asarray(a).tobytes(), np.asarray(x).tobytes()))
+            return lfilter(b, a, x, *args, **kwargs)
 
         monkeypatch.setattr(pehfault.dataset, "load_recording", counting_load)
-        monkeypatch.setattr(pehfault.dataset, "simulate_voltage", counting_simulate)
+        monkeypatch.setattr(scipy.signal, "lfilter", counting_lfilter)
         n_segments = len(small_corpus.entries) * SMALL_SEGMENTS
         flags = [
             "--manifest", str(small_corpus.root / "manifest.csv"), "--out", str(tmp_path),
@@ -384,11 +392,108 @@ class TestBuildFeatureSets:
             ["scatter", *flags, "--T", str(SMALL_SEGMENT_S)],
         ):
             loads.clear()
-            filters.clear()
+            calls.clear()
             assert main(argv) == 0
+            filters = Counter(calls)
             assert loads == Counter({meta.path: 1 for meta in small_corpus.entries})
             assert len(filters) == len(self.designs) * n_segments
             assert set(filters.values()) == {1}
+
+    @staticmethod
+    def _recordings(root, rates, bad=None):
+        """One second of noise per rate, as r0.f32, r1.f32, ..., each declared
+        at its own rate; recording `bad` holds a non-finite sample."""
+        rng = np.random.default_rng(1)
+        lines = ["path,label,bearing_type,load_w,fs_hz"]
+        for index, rate in enumerate(rates):
+            samples = rng.standard_normal(rate)
+            samples[5] = np.inf if index == bad else samples[5]
+            write_recording_f32(samples, rate, root / f"r{index}.f32")
+            lines.append(f"r{index}.f32,{('healthy', 'ball_crack')[index % 2]},6204,0,{rate}")
+        (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+        return load_manifest(root / "manifest.csv")
+
+    def test_a_filter_error_comes_before_a_later_load_error(self, tmp_path, monkeypatch):
+        """r1.f32 is under 20 * f0 of peh_0.50mm (the CLI would reject it
+        before reading; called directly, the pipeline meets it in the
+        filter's check), and r2.f32 fails its load: the first error is the
+        serial loop's."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        manifest = self._recordings(tmp_path, (8000, 3000, 8000), bad=2)
+        with pytest.raises(DataError) as info:
+            build_feature_sets(manifest, [design_from_thickness(0.50)], 0.25, 2, [0.125], 1.0)
+        assert str(info.value) == "r1.f32: sampling rate too low: 3000.0 Hz < 20 * f0 = 4000 Hz"
+
+    def _failing_filter(self, monkeypatch, fs, wait_for=None):
+        """Make the pipeline's filter raise `filter fault` on the segments of
+        a recording at fs Hz, once recording `wait_for` (if given) has been
+        loaded; return the list of paths loaded, in load order."""
+        loaded, events = [], {}
+        load, lfilter = pehfault.dataset.load_recording, scipy.signal.lfilter
+        b_fail, a_fail = _biquad_coefficients(design_from_thickness(0.50), fs)
+
+        def watching_load(meta, root="."):
+            loaded.append(meta.path)
+            events.setdefault(meta.path, threading.Event()).set()
+            return load(meta, root)
+
+        def failing_lfilter(b, a, x):
+            if np.array_equal(b, b_fail) and np.array_equal(a, a_fail):
+                if wait_for is not None:
+                    assert events.setdefault(wait_for, threading.Event()).wait(timeout=30)
+                raise ValueError("filter fault")
+            return lfilter(b, a, x)
+
+        monkeypatch.setattr(pehfault.dataset, "load_recording", watching_load)
+        monkeypatch.setattr(scipy.signal, "lfilter", failing_lfilter)
+        return loaded
+
+    def test_an_error_in_flight_comes_before_a_later_load_error(self, tmp_path, monkeypatch):
+        """The filter of r1.f32 fails in a worker only once r2.f32 has failed
+        its load, so the load error must wait for the recording in flight."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        manifest = self._recordings(tmp_path, (8000, 8001, 8000), bad=2)
+        loaded = self._failing_filter(monkeypatch, 8001.0, wait_for="r2.f32")
+        with pytest.raises(DataError) as info:
+            build_feature_sets(manifest, [design_from_thickness(0.50)], 0.25, 2, [0.125], 1.0)
+        assert str(info.value) == "r1.f32: filter fault"
+        assert loaded == ["r0.f32", "r1.f32", "r2.f32"]
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_an_error_in_a_worker_stops_the_pass(self, cpus, tmp_path, monkeypatch):
+        """r0.f32 fails in the filter: past the recordings in flight, one more
+        is loaded while they run, and no other."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        manifest = self._recordings(tmp_path, (8000, 8001, 8001, 8001, 8001))
+        loaded = self._failing_filter(monkeypatch, 8000.0)
+        with pytest.raises(DataError) as info:
+            build_feature_sets(manifest, [design_from_thickness(0.50)], 0.25, 2, [0.125], 1.0)
+        assert str(info.value) == "r0.f32: filter fault"
+        assert loaded == [f"r{i}.f32" for i in range(len(cpus) + 1)]
+
+    def test_on_an_error_the_queued_work_is_cancelled(self, tmp_path, monkeypatch):
+        """r0.f32 fails in its first design while its other two hold both
+        workers; the three designs of r1.f32 wait in the queue and are
+        never filtered."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        designs = [design_from_thickness(t) for t in (0.35, 0.45, 0.50)]
+        manifest = self._recordings(tmp_path, (8000, 8001, 8002))
+        first = [_biquad_coefficients(design, 8000.0)[0].tobytes() for design in designs]
+        filtered, lfilter = [], scipy.signal.lfilter
+
+        def slow_lfilter(b, a, x):
+            if b.tobytes() == first[0]:
+                raise ValueError("filter fault")
+            if b.tobytes() in first:
+                time.sleep(0.3)
+            filtered.append(b.tobytes())
+            return lfilter(b, a, x)
+
+        monkeypatch.setattr(scipy.signal, "lfilter", slow_lfilter)
+        with pytest.raises(DataError) as info:
+            build_feature_sets(manifest, designs, 0.25, 2, [0.125], 1.0)
+        assert str(info.value) == "r0.f32: filter fault"
+        assert sorted(filtered) == sorted(first[1:] * 2)
 
 
 class TestSurrogateCorpus:

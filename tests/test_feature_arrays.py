@@ -1,8 +1,11 @@
 """Differential tests of the array forms of `split` and `mean_state_energy`
 against the (vector, label) pair forms they replaced, kept verbatim below as
-the reference."""
+the reference, and of the threaded feature pipeline against the per-segment
+segment -> simulate_voltage -> make_feature loop."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pehfault.classify import SplitConfig, split
-from pehfault.frontend import mean_state_energy
+from pehfault.dataset import build_feature_sets, load_manifest, load_recording, write_recording_f32
+from pehfault.frontend import make_feature, mean_state_energy
+from pehfault.harvester import design_from_thickness, simulate_voltage
+from pehfault.signals import segment
 
 
 def _round_half_up(x: float) -> int:
@@ -118,3 +124,64 @@ def test_array_mean_state_energy_equals_the_pair_form_bit_for_bit(labels, dim, s
     got = mean_state_energy(features, np.array(labels))
     assert got == expected
     assert all(type(value) is float for value in got.values())
+
+
+DESIGNS = [design_from_thickness(t) for t in (0.35, 0.45, 0.50)]
+PERIODS = [0.1, 0.25, 0.15]
+SEGMENT_S, SEGMENTS = 0.5, 3
+R_OHM = 3.3  # with fs, a divisor whose reciprocal is inexact, so x * (1 / s) != x / s shows
+
+
+@pytest.fixture(scope="module")
+def mixed_length_manifest(tmp_path_factory):
+    """Seven noise-plus-tone recordings at 8000 Hz whose lengths differ, all
+    long enough for SEGMENTS segments and some with a partial tail."""
+    root = tmp_path_factory.mktemp("mixed_lengths")
+    rng = np.random.default_rng(11)
+    lines = ["path,label,bearing_type,load_w,fs_hz"]
+    for i, n in enumerate((12000, 12001, 20000, 12800, 16384, 13001, 30000)):
+        t = np.arange(n) / 8000.0
+        samples = rng.standard_normal(n) * 0.3 + np.sin(2 * np.pi * rng.uniform(100, 250) * t)
+        name = f"r{i}.f32"
+        write_recording_f32(samples, 8000.0, root / name)
+        lines.append(f"{name},{('healthy', 'ball_crack')[i % 2]},6204,0,8000")
+    (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+    return load_manifest(root / "manifest.csv")
+
+
+def per_segment_reference(manifest, designs, periods):
+    """sets[i][j] as the per-segment loop builds it: segment, then one
+    simulate_voltage per design, then one make_feature per period."""
+    sets = [[[] for _ in periods] for _ in designs]
+    for meta in manifest.entries:
+        for piece in segment(load_recording(meta, manifest.root), SEGMENT_S, SEGMENTS):
+            for design, design_sets in zip(designs, sets):
+                voltage = simulate_voltage(design, piece)
+                for period_s, rows in zip(periods, design_sets):
+                    rows.append(make_feature(voltage, period_s, R_OHM))
+    return [[np.vstack(rows) for rows in design_sets] for design_sets in sets]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}, {0, 1, 2, 3}])
+def test_pipeline_equals_the_per_segment_loop_bit_for_bit(cpus, mixed_length_manifest, monkeypatch):
+    """One worker, two, and more than this machine may have cores, switching
+    threads every few microseconds: each must give the reference's matrices,
+    so a row written to the wrong place or twice shows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rows, sets = build_feature_sets(mixed_length_manifest, DESIGNS, SEGMENT_S, SEGMENTS, PERIODS, R_OHM)
+    finally:
+        sys.setswitchinterval(interval)
+    expected = per_segment_reference(mixed_length_manifest, DESIGNS, PERIODS)
+    assert len(sets) == len(DESIGNS) and all(len(design_sets) == len(PERIODS) for design_sets in sets)
+    for design_sets, design_expected in zip(sets, expected):
+        for got, want in zip(design_sets, design_expected):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+    entries = mixed_length_manifest.entries
+    assert rows.recording_ids == tuple(meta.path for meta in entries for _ in range(SEGMENTS))
+    assert rows.segment_indices == tuple(range(SEGMENTS)) * len(entries)
+    assert rows.labels.tolist() == [meta.label.value for meta in entries for _ in range(SEGMENTS)]
+

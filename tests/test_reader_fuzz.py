@@ -5,8 +5,10 @@ a config and a design table that run on it), mutates it once, and runs the
 command that reads it. The exit is 0, 2 or 3 and nothing escapes. A failed
 run writes nothing. When the reader itself rejects the mutated file, the
 command fails with the reader's message, which names the file; a file the
-reader accepts may still fail a later check (a design not in the table, a
-sampling rate the sidecar contradicts), which names its parameter or file.
+reader accepts may still fail a later check (a sampling rate the sidecar
+contradicts, a config value out of range), which names its parameter or file.
+The recipe's reader includes the recipe's own rules, and the design table's
+the lookup of the thickness in use.
 """
 
 import os
@@ -19,17 +21,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pehfault.cli import EXIT_CONFIG_ERROR, EXIT_DATA_ERROR, EXIT_OK, main, parse_config_file
+from pehfault.cli import EXIT_CONFIG_ERROR, EXIT_DATA_ERROR, EXIT_OK, RunConfig, _designs, main, parse_config_file
 from pehfault.dataset import (
     DESIGN_TABLE_FIELDS,
     MachineState,
-    RECIPE_KEYS,
     RecordingMeta,
     csv_text,
-    load_design_table,
     load_manifest,
     load_recording,
-    read_key_values,
+    load_surrogate_spec,
 )
 from pehfault.errors import ConfigError, DataError
 from pehfault.harvester import DEFAULT_DESIGNS
@@ -141,7 +141,7 @@ def design_table_case(root):
     rows = [(d.name, d.thickness_mm, d.f0_hz, d.bw3db_hz, d.peak_gain_v_per_g) for d in DEFAULT_DESIGNS]
     table.write_text(csv_text(DESIGN_TABLE_FIELDS, rows))
     argv = [*_extract_argv(corpus), "--design-table", str(table), "--thickness", "0.5"]
-    return argv, table, lambda run, target: load_design_table(target)
+    return argv, table, lambda run, target: _designs(RunConfig(design_table=str(target)), [0.5])
 
 
 def config_case(root):
@@ -159,8 +159,7 @@ def recipe_case(root):
     recipe = root / "recipe.cfg"
     recipe.write_text(RECIPE)
     argv = ["surrogate-gen", "--spec", str(recipe), "--out", str(root / "out")]
-    # The recipe's own checks (a tone above fs/2, no sample) name the key, not the file.
-    return argv, recipe, lambda run, target: read_key_values(target, "surrogate spec", ConfigError, RECIPE_KEYS)
+    return argv, recipe, lambda run, target: load_surrogate_spec(target)
 
 
 CASES = [manifest_case, design_table_case, config_case, recipe_case, sidecar_case, text_recording_case]
