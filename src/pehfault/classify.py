@@ -92,7 +92,7 @@ def knn_fit(features, labels, k: int, metric: str = "raw") -> KnnModel:
 
 # Bytes of one (queries x train) float64 distance block; queries are taken in
 # blocks of as many rows as fit, at least one.
-_BLOCK_BYTES = 8 << 20
+_BLOCK_BYTES = 1 << 20
 
 
 def _distances(space: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -122,6 +122,26 @@ def _nearest(distances: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
+def _nearest_blocks(space: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """`_nearest(_distances(space, queries), k)`, computed for consecutive
+    blocks of query rows so that each block's distances fit _BLOCK_BYTES."""
+    order = np.empty((len(queries), k), dtype=np.intp)
+    rows = max(1, _BLOCK_BYTES // (8 * len(space)))
+    for start in range(0, len(queries), rows):
+        order[start : start + rows] = _nearest(_distances(space, queries[start : start + rows]), k)
+    return order
+
+
+def _vote(neighbors: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per row of neighbor label codes, nearest first, the winning code: the
+    label with the most votes; a tie goes to the label of the nearest
+    neighbor among the tied labels."""
+    votes = (neighbors[:, :, None] == np.arange(n_classes)).sum(axis=1)
+    held = np.take_along_axis(votes, neighbors, axis=1)
+    first_best = np.argmax(held == held.max(axis=1, keepdims=True), axis=1)
+    return neighbors[np.arange(len(neighbors)), first_best]
+
+
 def knn_predict(model: KnnModel, queries):
     """Majority label among the k nearest points by Euclidean distance.
 
@@ -136,17 +156,8 @@ def knn_predict(model: KnnModel, queries):
     dim = model.space.shape[1]
     if block.shape[1:] != (dim,):
         raise ValueError(f"query dimension {block.shape[1:]} does not match model dimension {dim}")
-    block = _to_space(block, model.metric)
-    rows = max(1, _BLOCK_BYTES // (8 * len(model.space)))
-    winners = []
-    for start in range(0, len(block), rows):
-        neighbors = model.codes[_nearest(_distances(model.space, block[start : start + rows]), model.k)]
-        # votes per label code; the nearest neighbor whose label has the most wins
-        votes = (neighbors[:, :, None] == np.arange(len(model.classes))).sum(axis=1)
-        held = np.take_along_axis(votes, neighbors, axis=1)
-        first_best = np.argmax(held == held.max(axis=1, keepdims=True), axis=1)
-        winners.extend(neighbors[np.arange(len(neighbors)), first_best].tolist())
-    labels = tuple(model.classes[code] for code in winners)
+    order = _nearest_blocks(model.space, _to_space(block, model.metric), model.k)
+    labels = tuple(model.classes[code] for code in _vote(model.codes[order], len(model.classes)).tolist())
     return labels[0] if single else labels
 
 
@@ -159,16 +170,27 @@ class EvalReport:
     confusion: np.ndarray
 
 
+def _report(names: np.ndarray, true: np.ndarray, predicted: np.ndarray) -> EvalReport:
+    """Score predicted against true label codes, both indices into `names`."""
+    confusion = np.zeros((len(names), len(names)), dtype=np.int64)
+    np.add.at(confusion, (true, predicted), 1)
+    accuracy = float(np.trace(confusion) / confusion.sum())
+    return EvalReport(accuracy, tuple(names.tolist()), confusion)
+
+
 def evaluate(model: KnnModel, features, labels) -> EvalReport:
     """Predict the rows of an (n, dim) validation matrix and score them against their labels."""
     if len(labels) == 0:
         raise ValueError("validation set is empty")
     names = np.union1d(model.classes, labels)
     predicted = knn_predict(model, features)
-    confusion = np.zeros((len(names), len(names)), dtype=np.int64)
-    np.add.at(confusion, (np.searchsorted(names, labels), np.searchsorted(names, predicted)), 1)
-    accuracy = float(np.trace(confusion) / confusion.sum())
-    return EvalReport(accuracy, tuple(names.tolist()), confusion)
+    return _report(names, np.searchsorted(names, labels), np.searchsorted(names, predicted))
+
+
+def _head_width(n: int, k: int) -> int:
+    """Points ranked per row of a feature set, enough that a split rarely
+    leaves fewer than k training points among them."""
+    return min(n, 4 * k + 32)
 
 
 def repeated_evaluation(
@@ -179,16 +201,46 @@ def repeated_evaluation(
     n_repeats: int,
     metric: str = "raw",
 ) -> list[EvalReport]:
-    """Repeat split/fit/evaluate on the rows of one feature matrix with seeds split_cfg.seed + i."""
+    """Repeat split/fit/evaluate on the rows of one feature matrix: report i
+    equals `evaluate(knn_fit(...), ...)` on the split seeded
+    split_cfg.seed + i.
+
+    The matrix is mapped to metric space once, and the head of each row
+    some split validates, its first `_head_width` points in (distance,
+    index) order, is ranked once. Training indices ascend, so a validation
+    row's k nearest training points are the first k training members of its
+    head; a row whose head holds fewer is ranked against that split's
+    training rows alone.
+    """
     if n_repeats < 1:
         raise ValueError(f"need at least one repeat, got {n_repeats}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    splits = [split(labels, replace(split_cfg, seed=split_cfg.seed + i)) for i in range(n_repeats)]
+    # knn_fit's checks depend on the split only through its size, which every seed shares.
+    knn_fit(features[splits[0][0]], labels[splits[0][0]], k, metric)
+    names, codes = np.unique(labels, return_inverse=True)
+    space = _to_space(features, metric)
+    # Heads only for rows some split validates, only among rows some split trains on.
+    trained, queried = (np.unique(np.concatenate(side)) for side in zip(*splits))
+    slot = np.empty(len(space), dtype=np.intp)
+    slot[queried] = np.arange(len(queried))
+    head = trained[_nearest_blocks(space[trained], space[queried], _head_width(len(trained), k))]
+    in_train = np.zeros(len(space), dtype=bool)
     reports = []
-    for i in range(n_repeats):
-        train, validation = split(labels, replace(split_cfg, seed=split_cfg.seed + i))
-        model = knn_fit(features[train], labels[train], k, metric)
-        reports.append(evaluate(model, features[validation], labels[validation]))
+    for train, validation in splits:
+        in_train[:] = False
+        in_train[train] = True
+        candidates = head[slot[validation]]
+        member = in_train[candidates]
+        rank = np.cumsum(member, axis=1)
+        full = rank[:, -1] >= k
+        neighbors = np.empty((len(validation), k), dtype=np.intp)
+        neighbors[full] = candidates[full][(member & (rank <= k))[full]].reshape(-1, k)
+        short = validation[~full]
+        if short.size:
+            neighbors[~full] = train[_nearest_blocks(space[train], space[short], k)]
+        reports.append(_report(names, codes[validation], _vote(codes[neighbors], len(names))))
     return reports
 
 

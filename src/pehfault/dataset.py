@@ -270,7 +270,7 @@ def _load_raw_recording(full: Path, fs: float) -> np.ndarray:
     size = full.stat().st_size
     if size % 4 != 0:
         raise DataError(f"{full}: raw float32 file size {size} is not a multiple of 4")
-    samples = np.fromfile(full, dtype="<f4").astype(np.float64)
+    samples = np.fromfile(full, dtype="<f4")
     sidecar = full.with_name(full.name + ".hdr")
     declared = read_key_values(sidecar, "sidecar", DataError, SIDECAR_KEYS) if sidecar.is_file() else {}
     if "n_samples" in declared and declared["n_samples"] != len(samples):
@@ -280,7 +280,7 @@ def _load_raw_recording(full: Path, fs: float) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
         raise DataError(f"{full}: non-finite sample at index {bad[0]}")
-    return samples
+    return samples.astype(np.float64)
 
 
 def load_recording(meta: RecordingMeta, root: str | Path = ".") -> TimeSeries:

@@ -68,7 +68,8 @@ def oracle_predict(points, k, query, metric):
     return brute_force_predict(mapped, k, _to_space(query, metric))
 
 
-@pytest.mark.parametrize("block_bytes", [1, 500, classify._BLOCK_BYTES])
+# 8 MB, like the 1 MB default, takes every instance in one block.
+@pytest.mark.parametrize("block_bytes", [1, 500, 8 << 20])
 @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
 @pytest.mark.parametrize("metric", classify.METRICS)
 @pytest.mark.parametrize("dim", range(1, 13))

@@ -1,0 +1,142 @@
+"""Differential tests of repeated_evaluation, which ranks each row's nearest
+points once per feature matrix, against the per-split fit/evaluate loop it
+replaced."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from pehfault import classify
+from pehfault.classify import SplitConfig, evaluate, knn_fit, repeated_evaluation, split
+
+
+def per_split_repeated_evaluation(features, labels, k, split_cfg, n_repeats, metric="raw"):
+    """The per-split loop repeated_evaluation replaced, kept verbatim as the
+    reference: every split fits a model on its training rows and predicts
+    its validation rows."""
+    if n_repeats < 1:
+        raise ValueError(f"need at least one repeat, got {n_repeats}")
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    reports = []
+    for i in range(n_repeats):
+        train, validation = split(labels, replace(split_cfg, seed=split_cfg.seed + i))
+        model = knn_fit(features[train], labels[train], k, metric)
+        reports.append(evaluate(model, features[validation], labels[validation]))
+    return reports
+
+
+def instance(rng, integer, metric, stratified):
+    """A feature matrix and its labels. Integer coordinates in a small range
+    make distance ties frequent; in log space they are 0 (floored) or 1. An
+    unstratified instance has a class of one row, which some splits leave out
+    of training."""
+    n = int(rng.integers(6, 71))
+    dim = int(rng.integers(1, 5))
+    if integer:
+        low, high = (0, 2) if metric == "log" else (-3, 4)
+        features = rng.integers(low, high, size=(n, dim)).astype(float)
+    else:
+        features = rng.uniform(1e-3, 1.0, size=(n, dim))
+    labels = rng.choice(["x", "y", "z"], size=n)
+    labels[:2], labels[2:4] = "x", "y"  # every class of a stratified split needs two rows
+    if stratified:
+        labels[labels == "z"] = "x"
+        labels[4:6] = "z"
+    else:
+        labels[labels == "z"] = "y"
+        labels[int(rng.integers(0, n))] = "z"
+    return features, labels
+
+
+def k_values(n_train):
+    """k from 1 up to the training size: the small ks, then a spread."""
+    return sorted({1, 2, 3, *range(1, n_train + 1, max(1, n_train // 3)), n_train})
+
+
+def assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.accuracy, g.labels) == (w.accuracy, w.labels)
+        assert g.confusion.dtype == w.confusion.dtype
+        np.testing.assert_array_equal(g.confusion, w.confusion)
+
+
+HEAD_WIDTHS = {
+    "default": classify._head_width,
+    "one": lambda n, k: 1,  # every validation row falls back
+    "mixed": lambda n, k: min(n, k + 2),  # some rows fall back, some do not
+}
+
+
+@pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "unstratified"])
+@pytest.mark.parametrize("head", sorted(HEAD_WIDTHS))
+@pytest.mark.parametrize("block_bytes", [1, 500, classify._BLOCK_BYTES])
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+@pytest.mark.parametrize("metric", classify.METRICS)
+def test_reuse_matches_per_split_reference(metric, integer, block_bytes, head, stratified, monkeypatch):
+    monkeypatch.setattr(classify, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(classify, "_head_width", HEAD_WIDTHS[head])
+    rng = np.random.default_rng([len(metric), int(integer), block_bytes, len(head), int(stratified)])
+    split_cfg = SplitConfig(0.8, seed=int(rng.integers(0, 1000)), stratified=stratified)
+    lacking = 0
+    for _ in range(3):
+        features, labels = instance(rng, integer, metric, stratified)
+        n_train = len(split(labels, split_cfg)[0])
+        for k in k_values(n_train):
+            want = per_split_repeated_evaluation(features, labels, k, split_cfg, 4, metric)
+            assert_same_reports(repeated_evaluation(features, labels, k, split_cfg, 4, metric), want)
+        lacking += sum(
+            "z" not in labels[split(labels, replace(split_cfg, seed=split_cfg.seed + i))[0]] for i in range(4)
+        )
+    if not stratified:
+        assert lacking > 0, "no split left a class out of training"
+
+
+@pytest.mark.parametrize("head", sorted(HEAD_WIDTHS))
+@pytest.mark.parametrize("metric", classify.METRICS)
+def test_nan_entry_matches_per_split_reference(metric, head, monkeypatch):
+    monkeypatch.setattr(classify, "_head_width", HEAD_WIDTHS[head])
+    rng = np.random.default_rng(len(metric))
+    features = rng.uniform(1e-3, 1.0, size=(60, 3))
+    features[7, 1] = np.nan
+    labels = np.array(["a", "b", "c"] * 20)
+    split_cfg = SplitConfig(0.8, seed=3)
+    for k in (1, 3, 10, 47, 48):
+        want = per_split_repeated_evaluation(features, labels, k, split_cfg, 6, metric)
+        assert_same_reports(repeated_evaluation(features, labels, k, split_cfg, 6, metric), want)
+
+
+@pytest.mark.parametrize(
+    "k, n_repeats, metric",
+    [(0, 2, "raw"), (3.0, 2, "raw"), (41, 2, "raw"), (3, 2, "cosine"), (3, 0, "raw")],
+)
+def test_bad_arguments_raise_as_the_reference_does(k, n_repeats, metric):
+    features, labels = np.arange(50.0)[:, None], np.array(["a", "b"] * 25)
+    with pytest.raises(ValueError) as want:
+        per_split_repeated_evaluation(features, labels, k, SplitConfig(), n_repeats, metric)
+    with pytest.raises(ValueError) as got:
+        repeated_evaluation(features, labels, k, SplitConfig(), n_repeats, metric)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("k", [3, 240])
+def test_no_distance_block_exceeds_the_block_budget(k, monkeypatch):
+    """Ranking the heads never builds the (n, n) distance matrix, also when
+    k is so large that a head is a whole row."""
+    n = 300
+    monkeypatch.setattr(classify, "_BLOCK_BYTES", 64 << 10)
+    requested = []
+    distances = classify._distances
+
+    def spy(space, queries):
+        requested.append(8 * len(space) * len(queries))
+        return distances(space, queries)
+
+    monkeypatch.setattr(classify, "_distances", spy)
+    rng = np.random.default_rng(0)
+    features, labels = rng.uniform(0, 1, size=(n, 4)), np.array(["a", "b", "c"] * (n // 3))
+    repeated_evaluation(features, labels, k, SplitConfig(0.8, seed=0), 5)
+    assert requested
+    assert max(requested) <= max(classify._BLOCK_BYTES, 8 * n)
