@@ -75,6 +75,14 @@ def _to_space(x: np.ndarray, metric: str) -> np.ndarray:
     return x
 
 
+def _feature_matrix(features, labels) -> np.ndarray:
+    """`features` as float64, which must be an (n, dimension) matrix for the n labels."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or len(features) != len(labels):
+        raise ValueError(f"need an (n, dimension) feature matrix and n labels, got {features.shape} and {len(labels)}")
+    return features
+
+
 def knn_fit(features, labels, k: int, metric: str = "raw") -> KnnModel:
     """Store an (n, dim) training matrix with the labels of its n rows."""
     if not isinstance(k, int) or k < 1:
@@ -83,9 +91,7 @@ def knn_fit(features, labels, k: int, metric: str = "raw") -> KnnModel:
         raise ValueError(f"k={k} exceeds the {len(features)} training points")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or len(features) != len(labels):
-        raise ValueError(f"need an (n, dimension) feature matrix and n labels, got {features.shape} and {len(labels)}")
+    features = _feature_matrix(features, labels)
     classes, codes = np.unique(labels, return_inverse=True)
     return KnnModel(k, metric, _to_space(features, metric), tuple(classes.tolist()), codes)
 
@@ -214,7 +220,7 @@ def repeated_evaluation(
     """
     if n_repeats < 1:
         raise ValueError(f"need at least one repeat, got {n_repeats}")
-    features = np.asarray(features, dtype=np.float64)
+    features = _feature_matrix(features, labels)
     labels = np.asarray(labels)
     splits = [split(labels, replace(split_cfg, seed=split_cfg.seed + i)) for i in range(n_repeats)]
     # knn_fit's checks depend on the split only through its size, which every seed shares.

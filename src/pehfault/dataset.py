@@ -323,6 +323,14 @@ def write_recording_f32(samples: np.ndarray, fs: float, path: str | Path) -> Non
     write_atomic(path.with_name(path.name + ".hdr"), f"fs_hz={fs:g}\nn_samples={len(data)}\n")
 
 
+def worker_count(tasks: int) -> int:
+    """Threads for `tasks` independent pieces of work: one per CPU this
+    process may run on (os.cpu_count() where the affinity mask is not
+    available), at most one per task, at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, tasks))
+
+
 def build_feature_sets(
     manifest: Manifest,
     designs: Sequence[PehDesign],
@@ -361,8 +369,7 @@ def build_feature_sets(
     rows: list[tuple[str, str, int]] = []
     sets: list[list[np.ndarray]] = [[np.empty((0, 0)) for _ in periods] for _ in designs]
     dims: list[int] = []  # features per segment at each period, as the first recording gives them
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = max(1, min(cpus, len(entries)))
+    workers = worker_count(len(entries))
     pending: deque[tuple[RecordingMeta, list[Future]]] = deque()  # in the pool, in manifest order
 
     def settle() -> None:
@@ -550,17 +557,28 @@ def load_surrogate_spec(path: str | Path) -> SurrogateSpec:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _synth_class_recording(cspec: ClassSignalSpec, fs: float, duration_s: float, jitter: float, rng) -> np.ndarray:
-    n = int(round(duration_s * fs))
-    t = np.arange(n) / fs
-    samples = np.zeros(n)
+# Samples computed at a time per recording: each tone's temporaries stay small.
+SYNTH_BLOCK = 8192
+
+
+def _synth_class_recording(cspec: ClassSignalSpec, fs: float, jitter: float, rng, out: np.ndarray) -> None:
+    """Fill `out` with one recording: every tone's amplitude and phase drawn
+    first, in tone order, then each block of SYNTH_BLOCK samples summed from
+    zero tone by tone, plus white noise, and stored as out's dtype. The
+    generator is this recording's alone and every operation is per sample,
+    so the samples do not depend on the block size."""
+    tones = []
     for f_hz, amplitude in cspec.tones:
         amp = amplitude * rng.uniform(1.0 - jitter, 1.0 + jitter)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        samples += amp * np.sin(2 * np.pi * f_hz * t + phase)
-    if cspec.noise_sigma > 0:
-        samples += cspec.noise_sigma * rng.standard_normal(n)
-    return samples
+        tones.append((f_hz, amp, rng.uniform(0.0, 2.0 * np.pi)))
+    for start in range(0, len(out), SYNTH_BLOCK):
+        t = np.arange(start, min(start + SYNTH_BLOCK, len(out))) / fs
+        block = np.zeros(len(t))
+        for f_hz, amp, phase in tones:
+            block += amp * np.sin(2 * np.pi * f_hz * t + phase)
+        if cspec.noise_sigma > 0:
+            block += cspec.noise_sigma * rng.standard_normal(len(t))
+        out[start : start + len(t)] = block
 
 
 def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) -> Manifest:
@@ -568,19 +586,45 @@ def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) 
 
     Byte-identical output for identical spec and seed. A failed write is a
     DataError naming the file (see write_atomic).
+
+    The recordings are computed on a pool of worker_count threads, at most
+    that many at a time, each into a float32 buffer the calling thread
+    allocated; the calling thread writes each recording and its sidecar in
+    order, then the manifest. Each recording has its own generator, so the
+    bytes do not depend on the thread count. On an error nothing later is
+    written and the work not yet started is cancelled.
     """
     out_dir = Path(out_dir)
     states = sorted(spec.classes, key=lambda s: s.value)
     # One seed per recording slot, shared across classes: identical class
     # recipes then synthesize identical recordings (common random numbers).
     slot_seeds = np.random.SeedSequence(seed).spawn(spec.count_per_class)
+    slots = [(state, index) for state in states for index in range(spec.count_per_class)]
+    n = round(spec.duration_s * spec.fs)
+    pending: deque[tuple[str, np.ndarray, Future]] = deque()  # in the pool, in write order
     rows = []
-    for state in states:
-        cspec = spec.classes[state]
-        for index in range(spec.count_per_class):
+
+    def write_next() -> None:
+        name, samples, future = pending.popleft()
+        future.result()
+        write_recording_f32(samples, spec.fs, out_dir / name)
+
+    workers = worker_count(len(slots))
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for state, index in slots:
+            while len(pending) >= workers:
+                write_next()
+            samples = np.empty(n, dtype="<f4")
             rng = np.random.default_rng(slot_seeds[index])
-            samples = _synth_class_recording(cspec, spec.fs, spec.duration_s, spec.amplitude_jitter, rng)
+            future = pool.submit(
+                _synth_class_recording, spec.classes[state], spec.fs, spec.amplitude_jitter, rng, samples
+            )
             name = f"{state.value}_{index:02d}.f32"
-            write_recording_f32(samples, spec.fs, out_dir / name)
+            pending.append((name, samples, future))
             rows.append((name, state.value, spec.bearing_type, spec.load_w, f"{spec.fs:g}"))
+        while pending:
+            write_next()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return load_manifest(write_atomic(out_dir / "manifest.csv", csv_text(MANIFEST_FIELDS, rows)))

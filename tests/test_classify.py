@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import pehfault.classify
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -265,6 +267,31 @@ class TestRepeatedEvaluation:
             np.testing.assert_array_equal(report.confusion, expected.confusion)
         # the three splits score differently, so a seed that did not advance would show
         assert len({r.confusion.tobytes() for r in reports}) == 3
+
+    @pytest.mark.parametrize(
+        "features, shape",
+        [
+            (np.arange(12.0)[:, None], "(12, 1)"),  # more rows than labels
+            (np.arange(6.0)[:, None], "(6, 1)"),  # fewer
+            (np.arange(8.0), "(8,)"),  # not 2-D
+            (np.arange(8.0)[:, None, None], "(8, 1, 1)"),
+        ],
+    )
+    def test_a_matrix_not_matching_the_labels_is_rejected_before_any_split(self, features, shape, monkeypatch):
+        """Scoring only the first len(labels) rows would be a silently
+        meaningless result; the check comes before the splits are drawn."""
+
+        def no_split(labels, cfg):
+            raise AssertionError("split called")
+
+        monkeypatch.setattr(pehfault.classify, "split", no_split)
+        message = f"need an (n, dimension) feature matrix and n labels, got {shape} and 8"
+        with pytest.raises(ValueError) as info:
+            repeated_evaluation(features, ["a", "b"] * 4, 1, SplitConfig(), 2)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            accuracy_sweep(["a", "b"] * 4, [[features]], k=1, split_cfg=SplitConfig(), n_repeats=2)
+        assert str(info.value) == message
 
 
 class TestAccuracySweep:
