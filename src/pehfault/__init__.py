@@ -1,5 +1,5 @@
 """Simulation of harvester-filtered low-rate energy features for bearing fault
-detection, with a conventional high-rate digital pipeline as the baseline."""
+detection: a harvester band-pass, an integrator, and a kNN classifier."""
 
 from .classify import knn_fit
 from .dataset import write_recording_f32

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .frontend import interval_samples
 from .harvester import PehDesign, filter_coefficients
-from .signals import SignalUnit, TimeSeries, window_samples
+from .signals import TimeSeries, window_samples
 
 MANIFEST_FIELDS = ("path", "label", "bearing_type", "load_w", "fs_hz")
 DESIGN_TABLE_FIELDS = ("name", "thickness_mm", "f0_hz", "bw3db_hz", "peak_gain_v_per_g")
@@ -294,7 +294,7 @@ def load_recording(meta: RecordingMeta, root: str | Path = ".") -> TimeSeries:
         samples = _load_text_recording(full)
     if len(samples) == 0:
         raise DataError(f"{full}: recording holds no samples")
-    return TimeSeries(samples, meta.fs, SignalUnit.ACCELERATION_G)
+    return TimeSeries(samples, meta.fs)
 
 
 def write_atomic(path: str | Path, content: str | bytes) -> Path:
@@ -340,31 +340,29 @@ def build_feature_sets(
     r_ohm: float,
 ) -> tuple[FeatureRows, list[list[np.ndarray]]]:
     """Run the full pipeline over every recording in one pass: segment,
-    simulate the harvester voltage, and integrate per-interval energies.
+    filter each segment through each design's harvester, and integrate the
+    per-interval energies (see filter_and_integrate).
 
     Returns the row metadata and sets[i][j], the float64 (n, dim) feature
     matrix of designs[i] at integration period periods[j]. Each recording is
     loaded and segmented once, each segment is filtered once per design (from
-    zero state), and each voltage is integrated once per period, with the
-    arithmetic of harvester.simulate_voltage and frontend.make_feature. Rows
-    are in manifest order, then segment index. Every segment must give one
-    dimension per period: a recording whose sampling rate rounds to another
-    is a DataError.
+    zero state), and each voltage is integrated once per period. Rows are in
+    manifest order, then segment index. Every segment must give one dimension
+    per period: a recording whose sampling rate rounds to another is a
+    DataError.
 
     The calling thread loads the recordings one at a time in manifest order
-    and makes the checks of segment, simulate_voltage and make_feature once
-    per recording, in the order the per-segment loop makes them. The filter
-    and integration of each (recording, design) go to a pool of one thread
-    per CPU this process may run on (at most one per recording); at most
-    that many recordings are in the pool, while the calling thread loads the
-    next. Each recording fills its own rows of the matrices, so the result
-    does not depend on the thread count. Errors come out in manifest order,
-    as from the per-segment loop: a recording's error is raised only once
-    every earlier recording is done, and on any error the work not yet
+    and checks each once: its segmentation (window_samples), each design's
+    sampling rate (filter_coefficients), then each period's intervals
+    (interval_samples). The filter and integration of each (recording,
+    design) go to a pool of one thread per CPU this process may run on (at
+    most one per recording); at most that many recordings are in the pool,
+    while the calling thread loads the next. Each recording fills its own
+    rows of the matrices, so the result does not depend on the thread count.
+    Errors come out in manifest order: a recording's error is raised only
+    once every earlier recording is done, and on any error the work not yet
     started is cancelled.
     """
-    from scipy.signal import lfilter  # on first use, as in simulate_voltage
-
     entries, count = manifest.entries, segments_per_recording
     rows: list[tuple[str, str, int]] = []
     sets: list[list[np.ndarray]] = [[np.empty((0, 0)) for _ in periods] for _ in designs]
@@ -385,25 +383,23 @@ def build_feature_sets(
         for position, meta in enumerate(entries):
             try:
                 ts = load_recording(meta, manifest.root)
-                n_win = window_samples(ts, segment_s, count)
-                filters, windows = [], []
-                for design in designs:  # each check in the per-segment loop's order
-                    filters.append(filter_coefficients(design, ts))
-                    windows = _windows(n_win, ts.fs, periods, r_ohm, dims, entries[0].path)
+                n_win = window_samples(len(ts), ts.fs, segment_s, count)
+                filters = [filter_coefficients(design, ts.fs) for design in designs]
+                windows = _windows(n_win, ts.fs, periods, r_ohm, dims, entries[0].path)
             except (DataError, ValueError) as exc:
                 while pending:  # an error of an earlier recording comes first
                     settle()
                 raise DataError(f"{meta.path}: {exc}") from exc
             while len(pending) >= workers:
                 settle()
-            if not dims and windows:
+            if not dims:
                 dims = [dim for _, dim in windows]
                 sets = [[np.empty((len(entries) * count, dim)) for dim in dims] for _ in designs]
             rows += [(meta.label.value, meta.path, index) for index in range(count)]
             pieces = ts.samples[: count * n_win].reshape(count, n_win)
             scale, first_row = r_ohm * ts.fs, position * count
             futures = [
-                pool.submit(_filter_and_integrate, lfilter, pieces, b, a, windows, scale, matrices, first_row)
+                pool.submit(filter_and_integrate, pieces, b, a, windows, scale, matrices, first_row)
                 for (b, a), matrices in zip(filters, sets)
             ]
             pending.append((meta, futures))
@@ -417,8 +413,8 @@ def build_feature_sets(
 
 def _windows(n_win: int, fs: float, periods, r_ohm: float, dims: list[int], first: str) -> list[tuple[int, int]]:
     """(samples per interval, intervals) of an n_win-sample segment at each
-    period, after the checks of make_feature; with `dims`, the counts of the
-    first recording `first`, each must equal its period's."""
+    period (see interval_samples); with `dims`, the counts of the first
+    recording `first`, each must equal its period's."""
     windows = []
     for j, period_s in enumerate(periods):
         windows.append(interval_samples(n_win, fs, period_s, r_ohm))
@@ -430,10 +426,13 @@ def _windows(n_win: int, fs: float, periods, r_ohm: float, dims: list[int], firs
     return windows
 
 
-def _filter_and_integrate(lfilter, pieces, b, a, windows, scale, matrices, first_row) -> None:
-    """Filter each row of `pieces` with the biquad (b, a), square it, and sum
-    it over each (samples per interval, intervals) of `windows`, divided by
-    `scale`, into rows first_row, ... of the matching matrix."""
+def filter_and_integrate(pieces, b, a, windows, scale, matrices, first_row) -> None:
+    """The feature kernel: filter each of `pieces` from zero state with the
+    biquad (b, a), square it, and sum it over each (samples per interval,
+    intervals) of `windows`, divided by `scale` (R * fs), into rows
+    first_row, ... of the matching matrix."""
+    from scipy.signal import lfilter  # on first use: a ~1 s import that energy-report and surrogate-gen never need
+
     for row, piece in enumerate(pieces, start=first_row):
         v = lfilter(b, a, piece)
         np.square(v, out=v)
@@ -463,8 +462,11 @@ class ClassSignalSpec:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise sigma must be non-negative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
+            raise ConfigError(f"noise sigma must be non-negative and finite, got {self.noise_sigma}")
+        for f_hz, amplitude in self.tones:
+            if not math.isfinite(amplitude):
+                raise ConfigError(f"tone at {f_hz} Hz: amplitude must be finite, got {amplitude}")
 
 
 @dataclass(frozen=True)
@@ -487,6 +489,8 @@ class SurrogateSpec:
             raise ConfigError(f"count per class must be >= 1, got {self.count_per_class}")
         if not (0 < self.fs < math.inf and 0 < self.duration_s < math.inf):  # NaN fails too
             raise ConfigError("sampling rate and duration must be positive and finite")
+        if not math.isfinite(self.duration_s * self.fs):
+            raise ConfigError(f"duration_s={self.duration_s:g} at fs_hz={self.fs:g} is not a finite number of samples")
         n_samples = round(self.duration_s * self.fs)
         if n_samples < 1:
             raise ConfigError(f"duration_s={self.duration_s:g} at fs_hz={self.fs:g} gives {n_samples} samples; need >= 1")

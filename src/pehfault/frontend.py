@@ -1,44 +1,27 @@
-"""Rectifier + integrator + low-rate sampler.
-
-Converts a voltage trace into the sequence of per-interval harvested energies
-(the ideal rectifier dissipates v**2/R into the load; each integration
-interval spans round(period_s * fs) samples). That energy array is the
-feature vector the classifier sees.
-"""
+"""Rectifier + integrator + low-rate sampler: the ideal rectifier dissipates
+v**2/R into the load, and each integration interval of round(period_s * fs)
+samples yields one energy sum(v**2) / (R * fs) of the feature vector."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .signals import TimeSeries
+from .signals import sample_count
 
 # An integration period must span at least this many cycles of the lowest
 # harvester resonance in use, so the energies form a low-rate sequence.
 MIN_CYCLES_PER_PERIOD = 10.0
 
 
-def make_feature(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
-    """Feature vector of per-interval energies: sum(v**2) / (R * fs) over each
-    consecutive disjoint round(period_s * fs)-sample window; a trailing partial
-    interval is discarded, so dimension = floor(duration / period_s).
-
-    The caller is responsible for choosing period_s to cover many signal
-    cycles (the CLI requires MIN_CYCLES_PER_PERIOD resonance cycles) so the
-    samples form a low-frequency sequence.
-    """
-    n_per, n_intervals = interval_samples(len(v), v.fs, period_s, r_ohm)
-    squared = v.samples[: n_intervals * n_per] ** 2
-    return squared.reshape(n_intervals, n_per).sum(axis=1) / (r_ohm * v.fs)
-
-
 def interval_samples(n: int, fs: float, period_s: float, r_ohm: float) -> tuple[int, int]:
-    """The checks of `make_feature` on a trace of n samples at fs, and its
-    (samples per interval, number of intervals)."""
+    """(samples per interval, number of intervals) of a trace of n samples at
+    fs integrated over period_s into a load of r_ohm; a trailing partial
+    interval is discarded."""
     if period_s <= 0:
         raise ValueError(f"integration period must be positive, got {period_s}")
     if r_ohm <= 0:
         raise ValueError(f"load resistance must be positive, got {r_ohm}")
-    n_per = int(round(period_s * fs))
+    n_per = sample_count(period_s, fs, "integration period")
     if n_per < 1:
         raise ValueError(f"integration period {period_s}s is shorter than one sample at fs={fs}")
     n_intervals = n // n_per

@@ -5,9 +5,9 @@ The continuous-time model is the unit-peak second-order band-pass
 
     H(s) = G * (s*w0/Q) / (s**2 + s*w0/Q + w0**2),    w0 = 2*pi*f0,  Q = f0/bw
 
-scaled to peak gain G at resonance. Time-domain simulation discretizes H(s)
-with the bilinear transform, prewarped at f0 so the resonance peak lands
-exactly on f0 regardless of sample rate.
+scaled to peak gain G at resonance. The pipeline filters with the biquad that
+discretizes H(s) by the bilinear transform, prewarped at f0 so the resonance
+peak lands exactly on f0 regardless of sample rate.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .signals import SignalUnit, TimeSeries, synth_sine
 
 # Simulation accuracy guard: require fs >= MIN_FS_PER_F0 * f0.
 MIN_FS_PER_F0 = 20.0
@@ -72,21 +70,6 @@ def design_from_thickness(thickness_mm: float, table: tuple[PehDesign, ...] = DE
     raise ValueError(f"unknown design: thickness {thickness_mm:g} mm not in table ({known} mm)")
 
 
-def frf_magnitude(design: PehDesign, f_hz):
-    """Analytic |H(j*2*pi*f)| in V/g: G / sqrt(1 + Q**2 * (f/f0 - f0/f)**2), 0 at f=0.
-
-    Accepts a scalar or an array of frequencies.
-    """
-    f = np.asarray(f_hz, dtype=np.float64)
-    if np.any(f < 0):
-        raise ValueError("frequency must be non-negative")
-    gain = np.zeros_like(f)
-    nz = f > 0
-    ratio = f[nz] / design.f0_hz
-    gain[nz] = design.peak_gain_v_per_g / np.sqrt(1.0 + design.quality**2 * (ratio - 1.0 / ratio) ** 2)
-    return float(gain) if np.ndim(f_hz) == 0 else gain
-
-
 def _biquad_coefficients(design: PehDesign, fs: float) -> tuple[np.ndarray, np.ndarray]:
     # Bilinear transform of H(s) with prewarp constant k = w0 / tan(w0 / (2*fs)).
     w0 = 2 * np.pi * design.f0_hz
@@ -99,53 +82,11 @@ def _biquad_coefficients(design: PehDesign, fs: float) -> tuple[np.ndarray, np.n
     return b, a
 
 
-def filter_coefficients(design: PehDesign, accel: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-    """The checks of `simulate_voltage`, and the biquad (b, a) it filters
-    `accel` with."""
-    if accel.unit is not SignalUnit.ACCELERATION_G:
-        raise ValueError(f"input must be acceleration in g, got unit {accel.unit.value}")
-    if len(accel) == 0:
-        raise ValueError("cannot simulate an empty series")
-    if accel.fs < MIN_FS_PER_F0 * design.f0_hz:
+def filter_coefficients(design: PehDesign, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """The biquad (b, a) of a design at sampling rate fs, which must cover
+    MIN_FS_PER_F0 * f0."""
+    if fs < MIN_FS_PER_F0 * design.f0_hz:
         raise ValueError(
-            f"sampling rate too low: {accel.fs} Hz < {MIN_FS_PER_F0:g} * f0 = {MIN_FS_PER_F0 * design.f0_hz:g} Hz"
+            f"sampling rate too low: {fs} Hz < {MIN_FS_PER_F0:g} * f0 = {MIN_FS_PER_F0 * design.f0_hz:g} Hz"
         )
-    return _biquad_coefficients(design, accel.fs)
-
-
-def simulate_voltage(design: PehDesign, accel: TimeSeries) -> TimeSeries:
-    """Voltage trace of a design driven by base acceleration, zero initial state."""
-    b, a = filter_coefficients(design, accel)
-    from scipy.signal import lfilter  # on first use: a ~1 s import that energy-report and surrogate-gen never need
-
-    return TimeSeries(lfilter(b, a, accel.samples), accel.fs, SignalUnit.VOLTS)
-
-
-def measure_steady_gain(
-    design: PehDesign,
-    fs: float,
-    f_hz: float,
-    settle_s: float = 1.0,
-    measure_s: float = 1.0,
-) -> float:
-    """Measured steady-state sine gain: drive a unit sine, discard the settling
-    transient, and estimate the output amplitude by quadrature demodulation."""
-    probe = synth_sine(f_hz, 1.0, 0.0, fs, settle_s + measure_s)
-    v = simulate_voltage(design, probe)
-    n0 = int(round(settle_s * fs))
-    tail = v.samples[n0:]
-    t = np.arange(n0, len(v)) / fs
-    return float(2.0 * np.abs(np.mean(tail * np.exp(-2j * np.pi * f_hz * t))))
-
-
-def verify_discretization(design: PehDesign, fs: float, probes) -> float:
-    """Worst relative error between measured steady-state gain and the analytic
-    response over the probe frequencies."""
-    worst = 0.0
-    for f_hz in probes:
-        if not 0 < f_hz < fs / 2:
-            raise ValueError(f"probe frequency {f_hz} Hz must lie in (0, fs/2)")
-        measured = measure_steady_gain(design, fs, f_hz)
-        analytic = frf_magnitude(design, f_hz)
-        worst = max(worst, abs(measured - analytic) / analytic)
-    return worst
+    return _biquad_coefficients(design, fs)

@@ -8,9 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MachineState
-from .frontend import make_feature, mean_state_energy
-from .harvester import PehDesign, simulate_voltage
+from .dataset import MachineState, filter_and_integrate
+from .frontend import interval_samples, mean_state_energy
+from .harvester import PehDesign, filter_coefficients
 from .signals import synth_sine
 
 
@@ -62,19 +62,22 @@ def run_thought_experiment(
     r_ohm: float,
     fs: float,
 ) -> np.ndarray:
-    """Drive unit sines at both machine-state frequencies through both designs
-    and return the first integration-interval energy of each combination:
-    energies[i, j] is that of input i (0 healthy, 1 faulty) through design j.
+    """Drive a unit sine of one integration period at each machine-state
+    frequency through both designs, with the pipeline's feature kernel, and
+    return the energies: energies[i, j] is that of input i (0 healthy, 1
+    faulty) through design j.
 
     design_healthy should be tuned near f_healthy_hz and design_faulty near
     f_faulty_hz for the decision rule to be meaningful.
     """
     energies = np.empty((2, 2))
     for i, f_hz in enumerate((f_healthy_hz, f_faulty_hz)):
-        vibration = synth_sine(f_hz, 1.0, 0.0, fs, period_s)
+        vibration = synth_sine(f_hz, 1.0, 0.0, fs, period_s).samples
         for j, design in enumerate((design_healthy, design_faulty)):
-            voltage = simulate_voltage(design, vibration)
-            energies[i, j] = make_feature(voltage, period_s, r_ohm)[0]
+            b, a = filter_coefficients(design, fs)
+            # The sine spans exactly one interval, so column j gets one value in row i.
+            interval = interval_samples(len(vibration), fs, period_s, r_ohm)
+            filter_and_integrate([vibration], b, a, [interval], r_ohm * fs, [energies[:, j : j + 1]], i)
     return energies
 
 

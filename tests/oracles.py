@@ -1,0 +1,176 @@
+"""Independent references the tests check the package against.
+
+The package computes features one way: `dataset.filter_and_integrate` on
+whole segments. These are the older per-segment chain (`segment` ->
+`simulate_voltage` -> `make_feature`) and the spectral and frequency-response
+oracles: the analytic FRF, the measured steady-state sine gain, Parseval
+through a one-sided spectrum, and the digital band energy. The FRF-fidelity,
+Parseval, `A^2*T/2` and per-segment differential tests run on them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+
+from pehfault.frontend import interval_samples
+from pehfault.harvester import PehDesign, filter_coefficients
+from pehfault.signals import TimeSeries, _check_rate_and_duration, _check_tone, synth_sine, window_samples
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """One-sided magnitude spectrum over [0, fs_origin/2].
+
+    Interior bins carry a sqrt(2) factor so that sum(magnitudes**2) equals the
+    two-sided Parseval total: sum(x**2) == sum(magnitudes**2) / N for a
+    transform of length N.
+    """
+
+    magnitudes: np.ndarray
+    df: float
+    fs_origin: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "magnitudes", np.asarray(self.magnitudes, dtype=np.float64))
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return np.arange(len(self.magnitudes)) * self.df
+
+
+def synth_composite(
+    tones: Iterable[tuple[float, float]],
+    noise_sigma: float,
+    fs: float,
+    duration_s: float,
+    seed: int,
+) -> TimeSeries:
+    """Sum of zero-phase sinusoids (f_hz, amplitude) plus seeded white Gaussian noise.
+
+    Deterministic for a given seed.
+    """
+    _check_rate_and_duration(fs, duration_s)
+    if noise_sigma < 0:
+        raise ValueError(f"noise sigma must be non-negative, got {noise_sigma}")
+    n = int(round(duration_s * fs))
+    idx = np.arange(n)
+    samples = np.zeros(n)
+    for f_hz, amplitude in tones:
+        _check_tone(f_hz, fs)
+        samples += amplitude * np.sin(2 * np.pi * f_hz * idx / fs)
+    if noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        samples += noise_sigma * rng.standard_normal(n)
+    return TimeSeries(samples, fs)
+
+
+def fft_magnitude(ts: TimeSeries) -> Spectrum:
+    """Energy-preserving one-sided magnitude spectrum, DC bin first.
+
+    Uses the full series length as transform length (no zero-padding, no
+    window), so bin spacing is fs/N.
+    """
+    n = len(ts)
+    if n == 0:
+        raise ValueError("cannot transform an empty series")
+    mags = np.abs(np.fft.rfft(ts.samples))
+    scale = np.full(len(mags), np.sqrt(2.0))
+    scale[0] = 1.0
+    if n % 2 == 0:
+        scale[-1] = 1.0  # Nyquist bin appears once in the two-sided transform
+    return Spectrum(mags * scale, df=ts.fs / n, fs_origin=ts.fs)
+
+
+def band_energy_digital(ts: TimeSeries, f_lo: float, f_hi: float, r_ohm: float = 1.0) -> float:
+    """Energy of the signal restricted to [f_lo, f_hi], computed spectrally.
+
+    Selects bins whose center frequency lies in the closed band and applies
+    Parseval; over [0, fs/2] this equals signal_energy exactly.
+    """
+    if not 0 <= f_lo < f_hi <= ts.fs / 2:
+        raise ValueError(f"invalid band [{f_lo}, {f_hi}] for fs={ts.fs}: need 0 <= f_lo < f_hi <= fs/2")
+    if r_ohm <= 0:
+        raise ValueError(f"load resistance must be positive, got {r_ohm}")
+    sp = fft_magnitude(ts)
+    sel = (sp.frequencies >= f_lo) & (sp.frequencies <= f_hi)
+    return float(np.sum(sp.magnitudes[sel] ** 2) / (len(ts) * r_ohm * ts.fs))
+
+
+def segment(ts: TimeSeries, window_s: float, count: int) -> list[TimeSeries]:
+    """Split into `count` contiguous non-overlapping windows starting at t=0.
+
+    Each window holds round(window_s * fs) samples; the series must be long
+    enough to supply all of them.
+    """
+    n_win = window_samples(len(ts), ts.fs, window_s, count)
+    return [TimeSeries(ts.samples[i * n_win : (i + 1) * n_win], ts.fs) for i in range(count)]
+
+
+def frf_magnitude(design: PehDesign, f_hz):
+    """Analytic |H(j*2*pi*f)| in V/g: G / sqrt(1 + Q**2 * (f/f0 - f0/f)**2), 0 at f=0.
+
+    Accepts a scalar or an array of frequencies.
+    """
+    f = np.asarray(f_hz, dtype=np.float64)
+    if np.any(f < 0):
+        raise ValueError("frequency must be non-negative")
+    gain = np.zeros_like(f)
+    nz = f > 0
+    ratio = f[nz] / design.f0_hz
+    gain[nz] = design.peak_gain_v_per_g / np.sqrt(1.0 + design.quality**2 * (ratio - 1.0 / ratio) ** 2)
+    return float(gain) if np.ndim(f_hz) == 0 else gain
+
+
+def simulate_voltage(design: PehDesign, accel: TimeSeries) -> TimeSeries:
+    """Voltage trace of a design driven by base acceleration, zero initial state."""
+    b, a = filter_coefficients(design, accel.fs)
+    from scipy.signal import lfilter
+
+    return TimeSeries(lfilter(b, a, accel.samples), accel.fs)
+
+
+def measure_steady_gain(
+    design: PehDesign,
+    fs: float,
+    f_hz: float,
+    settle_s: float = 1.0,
+    measure_s: float = 1.0,
+) -> float:
+    """Measured steady-state sine gain: drive a unit sine, discard the settling
+    transient, and estimate the output amplitude by quadrature demodulation."""
+    probe = synth_sine(f_hz, 1.0, 0.0, fs, settle_s + measure_s)
+    v = simulate_voltage(design, probe)
+    n0 = int(round(settle_s * fs))
+    tail = v.samples[n0:]
+    t = np.arange(n0, len(v)) / fs
+    return float(2.0 * np.abs(np.mean(tail * np.exp(-2j * np.pi * f_hz * t))))
+
+
+def verify_discretization(design: PehDesign, fs: float, probes) -> float:
+    """Worst relative error between measured steady-state gain and the analytic
+    response over the probe frequencies."""
+    worst = 0.0
+    for f_hz in probes:
+        if not 0 < f_hz < fs / 2:
+            raise ValueError(f"probe frequency {f_hz} Hz must lie in (0, fs/2)")
+        measured = measure_steady_gain(design, fs, f_hz)
+        analytic = frf_magnitude(design, f_hz)
+        worst = max(worst, abs(measured - analytic) / analytic)
+    return worst
+
+
+def make_feature(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
+    """Feature vector of per-interval energies: sum(v**2) / (R * fs) over each
+    consecutive disjoint round(period_s * fs)-sample window; a trailing partial
+    interval is discarded, so dimension = floor(duration / period_s).
+
+    The caller is responsible for choosing period_s to cover many signal
+    cycles (the CLI requires MIN_CYCLES_PER_PERIOD resonance cycles) so the
+    samples form a low-frequency sequence.
+    """
+    n_per, n_intervals = interval_samples(len(v), v.fs, period_s, r_ohm)
+    squared = v.samples[: n_intervals * n_per] ** 2
+    return squared.reshape(n_intervals, n_per).sum(axis=1) / (r_ohm * v.fs)

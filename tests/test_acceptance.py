@@ -24,17 +24,17 @@ from pehfault.dataset import (
     load_manifest,
     synth_surrogate_corpus,
 )
-from pehfault.frontend import make_feature
-from pehfault.harvester import (
-    DEFAULT_DESIGNS,
-    PehDesign,
-    design_from_thickness,
+from pehfault.harvester import DEFAULT_DESIGNS, PehDesign, design_from_thickness
+from pehfault.report import run_thought_experiment
+from pehfault.signals import signal_energy, synth_sine
+from tests.oracles import (
+    band_energy_digital,
     frf_magnitude,
+    make_feature,
     measure_steady_gain,
     simulate_voltage,
+    synth_composite,
 )
-from pehfault.report import run_thought_experiment
-from pehfault.signals import SignalUnit, band_energy_digital, signal_energy, synth_composite, synth_sine
 from tests.test_classify import brute_force_predict, matrix
 
 FS = 51200.0
@@ -47,7 +47,7 @@ def _conclude(criterion: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_analytic_integration():
     started = time.perf_counter()
-    voltage = synth_sine(200.0, 1.0, 0.0, FS, 3.0, unit=SignalUnit.VOLTS)  # 600 full cycles
+    voltage = synth_sine(200.0, 1.0, 0.0, FS, 3.0)  # 600 full cycles
     energy = make_feature(voltage, 3.0, 1.0)[0]
     elapsed = time.perf_counter() - started
     ok = abs(energy - 1.5) / 1.5 <= 1e-3 and elapsed < 1.0
@@ -133,7 +133,7 @@ def test_criterion_4_knn_oracle_equivalence():
 
 
 def test_criterion_5_parseval_and_baseline_consistency():
-    noise = synth_composite([], 1.0, FS, 1.0, seed=99, unit=SignalUnit.VOLTS)
+    noise = synth_composite([], 1.0, FS, 1.0, seed=99)
     time_energy = signal_energy(noise)
     spectral_energy = band_energy_digital(noise, 0.0, FS / 2)
     parseval_err = abs(time_energy - spectral_energy) / time_energy

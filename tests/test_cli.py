@@ -899,3 +899,54 @@ def test_an_unknown_label_token_names_the_key(tmp_path, capsys):
     valid = ", ".join(state.value for state in MachineState)
     assert capsys.readouterr() == ("", f"config error: labels: unknown label token 'nan' (valid: {valid})\n")
     assert not out.exists()
+
+
+def test_a_recipe_whose_sample_count_is_not_finite_is_a_config_error(tmp_path, capsys):
+    """1e10 s at 1e300 Hz once ended in an OverflowError traceback (exit 1)."""
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text("fs_hz=1e300\nduration_s=1e10\nhealthy.tones=100:1.0\nball_crack.tones=60:0.5\n")
+    assert main(["surrogate-gen", "--spec", str(recipe), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    expected = f"config error: {recipe}: duration_s=1e+10 at fs_hz=1e+300 is not a finite number of samples\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_synthesis_rate_whose_sample_count_is_not_finite_is_a_config_error(tmp_path, capsys):
+    """A 3 s sine at 1e308 Hz once ended in an OverflowError traceback (exit 1)."""
+    config = tmp_path / "run.cfg"
+    config.write_text("fs_synth=1e308\n")
+    assert main(["thought-experiment", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", "config error: duration of 3s at fs=1e+308 Hz is not a finite number of samples\n")
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
+def test_a_recording_rate_whose_sample_count_is_not_finite_is_a_data_error(tmp_path, capsys):
+    """A 3 s window at 1e308 Hz, declared by the manifest and the sidecar
+    alike, once ended in an OverflowError traceback (exit 1)."""
+    write_recording_f32(np.zeros(16), 1e308, tmp_path / "a.f32")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,bearing_type,load_w,fs_hz\na.f32,healthy,6204,0,1e308\n")
+    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == EXIT_DATA_ERROR
+    expected = "data error: a.f32: window of 3s at fs=1e+308 Hz is not a finite number of samples\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, rule",
+    [
+        ("healthy.tones=100:nan\n", "tone at 100.0 Hz: amplitude must be finite, got nan"),
+        ("healthy.tones=100:1.0\nhealthy.noise_sigma=inf\n", "noise sigma must be non-negative and finite, got inf"),
+        ("healthy.tones=100:1.0\nhealthy.noise_sigma=nan\n", "noise sigma must be non-negative and finite, got nan"),
+    ],
+    ids=["nan-amplitude", "infinite-noise", "nan-noise"],
+)
+def test_a_recipe_value_that_is_not_finite_is_a_config_error(text, rule, tmp_path, capsys):
+    """Each once exited 0: the first two after writing recordings that are
+    not finite, the third after writing recordings without the noise asked
+    for."""
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text(f"fs_hz=8192\nduration_s=1\n{text}ball_crack.tones=60:0.5\n")
+    assert main(["surrogate-gen", "--spec", str(recipe), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", f"config error: {recipe}: {rule}\n")
+    assert not (tmp_path / "out").exists()

@@ -1,8 +1,11 @@
 import os
 import re
+import shutil
 import threading
 import time
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,10 +32,10 @@ from pehfault.dataset import (
     write_recording_f32,
 )
 from pehfault.errors import ConfigError, DataError
-from pehfault.frontend import make_feature, mean_state_energy
-from pehfault.harvester import _biquad_coefficients, design_from_thickness, simulate_voltage
-from pehfault.signals import segment
+from pehfault.frontend import mean_state_energy
+from pehfault.harvester import DEFAULT_DESIGNS, _biquad_coefficients, design_from_thickness
 from tests.conftest import MIXED_RATE_ERROR, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SPEC, mixed_rate_manifest
+from tests.oracles import make_feature, segment, simulate_voltage
 
 
 def write_text_recording(path, samples):
@@ -143,7 +146,7 @@ class TestLoadRecording:
         (tmp_path / "rec.txt").write_text("\n".join(["0.0"] * 512000) + "\n")
         ts = load_recording(self.meta("rec.txt"), tmp_path)
         assert len(ts) == 512000
-        assert ts.duration_s == pytest.approx(10.0)
+        assert len(ts) / ts.fs == pytest.approx(10.0)
 
     def test_raw_float32_arithmetic(self, tmp_path):
         (tmp_path / "rec.f32").write_bytes(b"\x00" * 12)
@@ -579,3 +582,31 @@ class TestSurrogateSpecFile:
         assert DEFAULT_SURROGATE_SPEC.count_per_class == 7
         assert DEFAULT_SURROGATE_SPEC.fs == 51200.0
         assert DEFAULT_SURROGATE_SPEC.duration_s == 10.0
+
+
+def _traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_bounded_by_the_pool_not_by_the_corpus(tmp_path, monkeypatch):
+    """On two CPUs, synth_surrogate_corpus and build_feature_sets (4 designs,
+    T in {1, 3}) on 42 default recordings each peak within 1 MB of their
+    peak on 14 (about 6.5 MB and 19.3 MB): neither holds more recordings
+    than the pool has in flight. scipy.signal is imported at the top of this
+    module, so the first build does not count the import."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    peaks = []
+    for count_per_class in (7, 21):
+        out_dir = tmp_path / str(count_per_class)
+        spec = replace(DEFAULT_SURROGATE_SPEC, count_per_class=count_per_class)
+        manifest, synth_peak = _traced_peak(lambda: synth_surrogate_corpus(spec, 0, out_dir))
+        _, build_peak = _traced_peak(lambda: build_feature_sets(manifest, DEFAULT_DESIGNS, 3.0, 3, [1.0, 3.0], 1.0))
+        peaks.append((synth_peak, build_peak))
+        shutil.rmtree(out_dir)
+    (synth_14, build_14), (synth_42, build_42) = peaks
+    assert synth_42 <= synth_14 + 1e6 and build_42 <= build_14 + 1e6, peaks

@@ -1,8 +1,10 @@
 """Differential tests of the array forms of `split` and `mean_state_energy`
 against the (vector, label) pair forms they replaced, kept verbatim below as
-the reference, and of the threaded feature pipeline against the per-segment
-segment -> simulate_voltage -> make_feature loop."""
+the reference, and of the threaded feature pipeline and the thought
+experiment against the per-segment segment -> simulate_voltage ->
+make_feature chain of tests/oracles.py."""
 
+import itertools
 import math
 import os
 import sys
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 
 from pehfault.classify import SplitConfig, split
 from pehfault.dataset import build_feature_sets, load_manifest, load_recording, write_recording_f32
-from pehfault.frontend import make_feature, mean_state_energy
-from pehfault.harvester import design_from_thickness, simulate_voltage
-from pehfault.signals import segment
+from pehfault.frontend import mean_state_energy
+from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness
+from pehfault.report import run_thought_experiment
+from pehfault.signals import synth_sine
+from tests.oracles import make_feature, segment, simulate_voltage
 
 
 def _round_half_up(x: float) -> int:
@@ -185,3 +189,22 @@ def test_pipeline_equals_the_per_segment_loop_bit_for_bit(cpus, mixed_length_man
     assert rows.segment_indices == tuple(range(SEGMENTS)) * len(entries)
     assert rows.labels.tolist() == [meta.label.value for meta in entries for _ in range(SEGMENTS)]
 
+
+
+def test_thought_experiment_equals_the_per_segment_chain_bit_for_bit():
+    """Every ordered pair of designs, each driven at its own resonance, at
+    every period, load and rate of the grid: the pipeline's kernel must give
+    the energies of simulate_voltage then make_feature exactly, so a changed
+    scale, square or interval layout shows."""
+    loads, f0s = (1.0, 47.0), [design.f0_hz for design in DEFAULT_DESIGNS]
+    for period_s, fs in itertools.product((0.07, 1.0, 3.0, 4.0), (8000.0, 44100.0, 51200.0)):
+        reference = {}
+        for design, f_hz in itertools.product(DEFAULT_DESIGNS, f0s):
+            voltage = simulate_voltage(design, synth_sine(f_hz, 1.0, 0.0, fs, period_s))
+            for r_ohm in loads:
+                reference[f_hz, design.name, r_ohm] = make_feature(voltage, period_s, r_ohm)[0]
+        for design_a, design_b, r_ohm in itertools.product(DEFAULT_DESIGNS, DEFAULT_DESIGNS, loads):
+            inputs = (design_a.f0_hz, design_b.f0_hz)
+            got = run_thought_experiment(*inputs, design_a, design_b, period_s, r_ohm, fs)
+            want = [[reference[f_hz, design.name, r_ohm] for design in (design_a, design_b)] for f_hz in inputs]
+            assert np.array_equal(got, want), (design_a.name, design_b.name, period_s, r_ohm, fs)

