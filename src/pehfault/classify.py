@@ -1,11 +1,11 @@
-"""Seeded stratified splitting, an exact small-scale kNN classifier, accuracy
-evaluation, and the design x integration-period sweep."""
+"""Seeded stratified splitting, an exact small-scale kNN classifier, and
+repeated accuracy evaluation."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -216,17 +216,21 @@ def repeated_evaluation(
     index) order, is ranked once. Training indices ascend, so a validation
     row's k nearest training points are the first k training members of its
     head; a row whose head holds fewer is ranked against that split's
-    training rows alone.
+    training rows alone. Features whose distances could overflow (NaN
+    entries aside) raise OverflowError before any split is drawn.
     """
     if n_repeats < 1:
         raise ValueError(f"need at least one repeat, got {n_repeats}")
     features = _feature_matrix(features, labels)
+    space = _to_space(features, metric)
+    reach = float(np.fmax.reduce(np.abs(space), axis=None, initial=0.0))
+    if not 2 * reach * math.sqrt(space.shape[1]) <= math.sqrt(sys.float_info.max):  # bounds dim * (2 * reach)**2
+        raise OverflowError(f"features reach {reach:g} in {metric} space, too large for finite kNN distances")
     labels = np.asarray(labels)
     splits = [split(labels, replace(split_cfg, seed=split_cfg.seed + i)) for i in range(n_repeats)]
     # knn_fit's checks depend on the split only through its size, which every seed shares.
     knn_fit(features[splits[0][0]], labels[splits[0][0]], k, metric)
     names, codes = np.unique(labels, return_inverse=True)
-    space = _to_space(features, metric)
     # Heads only for rows some split validates, only among rows some split trains on.
     trained, queried = (np.unique(np.concatenate(side)) for side in zip(*splits))
     slot = np.empty(len(space), dtype=np.intp)
@@ -248,24 +252,3 @@ def repeated_evaluation(
             neighbors[~full] = train[_nearest_blocks(space[train], space[short], k)]
         reports.append(_report(names, codes[validation], _vote(codes[neighbors], len(names))))
     return reports
-
-
-def accuracy_sweep(
-    labels,
-    sets: Sequence[Sequence[np.ndarray]],
-    *,
-    k: int,
-    split_cfg: SplitConfig,
-    n_repeats: int,
-    metric: str = "raw",
-) -> np.ndarray:
-    """Accuracy of every repeat on every feature matrix, whose rows all carry
-    `labels`: entry [i, j, r] is that of repeat r (seed split_cfg.seed + r) on
-    sets[i][j]. Every matrix reuses the same seed sequence, so the entries
-    are comparable.
-    """
-
-    def accuracies(features) -> list[float]:
-        return [r.accuracy for r in repeated_evaluation(features, labels, k, split_cfg, n_repeats, metric)]
-
-    return np.array([[accuracies(features) for features in row] for row in sets])

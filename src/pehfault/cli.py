@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import METRICS, SplitConfig, accuracy_sweep, repeated_evaluation, train_size
+from .classify import METRICS, SplitConfig, repeated_evaluation, train_size
 from .dataset import (
     DEFAULT_SURROGATE_SPEC,
-    FeatureRows,
     MachineState,
     Manifest,
     build_feature_set,
@@ -36,7 +35,7 @@ from .dataset import (
     write_atomic,
 )
 from .errors import ConfigError, DataError
-from .frontend import MIN_CYCLES_PER_PERIOD
+from .frontend import MIN_CYCLES_PER_PERIOD, mean_state_energy
 from .harvester import DEFAULT_DESIGNS, MIN_FS_PER_F0, design_from_thickness
 from .report import (
     BITS_PER_SAMPLE,
@@ -45,7 +44,6 @@ from .report import (
     format_sampling_cost,
     format_thought_experiment,
     run_thought_experiment,
-    scatter_points,
     scatter_svg,
 )
 
@@ -167,9 +165,14 @@ def _designs(cfg: RunConfig, thicknesses) -> list:
         raise ConfigError(f"{cfg.design_table}: {exc}" if cfg.design_table else str(exc)) from None
 
 
-def _manifest_for(cfg: RunConfig, designs) -> Manifest:
-    """The manifest's entries that pass the filters: at least one, each
-    sampled at >= MIN_FS_PER_F0 times the highest resonance in use."""
+def _inputs(cfg: RunConfig, thicknesses, periods, *, split: bool = False, states=()) -> tuple[list, Manifest]:
+    """The designs of these thicknesses and the manifest entries to read at
+    these periods, checked before any recording is read, in this order: the
+    designs, the periods, the filtered manifest (at least one entry, each
+    sampled at >= MIN_FS_PER_F0 times the highest resonance in use), for a
+    kNN `split` the classes and training points it needs, then `states`."""
+    designs = _designs(cfg, thicknesses)
+    _check_periods(periods, designs, cfg.segment_s)
     if not cfg.manifest:
         raise ConfigError("a manifest path is required (--manifest or config key manifest)")
     manifest = load_manifest(cfg.manifest)
@@ -194,43 +197,34 @@ def _manifest_for(cfg: RunConfig, designs) -> Manifest:
                 f"{cfg.manifest}: {meta.path}: sampling rate {meta.fs:g} Hz < {MIN_FS_PER_F0:g} * f0 = "
                 f"{MIN_FS_PER_F0 * fastest.f0_hz:g} Hz of {fastest.name}"
             )
-    return manifest
-
-
-def _fault_label(cfg: RunConfig) -> MachineState:
-    try:
-        state = MachineState.from_token(cfg.fault_label)
-    except DataError as exc:
-        raise ConfigError(str(exc)) from None
-    if state is MachineState.HEALTHY:
-        raise ConfigError("--fault-label must name a fault state, not healthy, which it is compared with")
-    return state
-
-
-def _require_classes(cfg: RunConfig, manifest: Manifest) -> None:
-    """At least 2 labels, for a stratified split at least 2 features
-    (recordings x segments per recording) in every class, and at least k
-    training points in every split."""
     counts = Counter(meta.label.value for meta in manifest.entries)
-    if len(counts) < 2:
-        raise DataError(f"{cfg.manifest}: classification needs at least 2 labels, found only {next(iter(counts))!r}")
-    short = sorted(label for label, n in counts.items() if n * cfg.segments_per_recording < 2)
-    if cfg.stratified and short:
-        raise DataError(
-            f"{cfg.manifest}: a stratified split needs >= 2 features per class; {short[0]!r} has "
-            f"{counts[short[0]]} recording(s) x {cfg.segments_per_recording} segment(s)"
-        )
-    groups = [n * cfg.segments_per_recording for n in counts.values()]
-    n_train = sum(train_size(n, cfg.train_fraction) for n in (groups if cfg.stratified else [sum(groups)]))
-    if cfg.k > n_train:
-        raise ConfigError(f"k={cfg.k} exceeds the {n_train} training points")
+    if split:
+        if len(counts) < 2:
+            raise DataError(f"{cfg.manifest}: classification needs at least 2 labels, found only {next(iter(counts))!r}")
+        short = sorted(label for label, n in counts.items() if n * cfg.segments_per_recording < 2)
+        if cfg.stratified and short:
+            raise DataError(
+                f"{cfg.manifest}: a stratified split needs >= 2 features per class; {short[0]!r} has "
+                f"{counts[short[0]]} recording(s) x {cfg.segments_per_recording} segment(s)"
+            )
+        groups = [n * cfg.segments_per_recording for n in counts.values()]
+        n_train = sum(train_size(n, cfg.train_fraction) for n in (groups if cfg.stratified else [sum(groups)]))
+        if cfg.k > n_train:
+            raise ConfigError(f"k={cfg.k} exceeds the {n_train} training points")
+    for state in states:
+        if state.value not in counts:
+            raise DataError(f"manifest holds no {state.value!r} recordings")
+    return designs, manifest
 
 
-def _features_csv(rows: FeatureRows, features, design_name: str, t_s: float) -> str:
-    dims = (f"feature_{i}" for i in range(features.shape[1]))
-    header = ["recording_id", "segment_index", "label", "design", "T_s", *dims]
-    lines = zip(rows.recording_ids, rows.segment_indices, rows.labels.tolist(), features.tolist())
-    return csv_text(header, [(rid, index, label, design_name, t_s, *values) for rid, index, label, values in lines])
+def _evaluate(cfg: RunConfig, features, labels) -> list:
+    """repeated_evaluation with the configured split, k and metric; features
+    too large for finite kNN distances are a config error naming r_ohm."""
+    split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
+    try:
+        return repeated_evaluation(features, labels, cfg.k, split_cfg, cfg.n_repeats, cfg.metric)
+    except OverflowError as exc:
+        raise ConfigError(f"r_ohm={cfg.r_ohm:g}: {exc}") from None
 
 
 def _format_confusion(labels, confusion) -> str:
@@ -246,6 +240,8 @@ def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
     _check_periods([cfg.t_s], designs)
     try:
         energies = run_thought_experiment(args.f_healthy, args.f_faulty, *designs, cfg.t_s, cfg.r_ohm, cfg.fs_synth)
+    except MemoryError:
+        raise ConfigError(f"fs_synth={cfg.fs_synth:g} Hz over T={cfg.t_s:g}s is more samples than memory holds") from None
     except ValueError as exc:  # every input is a parameter: a tone outside (0, fs/2), fs under 20 * f0
         raise ConfigError(str(exc)) from None
     print(format_thought_experiment(args.f_healthy, args.f_faulty, [design.name for design in designs], energies))
@@ -253,23 +249,20 @@ def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
 
 
 def cmd_extract(cfg: RunConfig, args, explicit) -> int:
-    (design,) = _designs(cfg, [cfg.thickness_mm])
-    _check_periods([cfg.t_s], [design], cfg.segment_s)
-    manifest = _manifest_for(cfg, [design])
+    (design,), manifest = _inputs(cfg, [cfg.thickness_mm], [cfg.t_s])
     rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
-    target = write_atomic(Path(cfg.out_dir) / "features.csv", _features_csv(rows, features, design.name, cfg.t_s))
+    header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(features.shape[1]))]
+    lines = zip(rows.recording_ids, rows.segment_indices, rows.labels.tolist(), features.tolist())
+    content = csv_text(header, [(rid, index, label, design.name, cfg.t_s, *values) for rid, index, label, values in lines])
+    target = write_atomic(Path(cfg.out_dir) / "features.csv", content)
     print(f"wrote {len(features)} feature rows to {target}")
     return EXIT_OK
 
 
 def cmd_classify(cfg: RunConfig, args, explicit) -> int:
-    (design,) = _designs(cfg, [cfg.thickness_mm])
-    _check_periods([cfg.t_s], [design], cfg.segment_s)
-    manifest = _manifest_for(cfg, [design])
-    _require_classes(cfg, manifest)
+    (design,), manifest = _inputs(cfg, [cfg.thickness_mm], [cfg.t_s], split=True)
     rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
-    split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
-    reports = repeated_evaluation(features, rows.labels, cfg.k, split_cfg, cfg.n_repeats, cfg.metric)
+    reports = _evaluate(cfg, features, rows.labels)
     accuracies = np.array([r.accuracy for r in reports])
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
     results = []
@@ -287,19 +280,15 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
-    designs = _designs(cfg, cfg.thicknesses)
-    _check_periods(cfg.t_values, designs, cfg.segment_s)
-    manifest = _manifest_for(cfg, designs)
-    _require_classes(cfg, manifest)
+    designs, manifest = _inputs(cfg, cfg.thicknesses, cfg.t_values, split=True)
     rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, cfg.t_values, cfg.r_ohm)
-    split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
-    accuracies = accuracy_sweep(rows.labels, sets, k=cfg.k, split_cfg=split_cfg, n_repeats=cfg.n_repeats, metric=cfg.metric)
     header = ["design", "thickness_mm", "T_s", "mean_accuracy", "std_accuracy", "n_repeats", "seed0"]
-    results = [
-        (design.name, design.thickness_mm, t_s, acc.mean(), acc.std(), cfg.n_repeats, cfg.seed)
-        for design, design_accuracies in zip(designs, accuracies)
-        for t_s, acc in zip(cfg.t_values, design_accuracies)
-    ]
+    results = []
+    # Every cell reuses the same seeds, so the cells are comparable.
+    for design, design_sets in zip(designs, sets):
+        for t_s, features in zip(cfg.t_values, design_sets):
+            acc = np.array([r.accuracy for r in _evaluate(cfg, features, rows.labels)])
+            results.append((design.name, design.thickness_mm, t_s, acc.mean(), acc.std(), cfg.n_repeats, cfg.seed))
     content = csv_text(header, results)
     target = write_atomic(Path(cfg.out_dir) / "sweep.csv", content)
     print(content, end="")
@@ -308,16 +297,16 @@ def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
 
 
 def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
-    fault_label = _fault_label(cfg)
-    designs = _designs(cfg, cfg.thicknesses)
-    _check_periods([cfg.t_s], designs, cfg.segment_s)
-    manifest = _manifest_for(cfg, designs)
-    present = {meta.label for meta in manifest.entries}
-    for state in (MachineState.HEALTHY, fault_label):
-        if state not in present:
-            raise DataError(f"manifest holds no {state.value!r} recordings")
+    try:
+        fault_label = MachineState.from_token(cfg.fault_label)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    if fault_label is MachineState.HEALTHY:
+        raise ConfigError("--fault-label must name a fault state, not healthy, which it is compared with")
+    designs, manifest = _inputs(cfg, cfg.thicknesses, [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
     rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, [cfg.t_s], cfg.r_ohm)
-    points = scatter_points(rows.labels, [matrix for (matrix,) in sets], fault_label)
+    means = [mean_state_energy(matrix, rows.labels) for (matrix,) in sets]
+    points = [(mean[MachineState.HEALTHY.value], mean[fault_label.value]) for mean in means]
     header = ["design", "thickness_mm", "mean_healthy_j", "mean_faulty_j", "diag_distance_j"]
     # The perpendicular distance to the 45-degree line: designs far from it
     # separate the two states well.
@@ -344,9 +333,14 @@ def cmd_surrogate_gen(cfg: RunConfig, args, explicit) -> int:
     spec = load_surrogate_spec(cfg.surrogate_spec) if cfg.surrogate_spec else DEFAULT_SURROGATE_SPEC
     seed = cfg.seed if "seed" in explicit else spec.seed
     out_dir = Path(cfg.out_dir) / "corpus"
-    manifest = synth_surrogate_corpus(spec, seed, out_dir)
+    try:
+        manifest = synth_surrogate_corpus(spec, seed, out_dir)
+    except MemoryError:
+        rule = f"fs_hz={spec.fs:g} over duration_s={spec.duration_s:g} is more samples than memory holds"
+        raise ConfigError(f"{cfg.surrogate_spec}: {rule}") from None
     print(f"wrote {len(manifest.entries)} recordings + manifest to {out_dir} (seed {seed})")
-    for (state, bearing, load), count in sorted(manifest.counts().items()):
+    groups = Counter((meta.label.value, meta.bearing_type, meta.load_w) for meta in manifest.entries)
+    for (state, bearing, load), count in sorted(groups.items()):
         print(f"  {state} / {bearing} / {load}W: {count}")
     return EXIT_OK
 

@@ -81,14 +81,6 @@ class Manifest:
     entries: tuple[RecordingMeta, ...]
     root: Path
 
-    def counts(self) -> dict[tuple[str, str, int], int]:
-        """Recording count per (state, bearing_type, load_w)."""
-        out: dict[tuple[str, str, int], int] = {}
-        for meta in self.entries:
-            key = (meta.label.value, meta.bearing_type, meta.load_w)
-            out[key] = out.get(key, 0) + 1
-        return out
-
 
 @dataclass(frozen=True)
 class FeatureRows:
@@ -361,22 +353,27 @@ def build_feature_sets(
     rows of the matrices, so the result does not depend on the thread count.
     Errors come out in manifest order: a recording's error is raised only
     once every earlier recording is done, and on any error the work not yet
-    started is cancelled.
+    started is cancelled. A feature that is not finite (an overflow) is a
+    DataError naming its recording, design, period and r_ohm.
     """
     entries, count = manifest.entries, segments_per_recording
     rows: list[tuple[str, str, int]] = []
     sets: list[list[np.ndarray]] = [[np.empty((0, 0)) for _ in periods] for _ in designs]
     dims: list[int] = []  # features per segment at each period, as the first recording gives them
     workers = worker_count(len(entries))
-    pending: deque[tuple[RecordingMeta, list[Future]]] = deque()  # in the pool, in manifest order
+    pending: deque[tuple[RecordingMeta, int, list[Future]]] = deque()  # in the pool, in manifest order
 
     def settle() -> None:
-        meta, futures = pending.popleft()
+        meta, first_row, futures = pending.popleft()
         try:
             for future in futures:
                 future.result()
         except (DataError, ValueError) as exc:
             raise DataError(f"{meta.path}: {exc}") from exc
+        for design, matrices in zip(designs, sets):
+            for period_s, matrix in zip(periods, matrices):
+                if not np.isfinite(matrix[first_row : first_row + count]).all():
+                    raise DataError(f"{meta.path}: a feature of {design.name} at T={period_s:g}s, r_ohm={r_ohm:g} is not finite")
 
     pool = ThreadPoolExecutor(workers)
     try:
@@ -402,7 +399,7 @@ def build_feature_sets(
                 pool.submit(filter_and_integrate, pieces, b, a, windows, scale, matrices, first_row)
                 for (b, a), matrices in zip(filters, sets)
             ]
-            pending.append((meta, futures))
+            pending.append((meta, first_row, futures))
         while pending:
             settle()
     finally:
@@ -430,14 +427,16 @@ def filter_and_integrate(pieces, b, a, windows, scale, matrices, first_row) -> N
     """The feature kernel: filter each of `pieces` from zero state with the
     biquad (b, a), square it, and sum it over each (samples per interval,
     intervals) of `windows`, divided by `scale` (R * fs), into rows
-    first_row, ... of the matching matrix."""
+    first_row, ... of the matching matrix. An overflow gives inf without a
+    warning: the callers reject a feature that is not finite."""
     from scipy.signal import lfilter  # on first use: a ~1 s import that energy-report and surrogate-gen never need
 
     for row, piece in enumerate(pieces, start=first_row):
         v = lfilter(b, a, piece)
-        np.square(v, out=v)
-        for (n_per, dim), matrix in zip(windows, matrices):
-            matrix[row] = v[: dim * n_per].reshape(dim, n_per).sum(axis=1) / scale
+        with np.errstate(all="ignore"):
+            np.square(v, out=v)
+            for (n_per, dim), matrix in zip(windows, matrices):
+                matrix[row] = v[: dim * n_per].reshape(dim, n_per).sum(axis=1) / scale
 
 
 def build_feature_set(
@@ -605,6 +604,8 @@ def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) 
     slot_seeds = np.random.SeedSequence(seed).spawn(spec.count_per_class)
     slots = [(state, index) for state in states for index in range(spec.count_per_class)]
     n = round(spec.duration_s * spec.fs)
+    if n > np.iinfo(np.intp).max // 4:  # past the address space numpy raises ValueError, not MemoryError
+        raise MemoryError(f"{n} samples exceed the address space")
     pending: deque[tuple[str, np.ndarray, Future]] = deque()  # in the pool, in write order
     rows = []
 

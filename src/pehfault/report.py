@@ -1,5 +1,5 @@
 """Cross-architecture sampling/energy comparison, the two-design frequency-shift
-demo, and per-design class-mean scatter data with a deterministic SVG rendering."""
+demo, and a deterministic SVG rendering of the per-design class-mean scatter."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MachineState, filter_and_integrate
-from .frontend import interval_samples, mean_state_energy
+from .dataset import filter_and_integrate
+from .frontend import interval_samples
 from .harvester import PehDesign, filter_coefficients
 from .signals import synth_sine
 
@@ -65,7 +65,7 @@ def run_thought_experiment(
     """Drive a unit sine of one integration period at each machine-state
     frequency through both designs, with the pipeline's feature kernel, and
     return the energies: energies[i, j] is that of input i (0 healthy, 1
-    faulty) through design j.
+    faulty) through design j. An energy that is not finite is a ValueError.
 
     design_healthy should be tuned near f_healthy_hz and design_faulty near
     f_faulty_hz for the decision rule to be meaningful.
@@ -78,6 +78,8 @@ def run_thought_experiment(
             # The sine spans exactly one interval, so column j gets one value in row i.
             interval = interval_samples(len(vibration), fs, period_s, r_ohm)
             filter_and_integrate([vibration], b, a, [interval], r_ohm * fs, [energies[:, j : j + 1]], i)
+    if not np.isfinite(energies).all():
+        raise ValueError(f"an energy at r_ohm={r_ohm:g} and T={period_s:g}s is not finite")
     return energies
 
 
@@ -96,17 +98,6 @@ def format_thought_experiment(
         decision = "healthy" if row[0] >= row[1] else "faulty"
         lines.append(f"{row_label:>18} | {row[0]:>{width}.6g} | {row[1]:>{width}.6g} | {decision}")
     return "\n".join(lines)
-
-
-def scatter_points(labels, features: Sequence[np.ndarray], fault_label: MachineState) -> list[tuple[float, float]]:
-    """(mean healthy, mean faulty) harvested energy of each feature matrix, in
-    order; the rows of every matrix carry `labels`, which must include both
-    states."""
-    points = []
-    for matrix in features:
-        means = mean_state_energy(matrix, labels)
-        points.append((means[MachineState.HEALTHY.value], means[fault_label.value]))
-    return points
 
 
 _SVG_SIZE = 640

@@ -54,8 +54,10 @@ def synth_sine(f_hz: float, amplitude: float, phase_rad: float, fs: float, durat
     """Pure sinusoid: amplitude * sin(2*pi*f*n/fs + phase), round(duration*fs) samples."""
     _check_rate_and_duration(fs, duration_s)
     _check_tone(f_hz, fs)
-    idx = np.arange(sample_count(duration_s, fs, "duration"))
-    return TimeSeries(amplitude * np.sin(2 * np.pi * f_hz * idx / fs + phase_rad), fs)
+    n = sample_count(duration_s, fs, "duration")
+    if n > np.iinfo(np.intp).max // 8:  # past the address space numpy raises ValueError, not MemoryError
+        raise MemoryError(f"{n} samples exceed the address space")
+    return TimeSeries(amplitude * np.sin(2 * np.pi * f_hz * np.arange(n) / fs + phase_rad), fs)
 
 
 def signal_energy(ts: TimeSeries, r_ohm: float = 1.0) -> float:

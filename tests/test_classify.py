@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 from pehfault.classify import (
     SplitConfig,
     _distances,
-    accuracy_sweep,
     evaluate,
     knn_fit,
     knn_predict,
     repeated_evaluation,
     split,
 )
-from pehfault.dataset import build_feature_set, build_feature_sets
-from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness
+from pehfault.dataset import build_feature_set
+from pehfault.harvester import design_from_thickness
 from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS
 
 
@@ -289,21 +288,35 @@ class TestRepeatedEvaluation:
         with pytest.raises(ValueError) as info:
             repeated_evaluation(features, ["a", "b"] * 4, 1, SplitConfig(), 2)
         assert str(info.value) == message
-        with pytest.raises(ValueError) as info:
-            accuracy_sweep(["a", "b"] * 4, [[features]], k=1, split_cfg=SplitConfig(), n_repeats=2)
-        assert str(info.value) == message
 
+    @pytest.mark.parametrize("metric", ["raw", "log"])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_features_whose_distances_could_overflow_are_rejected_before_any_split(self, metric, dim, monkeypatch):
+        """Squared distances of features near 1e298 overflow to inf, so every
+        neighbour would tie and every split score chance; in log space the
+        same features are far from overflowing."""
 
-class TestAccuracySweep:
-    def test_four_designs_one_period(self, small_corpus):
-        """Entry [i, j, r] is repeat r of repeated_evaluation on sets[i][j]."""
-        rows, sets = build_feature_sets(small_corpus, DEFAULT_DESIGNS, SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
-        split_cfg = SplitConfig(0.8, seed=0)
-        accuracies = accuracy_sweep(rows.labels, sets, k=3, split_cfg=split_cfg, n_repeats=3)
-        assert accuracies.shape == (4, 1, 3)
-        for design_sets, design_accuracies in zip(sets, accuracies):
-            reports = repeated_evaluation(design_sets[0], rows.labels, 3, split_cfg, 3)
-            assert design_accuracies[0].tolist() == [r.accuracy for r in reports]
+        def no_split(labels, cfg):
+            raise AssertionError("split called")
+
+        features = np.full((8, dim), 1e298)
+        features[::2] *= 2
+        labels = ["a", "b"] * 4
+        if metric == "log":
+            reports = repeated_evaluation(features, labels, 1, SplitConfig(), 2, metric)
+            assert [r.accuracy for r in reports] == [1.0, 1.0]
+            return
+        monkeypatch.setattr(pehfault.classify, "split", no_split)
+        with pytest.raises(OverflowError) as info:
+            repeated_evaluation(features, labels, 1, SplitConfig(), 2, metric)
+        assert str(info.value) == "features reach 2e+298 in raw space, too large for finite kNN distances"
+
+    def test_the_overflow_bound_counts_every_dimension(self):
+        """(2 * 6e153)**2 fits in a float, four times that does not."""
+        labels = ["a", "b"] * 4
+        assert len(repeated_evaluation(np.full((8, 1), 6e153), labels, 1, SplitConfig(), 1)) == 1
+        with pytest.raises(OverflowError):
+            repeated_evaluation(np.full((8, 4), 6e153), labels, 1, SplitConfig(), 1)
 
 
 def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):

@@ -21,16 +21,20 @@ from pehfault.cli import (
     parse_config_file,
     validate_config,
 )
+from pehfault.classify import SplitConfig, repeated_evaluation
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
     DESIGN_TABLE_FIELDS,
     MachineState,
+    build_feature_sets,
     load_design_table,
     load_surrogate_spec,
+    synth_surrogate_corpus,
     write_recording_f32,
 )
 from pehfault.errors import ConfigError
-from pehfault.harvester import DEFAULT_DESIGNS
+from pehfault.frontend import mean_state_energy
+from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness
 from tests.conftest import (
     MIXED_RATE_ERROR,
     MIXED_RATE_FLAGS,
@@ -358,6 +362,15 @@ class TestClassify:
             assert row[3].isdigit() and row[4].isdigit()
 
 
+# Two states whose tones and noise overlap: kNN accuracy varies with the
+# design, the period and the split.
+OVERLAPPING_RECIPE = (
+    "count_per_class=4\nfs_hz=8192\nduration_s=1\namplitude_jitter=0.3\n"
+    "healthy.tones=150:1.0,200:1.0\nhealthy.noise_sigma=1.0\n"
+    "ball_crack.tones=150:1.0,200:0.8\nball_crack.noise_sigma=1.0\n"
+)
+
+
 class TestSweep:
     def test_table_shape(self, small_corpus, tmp_path, capsys):
         args = [
@@ -381,8 +394,40 @@ class TestSweep:
         (row,) = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert row.split(",")[4:6] == ["0.0", "1"]
 
+    def test_each_cell_is_repeated_evaluation_of_its_feature_matrix(self, tmp_path, capsys):
+        """Each row's mean and std are those of repeated_evaluation on the
+        build_feature_sets matrix of its (design, T), every cell under the
+        same seeds. The states overlap, so the cells differ."""
+        (tmp_path / "recipe.cfg").write_text(OVERLAPPING_RECIPE)
+        manifest = synth_surrogate_corpus(load_surrogate_spec(tmp_path / "recipe.cfg"), 1, tmp_path / "corpus")
+        designs, periods = [design_from_thickness(t) for t in (0.35, 0.50)], [0.125, 0.25]
+        flags = ["--segment", "0.5", "--segments", "2", "--thicknesses", "0.35,0.5", "--t-values", "0.125,0.25"]
+        argv = ["sweep", "--manifest", str(tmp_path / "corpus" / "manifest.csv"), "--out", str(tmp_path), *flags]
+        assert main([*argv, "--repeats", "3", "--seed", "4"]) == EXIT_OK
+        rows, sets = build_feature_sets(manifest, designs, 0.5, 2, periods, 1.0)
+        expected = []
+        for design, design_sets in zip(designs, sets):
+            for t_s, features in zip(periods, design_sets):
+                reports = repeated_evaluation(features, rows.labels, 3, SplitConfig(0.8, seed=4), 3)
+                accuracies = np.array([r.accuracy for r in reports])
+                expected.append([design.name, t_s, accuracies.mean(), accuracies.std()])
+        cells = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [[name, float(t_s), float(mean), float(std)] for name, _, t_s, mean, std, _, _ in cells] == expected
+        assert len({mean for _, _, mean, _ in expected}) > 1
+
 
 class TestScatter:
+    def test_each_pair_is_the_state_means_of_its_feature_matrix(self, small_corpus, tmp_path, capsys):
+        designs = [design_from_thickness(t) for t in (0.35, 0.45, 0.50)]
+        assert main(["scatter", *small_flags(small_corpus, tmp_path), "--thicknesses", "0.35,0.45,0.5"]) == EXIT_OK
+        rows, sets = build_feature_sets(small_corpus, designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
+        expected = []
+        for design, (matrix,) in zip(designs, sets):
+            means = mean_state_energy(matrix, rows.labels)
+            expected.append([design.name, means["healthy"], means["ball_crack"]])
+        pairs = [line.split(",") for line in (tmp_path / "scatter.csv").read_text().splitlines()[1:]]
+        assert [[name, float(healthy), float(faulty)] for name, _, healthy, faulty, _ in pairs] == expected
+
     def test_missing_fault_state_rejected_before_reading(self, small_corpus, tmp_path, monkeypatch, capsys):
         def no_reading(*args, **kwargs):
             raise AssertionError("a recording was read")
@@ -950,3 +995,70 @@ def test_a_recipe_value_that_is_not_finite_is_a_config_error(text, rule, tmp_pat
     assert main(["surrogate-gen", "--spec", str(recipe), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
     assert capsys.readouterr() == ("", f"config error: {recipe}: {rule}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cause", ["r_ohm", "peak_gain"])
+def test_a_feature_that_is_not_finite_is_a_data_error_before_writing(cause, tmp_path, capsys):
+    """A load of 1e-320 Ohm or a peak gain of 1e200 V/g overflows every
+    energy; each once wrote inf in every features.csv row and exited 0."""
+    corpus = tiny_corpus(tmp_path)
+    out = tmp_path / "out"
+    argv = ["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(out), *TINY_FLAGS]
+    if cause == "r_ohm":
+        argv, r_ohm = [*argv, "--r-ohm", "1e-320"], "9.99989e-321"
+    else:
+        table = tmp_path / "designs.csv"
+        table.write_text(f"{','.join(DESIGN_TABLE_FIELDS)}\npeh_0.50mm,0.5,200,10,1e200\n")
+        argv, r_ohm = [*argv, "--design-table", str(table)], "1"
+    assert main(argv) == EXIT_DATA_ERROR
+    expected = f"data error: ball_crack_00.f32: a feature of peh_0.50mm at T=0.25s, r_ohm={r_ohm} is not finite\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+def test_features_too_large_for_knn_distances_are_a_config_error_before_writing(command, small_corpus, tmp_path, capsys):
+    """At 1e-300 Ohm the features are finite, near 1e299, but their squared
+    distances overflow: every sweep cell once read 0.5 at exit 0. In log
+    space the same features classify."""
+    out = tmp_path / "out"
+    argv = [command, *small_flags(small_corpus, out), "--r-ohm", "1e-300"]
+    if command == "sweep":
+        argv += ["--thicknesses", "0.5", "--t-values", str(SMALL_SEGMENT_S)]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: r_ohm=1e-300: features reach ")
+    assert err.endswith(" in raw space, too large for finite kNN distances\n")
+    assert not out.exists()
+    assert main([*argv, "--metric", "log"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("fs", ["1e15", "1e20"])
+def test_a_synthesis_rate_too_large_for_memory_is_a_config_error(fs, tmp_path, capsys):
+    """3 s at 1e15 Hz is 24 PiB of sample indices, which once ended in a
+    MemoryError traceback; at 1e20 Hz numpy's `Maximum allowed size
+    exceeded` came out as the whole config error."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"fs_synth={fs}\n")
+    assert main(["thought-experiment", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    expected = f"config error: fs_synth={float(fs):g} Hz over T=3s is more samples than memory holds\n"
+    assert capsys.readouterr() == ("", expected)
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("fs", ["1e15", "1e20"])
+def test_a_recipe_too_large_for_memory_is_a_config_error(fs, tmp_path, capsys):
+    """1 s at 1e15 Hz is 3.6 PiB of float32 samples, which once ended in a
+    MemoryError traceback; at 1e20 Hz numpy raised ValueError."""
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text(f"fs_hz={fs}\nduration_s=1\nhealthy.tones=100:1.0\nball_crack.tones=60:0.5\n")
+    assert main(["surrogate-gen", "--spec", str(recipe), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    expected = f"config error: {recipe}: fs_hz={float(fs):g} over duration_s=1 is more samples than memory holds\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_thought_experiment_energy_that_is_not_finite_is_a_config_error(capsys):
+    """At 1e-320 Ohm the energies overflow; they once printed as inf at exit 0."""
+    assert main(["thought-experiment", "--r-ohm", "1e-320"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", "config error: an energy at r_ohm=9.99989e-321 and T=3s is not finite\n")

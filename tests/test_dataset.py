@@ -58,7 +58,8 @@ class TestLoadManifest:
         rows = [(f"h{i}.txt", "healthy") for i in range(7)] + [(f"b{i}.txt", "ball_crack") for i in range(7)]
         manifest = load_manifest(make_manifest(tmp_path, rows))
         assert len(manifest.entries) == 14
-        assert manifest.counts()[("healthy", "6204", 0)] == 7
+        groups = Counter((meta.label.value, meta.bearing_type, meta.load_w) for meta in manifest.entries)
+        assert groups == {("healthy", "6204", 0): 7, ("ball_crack", "6204", 0): 7}
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "manifest.csv"
@@ -343,6 +344,14 @@ class TestBuildFeatureSets:
                 for r, (values, *row) in enumerate(expected):
                     assert [rows.labels[r], rows.recording_ids[r], rows.segment_indices[r]] == row
                     assert np.array_equal(got[r], values)
+
+    def test_a_feature_that_is_not_finite_is_a_data_error_naming_its_cell(self, small_corpus):
+        """At 1e-320 Ohm every energy overflows to inf. The error must not
+        come from numpy's overflow warning, which is an exception here."""
+        with pytest.raises(DataError) as info:
+            build_feature_sets(small_corpus, self.designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, self.periods, 1e-320)
+        first = small_corpus.entries[0].path
+        assert str(info.value) == f"{first}: a feature of peh_0.35mm at T=0.5s, r_ohm=9.99989e-321 is not finite"
 
     def test_mixed_feature_dimensions_are_a_data_error(self, tmp_path):
         manifest = load_manifest(mixed_rate_manifest(tmp_path))
