@@ -1,7 +1,6 @@
 """Simulation of harvester-filtered low-rate energy features for bearing fault
 detection: a harvester band-pass, an integrator, and a kNN classifier."""
 
-from .classify import knn_fit
 from .dataset import write_recording_f32
 
 __version__ = "0.1.0"

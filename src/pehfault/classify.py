@@ -1,5 +1,5 @@
-"""Seeded stratified splitting, an exact small-scale kNN classifier, and
-repeated accuracy evaluation."""
+"""Seeded stratified splitting and the repeated accuracy of an exact kNN
+classifier over seeded splits of one feature matrix."""
 
 from __future__ import annotations
 
@@ -57,43 +57,10 @@ def split(labels, cfg: SplitConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 
-@dataclass(frozen=True)
-class KnnModel:
-    """Lazy learner: the training rows in metric space, which every
-    prediction reuses, and their labels as codes into the sorted `classes`."""
-
-    k: int
-    metric: str
-    space: np.ndarray
-    classes: tuple[str, ...]
-    codes: np.ndarray
-
-
 def _to_space(x: np.ndarray, metric: str) -> np.ndarray:
     if metric == "log":
         return np.log(np.maximum(x, _LOG_FLOOR))
     return x
-
-
-def _feature_matrix(features, labels) -> np.ndarray:
-    """`features` as float64, which must be an (n, dimension) matrix for the n labels."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or len(features) != len(labels):
-        raise ValueError(f"need an (n, dimension) feature matrix and n labels, got {features.shape} and {len(labels)}")
-    return features
-
-
-def knn_fit(features, labels, k: int, metric: str = "raw") -> KnnModel:
-    """Store an (n, dim) training matrix with the labels of its n rows."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k > len(features):
-        raise ValueError(f"k={k} exceeds the {len(features)} training points")
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    features = _feature_matrix(features, labels)
-    classes, codes = np.unique(labels, return_inverse=True)
-    return KnnModel(k, metric, _to_space(features, metric), tuple(classes.tolist()), codes)
 
 
 # Bytes of one (queries x train) float64 distance block; queries are taken in
@@ -148,25 +115,6 @@ def _vote(neighbors: np.ndarray, n_classes: int) -> np.ndarray:
     return neighbors[np.arange(len(neighbors)), first_best]
 
 
-def knn_predict(model: KnnModel, queries):
-    """Majority label among the k nearest points by Euclidean distance.
-
-    `queries` is one vector, which returns one label, or a 2-D block of query
-    rows, which returns a tuple of labels. Distance ties resolve to the lower
-    training index; vote ties resolve to the label of the nearest neighbor
-    among the tied labels.
-    """
-    block = np.asarray(queries, dtype=np.float64)
-    single = block.ndim < 2
-    block = np.atleast_2d(block)
-    dim = model.space.shape[1]
-    if block.shape[1:] != (dim,):
-        raise ValueError(f"query dimension {block.shape[1:]} does not match model dimension {dim}")
-    order = _nearest_blocks(model.space, _to_space(block, model.metric), model.k)
-    labels = tuple(model.classes[code] for code in _vote(model.codes[order], len(model.classes)).tolist())
-    return labels[0] if single else labels
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Accuracy plus the label-by-label confusion matrix (rows true, columns predicted)."""
@@ -174,23 +122,6 @@ class EvalReport:
     accuracy: float
     labels: tuple[str, ...]
     confusion: np.ndarray
-
-
-def _report(names: np.ndarray, true: np.ndarray, predicted: np.ndarray) -> EvalReport:
-    """Score predicted against true label codes, both indices into `names`."""
-    confusion = np.zeros((len(names), len(names)), dtype=np.int64)
-    np.add.at(confusion, (true, predicted), 1)
-    accuracy = float(np.trace(confusion) / confusion.sum())
-    return EvalReport(accuracy, tuple(names.tolist()), confusion)
-
-
-def evaluate(model: KnnModel, features, labels) -> EvalReport:
-    """Predict the rows of an (n, dim) validation matrix and score them against their labels."""
-    if len(labels) == 0:
-        raise ValueError("validation set is empty")
-    names = np.union1d(model.classes, labels)
-    predicted = knn_predict(model, features)
-    return _report(names, np.searchsorted(names, labels), np.searchsorted(names, predicted))
 
 
 def _head_width(n: int, k: int) -> int:
@@ -207,9 +138,12 @@ def repeated_evaluation(
     n_repeats: int,
     metric: str = "raw",
 ) -> list[EvalReport]:
-    """Repeat split/fit/evaluate on the rows of one feature matrix: report i
-    equals `evaluate(knn_fit(...), ...)` on the split seeded
-    split_cfg.seed + i.
+    """Score the kNN classifier on n_repeats seeded splits of one (n, dim)
+    feature matrix: report i is that of the split seeded split_cfg.seed + i,
+    each validation row taking the majority label of its k nearest training
+    rows by Euclidean distance in metric space. A distance tie goes to the
+    lower training index, a vote tie to the label of the nearest neighbor
+    among the tied labels.
 
     The matrix is mapped to metric space once, and the head of each row
     some split validates, its first `_head_width` points in (distance,
@@ -221,15 +155,22 @@ def repeated_evaluation(
     """
     if n_repeats < 1:
         raise ValueError(f"need at least one repeat, got {n_repeats}")
-    features = _feature_matrix(features, labels)
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or len(features) != len(labels):
+        raise ValueError(f"need an (n, dimension) feature matrix and n labels, got {features.shape} and {len(labels)}")
     space = _to_space(features, metric)
     reach = float(np.fmax.reduce(np.abs(space), axis=None, initial=0.0))
     if not 2 * reach * math.sqrt(space.shape[1]) <= math.sqrt(sys.float_info.max):  # bounds dim * (2 * reach)**2
         raise OverflowError(f"features reach {reach:g} in {metric} space, too large for finite kNN distances")
     labels = np.asarray(labels)
     splits = [split(labels, replace(split_cfg, seed=split_cfg.seed + i)) for i in range(n_repeats)]
-    # knn_fit's checks depend on the split only through its size, which every seed shares.
-    knn_fit(features[splits[0][0]], labels[splits[0][0]], k, metric)
+    # Every seed's split has the same training size.
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if k > len(splits[0][0]):
+        raise ValueError(f"k={k} exceeds the {len(splits[0][0])} training points")
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     names, codes = np.unique(labels, return_inverse=True)
     # Heads only for rows some split validates, only among rows some split trains on.
     trained, queried = (np.unique(np.concatenate(side)) for side in zip(*splits))
@@ -250,5 +191,7 @@ def repeated_evaluation(
         short = validation[~full]
         if short.size:
             neighbors[~full] = train[_nearest_blocks(space[train], space[short], k)]
-        reports.append(_report(names, codes[validation], _vote(codes[neighbors], len(names))))
+        confusion = np.zeros((len(names), len(names)), dtype=np.int64)
+        np.add.at(confusion, (codes[validation], _vote(codes[neighbors], len(names))), 1)
+        reports.append(EvalReport(float(np.trace(confusion) / confusion.sum()), tuple(names.tolist()), confusion))
     return reports

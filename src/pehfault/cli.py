@@ -311,8 +311,15 @@ def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
     # The perpendicular distance to the 45-degree line: designs far from it
     # separate the two states well.
     results = [(d.name, d.thickness_mm, h, f, abs(h - f) / math.sqrt(2.0)) for d, (h, f) in zip(designs, points)]
+    for name, _, *values in results:
+        if not np.isfinite(values).all():
+            raise ConfigError(f"r_ohm={cfg.r_ohm:g}: {name}: a mean energy or its distance to the diagonal is not finite")
+    try:
+        svg = scatter_svg([d.name for d in designs], points)
+    except ValueError as exc:
+        raise ConfigError(f"r_ohm={cfg.r_ohm:g}: {exc}") from None
     csv_target = write_atomic(Path(cfg.out_dir) / "scatter.csv", csv_text(header, results))
-    svg_target = write_atomic(Path(cfg.out_dir) / "scatter.svg", scatter_svg([d.name for d in designs], points))
+    svg_target = write_atomic(Path(cfg.out_dir) / "scatter.svg", svg)
     for name, _, healthy, faulty, distance in results:
         print(f"{name}: healthy {healthy:.6g} J, faulty {faulty:.6g} J, distance to diagonal {distance:.6g} J")
     print(f"wrote {csv_target} and {svg_target}")

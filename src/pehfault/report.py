@@ -41,14 +41,22 @@ def format_sampling_cost(
     for name, value in (("fs_raw_hz", fs_raw_hz), ("period_s", period_s)):
         if not 0 < value < math.inf:  # NaN fails too
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    per_sample = e_adc_per_sample_j + e_tx_per_sample_j
+    if per_sample == math.inf:
+        raise ValueError(f"e_adc_per_sample_j + e_tx_per_sample_j must be finite, got {per_sample}")
     feature_rate = 1.0 / period_s
     ratio = fs_raw_hz * period_s
-    per_sample = e_adc_per_sample_j + e_tx_per_sample_j
+    raw_bits, feature_bits = fs_raw_hz * bits_per_sample, feature_rate * bits_per_sample
+    raw_power, feature_power = fs_raw_hz * per_sample, feature_rate * per_sample
+    if not (ratio > 0 and all(map(math.isfinite, (feature_rate, ratio, raw_bits, feature_bits, raw_power, feature_power)))):
+        raise ValueError(
+            f"fs_raw_hz={fs_raw_hz:g} and period_s={period_s:g} give a rate, ratio or power out of floating-point range"
+        )
     lines = [
-        f"raw architecture:     {fs_raw_hz:g} Hz sampling ({fs_raw_hz * bits_per_sample:g} bit/s)",
-        f"feature architecture: {feature_rate:.2f} Hz sampling ({feature_rate * bits_per_sample:g} bit/s)",
+        f"raw architecture:     {fs_raw_hz:g} Hz sampling ({raw_bits:g} bit/s)",
+        f"feature architecture: {feature_rate:.2f} Hz sampling ({feature_bits:g} bit/s)",
         f"sampling reduction:   {ratio:g}x (10^{math.log10(ratio):.2f})",
-        f"modeled ADC+TX power: raw {fs_raw_hz * per_sample:g} J/s, feature {feature_rate * per_sample:g} J/s",
+        f"modeled ADC+TX power: raw {raw_power:g} J/s, feature {feature_power:g} J/s",
     ]
     return "\n".join(lines)
 
@@ -107,10 +115,14 @@ _SVG_MARGIN = 70
 def scatter_svg(names: Sequence[str], points: Sequence[tuple[float, float]]) -> str:
     """Fixed-layout SVG scatter of mean faulty vs mean healthy energy, one
     (healthy, faulty) point per name, with the dashed 45-degree diagonal.
-    Pure function of its arguments (no timestamps)."""
+    Pure function of its arguments (no timestamps). An energy too large for
+    finite coordinates is a ValueError naming the largest point."""
     span = max([energy for point in points for energy in point], default=1.0)
     span = span * 1.1 if span > 0 else 1.0
     plot = _SVG_SIZE - 2 * _SVG_MARGIN
+    if not math.isfinite(plot * span):  # no energy exceeds span, so this bounds every coordinate
+        name, point = max(zip(names, points), key=lambda item: max(item[1]))
+        raise ValueError(f"{name}: mean energy {max(point):g} J is too large to plot")
 
     def sx(value: float) -> float:
         return _SVG_MARGIN + plot * value / span

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from pehfault.classify import SplitConfig, knn_fit, knn_predict, repeated_evaluation
+from pehfault.classify import SplitConfig, repeated_evaluation, train_size
 from pehfault.cli import EXIT_OK, main
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
@@ -35,7 +35,7 @@ from tests.oracles import (
     simulate_voltage,
     synth_composite,
 )
-from tests.test_classify import brute_force_predict, matrix
+from tests.test_classify import brute_force_reports
 
 FS = 51200.0
 
@@ -116,16 +116,16 @@ def test_criterion_4_knn_oracle_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     mismatches = 0
-    for _ in range(100):
+    for seed in range(100):
         n = int(rng.integers(2, 101))
         dim = int(rng.integers(1, 6))
-        points = [
-            (rng.integers(-6, 7, size=dim).astype(float), str(rng.choice(["a", "b", "c"]))) for _ in range(n)
-        ]
-        k = int(rng.integers(1, n + 1))
-        model = knn_fit(*matrix(points), k=k)
-        query = rng.integers(-6, 7, size=dim).astype(float)
-        if knn_predict(model, query) != brute_force_predict(points, k, query):
+        features = rng.integers(-6, 7, size=(n, dim)).astype(float)
+        labels = rng.choice(["a", "b", "c"], size=n)
+        k = int(rng.integers(1, train_size(n, 0.8) + 1))
+        split_cfg = SplitConfig(0.8, seed=seed, stratified=False)
+        got = repeated_evaluation(features, labels, k, split_cfg, 2)
+        want = brute_force_reports(features, labels, k, split_cfg, 2)
+        if any(g.labels != w.labels or not np.array_equal(g.confusion, w.confusion) for g, w in zip(got, want)):
             mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 5.0

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pehfault.classify import (
+    EvalReport,
     SplitConfig,
     _distances,
-    evaluate,
-    knn_fit,
-    knn_predict,
+    _nearest_blocks,
+    _to_space,
+    _vote,
     repeated_evaluation,
     split,
+    train_size,
 )
 from pehfault.dataset import build_feature_set
 from pehfault.harvester import design_from_thickness
@@ -51,6 +53,50 @@ def brute_force_predict(points, k, query):
     for _, i in ranked:
         if counts[points[i][1]] == best:
             return points[i][1]
+
+
+def brute_force_reports(features, labels, k, split_cfg, n_repeats):
+    """The reports repeated_evaluation should give, with every validation row
+    of each seeded split labelled by brute_force_predict on the training rows
+    of that split."""
+    labels = np.asarray(labels)
+    names = np.unique(labels)
+    reports = []
+    for i in range(n_repeats):
+        train, validation = split(labels, replace(split_cfg, seed=split_cfg.seed + i))
+        points = [(features[j], labels[j]) for j in train]
+        confusion = np.zeros((len(names), len(names)), dtype=np.int64)
+        for j in validation:
+            predicted = brute_force_predict(points, k, features[j])
+            confusion[np.searchsorted(names, labels[j]), np.searchsorted(names, predicted)] += 1
+        reports.append(EvalReport(float(np.trace(confusion) / confusion.sum()), tuple(names.tolist()), confusion))
+    return reports
+
+
+def assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.accuracy, g.labels) == (w.accuracy, w.labels)
+        assert g.confusion.dtype == w.confusion.dtype
+        np.testing.assert_array_equal(g.confusion, w.confusion)
+
+
+def engine_labels(points, k, queries, metric="raw"):
+    """The label repeated_evaluation's kNN engine gives each query row when
+    `points` are the training rows: `_vote` over the `_nearest_blocks` order."""
+    features, labels = matrix(points)
+    names, codes = np.unique(labels, return_inverse=True)
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    order = _nearest_blocks(_to_space(features, metric), _to_space(queries, metric), k)
+    return names[_vote(codes[order], len(names))].tolist()
+
+
+def random_instance(rng, n, dim, low, high, classes):
+    """n points of integer-valued coordinates in [low, high), which make
+    distance ties exact and frequent, and a k up to an unstratified 80 %
+    split's training size."""
+    points = [(rng.integers(low, high, size=dim).astype(float), str(rng.choice(classes))) for _ in range(n)]
+    return points, int(rng.integers(1, train_size(n, 0.8) + 1))
 
 
 class TestSplit:
@@ -106,96 +152,76 @@ def test_split_is_partition(seed, fraction, class_sizes):
         assert abs(got - fraction * size) <= 1.0
 
 
-class TestKnnFit:
-    def test_model_stores_points(self):
-        model = knn_fit(*matrix(labeled(17)), k=3)
-        assert model.k == 3
-        assert model.space.shape == (34, 1)
-        assert len(model.codes) == 34
-        assert [model.classes[code] for code in model.codes] == matrix(labeled(17))[1]
+class TestArguments:
+    def test_reports_name_the_sorted_labels(self):
+        features, labels = matrix(labeled(17, classes=("b", "a")))
+        for report in repeated_evaluation(features, labels, 3, SplitConfig(0.8, seed=0), 2):
+            assert report.labels == ("a", "b")
+            assert report.confusion.sum() == 2 * (17 - train_size(17, 0.8))
 
     def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            knn_fit(*matrix(labeled(5)), k=0)
+        with pytest.raises(ValueError, match="positive integer"):
+            repeated_evaluation(*matrix(labeled(5)), 0, SplitConfig(), 1)
 
     def test_k_exceeding_points_rejected(self):
-        with pytest.raises(ValueError):
-            knn_fit(*matrix(labeled(2)), k=5)
+        with pytest.raises(ValueError, match="exceeds the 2 training points"):
+            repeated_evaluation(*matrix(labeled(2)), 5, SplitConfig(), 1)
 
     def test_mixed_dimensions_rejected(self):
         # Mixed dimensions cannot form one matrix: build_feature_sets rejects
         # them (tests/test_dataset.py); a set that is not an (n, dim) matrix
         # with n labels is rejected here.
         with pytest.raises(ValueError, match="dimension"):
-            knn_fit(np.array([1.0, 2.0, 3.0]), ["a", "b", "b"], k=1)
+            repeated_evaluation(np.array([1.0, 2.0, 3.0]), ["a", "b", "b"], 1, SplitConfig(), 1)
         with pytest.raises(ValueError, match="dimension"):
-            knn_fit(np.zeros((3, 2)), ["a", "b"], k=1)
+            repeated_evaluation(np.zeros((3, 2)), ["a", "b"], 1, SplitConfig(), 1)
 
     def test_bad_metric_rejected(self):
         with pytest.raises(ValueError, match="metric"):
-            knn_fit(*matrix(labeled(3)), k=1, metric="cosine")
+            repeated_evaluation(*matrix(labeled(3)), 1, SplitConfig(), 1, metric="cosine")
 
 
-class TestKnnPredict:
+class TestNeighbors:
     def test_single_nearest(self):
-        model = knn_fit([[1.0], [2.0], [10.0]], ["A", "A", "B"], k=1)
-        assert knn_predict(model, np.array([9.5])) == "B"
+        assert engine_labels([([1.0], "A"), ([2.0], "A"), ([10.0], "B")], 1, [[9.5]]) == ["B"]
 
     def test_majority_two_vs_one(self):
-        model = knn_fit([[1.0], [2.0], [3.0]], ["A", "A", "B"], k=3)
-        assert knn_predict(model, np.array([2.5])) == "A"
+        assert engine_labels([([1.0], "A"), ([2.0], "A"), ([3.0], "B")], 3, [[2.5]]) == ["A"]
 
     def test_vote_tie_prefers_nearest_label(self):
         # two A at distance 2 and 3, two B at distance 1 and 4: tie 2-2, B holds the nearest
         points = [(np.array([2.0]), "A"), (np.array([-3.0]), "A"), (np.array([1.0]), "B"), (np.array([4.0]), "B")]
-        model = knn_fit(*matrix(points), k=4)
-        assert knn_predict(model, np.array([0.0])) == "B"
+        assert engine_labels(points, 4, [[0.0]]) == ["B"]
 
     def test_distance_tie_prefers_lower_index(self):
         points = [(np.array([1.0]), "A"), (np.array([-1.0]), "B"), (np.array([2.0]), "B")]
-        model = knn_fit(*matrix(points), k=1)
-        assert knn_predict(model, np.array([0.0])) == "A"
-
-    def test_dimension_mismatch_rejected(self):
-        model = knn_fit(*matrix(labeled(3)), k=1)
-        with pytest.raises(ValueError, match="dimension"):
-            knn_predict(model, np.array([1.0, 2.0]))
+        assert engine_labels(points, 1, [[0.0]]) == ["A"]
 
     def test_log_metric_separates_by_magnitude(self):
         # energies decades apart: log distance groups by order of magnitude
         points = [(np.array([1e-6]), "small"), (np.array([2e-6]), "small"), (np.array([1.0]), "big")]
-        model = knn_fit(*matrix(points), k=1, metric="log")
-        assert knn_predict(model, np.array([4e-6])) == "small"
-        assert knn_predict(model, np.array([0.5])) == "big"
-        assert knn_predict(model, np.array([0.0])) == "small"  # floored, not -inf
+        # 0.0 is floored, not -inf
+        assert engine_labels(points, 1, [[4e-6], [0.5], [0.0]], metric="log") == ["small", "big", "small"]
 
     def test_agrees_with_brute_force_on_random_instances(self):
         rng = np.random.default_rng(17)
-        for _ in range(20):
-            n = int(rng.integers(3, 41))
-            dim = int(rng.integers(1, 4))
-            # integer-valued coordinates make distance ties exact and frequent
-            points = [
-                (rng.integers(0, 8, size=dim).astype(float), rng.choice(["x", "y", "z"]))
-                for _ in range(n)
-            ]
-            model = knn_fit(*matrix(points), k=int(rng.integers(1, n + 1)))
-            for _ in range(20):
-                query = rng.integers(0, 8, size=dim).astype(float)
-                assert knn_predict(model, query) == brute_force_predict(points, model.k, query)
+        for seed in range(20):
+            points, k = random_instance(rng, int(rng.integers(3, 41)), int(rng.integers(1, 4)), 0, 8, ["x", "y", "z"])
+            features, labels = matrix(points)
+            split_cfg = SplitConfig(0.8, seed=seed, stratified=False)
+            want = brute_force_reports(features, labels, k, split_cfg, 5)
+            assert_same_reports(repeated_evaluation(features, labels, k, split_cfg, 5), want)
 
 
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=2**31))
 def test_knn_matches_oracle_property(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 30))
-    dim = int(rng.integers(1, 5))
-    points = [(rng.integers(-5, 6, size=dim).astype(float), rng.choice(["p", "q"])) for _ in range(n)]
-    k = int(rng.integers(1, n + 1))
-    model = knn_fit(*matrix(points), k=k)
-    query = rng.integers(-5, 6, size=dim).astype(float)
-    assert knn_predict(model, query) == brute_force_predict(points, k, query)
+    points, k = random_instance(rng, int(rng.integers(2, 30)), int(rng.integers(1, 5)), -5, 6, ["p", "q"])
+    features, labels = matrix(points)
+    split_cfg = SplitConfig(0.8, seed=seed, stratified=False)
+    want = brute_force_reports(features, labels, k, split_cfg, 2)
+    assert_same_reports(repeated_evaluation(features, labels, k, split_cfg, 2), want)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
@@ -210,39 +236,35 @@ def test_oracle_distance_equals_block_distances_bit_for_bit(dim):
 @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=1e-3, max_value=1e3))
 def test_prediction_invariant_under_uniform_scaling(seed, scale):
     rng = np.random.default_rng(seed)
-    points = [(rng.uniform(0, 10, size=2), rng.choice(["u", "v"])) for _ in range(12)]
-    queries = [rng.uniform(0, 10, size=2) for _ in range(5)]
-    model = knn_fit(*matrix(points), k=3)
-    features, labels = matrix(points)
-    scaled_model = knn_fit(features * scale, labels, k=3)
-    for query in queries:
-        assert knn_predict(model, query) == knn_predict(scaled_model, query * scale)
+    features = rng.uniform(0, 10, size=(17, 2))
+    labels = rng.choice(["u", "v"], size=17)
+    split_cfg = SplitConfig(0.8, seed=seed, stratified=False)
+    want = repeated_evaluation(features, labels, 3, split_cfg, 4)
+    assert_same_reports(repeated_evaluation(features * scale, labels, 3, split_cfg, 4), want)
 
 
-class TestEvaluate:
+class TestReports:
     def test_perfect_predictions(self):
-        train = [(np.array([0.0]), "A"), (np.array([0.1]), "A"), (np.array([5.0]), "B"), (np.array([5.1]), "B")]
-        model = knn_fit(*matrix(train), k=1)
-        report = evaluate(model, [[0.05], [5.05]], ["A", "B"])
-        assert report.accuracy == 1.0
-        assert np.array_equal(report.confusion, np.eye(2, dtype=np.int64))
+        points = [(np.array([i / 10]), "A") for i in range(5)] + [(np.array([5 + i / 10]), "B") for i in range(5)]
+        for report in repeated_evaluation(*matrix(points), 1, SplitConfig(0.8, seed=0), 3):
+            assert report.accuracy == 1.0
+            assert np.array_equal(report.confusion, np.eye(2, dtype=np.int64))
 
     def test_training_points_self_match(self):
         # distinct coordinates: a training point's nearest neighbor is itself
         train = [(np.array([float(i)]), "a") for i in range(5)] + [(np.array([i + 0.5]), "b") for i in range(5)]
-        model = knn_fit(*matrix(train), k=1)
-        assert evaluate(model, *matrix(train)).accuracy == 1.0
+        assert engine_labels(train, 1, matrix(train)[0]) == matrix(train)[1]
 
     def test_accuracy_recomputable_from_confusion(self):
         rng = np.random.default_rng(4)
-        train = [(rng.uniform(0, 1, size=2), rng.choice(["A", "B"])) for _ in range(20)]
-        validation = [(rng.uniform(0, 1, size=2), rng.choice(["A", "B"])) for _ in range(10)]
-        report = evaluate(knn_fit(*matrix(train), k=3), *matrix(validation))
-        assert report.accuracy == np.trace(report.confusion) / report.confusion.sum()
+        features, labels = rng.uniform(0, 1, size=(30, 2)), rng.choice(["A", "B"], size=30)
+        for report in repeated_evaluation(features, labels, 3, SplitConfig(0.8, seed=0, stratified=False), 4):
+            assert report.accuracy == np.trace(report.confusion) / report.confusion.sum()
 
-    def test_empty_validation_rejected(self):
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_empty_validation_rejected(self, stratified):
         with pytest.raises(ValueError):
-            evaluate(knn_fit(*matrix(labeled(3)), k=1), np.empty((0, 1)), [])
+            repeated_evaluation(np.empty((0, 1)), [], 1, SplitConfig(stratified=stratified), 1)
 
 
 class TestRepeatedEvaluation:
@@ -253,17 +275,13 @@ class TestRepeatedEvaluation:
         assert [r.accuracy for r in runs[0]] == [r.accuracy for r in runs[1]]
 
     def test_seeds_advance(self):
-        """Report i is `evaluate` on the split seeded split_cfg.seed + i."""
+        """Report i is that of the split seeded split_cfg.seed + i."""
         rng = np.random.default_rng(8)
         points = [(rng.uniform(0, 1, size=1), label) for label in ["A", "B"] * 10]
         features, labels = matrix(points)[0], labels_of(points)
         split_cfg = SplitConfig(0.8, seed=100)
         reports = repeated_evaluation(features, labels, 1, split_cfg, 3)
-        for i, report in enumerate(reports):
-            train, validation = split(labels, replace(split_cfg, seed=100 + i))
-            expected = evaluate(knn_fit(features[train], labels[train], k=1), features[validation], labels[validation])
-            assert (report.accuracy, report.labels) == (expected.accuracy, expected.labels)
-            np.testing.assert_array_equal(report.confusion, expected.confusion)
+        assert_same_reports(reports, brute_force_reports(features, labels, 1, split_cfg, 3))
         # the three splits score differently, so a seed that did not advance would show
         assert len({r.confusion.tobytes() for r in reports}) == 3
 
@@ -328,7 +346,6 @@ def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):
     rows, feats_base = build_feature_set(small_corpus, base, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
     _, feats_scaled = build_feature_set(small_corpus, scaled, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
     np.testing.assert_allclose(feats_scaled, factor**2 * feats_base, rtol=1e-9)
-    train, validation = split(rows.labels, SplitConfig(0.8, seed=2))
-    preds_b = knn_predict(knn_fit(feats_base[train], rows.labels[train], k=3), feats_base[validation])
-    preds_s = knn_predict(knn_fit(feats_scaled[train], rows.labels[train], k=3), feats_scaled[validation])
-    assert preds_b == preds_s
+    split_cfg = SplitConfig(0.8, seed=2)
+    want = repeated_evaluation(feats_base, rows.labels, 3, split_cfg, 5)
+    assert_same_reports(repeated_evaluation(feats_scaled, rows.labels, 3, split_cfg, 5), want)

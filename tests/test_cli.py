@@ -1062,3 +1062,41 @@ def test_a_thought_experiment_energy_that_is_not_finite_is_a_config_error(capsys
     """At 1e-320 Ohm the energies overflow; they once printed as inf at exit 0."""
     assert main(["thought-experiment", "--r-ohm", "1e-320"]) == EXIT_CONFIG_ERROR
     assert capsys.readouterr() == ("", "config error: an energy at r_ohm=9.99989e-321 and T=3s is not finite\n")
+
+
+@pytest.mark.parametrize(
+    "r_ohm, rule",
+    [
+        ("1e-307", "peh_0.50mm: a mean energy or its distance to the diagonal is not finite"),
+        ("2e-307", "peh_0.50mm: mean energy 7.31126e+306 J is too large to plot"),
+    ],
+)
+def test_scatter_values_that_are_not_finite_are_a_config_error_before_writing(r_ohm, rule, default_corpus, tmp_path, capsys):
+    """At 1e-307 Ohm a class mean overflows to inf; at 2e-307 Ohm the means
+    are finite, but too large for finite SVG coordinates. Each once wrote
+    inf or nan into the outputs at exit 0."""
+    out = tmp_path / "out"
+    argv = ["scatter", "--manifest", str(default_corpus.root / "manifest.csv"), "--out", str(out), "--r-ohm", r_ohm]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", f"config error: r_ohm={r_ohm}: {rule}\n")
+    assert not out.exists()
+
+
+RANGE = "give a rate, ratio or power out of floating-point range"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--fs-raw", "1e300", "--T", "1e300"], f"fs_raw_hz=1e+300 and period_s=1e+300 {RANGE}"),
+        (["--T", "1e-320"], f"fs_raw_hz=51200 and period_s=9.99989e-321 {RANGE}"),
+        (["--fs-raw", "1e-200", "--T", "1e-200"], f"fs_raw_hz=1e-200 and period_s=1e-200 {RANGE}"),
+        (["--e-adc", "1e308", "--e-tx", "1e308"], "e_adc_per_sample_j + e_tx_per_sample_j must be finite, got inf"),
+    ],
+)
+def test_an_energy_report_value_out_of_range_is_a_config_error(argv, message, capsys):
+    """Finite inputs whose sampling reduction (1e600, or 1e-400, which is 0),
+    feature rate (1e320 Hz) or per-sample cost (2e308 J) leaves the float
+    range once printed inf at exit 0, or failed with `math domain error`."""
+    assert main(["energy-report", *argv]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", f"config error: {message}\n")

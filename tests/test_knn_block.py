@@ -1,5 +1,6 @@
-"""Differential tests of the block kNN predictor against the per-query
-predictor it replaced and against the brute-force oracle."""
+"""Differential tests of the kNN engine that repeated_evaluation runs on, the
+block ranking of `_nearest_blocks` and the vote of `_vote`, against the
+per-query predictor it replaced and against the brute-force oracle."""
 
 import math
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from pehfault import classify
-from pehfault.classify import _distances, knn_fit, knn_predict
-from tests.test_classify import brute_force_predict, matrix
+from pehfault.classify import _distances
+from tests.test_classify import brute_force_predict, engine_labels, matrix
 
 _LOG_FLOOR = 1e-300
 
@@ -19,10 +20,10 @@ def _to_space(x: np.ndarray, metric: str) -> np.ndarray:
     return x
 
 
-def per_query_knn_predict(model, features, labels, feature) -> str:
-    """The per-query predictor the block predictor replaced, kept verbatim as
-    the reference, except that the training matrix and labels, which the
-    model no longer stores, are passed in.
+def per_query_knn_predict(features, labels, k, metric, feature) -> str:
+    """The per-query predictor the block ranking replaced, kept verbatim as
+    the reference, except that the training matrix, labels, k and metric,
+    which a fitted model held, are passed in.
 
     Distance ties resolve to the lower training index; vote ties resolve to
     the label of the nearest neighbor among the tied labels.
@@ -30,9 +31,9 @@ def per_query_knn_predict(model, features, labels, feature) -> str:
     query = np.atleast_1d(np.asarray(feature, dtype=np.float64))
     if query.shape != (features.shape[1],):
         raise ValueError(f"query dimension {query.shape} does not match model dimension {features.shape[1]}")
-    deltas = _to_space(features, model.metric) - _to_space(query, model.metric)
+    deltas = _to_space(features, metric) - _to_space(query, metric)
     distances = np.sqrt((deltas**2).sum(axis=1))
-    order = np.argsort(distances, kind="stable")[: model.k]
+    order = np.argsort(distances, kind="stable")[:k]
     votes: dict[str, int] = {}
     for i in order:
         label = labels[i]
@@ -84,14 +85,13 @@ def test_block_matches_per_query_reference_and_oracle(dim, metric, integer, bloc
     for _ in range(6):
         points, queries, k = instance(rng, dim, integer, metric)
         features, labels = matrix(points)
-        model = knn_fit(features, labels, k, metric)
-        predicted = knn_predict(model, queries)
-        assert isinstance(predicted, tuple) and len(predicted) == len(queries)
+        predicted = engine_labels(points, k, queries, metric)
+        assert len(predicted) == len(queries)
         for query, label in zip(queries, predicted):
             assert label == oracle_predict(points, k, query, metric)
             if exact_reference:
-                assert label == per_query_knn_predict(model, features, labels, query)
-        ranked = np.sort(_distances(model.space, _to_space(queries, metric)), axis=1)
+                assert label == per_query_knn_predict(features, labels, k, metric, query)
+        ranked = np.sort(_distances(_to_space(features, metric), _to_space(queries, metric)), axis=1)
         if k < len(points):
             boundary_ties += int((ranked[:, k - 1] == ranked[:, k]).sum())
     if integer:
@@ -109,23 +109,3 @@ def test_distances_equal_oracle_sum_bit_for_bit(dim, metric):
     expected = [[math.sqrt(sum((x - q) * (x - q) for x, q in zip(point, query))) for point in space] for query in queries]
     assert np.array_equal(_distances(space, queries), np.array(expected))
 
-
-def test_single_vector_equals_row_zero_of_one_row_block():
-    rng = np.random.default_rng(5)
-    for dim in (1, 3, 9):
-        points, queries, k = instance(rng, dim, integer=True, metric="raw")
-        model = knn_fit(*matrix(points), k)
-        for query in queries:
-            block = knn_predict(model, query[None, :])
-            assert isinstance(block, tuple) and len(block) == 1
-            assert knn_predict(model, query) == block[0]
-            if dim == 1:
-                assert knn_predict(model, float(query[0])) == block[0]
-
-
-def test_block_dimension_mismatch_rejected():
-    model = knn_fit([[0.0], [1.0]], ["a", "b"], k=1)
-    with pytest.raises(ValueError, match="dimension"):
-        knn_predict(model, np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="dimension"):
-        knn_predict(model, np.zeros((2, 3, 1)))

@@ -1,6 +1,5 @@
 """Differential tests of repeated_evaluation, which ranks each row's nearest
-points once per feature matrix, against the per-split fit/evaluate loop it
-replaced."""
+points once per feature matrix, against the per-split loop it replaced."""
 
 from dataclasses import replace
 
@@ -8,22 +7,34 @@ import numpy as np
 import pytest
 
 from pehfault import classify
-from pehfault.classify import SplitConfig, evaluate, knn_fit, repeated_evaluation, split
+from pehfault.classify import METRICS, EvalReport, SplitConfig, repeated_evaluation, split
+from tests.test_classify import assert_same_reports
+from tests.test_knn_block import per_query_knn_predict
 
 
 def per_split_repeated_evaluation(features, labels, k, split_cfg, n_repeats, metric="raw"):
-    """The per-split loop repeated_evaluation replaced, kept verbatim as the
-    reference: every split fits a model on its training rows and predicts
-    its validation rows."""
+    """The per-split loop repeated_evaluation replaced, as the reference:
+    every split checks k and the metric as its fit did, then labels each of
+    its validation rows with per_query_knn_predict on its training rows and
+    scores them over the sorted labels of all rows."""
     if n_repeats < 1:
         raise ValueError(f"need at least one repeat, got {n_repeats}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    names = np.unique(labels)
     reports = []
     for i in range(n_repeats):
         train, validation = split(labels, replace(split_cfg, seed=split_cfg.seed + i))
-        model = knn_fit(features[train], labels[train], k, metric)
-        reports.append(evaluate(model, features[validation], labels[validation]))
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"k must be a positive integer, got {k!r}")
+        if k > len(train):
+            raise ValueError(f"k={k} exceeds the {len(train)} training points")
+        if metric not in METRICS:
+            raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+        predicted = [per_query_knn_predict(features[train], labels[train], k, metric, row) for row in features[validation]]
+        confusion = np.zeros((len(names), len(names)), dtype=np.int64)
+        np.add.at(confusion, (np.searchsorted(names, labels[validation]), np.searchsorted(names, predicted)), 1)
+        reports.append(EvalReport(float(np.trace(confusion) / confusion.sum()), tuple(names.tolist()), confusion))
     return reports
 
 
@@ -53,14 +64,6 @@ def instance(rng, integer, metric, stratified):
 def k_values(n_train):
     """k from 1 up to the training size: the small ks, then a spread."""
     return sorted({1, 2, 3, *range(1, n_train + 1, max(1, n_train // 3)), n_train})
-
-
-def assert_same_reports(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.accuracy, g.labels) == (w.accuracy, w.labels)
-        assert g.confusion.dtype == w.confusion.dtype
-        np.testing.assert_array_equal(g.confusion, w.confusion)
 
 
 HEAD_WIDTHS = {
@@ -109,16 +112,23 @@ def test_nan_entry_matches_per_split_reference(metric, head, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "k, n_repeats, metric",
-    [(0, 2, "raw"), (3.0, 2, "raw"), (41, 2, "raw"), (3, 2, "cosine"), (3, 0, "raw")],
+    "k, n_repeats, metric, message",
+    [
+        (0, 2, "raw", "k must be a positive integer, got 0"),
+        (3.0, 2, "raw", "k must be a positive integer, got 3.0"),
+        (41, 2, "raw", "k=41 exceeds the 40 training points"),
+        (3, 2, "cosine", "metric must be one of ('raw', 'log'), got 'cosine'"),
+        (3, 0, "raw", "need at least one repeat, got 0"),
+    ],
+    ids=["0-2-raw", "3.0-2-raw", "41-2-raw", "3-2-cosine", "3-0-raw"],
 )
-def test_bad_arguments_raise_as_the_reference_does(k, n_repeats, metric):
+def test_bad_arguments_raise_as_the_reference_does(k, n_repeats, metric, message):
     features, labels = np.arange(50.0)[:, None], np.array(["a", "b"] * 25)
     with pytest.raises(ValueError) as want:
         per_split_repeated_evaluation(features, labels, k, SplitConfig(), n_repeats, metric)
     with pytest.raises(ValueError) as got:
         repeated_evaluation(features, labels, k, SplitConfig(), n_repeats, metric)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == str(want.value) == message
 
 
 @pytest.mark.parametrize("k", [3, 240])
