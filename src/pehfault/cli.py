@@ -23,7 +23,6 @@ from .dataset import (
     DEFAULT_SURROGATE_SPEC,
     MachineState,
     Manifest,
-    build_feature_set,
     build_feature_sets,
     csv_text,
     filter_manifest,
@@ -250,7 +249,7 @@ def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
 
 def cmd_extract(cfg: RunConfig, args, explicit) -> int:
     (design,), manifest = _inputs(cfg, [cfg.thickness_mm], [cfg.t_s])
-    rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
+    rows, ((features,),) = build_feature_sets(manifest, [design], cfg.segment_s, cfg.segments_per_recording, [cfg.t_s], cfg.r_ohm)
     header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(features.shape[1]))]
     lines = zip(rows.recording_ids, rows.segment_indices, rows.labels.tolist(), features.tolist())
     content = csv_text(header, [(rid, index, label, design.name, cfg.t_s, *values) for rid, index, label, values in lines])
@@ -261,7 +260,7 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
 
 def cmd_classify(cfg: RunConfig, args, explicit) -> int:
     (design,), manifest = _inputs(cfg, [cfg.thickness_mm], [cfg.t_s], split=True)
-    rows, features = build_feature_set(manifest, design, cfg.segment_s, cfg.segments_per_recording, cfg.t_s, cfg.r_ohm)
+    rows, ((features,),) = build_feature_sets(manifest, [design], cfg.segment_s, cfg.segments_per_recording, [cfg.t_s], cfg.r_ohm)
     reports = _evaluate(cfg, features, rows.labels)
     accuracies = np.array([r.accuracy for r in reports])
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]

@@ -23,7 +23,7 @@ import io
 import math
 import os
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -268,7 +268,7 @@ def _load_raw_recording(full: Path, fs: float) -> np.ndarray:
     if "n_samples" in declared and declared["n_samples"] != len(samples):
         raise DataError(f"{sidecar}: sidecar declares {int(declared['n_samples'])} samples, file holds {len(samples)}")
     if "fs_hz" in declared and abs(declared["fs_hz"] - fs) > 1e-6 * fs:
-        raise DataError(f"{sidecar}: sidecar declares fs={declared['fs_hz']:g} Hz, manifest says {fs:g} Hz")
+        raise DataError(f"{sidecar}: sidecar declares fs={declared['fs_hz']!r} Hz, manifest says {fs!r} Hz")
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
         raise DataError(f"{full}: non-finite sample at index {bad[0]}")
@@ -312,15 +312,56 @@ def write_recording_f32(samples: np.ndarray, fs: float, path: str | Path) -> Non
     path = Path(path)
     data = np.asarray(samples, dtype="<f4")
     write_atomic(path, data.tobytes())
-    write_atomic(path.with_name(path.name + ".hdr"), f"fs_hz={fs:g}\nn_samples={len(data)}\n")
+    write_atomic(path.with_name(path.name + ".hdr"), f"fs_hz={_rate(fs)}\nn_samples={len(data)}\n")
 
 
-def worker_count(tasks: int) -> int:
-    """Threads for `tasks` independent pieces of work: one per CPU this
-    process may run on (os.cpu_count() where the affinity mask is not
-    available), at most one per task, at least one."""
+def _rate(fs: float) -> str:
+    """A sampling rate as a sidecar or manifest states it: the shortest repr
+    that reads back as the same float, without a trailing `.0` (51200,
+    12345.678)."""
+    return repr(float(fs)).removesuffix(".0")
+
+
+def in_order(jobs: Iterable[Sequence[tuple]], finish: Callable[[list], None], n_jobs: int) -> None:
+    """Run `jobs` on a thread pool and pass each one's results to `finish`
+    on the calling thread, in job order. A job is a list of calls `(fn,
+    *args)`; finish(results) gets their return values in call order.
+
+    The pool has one thread per CPU this process may run on (os.cpu_count()
+    where the affinity mask is not available), at most n_jobs, at least one.
+    Jobs are drawn from `jobs` lazily on the calling thread while at most
+    that many are in the pool, so a draw (a load, a check, a buffer) overlaps
+    the work. An error raised drawing, running or finishing job i comes out
+    after finish of every earlier job and before that of any later one, so
+    the number of jobs finished is the index of the job that failed. On any
+    error the calls not yet started are cancelled, and no thread outlives
+    the call.
+    """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, tasks))
+    workers = max(1, min(cpus, n_jobs))
+    jobs, pending = iter(jobs), deque()  # pending: each job's futures, in job order
+
+    def settle() -> None:
+        finish([future.result() for future in pending.popleft()])
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        while True:
+            try:
+                job = next(jobs, None)
+            except Exception:
+                while pending:  # an error of an earlier job comes first
+                    settle()
+                raise
+            if job is None:
+                break
+            while len(pending) >= workers:
+                settle()
+            pending.append([pool.submit(*call) for call in job])
+        while pending:
+            settle()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def build_feature_sets(
@@ -343,114 +384,69 @@ def build_feature_sets(
     per period: a recording whose sampling rate rounds to another is a
     DataError.
 
-    The calling thread loads the recordings one at a time in manifest order
-    and checks each once: its segmentation (window_samples), each design's
-    sampling rate (filter_coefficients), then each period's intervals
-    (interval_samples). The filter and integration of each (recording,
-    design) go to a pool of one thread per CPU this process may run on (at
-    most one per recording); at most that many recordings are in the pool,
-    while the calling thread loads the next. Each recording fills its own
-    rows of the matrices, so the result does not depend on the thread count.
-    Errors come out in manifest order: a recording's error is raised only
-    once every earlier recording is done, and on any error the work not yet
-    started is cancelled. A feature that is not finite (an overflow) is a
-    DataError naming its recording, design, period and r_ohm.
+    The recordings run through in_order, one job each with one call per
+    design: the calling thread loads and checks them in manifest order (its
+    segmentation, each design's sampling rate, each period's intervals)
+    while the pool filters and integrates, so the result and the first error
+    do not depend on the thread count. A feature that is not finite (an
+    overflow) is a DataError naming its recording, design, period and r_ohm.
     """
     entries, count = manifest.entries, segments_per_recording
-    rows: list[tuple[str, str, int]] = []
-    sets: list[list[np.ndarray]] = [[np.empty((0, 0)) for _ in periods] for _ in designs]
-    dims: list[int] = []  # features per segment at each period, as the first recording gives them
-    workers = worker_count(len(entries))
-    pending: deque[tuple[RecordingMeta, int, list[Future]]] = deque()  # in the pool, in manifest order
 
-    def settle() -> None:
-        meta, first_row, futures = pending.popleft()
-        try:
-            for future in futures:
-                future.result()
-        except (DataError, ValueError) as exc:
-            raise DataError(f"{meta.path}: {exc}") from exc
-        for design, matrices in zip(designs, sets):
-            for period_s, matrix in zip(periods, matrices):
-                if not np.isfinite(matrix[first_row : first_row + count]).all():
-                    raise DataError(f"{meta.path}: a feature of {design.name} at T={period_s:g}s, r_ohm={r_ohm:g} is not finite")
-
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for position, meta in enumerate(entries):
-            try:
-                ts = load_recording(meta, manifest.root)
-                n_win = window_samples(len(ts), ts.fs, segment_s, count)
-                filters = [filter_coefficients(design, ts.fs) for design in designs]
-                windows = _windows(n_win, ts.fs, periods, r_ohm, dims, entries[0].path)
-            except (DataError, ValueError) as exc:
-                while pending:  # an error of an earlier recording comes first
-                    settle()
-                raise DataError(f"{meta.path}: {exc}") from exc
-            while len(pending) >= workers:
-                settle()
-            if not dims:
-                dims = [dim for _, dim in windows]
-                sets = [[np.empty((len(entries) * count, dim)) for dim in dims] for _ in designs]
-            rows += [(meta.label.value, meta.path, index) for index in range(count)]
+    def jobs():
+        for meta in entries:
+            ts = load_recording(meta, manifest.root)
+            n_win = window_samples(len(ts), ts.fs, segment_s, count)
+            filters = [filter_coefficients(design, ts.fs) for design in designs]
+            windows = [interval_samples(n_win, ts.fs, period_s, r_ohm) for period_s in periods]
             pieces = ts.samples[: count * n_win].reshape(count, n_win)
-            scale, first_row = r_ohm * ts.fs, position * count
-            futures = [
-                pool.submit(filter_and_integrate, pieces, b, a, windows, scale, matrices, first_row)
-                for (b, a), matrices in zip(filters, sets)
-            ]
-            pending.append((meta, first_row, futures))
-        while pending:
-            settle()
-    finally:
-        pool.shutdown(cancel_futures=True)
+            yield [(filter_and_integrate, pieces, b, a, windows, r_ohm * ts.fs) for b, a in filters]
+
+    done: list[list[list[np.ndarray]]] = []  # done[recording][design][period]
+
+    def finish(results: list[list[np.ndarray]]) -> None:
+        for matrices, firsts in zip(results, done[0] if done else results):  # the first recording's counts rule
+            for period_s, matrix, first in zip(periods, matrices, firsts):
+                if matrix.shape[1] != first.shape[1]:
+                    raise DataError(
+                        f"{matrix.shape[1]} features per segment at T={period_s:g}s, where "
+                        f"{entries[0].path} gives {first.shape[1]} (the sampling rates differ)"
+                    )
+        for design, matrices in zip(designs, results):
+            for period_s, matrix in zip(periods, matrices):
+                if not np.isfinite(matrix).all():
+                    raise DataError(f"a feature of {design.name} at T={period_s:g}s, r_ohm={r_ohm:g} is not finite")
+        done.append(results)
+
+    try:
+        in_order(jobs(), finish, len(entries))
+    except (DataError, ValueError) as exc:
+        raise DataError(f"{entries[len(done)].path}: {exc}") from exc
+    sets = [
+        [np.vstack([blocks[i][j] for blocks in done] or [np.empty((0, 0))]) for j in range(len(periods))]
+        for i in range(len(designs))
+    ]
+    rows = [(meta.label.value, meta.path, index) for meta in entries for index in range(count)]
     labels, recording_ids, segment_indices = zip(*rows) if rows else ((), (), ())
     return FeatureRows(np.array(labels, dtype=str), recording_ids, segment_indices), sets
 
 
-def _windows(n_win: int, fs: float, periods, r_ohm: float, dims: list[int], first: str) -> list[tuple[int, int]]:
-    """(samples per interval, intervals) of an n_win-sample segment at each
-    period (see interval_samples); with `dims`, the counts of the first
-    recording `first`, each must equal its period's."""
-    windows = []
-    for j, period_s in enumerate(periods):
-        windows.append(interval_samples(n_win, fs, period_s, r_ohm))
-        if dims and windows[-1][1] != dims[j]:
-            raise DataError(
-                f"{windows[-1][1]} features per segment at T={period_s:g}s, where "
-                f"{first} gives {dims[j]} (the sampling rates differ)"
-            )
-    return windows
-
-
-def filter_and_integrate(pieces, b, a, windows, scale, matrices, first_row) -> None:
+def filter_and_integrate(pieces, b, a, windows, scale) -> list[np.ndarray]:
     """The feature kernel: filter each of `pieces` from zero state with the
     biquad (b, a), square it, and sum it over each (samples per interval,
-    intervals) of `windows`, divided by `scale` (R * fs), into rows
-    first_row, ... of the matching matrix. An overflow gives inf without a
-    warning: the callers reject a feature that is not finite."""
+    intervals) of `windows`, divided by `scale` (R * fs). Returns one
+    (len(pieces), intervals) matrix per window. An overflow gives inf
+    without a warning: the callers reject a feature that is not finite."""
     from scipy.signal import lfilter  # on first use: a ~1 s import that energy-report and surrogate-gen never need
 
-    for row, piece in enumerate(pieces, start=first_row):
+    matrices = [np.empty((len(pieces), dim)) for _, dim in windows]
+    for row, piece in enumerate(pieces):
         v = lfilter(b, a, piece)
         with np.errstate(all="ignore"):
             np.square(v, out=v)
             for (n_per, dim), matrix in zip(windows, matrices):
                 matrix[row] = v[: dim * n_per].reshape(dim, n_per).sum(axis=1) / scale
-
-
-def build_feature_set(
-    manifest: Manifest,
-    design: PehDesign,
-    segment_s: float,
-    segments_per_recording: int,
-    period_s: float,
-    r_ohm: float,
-) -> tuple[FeatureRows, np.ndarray]:
-    """Row metadata and feature matrix of one design at one integration
-    period (see build_feature_sets)."""
-    rows, sets = build_feature_sets(manifest, [design], segment_s, segments_per_recording, [period_s], r_ohm)
-    return rows, sets[0][0]
+    return matrices
 
 
 @dataclass(frozen=True)
@@ -564,12 +560,12 @@ def load_surrogate_spec(path: str | Path) -> SurrogateSpec:
 SYNTH_BLOCK = 8192
 
 
-def _synth_class_recording(cspec: ClassSignalSpec, fs: float, jitter: float, rng, out: np.ndarray) -> None:
-    """Fill `out` with one recording: every tone's amplitude and phase drawn
-    first, in tone order, then each block of SYNTH_BLOCK samples summed from
-    zero tone by tone, plus white noise, and stored as out's dtype. The
-    generator is this recording's alone and every operation is per sample,
-    so the samples do not depend on the block size."""
+def _synth_class_recording(cspec: ClassSignalSpec, fs: float, jitter: float, rng, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with one recording and return it: every tone's amplitude
+    and phase drawn first, in tone order, then each block of SYNTH_BLOCK
+    samples summed from zero tone by tone, plus white noise, and stored as
+    out's dtype. The generator is this recording's alone and every operation
+    is per sample, so the samples do not depend on the block size."""
     tones = []
     for f_hz, amplitude in cspec.tones:
         amp = amplitude * rng.uniform(1.0 - jitter, 1.0 + jitter)
@@ -582,6 +578,7 @@ def _synth_class_recording(cspec: ClassSignalSpec, fs: float, jitter: float, rng
         if cspec.noise_sigma > 0:
             block += cspec.noise_sigma * rng.standard_normal(len(t))
         out[start : start + len(t)] = block
+    return out
 
 
 def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) -> Manifest:
@@ -590,12 +587,11 @@ def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) 
     Byte-identical output for identical spec and seed. A failed write is a
     DataError naming the file (see write_atomic).
 
-    The recordings are computed on a pool of worker_count threads, at most
-    that many at a time, each into a float32 buffer the calling thread
-    allocated; the calling thread writes each recording and its sidecar in
-    order, then the manifest. Each recording has its own generator, so the
-    bytes do not depend on the thread count. On an error nothing later is
-    written and the work not yet started is cancelled.
+    The recordings run through in_order, one job each: the calling thread
+    allocates each float32 buffer, the pool computes the recording into it,
+    and the calling thread writes each recording and its sidecar in order,
+    then the manifest. Each recording has its own generator, so the bytes do
+    not depend on the thread count. On an error nothing later is written.
     """
     out_dir = Path(out_dir)
     states = sorted(spec.classes, key=lambda s: s.value)
@@ -606,30 +602,12 @@ def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) 
     n = round(spec.duration_s * spec.fs)
     if n > np.iinfo(np.intp).max // 4:  # past the address space numpy raises ValueError, not MemoryError
         raise MemoryError(f"{n} samples exceed the address space")
-    pending: deque[tuple[str, np.ndarray, Future]] = deque()  # in the pool, in write order
-    rows = []
-
-    def write_next() -> None:
-        name, samples, future = pending.popleft()
-        future.result()
-        write_recording_f32(samples, spec.fs, out_dir / name)
-
-    workers = worker_count(len(slots))
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for state, index in slots:
-            while len(pending) >= workers:
-                write_next()
-            samples = np.empty(n, dtype="<f4")
-            rng = np.random.default_rng(slot_seeds[index])
-            future = pool.submit(
-                _synth_class_recording, spec.classes[state], spec.fs, spec.amplitude_jitter, rng, samples
-            )
-            name = f"{state.value}_{index:02d}.f32"
-            pending.append((name, samples, future))
-            rows.append((name, state.value, spec.bearing_type, spec.load_w, f"{spec.fs:g}"))
-        while pending:
-            write_next()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    rows = [(f"{s.value}_{i:02d}.f32", s.value, spec.bearing_type, spec.load_w, _rate(spec.fs)) for s, i in slots]
+    jobs = (  # lazy: each buffer is allocated as in_order draws its recording
+        [(_synth_class_recording, spec.classes[s], spec.fs, spec.amplitude_jitter, np.random.default_rng(slot_seeds[i]),
+          np.empty(n, dtype="<f4"))]
+        for s, i in slots
+    )
+    paths = (out_dir / row[0] for row in rows)
+    in_order(jobs, lambda results: write_recording_f32(results[0], spec.fs, next(paths)), len(slots))
     return load_manifest(write_atomic(out_dir / "manifest.csv", csv_text(MANIFEST_FIELDS, rows)))

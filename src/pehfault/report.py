@@ -83,9 +83,9 @@ def run_thought_experiment(
         vibration = synth_sine(f_hz, 1.0, 0.0, fs, period_s).samples
         for j, design in enumerate((design_healthy, design_faulty)):
             b, a = filter_coefficients(design, fs)
-            # The sine spans exactly one interval, so column j gets one value in row i.
+            # The sine spans exactly one interval, so the kernel gives one (1, 1) matrix.
             interval = interval_samples(len(vibration), fs, period_s, r_ohm)
-            filter_and_integrate([vibration], b, a, [interval], r_ohm * fs, [energies[:, j : j + 1]], i)
+            energies[i, j] = filter_and_integrate([vibration], b, a, [interval], r_ohm * fs)[0][0, 0]
     if not np.isfinite(energies).all():
         raise ValueError(f"an energy at r_ohm={r_ohm:g} and T={period_s:g}s is not finite")
     return energies

@@ -19,7 +19,7 @@ from pehfault.cli import EXIT_OK, main
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
     MachineState,
-    build_feature_set,
+    build_feature_sets,
     filter_manifest,
     load_manifest,
     synth_surrogate_corpus,
@@ -155,7 +155,7 @@ def test_criterion_5_parseval_and_baseline_consistency():
 def test_criterion_6_surrogate_end_to_end(tmp_path):
     started = time.perf_counter()
     manifest = synth_surrogate_corpus(DEFAULT_SURROGATE_SPEC, seed=0, out_dir=tmp_path / "corpus")
-    rows, features = build_feature_set(manifest, design_from_thickness(0.50), 3.0, 3, 3.0, 1.0)
+    rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.50)], 3.0, 3, [3.0], 1.0)
     reports = repeated_evaluation(features, rows.labels, 3, SplitConfig(0.8, seed=0), 20)
     mean_accuracy = float(np.mean([r.accuracy for r in reports]))
     elapsed = time.perf_counter() - started
@@ -181,7 +181,7 @@ def test_criterion_7_published_dataset_reproduction():
     manifest = filter_manifest(
         load_manifest(manifest_path), labels=(MachineState.HEALTHY, MachineState.BALL_CRACK)
     )
-    rows, features = build_feature_set(manifest, design_from_thickness(0.45), 3.0, 3, 3.0, 1.0)
+    rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.45)], 3.0, 3, [3.0], 1.0)
     reports = repeated_evaluation(features, rows.labels, 3, SplitConfig(0.8, seed=0), 20)
     mean_accuracy = float(np.mean([r.accuracy for r in reports]))
     ok = abs(mean_accuracy - 0.89) <= 0.07

@@ -20,7 +20,7 @@ from pehfault.classify import (
     split,
     train_size,
 )
-from pehfault.dataset import build_feature_set
+from pehfault.dataset import build_feature_sets
 from pehfault.harvester import design_from_thickness
 from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS
 
@@ -343,8 +343,8 @@ def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):
     factor = 3.7
     base = design_from_thickness(0.50)
     scaled = replace(base, peak_gain_v_per_g=base.peak_gain_v_per_g * factor)
-    rows, feats_base = build_feature_set(small_corpus, base, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
-    _, feats_scaled = build_feature_set(small_corpus, scaled, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SEGMENT_S, 1.0)
+    rows, ((feats_base,),) = build_feature_sets(small_corpus, [base], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
+    _, ((feats_scaled,),) = build_feature_sets(small_corpus, [scaled], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
     np.testing.assert_allclose(feats_scaled, factor**2 * feats_base, rtol=1e-9)
     split_cfg = SplitConfig(0.8, seed=2)
     want = repeated_evaluation(feats_base, rows.labels, 3, split_cfg, 5)

@@ -170,8 +170,9 @@ def test_a_failed_write_is_the_serial_loops_first_error(cpus, tmp_path, monkeypa
     def watched(*args):
         started.append(threading.get_ident())
         time.sleep(0.02)
-        synth(*args)
+        samples = synth(*args)
         finished.append(threading.get_ident())
+        return samples
 
     submitted = []
 
@@ -199,3 +200,17 @@ def test_a_failed_write_is_the_serial_loops_first_error(cpus, tmp_path, monkeypa
     assert names == sorted(path.name for path in (tmp_path / "serial").iterdir())
     assert names == ["ball_crack_00.f32", "ball_crack_00.f32.hdr", "ball_crack_01.f32", "ball_crack_01.f32.hdr", third]
     assert list((tmp_path / "pool" / third).iterdir()) == []
+
+
+def test_a_fractional_rate_is_written_as_given(tmp_path, capsys):
+    """The manifest and every sidecar state the recipe's rate exactly, so the
+    corpus loads at the rate its samples were made at."""
+    recipe = tmp_path / "recipe.spec"
+    recipe.write_text("count_per_class=1\nfs_hz=12345.678\nduration_s=3\nhealthy.tones=200:1\nball_crack.tones=150:1\n")
+    assert main(["surrogate-gen", "--spec", str(recipe), "--out", str(tmp_path), "--seed", "0"]) == EXIT_OK
+    capsys.readouterr()
+    corpus = tmp_path / "corpus"
+    assert [line.split(",")[-1] for line in (corpus / "manifest.csv").read_text().splitlines()[1:]] == ["12345.678"] * 2
+    for name in ("ball_crack_00.f32", "healthy_00.f32"):
+        assert (corpus / f"{name}.hdr").read_text() == f"fs_hz=12345.678\nn_samples={round(3 * 12345.678)}\n"
+    assert [meta.fs for meta in load_manifest(corpus / "manifest.csv").entries] == [12345.678] * 2
