@@ -38,20 +38,27 @@ def split(labels, cfg: SplitConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the train and validation row indices, each ascending.
     """
-    labels = np.asarray(labels)
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.stratified:
-        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        groups = [np.flatnonzero(inverse == c) for c in np.argsort(first)]
-        for group in groups:
-            if len(group) < 2:
-                label = labels[group[0]].item()
-                raise ValueError(f"stratified split needs >= 2 samples per class; {label!r} has {len(group)}")
-    else:
+    return _draw(_groups(np.asarray(labels), cfg.stratified), cfg)
+
+
+def _groups(labels: np.ndarray, stratified: bool) -> list[np.ndarray]:
+    """The row groups a split shuffles (see split), each of >= 2 rows."""
+    if not stratified:
         if len(labels) < 2:
             raise ValueError(f"split needs >= 2 samples, got {len(labels)}")
-        groups = [np.arange(len(labels))]
-    in_train = np.zeros(len(labels), dtype=bool)
+        return [np.arange(len(labels))]
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    groups = [np.flatnonzero(inverse == c) for c in np.argsort(first)]
+    for group in groups:
+        if len(group) < 2:
+            raise ValueError(f"stratified split needs >= 2 samples per class; {labels[group[0]].item()!r} has {len(group)}")
+    return groups
+
+
+def _draw(groups: list[np.ndarray], cfg: SplitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The split that cfg.seed draws from `groups`, which partition the rows."""
+    rng = np.random.default_rng(cfg.seed)
+    in_train = np.zeros(sum(map(len, groups)), dtype=bool)
     for group in groups:
         in_train[group[rng.permutation(len(group))[: train_size(len(group), cfg.train_fraction)]]] = True
     return np.flatnonzero(in_train), np.flatnonzero(~in_train)
@@ -163,7 +170,8 @@ def repeated_evaluation(
     if not 2 * reach * math.sqrt(space.shape[1]) <= math.sqrt(sys.float_info.max):  # bounds dim * (2 * reach)**2
         raise OverflowError(f"features reach {reach:g} in {metric} space, too large for finite kNN distances")
     labels = np.asarray(labels)
-    splits = [split(labels, replace(split_cfg, seed=split_cfg.seed + i)) for i in range(n_repeats)]
+    groups = _groups(labels, split_cfg.stratified)
+    splits = [_draw(groups, replace(split_cfg, seed=split_cfg.seed + i)) for i in range(n_repeats)]
     # Every seed's split has the same training size.
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")

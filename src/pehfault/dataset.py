@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import errno
 import io
 import math
 import os
+import stat
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -93,27 +95,40 @@ class FeatureRows:
     segment_indices: tuple[int, ...]
 
 
-def read_text(path: str | Path, what: str, error: type[Exception]) -> str:
+def _read_file(path: Path) -> bytes | None:
+    """The bytes of `path`, read from one open, or None where Path.is_file()
+    is False (a missing path, a directory, a FIFO). A FIFO does not block."""
+    try:
+        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | getattr(os, "O_NONBLOCK", 0))) as file:
+            return file.read() if stat.S_ISREG(os.fstat(file.fileno()).st_mode) else None
+    except (OSError, ValueError) as exc:  # a ValueError: the path holds a NUL
+        if getattr(exc, "errno", errno.ENOENT) in (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.EBADF, errno.ELOOP):
+            return None
+        raise
+
+
+def read_text(path: str | Path, what: str, error: type[Exception], optional: bool = False) -> str:
     """The contents of a UTF-8 text file. A missing file raises `error`
-    `<what> not found: <path>`, a byte that is not UTF-8 `<path>: not UTF-8
-    text (byte <offset>)`."""
+    `<what> not found: <path>`, or reads as empty if `optional`; a byte that
+    is not UTF-8 raises `<path>: not UTF-8 text (byte <offset>)`."""
     path = Path(path)
-    if not path.is_file():
+    data = _read_file(path)
+    if data is None and not optional:
         raise error(f"{what} not found: {path}")
     try:
-        return path.read_bytes().decode()
+        return (data or b"").decode()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def read_key_values(path: str | Path, what: str, error: type[Exception], keys: dict[str, Callable[[str], Any]]) -> dict:
+def read_key_values(path: str | Path, what: str, error: type[Exception], keys: dict[str, Callable], optional: bool = False) -> dict:
     """The values of a flat key=value file, each converted by its key's entry
     in `keys`. Both sides are stripped; blank lines and `#` comment lines are
     skipped. A line without `=`, a key not in `keys`, a key given twice or a
     value whose converter raises ValueError raises `error` naming the file and
-    line (see read_text for the file itself)."""
+    line (see read_text for the file itself, and for `optional`)."""
     values = {}
-    for lineno, line in enumerate(read_text(path, what, error).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, what, error, optional).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -163,18 +178,14 @@ def read_csv_table(
     return made
 
 
-def _fmt(x: float) -> str:
-    """The one number format of every CSV: repr, so values round-trip exactly."""
-    return repr(float(x))
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """A CSV document: strings and integers as they are, every other number
-    through `_fmt`, a field holding a comma or quote quoted."""
+    as repr(float(x)), so it round-trips exactly, a field holding a comma or
+    quote quoted."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([cell if isinstance(cell, (str, int)) else _fmt(cell) for cell in row] for row in rows)
+    writer.writerows([cell if isinstance(cell, (str, int)) else repr(float(cell)) for cell in row] for row in rows)
     return out.getvalue()
 
 
@@ -259,12 +270,14 @@ SIDECAR_KEYS = {
 
 
 def _load_raw_recording(full: Path, fs: float) -> np.ndarray:
-    size = full.stat().st_size
-    if size % 4 != 0:
-        raise DataError(f"{full}: raw float32 file size {size} is not a multiple of 4")
-    samples = np.fromfile(full, dtype="<f4")
+    data = _read_file(full)
+    if data is None:
+        raise DataError(f"recording file not found: {full}")
+    if len(data) % 4 != 0:
+        raise DataError(f"{full}: raw float32 file size {len(data)} is not a multiple of 4")
+    samples = np.frombuffer(data, dtype="<f4")
     sidecar = full.with_name(full.name + ".hdr")
-    declared = read_key_values(sidecar, "sidecar", DataError, SIDECAR_KEYS) if sidecar.is_file() else {}
+    declared = read_key_values(sidecar, "sidecar", DataError, SIDECAR_KEYS, optional=True)
     if "n_samples" in declared and declared["n_samples"] != len(samples):
         raise DataError(f"{sidecar}: sidecar declares {int(declared['n_samples'])} samples, file holds {len(samples)}")
     if "fs_hz" in declared and abs(declared["fs_hz"] - fs) > 1e-6 * fs:
@@ -278,12 +291,7 @@ def _load_raw_recording(full: Path, fs: float) -> np.ndarray:
 def load_recording(meta: RecordingMeta, root: str | Path = ".") -> TimeSeries:
     """Read one recording as acceleration in g, with fs taken from the metadata."""
     full = Path(root) / meta.path
-    if not full.is_file():
-        raise DataError(f"recording file not found: {full}")
-    if full.suffix in RAW_SUFFIXES:
-        samples = _load_raw_recording(full, meta.fs)
-    else:
-        samples = _load_text_recording(full)
+    samples = _load_raw_recording(full, meta.fs) if full.suffix in RAW_SUFFIXES else _load_text_recording(full)
     if len(samples) == 0:
         raise DataError(f"{full}: recording holds no samples")
     return TimeSeries(samples, meta.fs)
@@ -432,21 +440,17 @@ def build_feature_sets(
 
 
 def filter_and_integrate(pieces, b, a, windows, scale) -> list[np.ndarray]:
-    """The feature kernel: filter each of `pieces` from zero state with the
-    biquad (b, a), square it, and sum it over each (samples per interval,
-    intervals) of `windows`, divided by `scale` (R * fs). Returns one
-    (len(pieces), intervals) matrix per window. An overflow gives inf
-    without a warning: the callers reject a feature that is not finite."""
+    """The feature kernel: filter each row of `pieces` from zero state with
+    the biquad (b, a), all rows in one lfilter call, square them, and sum
+    each over each (samples per interval, intervals) of `windows`, divided by
+    `scale` (R * fs). Returns one (len(pieces), intervals) matrix per window.
+    An overflow gives inf without a warning; the callers reject it."""
     from scipy.signal import lfilter  # on first use: a ~1 s import that energy-report and surrogate-gen never need
 
-    matrices = [np.empty((len(pieces), dim)) for _, dim in windows]
-    for row, piece in enumerate(pieces):
-        v = lfilter(b, a, piece)
-        with np.errstate(all="ignore"):
-            np.square(v, out=v)
-            for (n_per, dim), matrix in zip(windows, matrices):
-                matrix[row] = v[: dim * n_per].reshape(dim, n_per).sum(axis=1) / scale
-    return matrices
+    v = lfilter(b, a, pieces)
+    with np.errstate(all="ignore"):
+        np.square(v, out=v)
+        return [v[:, : dim * n_per].reshape(len(v), dim, n_per).sum(axis=2) / scale for n_per, dim in windows]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 The package computes features one way: `dataset.filter_and_integrate` on
 whole segments. These are the older per-segment chain (`segment` ->
-`simulate_voltage` -> `make_feature`) and the spectral and frequency-response
+`simulate_voltage` -> `make_feature`), the kernel's one-call-per-row form
+(`filter_and_integrate_rows`) and the spectral and frequency-response
 oracles: the analytic FRF, the measured steady-state sine gain, Parseval
 through a one-sided spectrum, and the digital band energy. The FRF-fidelity,
-Parseval, `A^2*T/2` and per-segment differential tests run on them.
+Parseval, `A^2*T/2`, per-segment and per-row differential tests run on them.
 """
 
 from __future__ import annotations
@@ -174,3 +175,19 @@ def make_feature(v: TimeSeries, period_s: float, r_ohm: float) -> np.ndarray:
     n_per, n_intervals = interval_samples(len(v), v.fs, period_s, r_ohm)
     squared = v.samples[: n_intervals * n_per] ** 2
     return squared.reshape(n_intervals, n_per).sum(axis=1) / (r_ohm * v.fs)
+
+
+def filter_and_integrate_rows(pieces, b, a, windows, scale) -> list[np.ndarray]:
+    """`dataset.filter_and_integrate` as it was before it filtered a block in
+    one lfilter call: one call per row, each row squared and summed into
+    every window's matrix in turn."""
+    from scipy.signal import lfilter
+
+    matrices = [np.empty((len(pieces), dim)) for _, dim in windows]
+    for row, piece in enumerate(pieces):
+        v = lfilter(b, a, piece)
+        with np.errstate(all="ignore"):
+            np.square(v, out=v)
+            for (n_per, dim), matrix in zip(windows, matrices):
+                matrix[row] = v[: dim * n_per].reshape(dim, n_per).sum(axis=1) / scale
+    return matrices

@@ -206,6 +206,71 @@ class TestLoadRecording:
         with pytest.raises(DataError, match="multiple of 4"):
             load_recording(self.meta("rec.f32"), tmp_path)
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_raw_samples_are_the_file_widened(self, n, tmp_path):
+        path = tmp_path / "rec.f32"
+        path.write_bytes(np.random.default_rng(n).standard_normal(n).astype("<f4").tobytes())
+        ts = load_recording(self.meta("rec.f32"), tmp_path)
+        assert ts.samples.dtype == np.float64
+        assert np.array_equal(ts.samples, np.fromfile(path, "<f4").astype(np.float64))
+
+    @pytest.mark.parametrize("name", ["rec.f32", "rec.txt"])
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()], ids=["missing", "directory"])
+    def test_a_path_that_is_no_file_is_not_found(self, name, make, tmp_path):
+        make(tmp_path / name)
+        with pytest.raises(DataError) as info:
+            load_recording(self.meta(name), tmp_path)
+        assert str(info.value) == f"recording file not found: {tmp_path / name}"
+
+    def test_raw_bad_byte_count_message(self, tmp_path):
+        (tmp_path / "rec.f32").write_bytes(b"\x00" * 10)
+        with pytest.raises(DataError) as info:
+            load_recording(self.meta("rec.f32"), tmp_path)
+        assert str(info.value) == f"{tmp_path / 'rec.f32'}: raw float32 file size 10 is not a multiple of 4"
+
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()], ids=["missing", "directory"])
+    def test_a_sidecar_that_is_no_file_is_no_sidecar(self, make, tmp_path):
+        samples = np.arange(5, dtype="<f4")
+        (tmp_path / "rec.f32").write_bytes(samples.tobytes())
+        make(tmp_path / "rec.f32.hdr")
+        assert np.array_equal(load_recording(self.meta("rec.f32"), tmp_path).samples, samples)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_a_fifo_sidecar_is_no_sidecar_and_does_not_block(self, tmp_path):
+        samples = np.arange(5, dtype="<f4")
+        (tmp_path / "rec.f32").write_bytes(samples.tobytes())
+        os.mkfifo(tmp_path / "rec.f32.hdr")
+        ts = _within_seconds(10, lambda: load_recording(self.meta("rec.f32"), tmp_path), tmp_path / "rec.f32.hdr")
+        assert np.array_equal(ts.samples, samples)
+
+
+def _within_seconds(seconds, fn, fifo):
+    """fn() run on a thread, which must return within `seconds`. If it does
+    not, a writer is opened on `fifo` and closed, so a reader blocked opening
+    it reads end of file and the thread ends, and the test fails."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+        thread.join(seconds)
+        pytest.fail(f"blocked on {fifo} for {seconds} s")
+    assert result, "fn raised; see the thread's traceback"
+    return result[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_a_fifo_config_is_not_found_and_does_not_block(tmp_path, capsys):
+    fifo = tmp_path / "run.cfg"
+    os.mkfifo(fifo)
+    code = _within_seconds(10, lambda: main(["extract", "--config", str(fifo), "--out", str(tmp_path / "out")]), fifo)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: config file not found: {fifo}\n"
+
 
 def per_line_oracle(full):
     """The text loader as it was before the one-call parse: one `float()` per
@@ -390,9 +455,11 @@ class TestBuildFeatureSets:
         assert "non-finite sample at index 5" in str(info.value)
 
     def test_sweep_and_scatter_load_once_and_filter_once(self, small_corpus, tmp_path, monkeypatch):
-        """Counted where the pipeline filters: each scipy.signal.lfilter call
-        is keyed by its coefficients and input row. The calls come from the
-        worker threads, so they are appended (atomic) and counted after."""
+        """Counted where the pipeline filters: each row of each
+        scipy.signal.lfilter call's input (one call filters a recording's
+        segments) is keyed by its coefficients and the row. The calls come
+        from the worker threads, so they are appended (atomic) and counted
+        after."""
         loads, calls = Counter(), []
         lfilter = scipy.signal.lfilter
 
@@ -401,7 +468,8 @@ class TestBuildFeatureSets:
             return load_recording(meta, root)
 
         def counting_lfilter(b, a, x, *args, **kwargs):
-            calls.append((np.asarray(b).tobytes() + np.asarray(a).tobytes(), np.asarray(x).tobytes()))
+            key = np.asarray(b).tobytes() + np.asarray(a).tobytes()
+            calls.extend((key, row.tobytes()) for row in np.atleast_2d(x))
             return lfilter(b, a, x, *args, **kwargs)
 
         monkeypatch.setattr(pehfault.dataset, "load_recording", counting_load)
@@ -499,7 +567,7 @@ class TestBuildFeatureSets:
     def test_on_an_error_the_queued_work_is_cancelled(self, tmp_path, monkeypatch):
         """r0.f32 fails in its first design while its other two hold both
         workers; the three designs of r1.f32 wait in the queue and are
-        never filtered."""
+        never filtered. Each row of a call's input (a segment) counts once."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         designs = [design_from_thickness(t) for t in (0.35, 0.45, 0.50)]
         manifest = self._recordings(tmp_path, (8000, 8001, 8002))
@@ -511,7 +579,7 @@ class TestBuildFeatureSets:
                 raise ValueError("filter fault")
             if b.tobytes() in first:
                 time.sleep(0.3)
-            filtered.append(b.tobytes())
+            filtered.extend([b.tobytes()] * len(np.atleast_2d(x)))
             return lfilter(b, a, x)
 
         monkeypatch.setattr(scipy.signal, "lfilter", slow_lfilter)
@@ -618,10 +686,11 @@ def _traced_peak(fn):
 def test_memory_is_bounded_by_the_pool_not_by_the_corpus(tmp_path, monkeypatch):
     """On two CPUs, synth_surrogate_corpus and build_feature_sets (4 designs,
     T in {1, 3}) on 42 default recordings each peak within 1 MB of their
-    peak on 14 (about 8.5 MB and 19.3 MB): neither holds more recordings
+    peak on 14 (about 8.5 MB and 21.8 MB): neither holds more recordings
     than the pool has in flight. The 14-recording build is the largest of 5
-    runs: whether two filter outputs (1.2 MB each) are alive at once depends
-    on the thread schedule, and the baseline is the schedule's worst case.
+    runs: whether two filter outputs (a recording's 3 segments, 3.7 MB each)
+    are alive at once depends on the thread schedule, and the baseline is
+    the schedule's worst case.
     scipy.signal is imported at the top of this module, so the first build
     does not count the import."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -1,8 +1,9 @@
 """Differential tests of the array forms of `split` and `mean_state_energy`
 against the (vector, label) pair forms they replaced, kept verbatim below as
-the reference, and of the threaded feature pipeline and the thought
-experiment against the per-segment segment -> simulate_voltage ->
-make_feature chain of tests/oracles.py."""
+the reference, of the threaded feature pipeline and the thought experiment
+against the per-segment segment -> simulate_voltage -> make_feature chain of
+tests/oracles.py, and of the feature kernel against its one-call-per-row
+form there."""
 
 import itertools
 import math
@@ -15,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pehfault.classify import SplitConfig, split
-from pehfault.dataset import build_feature_sets, load_manifest, load_recording, write_recording_f32
+from pehfault.dataset import build_feature_sets, filter_and_integrate, load_manifest, load_recording, write_recording_f32
 from pehfault.frontend import mean_state_energy
-from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness
+from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness, filter_coefficients
 from pehfault.report import run_thought_experiment
 from pehfault.signals import synth_sine
-from tests.oracles import make_feature, segment, simulate_voltage
+from tests.oracles import filter_and_integrate_rows, make_feature, segment, simulate_voltage
 
 
 def _round_half_up(x: float) -> int:
@@ -208,3 +209,32 @@ def test_thought_experiment_equals_the_per_segment_chain_bit_for_bit():
             got = run_thought_experiment(*inputs, design_a, design_b, period_s, r_ohm, fs)
             want = [[reference[f_hz, design.name, r_ohm] for design in (design_a, design_b)] for f_hz in inputs]
             assert np.array_equal(got, want), (design_a.name, design_b.name, period_s, r_ohm, fs)
+
+
+@st.composite
+def kernel_calls(draw):
+    """One filter_and_integrate call: 1-6 segments of a drawn length at a
+    drawn rate through one default design, 1-4 drawn windows plus one of a
+    sample per interval, and each row scaled by up to 1e308, so some rows
+    overflow in the square, in the filter or in the scaling itself."""
+    segments, n_win = draw(st.integers(1, 6)), draw(st.integers(1, 3000))
+    fs = draw(st.sampled_from([8000.0, 12800.0, 44100.0, 51200.0]))
+    b, a = filter_coefficients(draw(st.sampled_from(DEFAULT_DESIGNS)), fs)
+    n_pers = draw(st.lists(st.integers(1, n_win), min_size=1, max_size=4)) + [1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    scales = 10.0 ** np.array(draw(st.lists(st.integers(0, 308), min_size=segments, max_size=segments)), dtype=float)
+    with np.errstate(over="ignore"):
+        pieces = rng.standard_normal((segments, n_win)) * scales[:, None]
+    return pieces, b, a, [(n_per, n_win // n_per) for n_per in n_pers], draw(st.sampled_from([1.0, 3.3])) * fs
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_calls())
+def test_the_kernel_equals_its_one_call_per_row_form_bit_for_bit(call):
+    """The one-call kernel against the per-row loop it replaced: equal bits,
+    inf and NaN included, for every window (n_per dividing n_win or not)."""
+    got, want = filter_and_integrate(*call), filter_and_integrate_rows(*call)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
