@@ -1,27 +1,15 @@
-"""Seeded stratified splitting and the repeated accuracy of an exact kNN
-classifier over seeded splits of one feature matrix."""
+"""The repeated accuracy of an exact kNN classifier over seeded
+train/validation splits of one feature matrix."""
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 METRICS = ("raw", "log")
 _LOG_FLOOR = 1e-300  # keeps log-energy finite for exactly-zero features
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    train_fraction: float = 0.8
-    seed: int = 0
-    stratified: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0 < self.train_fraction < 1:
-            raise ValueError(f"train fraction must lie in (0, 1), got {self.train_fraction}")
 
 
 def train_size(n: int, train_fraction: float) -> int:
@@ -30,19 +18,8 @@ def train_size(n: int, train_fraction: float) -> int:
     return min(max(math.floor(train_fraction * n + 0.5), 1), n - 1)
 
 
-def split(labels, cfg: SplitConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded train/validation partition of the rows with these labels: per
-    class when stratified (classes in order of first appearance, each
-    shuffled by one rng.permutation call), else of all rows at once; each
-    group gets train_size of its rows.
-
-    Returns the train and validation row indices, each ascending.
-    """
-    return _draw(_groups(np.asarray(labels), cfg.stratified), cfg)
-
-
 def _groups(labels: np.ndarray, stratified: bool) -> list[np.ndarray]:
-    """The row groups a split shuffles (see split), each of >= 2 rows."""
+    """The row groups a split shuffles (see repeated_evaluation), each of >= 2 rows."""
     if not stratified:
         if len(labels) < 2:
             raise ValueError(f"split needs >= 2 samples, got {len(labels)}")
@@ -55,12 +32,12 @@ def _groups(labels: np.ndarray, stratified: bool) -> list[np.ndarray]:
     return groups
 
 
-def _draw(groups: list[np.ndarray], cfg: SplitConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The split that cfg.seed draws from `groups`, which partition the rows."""
-    rng = np.random.default_rng(cfg.seed)
+def _draw(groups: list[np.ndarray], train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending train and validation rows that `seed` draws from `groups`, a partition of the rows."""
+    rng = np.random.default_rng(seed)
     in_train = np.zeros(sum(map(len, groups)), dtype=bool)
     for group in groups:
-        in_train[group[rng.permutation(len(group))[: train_size(len(group), cfg.train_fraction)]]] = True
+        in_train[group[rng.permutation(len(group))[: train_size(len(group), train_fraction)]]] = True
     return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 
@@ -122,15 +99,6 @@ def _vote(neighbors: np.ndarray, n_classes: int) -> np.ndarray:
     return neighbors[np.arange(len(neighbors)), first_best]
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Accuracy plus the label-by-label confusion matrix (rows true, columns predicted)."""
-
-    accuracy: float
-    labels: tuple[str, ...]
-    confusion: np.ndarray
-
-
 def _head_width(n: int, k: int) -> int:
     """Points ranked per row of a feature set, enough that a split rarely
     leaves fewer than k training points among them."""
@@ -141,16 +109,23 @@ def repeated_evaluation(
     features,
     labels,
     k: int,
-    split_cfg: SplitConfig,
     n_repeats: int,
+    *,
     metric: str = "raw",
-) -> list[EvalReport]:
+    train_fraction: float = 0.8,
+    seed: int = 0,
+    stratified: bool = True,
+) -> tuple[tuple[str, ...], np.ndarray]:
     """Score the kNN classifier on n_repeats seeded splits of one (n, dim)
-    feature matrix: report i is that of the split seeded split_cfg.seed + i,
-    each validation row taking the majority label of its k nearest training
-    rows by Euclidean distance in metric space. A distance tie goes to the
-    lower training index, a vote tie to the label of the nearest neighbor
-    among the tied labels.
+    feature matrix: the sorted label names, and an (n_repeats, C, C) int64
+    stack of confusion matrices (rows true, columns predicted), the i-th
+    that of the split seeded seed + i. A split shuffles each class, in order
+    of first appearance, when stratified, else all rows, by one
+    rng.permutation call per group; the first train_size rows of each
+    group's permutation train. Each validation row takes the majority label
+    of its k nearest training rows by Euclidean distance in metric space. A
+    distance tie goes to the lower training index, a vote tie to the label
+    of the nearest neighbor among the tied labels.
 
     The matrix is mapped to metric space once, and the head of each row
     some split validates, its first `_head_width` points in (distance,
@@ -160,6 +135,8 @@ def repeated_evaluation(
     training rows alone. Features whose distances could overflow (NaN
     entries aside) raise OverflowError before any split is drawn.
     """
+    if not 0 < train_fraction < 1:
+        raise ValueError(f"train fraction must lie in (0, 1), got {train_fraction}")
     if n_repeats < 1:
         raise ValueError(f"need at least one repeat, got {n_repeats}")
     features = np.asarray(features, dtype=np.float64)
@@ -170,8 +147,8 @@ def repeated_evaluation(
     if not 2 * reach * math.sqrt(space.shape[1]) <= math.sqrt(sys.float_info.max):  # bounds dim * (2 * reach)**2
         raise OverflowError(f"features reach {reach:g} in {metric} space, too large for finite kNN distances")
     labels = np.asarray(labels)
-    groups = _groups(labels, split_cfg.stratified)
-    splits = [_draw(groups, replace(split_cfg, seed=split_cfg.seed + i)) for i in range(n_repeats)]
+    groups = _groups(labels, stratified)
+    splits = [_draw(groups, train_fraction, seed + i) for i in range(n_repeats)]
     # Every seed's split has the same training size.
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
@@ -186,8 +163,8 @@ def repeated_evaluation(
     slot[queried] = np.arange(len(queried))
     head = trained[_nearest_blocks(space[trained], space[queried], _head_width(len(trained), k))]
     in_train = np.zeros(len(space), dtype=bool)
-    reports = []
-    for train, validation in splits:
+    confusions = np.zeros((n_repeats, len(names), len(names)), dtype=np.int64)
+    for confusion, (train, validation) in zip(confusions, splits):
         in_train[:] = False
         in_train[train] = True
         candidates = head[slot[validation]]
@@ -199,7 +176,5 @@ def repeated_evaluation(
         short = validation[~full]
         if short.size:
             neighbors[~full] = train[_nearest_blocks(space[train], space[short], k)]
-        confusion = np.zeros((len(names), len(names)), dtype=np.int64)
         np.add.at(confusion, (codes[validation], _vote(codes[neighbors], len(names))), 1)
-        reports.append(EvalReport(float(np.trace(confusion) / confusion.sum()), tuple(names.tolist()), confusion))
-    return reports
+    return tuple(names.tolist()), confusions

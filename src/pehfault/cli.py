@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import METRICS, SplitConfig, repeated_evaluation, train_size
+from .classify import METRICS, repeated_evaluation, train_size
 from .dataset import (
     DEFAULT_SURROGATE_SPEC,
     MachineState,
@@ -120,6 +120,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("synthesis rate must be positive")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
+    if cfg.load_w < -1:
+        raise ConfigError(f"load_w must be a load in Watts, or -1 for any load, got {cfg.load_w}")
 
 
 def _check_periods(periods, designs, segment_s: float = math.inf) -> None:
@@ -216,14 +218,15 @@ def _inputs(cfg: RunConfig, thicknesses, periods, *, split: bool = False, states
     return designs, manifest
 
 
-def _evaluate(cfg: RunConfig, features, labels) -> list:
-    """repeated_evaluation with the configured split, k and metric; features
-    too large for finite kNN distances are a config error naming r_ohm."""
-    split_cfg = SplitConfig(cfg.train_fraction, cfg.seed, cfg.stratified)
+def _evaluate(cfg: RunConfig, features, labels) -> tuple:
+    """repeated_evaluation with the configured split, k and metric, plus each
+    split's accuracy; features overflowing kNN distances are a config error naming r_ohm."""
+    split = dict(train_fraction=cfg.train_fraction, seed=cfg.seed, stratified=cfg.stratified)
     try:
-        return repeated_evaluation(features, labels, cfg.k, split_cfg, cfg.n_repeats, cfg.metric)
+        names, confusions = repeated_evaluation(features, labels, cfg.k, cfg.n_repeats, metric=cfg.metric, **split)
     except OverflowError as exc:
         raise ConfigError(f"r_ohm={cfg.r_ohm:g}: {exc}") from None
+    return names, confusions, np.trace(confusions, axis1=1, axis2=2) / confusions.sum(axis=(1, 2))
 
 
 def _format_confusion(labels, confusion) -> str:
@@ -261,19 +264,15 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
 def cmd_classify(cfg: RunConfig, args, explicit) -> int:
     (design,), manifest = _inputs(cfg, [cfg.thickness_mm], [cfg.t_s], split=True)
     rows, ((features,),) = build_feature_sets(manifest, [design], cfg.segment_s, cfg.segments_per_recording, [cfg.t_s], cfg.r_ohm)
-    reports = _evaluate(cfg, features, rows.labels)
-    accuracies = np.array([r.accuracy for r in reports])
+    names, confusions, accuracies = _evaluate(cfg, features, rows.labels)
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
-    results = []
-    for i, r in enumerate(reports):
-        n_validation = int(r.confusion.sum())  # a numpy integer would print as 168.0
-        results.append((i, cfg.seed + i, r.accuracy, len(features) - n_validation, n_validation))
+    per_split = zip(accuracies.tolist(), confusions.sum(axis=(1, 2)).tolist())  # a numpy integer would print as 168.0
+    results = [(i, cfg.seed + i, acc, len(features) - n, n) for i, (acc, n) in enumerate(per_split)]
     target = write_atomic(Path(cfg.out_dir) / "classification.csv", csv_text(header, results))
     print(f"design {design.name}, T={cfg.t_s:g}s, k={cfg.k}, {cfg.n_repeats} split(s), seed0={cfg.seed}")
     print(f"mean accuracy {accuracies.mean():.4f} (std {accuracies.std():.4f})")
     print("confusion over all repeats:")
-    # Every split partitions the same points, so every report has the same labels.
-    print(_format_confusion(reports[0].labels, sum(r.confusion for r in reports)))
+    print(_format_confusion(names, confusions.sum(axis=0)))
     print(f"wrote per-repeat results to {target}")
     return EXIT_OK
 
@@ -286,7 +285,7 @@ def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
     # Every cell reuses the same seeds, so the cells are comparable.
     for design, design_sets in zip(designs, sets):
         for t_s, features in zip(cfg.t_values, design_sets):
-            acc = np.array([r.accuracy for r in _evaluate(cfg, features, rows.labels)])
+            *_, acc = _evaluate(cfg, features, rows.labels)
             results.append((design.name, design.thickness_mm, t_s, acc.mean(), acc.std(), cfg.n_repeats, cfg.seed))
     content = csv_text(header, results)
     target = write_atomic(Path(cfg.out_dir) / "sweep.csv", content)
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thickness", dest="thickness_mm", type=float, help="design thickness in mm")
     p.set_defaults(handler=cmd_extract)
 
-    p = sub.add_parser("classify", parents=[common, manifesty, knn], help="repeated split/fit/evaluate on one design")
+    p = sub.add_parser("classify", parents=[common, manifesty, knn], help="kNN accuracy over repeated seeded splits on one design")
     p.add_argument("--thickness", dest="thickness_mm", type=float, help="design thickness in mm")
     p.set_defaults(handler=cmd_classify)
 

@@ -3,6 +3,7 @@ demo, and a deterministic SVG rendering of the per-design class-mean scatter."""
 
 from __future__ import annotations
 
+import html
 import math
 from typing import Sequence
 
@@ -146,6 +147,6 @@ def scatter_svg(names: Sequence[str], points: Sequence[tuple[float, float]]) -> 
     for name, (healthy, faulty) in zip(names, points):
         cx, cy = sx(healthy), sy(faulty)
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="5" fill="steelblue"/>')
-        parts.append(f'<text x="{cx + 8:.2f}" y="{cy - 8:.2f}" font-size="12">{name}</text>')
+        parts.append(f'<text x="{cx + 8:.2f}" y="{cy - 8:.2f}" font-size="12">{html.escape(name, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -7,10 +7,14 @@ whole segments. These are the older per-segment chain (`segment` ->
 oracles: the analytic FRF, the measured steady-state sine gain, Parseval
 through a one-sided spectrum, and the digital band energy. The FRF-fidelity,
 Parseval, `A^2*T/2`, per-segment and per-row differential tests run on them.
+`reference_split` is the seeded train/validation split the kNN tests score
+their references on, written from the rule `classify.repeated_evaluation`
+documents.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -191,3 +195,21 @@ def filter_and_integrate_rows(pieces, b, a, windows, scale) -> list[np.ndarray]:
             for (n_per, dim), matrix in zip(windows, matrices):
                 matrix[row] = v[: dim * n_per].reshape(dim, n_per).sum(axis=1) / scale
     return matrices
+
+
+def reference_split(labels, train_fraction: float, seed: int, stratified: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending train and validation rows of the split seeded `seed`:
+    the rows form one group per label in order of first appearance when
+    stratified, else one group; one rng.permutation call per group, in that
+    order, shuffles it, and the first round(train_fraction * size) of its
+    shuffled rows, half up and clamped to [1, size - 1], train."""
+    rng = np.random.default_rng(seed)
+    groups: dict = {}
+    for row, label in enumerate(labels):
+        groups.setdefault(label if stratified else None, []).append(row)
+    train = []
+    for rows in groups.values():
+        n_train = min(max(math.floor(train_fraction * len(rows) + 0.5), 1), len(rows) - 1)
+        train += [rows[p] for p in rng.permutation(len(rows))[:n_train]]
+    validation = sorted(set(range(len(labels))) - set(train))
+    return np.array(sorted(train), dtype=np.intp), np.array(validation, dtype=np.intp)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from pehfault.classify import SplitConfig, repeated_evaluation, train_size
+from pehfault.classify import repeated_evaluation, train_size
 from pehfault.cli import EXIT_OK, main
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
@@ -35,7 +35,7 @@ from tests.oracles import (
     simulate_voltage,
     synth_composite,
 )
-from tests.test_classify import brute_force_reports
+from tests.test_classify import accuracies, brute_force_reports
 
 FS = 51200.0
 
@@ -122,10 +122,11 @@ def test_criterion_4_knn_oracle_equivalence():
         features = rng.integers(-6, 7, size=(n, dim)).astype(float)
         labels = rng.choice(["a", "b", "c"], size=n)
         k = int(rng.integers(1, train_size(n, 0.8) + 1))
-        split_cfg = SplitConfig(0.8, seed=seed, stratified=False)
-        got = repeated_evaluation(features, labels, k, split_cfg, 2)
-        want = brute_force_reports(features, labels, k, split_cfg, 2)
-        if any(g.labels != w.labels or not np.array_equal(g.confusion, w.confusion) for g, w in zip(got, want)):
+        (got_names, got), (want_names, want) = (
+            evaluate(features, labels, k, 2, seed=seed, stratified=False)
+            for evaluate in (repeated_evaluation, brute_force_reports)
+        )
+        if got_names != want_names or not np.array_equal(got, want):
             mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 5.0
@@ -156,8 +157,8 @@ def test_criterion_6_surrogate_end_to_end(tmp_path):
     started = time.perf_counter()
     manifest = synth_surrogate_corpus(DEFAULT_SURROGATE_SPEC, seed=0, out_dir=tmp_path / "corpus")
     rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.50)], 3.0, 3, [3.0], 1.0)
-    reports = repeated_evaluation(features, rows.labels, 3, SplitConfig(0.8, seed=0), 20)
-    mean_accuracy = float(np.mean([r.accuracy for r in reports]))
+    _, confusions = repeated_evaluation(features, rows.labels, 3, 20)
+    mean_accuracy = float(np.mean(accuracies(confusions)))
     elapsed = time.perf_counter() - started
     ok = mean_accuracy >= 0.85 and elapsed < 60.0
     _conclude(
@@ -182,8 +183,8 @@ def test_criterion_7_published_dataset_reproduction():
         load_manifest(manifest_path), labels=(MachineState.HEALTHY, MachineState.BALL_CRACK)
     )
     rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.45)], 3.0, 3, [3.0], 1.0)
-    reports = repeated_evaluation(features, rows.labels, 3, SplitConfig(0.8, seed=0), 20)
-    mean_accuracy = float(np.mean([r.accuracy for r in reports]))
+    _, confusions = repeated_evaluation(features, rows.labels, 3, 20)
+    mean_accuracy = float(np.mean(accuracies(confusions)))
     ok = abs(mean_accuracy - 0.89) <= 0.07
     _conclude("criterion 7: published-dataset accuracy reproduced", ok, f"mean accuracy {mean_accuracy:.3f}")
 

@@ -10,19 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pehfault.classify import (
-    EvalReport,
-    SplitConfig,
     _distances,
+    _draw,
+    _groups,
     _nearest_blocks,
     _to_space,
     _vote,
     repeated_evaluation,
-    split,
     train_size,
 )
 from pehfault.dataset import build_feature_sets
 from pehfault.harvester import design_from_thickness
 from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS
+from tests.oracles import reference_split
+from tests.test_feature_arrays import interleaved_labels
 
 
 def labeled(n_per_class, classes=("a", "b")):
@@ -55,30 +56,39 @@ def brute_force_predict(points, k, query):
             return points[i][1]
 
 
-def brute_force_reports(features, labels, k, split_cfg, n_repeats):
-    """The reports repeated_evaluation should give, with every validation row
-    of each seeded split labelled by brute_force_predict on the training rows
-    of that split."""
+def brute_force_reports(features, labels, k, n_repeats, *, train_fraction=0.8, seed=0, stratified=True):
+    """The (names, confusions) repeated_evaluation should give, with every
+    validation row of each reference_split labelled by brute_force_predict
+    on the training rows of that split."""
     labels = np.asarray(labels)
     names = np.unique(labels)
-    reports = []
-    for i in range(n_repeats):
-        train, validation = split(labels, replace(split_cfg, seed=split_cfg.seed + i))
+    confusions = np.zeros((n_repeats, len(names), len(names)), dtype=np.int64)
+    for i, confusion in enumerate(confusions):
+        train, validation = reference_split(labels, train_fraction, seed + i, stratified)
         points = [(features[j], labels[j]) for j in train]
-        confusion = np.zeros((len(names), len(names)), dtype=np.int64)
         for j in validation:
             predicted = brute_force_predict(points, k, features[j])
             confusion[np.searchsorted(names, labels[j]), np.searchsorted(names, predicted)] += 1
-        reports.append(EvalReport(float(np.trace(confusion) / confusion.sum()), tuple(names.tolist()), confusion))
-    return reports
+    return tuple(names.tolist()), confusions
 
 
 def assert_same_reports(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.accuracy, g.labels) == (w.accuracy, w.labels)
-        assert g.confusion.dtype == w.confusion.dtype
-        np.testing.assert_array_equal(g.confusion, w.confusion)
+    """The same label names, and confusion stacks of one dtype and shape that
+    agree in every count."""
+    (got_names, got_confusions), (want_names, want_confusions) = got, want
+    assert type(got_names) is tuple and got_names == want_names
+    assert got_confusions.dtype == want_confusions.dtype
+    np.testing.assert_array_equal(got_confusions, want_confusions, strict=True)
+
+
+def accuracies(confusions):
+    """Each split's accuracy: its confusion matrix's trace over its count."""
+    return np.trace(confusions, axis1=1, axis2=2) / confusions.sum(axis=(1, 2))
+
+
+def engine_split(labels, train_fraction, seed, stratified=True):
+    """The train and validation rows repeated_evaluation draws for `seed`."""
+    return _draw(_groups(np.asarray(labels), stratified), train_fraction, seed)
 
 
 def engine_labels(points, k, queries, metric="raw"):
@@ -102,37 +112,37 @@ def random_instance(rng, n, dim, low, high, classes):
 class TestSplit:
     def test_80_20_on_21_per_class(self):
         labels = labels_of(labeled(21))
-        train, validation = split(labels, SplitConfig(0.8, seed=0))
+        train, validation = engine_split(labels, 0.8, 0)
         per_class = Counter(labels[train].tolist())
         assert per_class == {"a": 17, "b": 17}
         assert Counter(labels[validation].tolist()) == {"a": 4, "b": 4}
 
     def test_half_split_on_two_per_class(self):
         labels = labels_of(labeled(2))
-        train, validation = split(labels, SplitConfig(0.5, seed=1))
+        train, validation = engine_split(labels, 0.5, 1)
         assert Counter(labels[train].tolist()) == {"a": 1, "b": 1}
         assert Counter(labels[validation].tolist()) == {"a": 1, "b": 1}
 
     def test_same_seed_identical(self):
         labels = labels_of(labeled(10))
-        first = split(labels, SplitConfig(0.8, seed=42))
-        second = split(labels, SplitConfig(0.8, seed=42))
+        first = engine_split(labels, 0.8, 42)
+        second = engine_split(labels, 0.8, 42)
         assert first[0].tolist() == second[0].tolist()
         assert first[1].tolist() == second[1].tolist()
 
     def test_single_sample_class_rejected(self):
-        labels = labels_of(labeled(2)).tolist() + ["c"]
-        with pytest.raises(ValueError, match="'c'"):
-            split(labels, SplitConfig(0.8, seed=0))
+        features, labels = matrix([*labeled(2), (np.array([9.0]), "c")])
+        with pytest.raises(ValueError, match="'c' has 1"):
+            repeated_evaluation(features, labels, 1, 1)
 
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            SplitConfig(train_fraction=1.0)
-        with pytest.raises(ValueError):
-            SplitConfig(train_fraction=0.0)
+    @pytest.mark.parametrize("fraction", [1.0, 0.0, 1.5, -0.2, math.nan])
+    def test_bad_fraction_rejected(self, fraction):
+        with pytest.raises(ValueError) as info:
+            repeated_evaluation(*matrix(labeled(5)), 1, 1, train_fraction=fraction)
+        assert str(info.value) == f"train fraction must lie in (0, 1), got {fraction}"
 
     def test_unstratified_partition(self):
-        train, validation = split(labels_of(labeled(10)), SplitConfig(0.8, seed=3, stratified=False))
+        train, validation = engine_split(labels_of(labeled(10)), 0.8, 3, stratified=False)
         assert len(train) == 16 and len(validation) == 4
 
 
@@ -143,8 +153,7 @@ class TestSplit:
 )
 def test_split_is_partition(seed, fraction, class_sizes):
     labels = np.array([f"class{c}" for c, size in enumerate(class_sizes) for _ in range(size)])
-    cfg = SplitConfig(train_fraction=fraction, seed=seed)
-    train, validation = split(labels, cfg)
+    train, validation = engine_split(labels, fraction, seed)
     assert sorted(train.tolist() + validation.tolist()) == list(range(len(labels)))
     assert list(train) == sorted(train) and list(validation) == sorted(validation)
     for c, size in enumerate(class_sizes):
@@ -152,33 +161,49 @@ def test_split_is_partition(seed, fraction, class_sizes):
         assert abs(got - fraction * size) <= 1.0
 
 
+@settings(max_examples=300)
+@given(
+    interleaved_labels(min_per_class=2),
+    st.integers(min_value=0, max_value=2**32),
+    st.floats(min_value=0.01, max_value=0.99),
+    st.booleans(),
+)
+def test_engine_split_is_the_reference_split_bit_for_bit(labels, seed, fraction, stratified):
+    got = engine_split(labels, fraction, seed, stratified)
+    want = reference_split(labels, fraction, seed, stratified)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
 class TestArguments:
     def test_reports_name_the_sorted_labels(self):
         features, labels = matrix(labeled(17, classes=("b", "a")))
-        for report in repeated_evaluation(features, labels, 3, SplitConfig(0.8, seed=0), 2):
-            assert report.labels == ("a", "b")
-            assert report.confusion.sum() == 2 * (17 - train_size(17, 0.8))
+        names, confusions = repeated_evaluation(features, labels, 3, 2)
+        assert names == ("a", "b")
+        assert confusions.shape == (2, 2, 2) and confusions.dtype == np.int64
+        assert confusions.sum(axis=(1, 2)).tolist() == [2 * (17 - train_size(17, 0.8))] * 2
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
-            repeated_evaluation(*matrix(labeled(5)), 0, SplitConfig(), 1)
+            repeated_evaluation(*matrix(labeled(5)), 0, 1)
 
     def test_k_exceeding_points_rejected(self):
         with pytest.raises(ValueError, match="exceeds the 2 training points"):
-            repeated_evaluation(*matrix(labeled(2)), 5, SplitConfig(), 1)
+            repeated_evaluation(*matrix(labeled(2)), 5, 1)
 
     def test_mixed_dimensions_rejected(self):
         # Mixed dimensions cannot form one matrix: build_feature_sets rejects
         # them (tests/test_dataset.py); a set that is not an (n, dim) matrix
         # with n labels is rejected here.
         with pytest.raises(ValueError, match="dimension"):
-            repeated_evaluation(np.array([1.0, 2.0, 3.0]), ["a", "b", "b"], 1, SplitConfig(), 1)
+            repeated_evaluation(np.array([1.0, 2.0, 3.0]), ["a", "b", "b"], 1, 1)
         with pytest.raises(ValueError, match="dimension"):
-            repeated_evaluation(np.zeros((3, 2)), ["a", "b"], 1, SplitConfig(), 1)
+            repeated_evaluation(np.zeros((3, 2)), ["a", "b"], 1, 1)
 
     def test_bad_metric_rejected(self):
         with pytest.raises(ValueError, match="metric"):
-            repeated_evaluation(*matrix(labeled(3)), 1, SplitConfig(), 1, metric="cosine")
+            repeated_evaluation(*matrix(labeled(3)), 1, 1, metric="cosine")
 
 
 class TestNeighbors:
@@ -208,9 +233,9 @@ class TestNeighbors:
         for seed in range(20):
             points, k = random_instance(rng, int(rng.integers(3, 41)), int(rng.integers(1, 4)), 0, 8, ["x", "y", "z"])
             features, labels = matrix(points)
-            split_cfg = SplitConfig(0.8, seed=seed, stratified=False)
-            want = brute_force_reports(features, labels, k, split_cfg, 5)
-            assert_same_reports(repeated_evaluation(features, labels, k, split_cfg, 5), want)
+            split = dict(seed=seed, stratified=False)
+            want = brute_force_reports(features, labels, k, 5, **split)
+            assert_same_reports(repeated_evaluation(features, labels, k, 5, **split), want)
 
 
 @settings(max_examples=60)
@@ -219,9 +244,9 @@ def test_knn_matches_oracle_property(seed):
     rng = np.random.default_rng(seed)
     points, k = random_instance(rng, int(rng.integers(2, 30)), int(rng.integers(1, 5)), -5, 6, ["p", "q"])
     features, labels = matrix(points)
-    split_cfg = SplitConfig(0.8, seed=seed, stratified=False)
-    want = brute_force_reports(features, labels, k, split_cfg, 2)
-    assert_same_reports(repeated_evaluation(features, labels, k, split_cfg, 2), want)
+    split = dict(seed=seed, stratified=False)
+    want = brute_force_reports(features, labels, k, 2, **split)
+    assert_same_reports(repeated_evaluation(features, labels, k, 2, **split), want)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
@@ -238,52 +263,51 @@ def test_prediction_invariant_under_uniform_scaling(seed, scale):
     rng = np.random.default_rng(seed)
     features = rng.uniform(0, 10, size=(17, 2))
     labels = rng.choice(["u", "v"], size=17)
-    split_cfg = SplitConfig(0.8, seed=seed, stratified=False)
-    want = repeated_evaluation(features, labels, 3, split_cfg, 4)
-    assert_same_reports(repeated_evaluation(features * scale, labels, 3, split_cfg, 4), want)
+    split = dict(seed=seed, stratified=False)
+    want = repeated_evaluation(features, labels, 3, 4, **split)
+    assert_same_reports(repeated_evaluation(features * scale, labels, 3, 4, **split), want)
 
 
 class TestReports:
     def test_perfect_predictions(self):
         points = [(np.array([i / 10]), "A") for i in range(5)] + [(np.array([5 + i / 10]), "B") for i in range(5)]
-        for report in repeated_evaluation(*matrix(points), 1, SplitConfig(0.8, seed=0), 3):
-            assert report.accuracy == 1.0
-            assert np.array_equal(report.confusion, np.eye(2, dtype=np.int64))
+        _, confusions = repeated_evaluation(*matrix(points), 1, 3)
+        assert accuracies(confusions).tolist() == [1.0] * 3
+        assert np.array_equal(confusions, np.broadcast_to(np.eye(2, dtype=np.int64), (3, 2, 2)))
 
     def test_training_points_self_match(self):
         # distinct coordinates: a training point's nearest neighbor is itself
         train = [(np.array([float(i)]), "a") for i in range(5)] + [(np.array([i + 0.5]), "b") for i in range(5)]
         assert engine_labels(train, 1, matrix(train)[0]) == matrix(train)[1]
 
-    def test_accuracy_recomputable_from_confusion(self):
+    def test_each_confusion_counts_the_validation_rows(self):
         rng = np.random.default_rng(4)
         features, labels = rng.uniform(0, 1, size=(30, 2)), rng.choice(["A", "B"], size=30)
-        for report in repeated_evaluation(features, labels, 3, SplitConfig(0.8, seed=0, stratified=False), 4):
-            assert report.accuracy == np.trace(report.confusion) / report.confusion.sum()
+        _, confusions = repeated_evaluation(features, labels, 3, 4, stratified=False)
+        assert confusions.sum(axis=(1, 2)).tolist() == [30 - train_size(30, 0.8)] * 4
 
     @pytest.mark.parametrize("stratified", [True, False])
     def test_empty_validation_rejected(self, stratified):
         with pytest.raises(ValueError):
-            repeated_evaluation(np.empty((0, 1)), [], 1, SplitConfig(stratified=stratified), 1)
+            repeated_evaluation(np.empty((0, 1)), [], 1, 1, stratified=stratified)
 
 
 class TestRepeatedEvaluation:
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         points = [(rng.uniform(0, 1, size=1), label) for label in ["A", "B"] * 10]
-        runs = [repeated_evaluation(*matrix(points), 3, SplitConfig(0.8, seed=5), 4) for _ in range(2)]
-        assert [r.accuracy for r in runs[0]] == [r.accuracy for r in runs[1]]
+        runs = [repeated_evaluation(*matrix(points), 3, 4, seed=5) for _ in range(2)]
+        assert_same_reports(runs[0], runs[1])
 
     def test_seeds_advance(self):
-        """Report i is that of the split seeded split_cfg.seed + i."""
+        """Confusion matrix i is that of the split seeded seed + i."""
         rng = np.random.default_rng(8)
         points = [(rng.uniform(0, 1, size=1), label) for label in ["A", "B"] * 10]
         features, labels = matrix(points)[0], labels_of(points)
-        split_cfg = SplitConfig(0.8, seed=100)
-        reports = repeated_evaluation(features, labels, 1, split_cfg, 3)
-        assert_same_reports(reports, brute_force_reports(features, labels, 1, split_cfg, 3))
+        names, confusions = repeated_evaluation(features, labels, 1, 3, seed=100)
+        assert_same_reports((names, confusions), brute_force_reports(features, labels, 1, 3, seed=100))
         # the three splits score differently, so a seed that did not advance would show
-        assert len({r.confusion.tobytes() for r in reports}) == 3
+        assert len({confusion.tobytes() for confusion in confusions}) == 3
 
     @pytest.mark.parametrize(
         "features, shape",
@@ -298,13 +322,13 @@ class TestRepeatedEvaluation:
         """Scoring only the first len(labels) rows would be a silently
         meaningless result; the check comes before the splits are drawn."""
 
-        def no_split(labels, cfg):
-            raise AssertionError("split called")
+        def no_split(labels, stratified):
+            raise AssertionError("split drawn")
 
-        monkeypatch.setattr(pehfault.classify, "split", no_split)
+        monkeypatch.setattr(pehfault.classify, "_groups", no_split)
         message = f"need an (n, dimension) feature matrix and n labels, got {shape} and 8"
         with pytest.raises(ValueError) as info:
-            repeated_evaluation(features, ["a", "b"] * 4, 1, SplitConfig(), 2)
+            repeated_evaluation(features, ["a", "b"] * 4, 1, 2)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("metric", ["raw", "log"])
@@ -314,27 +338,27 @@ class TestRepeatedEvaluation:
         neighbour would tie and every split score chance; in log space the
         same features are far from overflowing."""
 
-        def no_split(labels, cfg):
-            raise AssertionError("split called")
+        def no_split(labels, stratified):
+            raise AssertionError("split drawn")
 
         features = np.full((8, dim), 1e298)
         features[::2] *= 2
         labels = ["a", "b"] * 4
         if metric == "log":
-            reports = repeated_evaluation(features, labels, 1, SplitConfig(), 2, metric)
-            assert [r.accuracy for r in reports] == [1.0, 1.0]
+            _, confusions = repeated_evaluation(features, labels, 1, 2, metric=metric)
+            assert accuracies(confusions).tolist() == [1.0, 1.0]
             return
-        monkeypatch.setattr(pehfault.classify, "split", no_split)
+        monkeypatch.setattr(pehfault.classify, "_groups", no_split)
         with pytest.raises(OverflowError) as info:
-            repeated_evaluation(features, labels, 1, SplitConfig(), 2, metric)
+            repeated_evaluation(features, labels, 1, 2, metric=metric)
         assert str(info.value) == "features reach 2e+298 in raw space, too large for finite kNN distances"
 
     def test_the_overflow_bound_counts_every_dimension(self):
         """(2 * 6e153)**2 fits in a float, four times that does not."""
         labels = ["a", "b"] * 4
-        assert len(repeated_evaluation(np.full((8, 1), 6e153), labels, 1, SplitConfig(), 1)) == 1
+        assert repeated_evaluation(np.full((8, 1), 6e153), labels, 1, 1)[1].shape == (1, 2, 2)
         with pytest.raises(OverflowError):
-            repeated_evaluation(np.full((8, 4), 6e153), labels, 1, SplitConfig(), 1)
+            repeated_evaluation(np.full((8, 4), 6e153), labels, 1, 1)
 
 
 def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):
@@ -346,6 +370,5 @@ def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):
     rows, ((feats_base,),) = build_feature_sets(small_corpus, [base], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
     _, ((feats_scaled,),) = build_feature_sets(small_corpus, [scaled], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
     np.testing.assert_allclose(feats_scaled, factor**2 * feats_base, rtol=1e-9)
-    split_cfg = SplitConfig(0.8, seed=2)
-    want = repeated_evaluation(feats_base, rows.labels, 3, split_cfg, 5)
-    assert_same_reports(repeated_evaluation(feats_scaled, rows.labels, 3, split_cfg, 5), want)
+    want = repeated_evaluation(feats_base, rows.labels, 3, 5, seed=2)
+    assert_same_reports(repeated_evaluation(feats_scaled, rows.labels, 3, 5, seed=2), want)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pehfault.cli import (
     parse_config_file,
     validate_config,
 )
-from pehfault.classify import SplitConfig, repeated_evaluation
+from pehfault.classify import repeated_evaluation
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
     DESIGN_TABLE_FIELDS,
@@ -44,6 +45,7 @@ from tests.conftest import (
     mixed_rate_manifest,
     tiny_corpus,
 )
+from tests.test_classify import accuracies
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -371,6 +373,56 @@ OVERLAPPING_RECIPE = (
 )
 
 
+class TestUnstratified:
+    """stratified=false in a config file reaches the kNN through cli.main."""
+
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_the_outputs_are_those_of_an_unstratified_repeated_evaluation(self, command, tmp_path, capsys):
+        (tmp_path / "recipe.cfg").write_text(OVERLAPPING_RECIPE)
+        manifest = synth_surrogate_corpus(load_surrogate_spec(tmp_path / "recipe.cfg"), 1, tmp_path / "corpus")
+        settings = "stratified=false\nseed=4\nn_repeats=5\nsegment_s=0.5\nsegments_per_recording=2\n"
+        (tmp_path / "run.cfg").write_text(settings + "t_s=0.25\nt_values=0.25\nthicknesses=0.5\n")
+        argv = ["--config", str(tmp_path / "run.cfg"), "--manifest", str(manifest.root / "manifest.csv")]
+        assert main([command, *argv, "--out", str(tmp_path)]) == EXIT_OK
+        rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.5)], 0.5, 2, [0.25], 1.0)
+        evaluations = {
+            stratified: repeated_evaluation(features, rows.labels, 3, 5, seed=4, stratified=stratified)[1]
+            for stratified in (False, True)
+        }
+        confusions, acc = evaluations[False], accuracies(evaluations[False])
+        if command == "classify":
+            n_validation = confusions.sum(axis=(1, 2)).tolist()
+            expected = [(i, 4 + i, a, 16 - n, n) for i, (a, n) in enumerate(zip(acc.tolist(), n_validation))]
+            cells = [line.split(",") for line in (tmp_path / "classification.csv").read_text().splitlines()[1:]]
+            assert [(int(i), int(seed), float(a), int(t), int(v)) for i, seed, a, t, v in cells] == expected
+            # 13 of the 16 rows train unstratified, 2 x 6 stratified
+            assert {16 - n for n in n_validation} == {13}
+            assert evaluations[True].sum(axis=(1, 2)).tolist() == [4] * 5
+        else:
+            (cell,) = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+            assert [float(value) for value in cell.split(",")[3:5]] == [acc.mean(), acc.std()]
+            assert accuracies(evaluations[True]).mean() != acc.mean()
+
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    @pytest.mark.parametrize(
+        "settings, k, n_train",
+        [("", 40, 34), ("segments_per_recording=1\n", 12, 11)],
+        ids=["default", "one-segment"],
+    )
+    def test_the_k_check_counts_the_unstratified_training_points(
+        self, command, settings, k, n_train, default_corpus, tmp_path, capsys
+    ):
+        """On 7 one-segment recordings per state, 11 of the 14 rows train
+        unstratified and 2 x 6 = 12 stratified, so k=12 passes only the
+        stratified check."""
+        (tmp_path / "run.cfg").write_text(f"stratified=false\nk={k}\n{settings}")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(tmp_path / "run.cfg"), "--manifest", str(default_corpus.root / "manifest.csv")]
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == ("", f"config error: k={k} exceeds the {n_train} training points\n")
+        assert not out.exists()
+
+
 class TestSweep:
     def test_table_shape(self, small_corpus, tmp_path, capsys):
         args = [
@@ -408,15 +460,44 @@ class TestSweep:
         expected = []
         for design, design_sets in zip(designs, sets):
             for t_s, features in zip(periods, design_sets):
-                reports = repeated_evaluation(features, rows.labels, 3, SplitConfig(0.8, seed=4), 3)
-                accuracies = np.array([r.accuracy for r in reports])
-                expected.append([design.name, t_s, accuracies.mean(), accuracies.std()])
+                acc = accuracies(repeated_evaluation(features, rows.labels, 3, 3, seed=4)[1])
+                expected.append([design.name, t_s, acc.mean(), acc.std()])
         cells = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
         assert [[name, float(t_s), float(mean), float(std)] for name, _, t_s, mean, std, _, _ in cells] == expected
         assert len({mean for _, _, mean, _ in expected}) > 1
 
 
+class TestLoadFilter:
+    @pytest.mark.parametrize("load_w", [-2, -200])
+    def test_a_load_under_minus_one_is_a_config_error(self, load_w, default_corpus, tmp_path, capsys):
+        """Only -1 means any load: a filter of -200 W once matched every recording."""
+        out = tmp_path / "out"
+        argv = ["extract", "--manifest", str(default_corpus.root / "manifest.csv"), "--out", str(out)]
+        assert main([*argv, "--load-w", str(load_w)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == ("", f"config error: load_w must be a load in Watts, or -1 for any load, got {load_w}\n")
+        assert not out.exists()
+
+    def test_minus_one_keeps_every_load_and_an_unmatched_load_keeps_none(self, default_corpus, tmp_path, capsys):
+        manifest = str(default_corpus.root / "manifest.csv")
+        assert main(["extract", "--manifest", manifest, "--out", str(tmp_path), "--load-w", "-1"]) == EXIT_OK
+        assert len((tmp_path / "features.csv").read_text().splitlines()) == 1 + len(default_corpus.entries) * 3
+        capsys.readouterr()
+        assert main(["extract", "--manifest", manifest, "--out", str(tmp_path / "none"), "--load-w", "200"]) == EXIT_DATA_ERROR
+        assert capsys.readouterr() == ("", f"data error: {manifest}: no recordings matched the manifest/filters\n")
+
+
 class TestScatter:
+    def test_design_names_are_escaped_in_the_svg(self, default_corpus, tmp_path, capsys):
+        """Markup characters in a design name read back as the name, not as
+        broken XML."""
+        names = ["R&D <a>", "b>c & 'd'"]
+        table = tmp_path / "designs.csv"
+        table.write_text(f"{','.join(DESIGN_TABLE_FIELDS)}\n{names[0]},0.5,200,10,1.0\n{names[1]},0.4,150,10,1.0\n")
+        argv = ["scatter", "--manifest", str(default_corpus.root / "manifest.csv"), "--out", str(tmp_path)]
+        assert main([*argv, "--design-table", str(table), "--thicknesses", "0.5,0.4"]) == EXIT_OK
+        texts = ElementTree.parse(tmp_path / "scatter.svg").getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert [text.text for text in texts][-2:] == names
+
     def test_each_pair_is_the_state_means_of_its_feature_matrix(self, small_corpus, tmp_path, capsys):
         designs = [design_from_thickness(t) for t in (0.35, 0.45, 0.50)]
         assert main(["scatter", *small_flags(small_corpus, tmp_path), "--thicknesses", "0.35,0.45,0.5"]) == EXIT_OK

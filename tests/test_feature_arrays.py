@@ -1,6 +1,6 @@
-"""Differential tests of the array forms of `split` and `mean_state_energy`
-against the (vector, label) pair forms they replaced, kept verbatim below as
-the reference, of the threaded feature pipeline and the thought experiment
+"""Differential tests of the array forms of the kNN split (`_draw` over
+`_groups`) and of `mean_state_energy` against the (vector, label) pair forms
+they replaced, kept verbatim below as the reference, of the threaded feature pipeline and the thought experiment
 against the per-segment segment -> simulate_voltage -> make_feature chain of
 tests/oracles.py, and of the feature kernel against its one-call-per-row
 form there."""
@@ -9,13 +9,14 @@ import itertools
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pehfault.classify import SplitConfig, split
+from pehfault.classify import _draw, _groups
 from pehfault.dataset import build_feature_sets, filter_and_integrate, load_manifest, load_recording, write_recording_f32
 from pehfault.frontend import mean_state_energy
 from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness, filter_coefficients
@@ -92,16 +93,16 @@ def interleaved_labels(draw, min_per_class=1):
     st.booleans(),
 )
 def test_array_split_picks_the_pair_split_members_in_order(labels, seed, fraction, stratified):
-    cfg = SplitConfig(train_fraction=fraction, seed=seed, stratified=stratified)
+    cfg = SimpleNamespace(train_fraction=fraction, seed=seed, stratified=stratified)
     items = list(enumerate(labels))
     try:
         expected = pair_split(items, cfg, label_of=lambda item: item[1])
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
-            split(np.array(labels), cfg)
+            _groups(np.array(labels), stratified)
         assert str(info.value) == str(exc)
         return
-    train, validation = split(np.array(labels), cfg)
+    train, validation = _draw(_groups(np.array(labels), stratified), fraction, seed)
     assert train.tolist() == [i for i, _ in expected[0]]
     assert validation.tolist() == [i for i, _ in expected[1]]
 
@@ -112,8 +113,8 @@ def test_split_visits_classes_in_order_of_first_appearance():
     labels = ["b", "a", "b", "c", "a", "c", "b", "a", "c", "b", "a", "c"]
     items = list(enumerate(labels))
     for seed in range(20):
-        cfg = SplitConfig(0.5, seed=seed)
-        train, validation = split(np.array(labels), cfg)
+        cfg = SimpleNamespace(train_fraction=0.5, seed=seed, stratified=True)
+        train, validation = _draw(_groups(np.array(labels), True), 0.5, seed)
         expected_train, expected_validation = pair_split(items, cfg, label_of=lambda item: item[1])
         assert train.tolist() == [i for i, _ in expected_train]
         assert validation.tolist() == [i for i, _ in expected_validation]

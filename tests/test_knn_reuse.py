@@ -1,30 +1,35 @@
 """Differential tests of repeated_evaluation, which ranks each row's nearest
 points once per feature matrix, against the per-split loop it replaced."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from pehfault import classify
-from pehfault.classify import METRICS, EvalReport, SplitConfig, repeated_evaluation, split
+from pehfault.classify import METRICS, repeated_evaluation
+from tests.oracles import reference_split
 from tests.test_classify import assert_same_reports
 from tests.test_knn_block import per_query_knn_predict
 
 
-def per_split_repeated_evaluation(features, labels, k, split_cfg, n_repeats, metric="raw"):
-    """The per-split loop repeated_evaluation replaced, as the reference:
-    every split checks k and the metric as its fit did, then labels each of
-    its validation rows with per_query_knn_predict on its training rows and
-    scores them over the sorted labels of all rows."""
+def per_split_repeated_evaluation(
+    features, labels, k, n_repeats, *, metric="raw", train_fraction=0.8, seed=0, stratified=True
+):
+    """The per-split loop repeated_evaluation replaced, as the reference: the
+    train fraction is checked first, as the split configuration's
+    constructor did; every reference_split then checks k and the metric as
+    its fit did, labels each of its validation rows with
+    per_query_knn_predict on its training rows and scores them over the
+    sorted labels of all rows."""
+    if not 0 < train_fraction < 1:
+        raise ValueError(f"train fraction must lie in (0, 1), got {train_fraction}")
     if n_repeats < 1:
         raise ValueError(f"need at least one repeat, got {n_repeats}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     names = np.unique(labels)
-    reports = []
-    for i in range(n_repeats):
-        train, validation = split(labels, replace(split_cfg, seed=split_cfg.seed + i))
+    confusions = np.zeros((n_repeats, len(names), len(names)), dtype=np.int64)
+    for i, confusion in enumerate(confusions):
+        train, validation = reference_split(labels, train_fraction, seed + i, stratified)
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"k must be a positive integer, got {k!r}")
         if k > len(train):
@@ -32,10 +37,8 @@ def per_split_repeated_evaluation(features, labels, k, split_cfg, n_repeats, met
         if metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
         predicted = [per_query_knn_predict(features[train], labels[train], k, metric, row) for row in features[validation]]
-        confusion = np.zeros((len(names), len(names)), dtype=np.int64)
         np.add.at(confusion, (np.searchsorted(names, labels[validation]), np.searchsorted(names, predicted)), 1)
-        reports.append(EvalReport(float(np.trace(confusion) / confusion.sum()), tuple(names.tolist()), confusion))
-    return reports
+    return tuple(names.tolist()), confusions
 
 
 def instance(rng, integer, metric, stratified):
@@ -82,17 +85,16 @@ def test_reuse_matches_per_split_reference(metric, integer, block_bytes, head, s
     monkeypatch.setattr(classify, "_BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(classify, "_head_width", HEAD_WIDTHS[head])
     rng = np.random.default_rng([len(metric), int(integer), block_bytes, len(head), int(stratified)])
-    split_cfg = SplitConfig(0.8, seed=int(rng.integers(0, 1000)), stratified=stratified)
+    seed = int(rng.integers(0, 1000))
+    arguments = dict(metric=metric, seed=seed, stratified=stratified)
     lacking = 0
     for _ in range(3):
         features, labels = instance(rng, integer, metric, stratified)
-        n_train = len(split(labels, split_cfg)[0])
+        n_train = len(reference_split(labels, 0.8, seed, stratified)[0])
         for k in k_values(n_train):
-            want = per_split_repeated_evaluation(features, labels, k, split_cfg, 4, metric)
-            assert_same_reports(repeated_evaluation(features, labels, k, split_cfg, 4, metric), want)
-        lacking += sum(
-            "z" not in labels[split(labels, replace(split_cfg, seed=split_cfg.seed + i))[0]] for i in range(4)
-        )
+            want = per_split_repeated_evaluation(features, labels, k, 4, **arguments)
+            assert_same_reports(repeated_evaluation(features, labels, k, 4, **arguments), want)
+        lacking += sum("z" not in labels[reference_split(labels, 0.8, seed + i, stratified)[0]] for i in range(4))
     if not stratified:
         assert lacking > 0, "no split left a class out of training"
 
@@ -105,29 +107,30 @@ def test_nan_entry_matches_per_split_reference(metric, head, monkeypatch):
     features = rng.uniform(1e-3, 1.0, size=(60, 3))
     features[7, 1] = np.nan
     labels = np.array(["a", "b", "c"] * 20)
-    split_cfg = SplitConfig(0.8, seed=3)
     for k in (1, 3, 10, 47, 48):
-        want = per_split_repeated_evaluation(features, labels, k, split_cfg, 6, metric)
-        assert_same_reports(repeated_evaluation(features, labels, k, split_cfg, 6, metric), want)
+        want = per_split_repeated_evaluation(features, labels, k, 6, metric=metric, seed=3)
+        assert_same_reports(repeated_evaluation(features, labels, k, 6, metric=metric, seed=3), want)
 
 
 @pytest.mark.parametrize(
-    "k, n_repeats, metric, message",
+    "k, n_repeats, metric, train_fraction, message",
     [
-        (0, 2, "raw", "k must be a positive integer, got 0"),
-        (3.0, 2, "raw", "k must be a positive integer, got 3.0"),
-        (41, 2, "raw", "k=41 exceeds the 40 training points"),
-        (3, 2, "cosine", "metric must be one of ('raw', 'log'), got 'cosine'"),
-        (3, 0, "raw", "need at least one repeat, got 0"),
+        (0, 2, "raw", 0.8, "k must be a positive integer, got 0"),
+        (3.0, 2, "raw", 0.8, "k must be a positive integer, got 3.0"),
+        (41, 2, "raw", 0.8, "k=41 exceeds the 40 training points"),
+        (3, 2, "cosine", 0.8, "metric must be one of ('raw', 'log'), got 'cosine'"),
+        (3, 0, "raw", 0.8, "need at least one repeat, got 0"),
+        (3, 0, "raw", 1.0, "train fraction must lie in (0, 1), got 1.0"),
     ],
-    ids=["0-2-raw", "3.0-2-raw", "41-2-raw", "3-2-cosine", "3-0-raw"],
+    ids=["0-2-raw", "3.0-2-raw", "41-2-raw", "3-2-cosine", "3-0-raw", "3-0-raw-fraction-1"],
 )
-def test_bad_arguments_raise_as_the_reference_does(k, n_repeats, metric, message):
+def test_bad_arguments_raise_as_the_reference_does(k, n_repeats, metric, train_fraction, message):
     features, labels = np.arange(50.0)[:, None], np.array(["a", "b"] * 25)
+    arguments = dict(metric=metric, train_fraction=train_fraction)
     with pytest.raises(ValueError) as want:
-        per_split_repeated_evaluation(features, labels, k, SplitConfig(), n_repeats, metric)
+        per_split_repeated_evaluation(features, labels, k, n_repeats, **arguments)
     with pytest.raises(ValueError) as got:
-        repeated_evaluation(features, labels, k, SplitConfig(), n_repeats, metric)
+        repeated_evaluation(features, labels, k, n_repeats, **arguments)
     assert str(got.value) == str(want.value) == message
 
 
@@ -147,6 +150,6 @@ def test_no_distance_block_exceeds_the_block_budget(k, monkeypatch):
     monkeypatch.setattr(classify, "_distances", spy)
     rng = np.random.default_rng(0)
     features, labels = rng.uniform(0, 1, size=(n, 4)), np.array(["a", "b", "c"] * (n // 3))
-    repeated_evaluation(features, labels, k, SplitConfig(0.8, seed=0), 5)
+    repeated_evaluation(features, labels, k, 5)
     assert requested
     assert max(requested) <= max(classify._BLOCK_BYTES, 8 * n)
