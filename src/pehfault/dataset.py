@@ -285,11 +285,13 @@ def _load_raw_recording(full: Path, fs: float) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
         raise DataError(f"{full}: non-finite sample at index {bad[0]}")
-    return samples.astype(np.float64)
+    return samples
 
 
 def load_recording(meta: RecordingMeta, root: str | Path = ".") -> TimeSeries:
-    """Read one recording as acceleration in g, with fs taken from the metadata."""
+    """Read one recording as acceleration in g, with fs taken from the
+    metadata. The samples are as the file stores them: float32 from a raw
+    file, float64 from a text file."""
     full = Path(root) / meta.path
     samples = _load_raw_recording(full, meta.fs) if full.suffix in RAW_SUFFIXES else _load_text_recording(full)
     if len(samples) == 0:
@@ -299,14 +301,15 @@ def load_recording(meta: RecordingMeta, root: str | Path = ".") -> TimeSeries:
 
 def write_atomic(path: str | Path, content: str | bytes) -> Path:
     """Write one file atomically: a temporary file in the target directory,
-    then a rename over the target, so no partial file is left. An OSError
+    then a rename over the target, so no partial file is left. Text is
+    written as UTF-8 whatever the locale, as every reader demands. An OSError
     becomes a DataError naming the target."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_bytes(content) if isinstance(content, bytes) else tmp.write_text(content)
+            tmp.write_bytes(content) if isinstance(content, bytes) else tmp.write_text(content, encoding="utf-8")
             os.replace(tmp, target)
         finally:
             tmp.unlink(missing_ok=True)
@@ -338,12 +341,12 @@ def in_order(jobs: Iterable[Sequence[tuple]], finish: Callable[[list], None], n_
     The pool has one thread per CPU this process may run on (os.cpu_count()
     where the affinity mask is not available), at most n_jobs, at least one.
     Jobs are drawn from `jobs` lazily on the calling thread while at most
-    that many are in the pool, so a draw (a load, a check, a buffer) overlaps
-    the work. An error raised drawing, running or finishing job i comes out
-    after finish of every earlier job and before that of any later one, so
-    the number of jobs finished is the index of the job that failed. On any
-    error the calls not yet started are cancelled, and no thread outlives
-    the call.
+    that many are in the pool, so a draw (a block of loads and checks, a
+    buffer) overlaps the work. An error raised drawing, running or finishing
+    job i comes out after finish of every earlier job and before that of any
+    later one, so the number of jobs finished is the index of the job that
+    failed. On any error the calls not yet started are cancelled, and no
+    thread outlives the call.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = max(1, min(cpus, n_jobs))
@@ -372,6 +375,12 @@ def in_order(jobs: Iterable[Sequence[tuple]], finish: Callable[[list], None], n_
         pool.shutdown(cancel_futures=True)
 
 
+# The most samples one pipeline job filters (2 MB as float64): recordings that
+# follow each other in the manifest at one sampling rate are stacked into one
+# block up to this; a longer recording is a block on its own.
+BLOCK_SAMPLES = 1 << 18
+
+
 def build_feature_sets(
     manifest: Manifest,
     designs: Sequence[PehDesign],
@@ -392,27 +401,61 @@ def build_feature_sets(
     per period: a recording whose sampling rate rounds to another is a
     DataError.
 
-    The recordings run through in_order, one job each with one call per
-    design: the calling thread loads and checks them in manifest order (its
-    segmentation, each design's sampling rate, each period's intervals)
-    while the pool filters and integrates, so the result and the first error
-    do not depend on the thread count. A feature that is not finite (an
-    overflow) is a DataError naming its recording, design, period and r_ohm.
+    The recordings run through in_order in blocks. Recordings that follow
+    each other at one sampling rate are stacked, their segments widened to
+    float64, into a (rows, n_win) block of at most BLOCK_SAMPLES samples; a
+    block closes as soon as one more recording like its last would overflow
+    it. A block is one job with one call per design: the calling thread
+    loads and checks its recordings in manifest order (segmentation, each
+    design's sampling rate, each period's intervals) while the pool filters
+    and integrates. Rows are independent, so the result does not depend on
+    the blocks or the thread count, and the first error is the serial
+    loop's: a feature that is not finite (an overflow) is a DataError naming
+    its recording, design, period and r_ohm.
     """
     entries, count = manifest.entries, segments_per_recording
+    sizes: deque[int] = deque()  # recordings per job drawn and not yet finished
+
+    def job(pieces, filters, windows, fs):
+        sizes.append(len(pieces) // count)
+        return [(filter_and_integrate, pieces, b, a, windows, r_ohm * fs) for b, a in filters]
+
+    def segments(meta: RecordingMeta) -> np.ndarray:
+        """A recording's (count, n_win) segments, loaded and checked, as stored."""
+        ts = load_recording(meta, manifest.root)
+        n_win = window_samples(len(ts), ts.fs, segment_s, count)
+        return ts.samples[: count * n_win].reshape(count, n_win)
 
     def jobs():
-        for meta in entries:
-            ts = load_recording(meta, manifest.root)
-            n_win = window_samples(len(ts), ts.fs, segment_s, count)
-            filters = [filter_coefficients(design, ts.fs) for design in designs]
-            windows = [interval_samples(n_win, ts.fs, period_s, r_ohm) for period_s in periods]
-            pieces = ts.samples[: count * n_win].reshape(count, n_win)
-            yield [(filter_and_integrate, pieces, b, a, windows, r_ohm * ts.fs) for b, a in filters]
+        start = 0
+        while start < len(entries):
+            first, fs = segments(entries[start]), entries[start].fs
+            filters = [filter_coefficients(design, fs) for design in designs]
+            windows = [interval_samples(first.shape[1], fs, period_s, r_ohm) for period_s in periods]
+            stop, last = start + 1, min(start + BLOCK_SAMPLES // first.size, len(entries))
+            while stop < last and entries[stop].fs == fs:
+                stop += 1
+            if stop == start + 1:
+                block = first.astype(np.float64, copy=False)
+            else:
+                block = np.empty(((stop - start) * count, first.shape[1]))
+                block[:count] = first
+            del first  # a raw file's bytes: free before the block waits for a pool slot
+            for index in range(1, stop - start):
+                try:
+                    block[index * count : (index + 1) * count] = segments(entries[start + index])
+                except Exception:  # the recordings before it are finished first: errors keep manifest order
+                    yield job(block[: index * count], filters, windows, fs)
+                    raise
+            yield job(block, filters, windows, fs)
+            start = stop
 
-    done: list[list[list[np.ndarray]]] = []  # done[recording][design][period]
+    done: list[list[list[np.ndarray]]] = []  # done[block][design][period]
+    finished = 0  # recordings finished
 
     def finish(results: list[list[np.ndarray]]) -> None:
+        nonlocal finished
+        size = sizes.popleft()
         for matrices, firsts in zip(results, done[0] if done else results):  # the first recording's counts rule
             for period_s, matrix, first in zip(periods, matrices, firsts):
                 if matrix.shape[1] != first.shape[1]:
@@ -420,16 +463,20 @@ def build_feature_sets(
                         f"{matrix.shape[1]} features per segment at T={period_s:g}s, where "
                         f"{entries[0].path} gives {first.shape[1]} (the sampling rates differ)"
                     )
-        for design, matrices in zip(designs, results):
-            for period_s, matrix in zip(periods, matrices):
-                if not np.isfinite(matrix).all():
-                    raise DataError(f"a feature of {design.name} at T={period_s:g}s, r_ohm={r_ohm:g} is not finite")
+        # finite[i, j, r]: every feature of recording r of the block for designs[i] at periods[j] is finite
+        finite = np.array([[np.isfinite(m).reshape(size, -1).all(axis=1) for m in matrices] for matrices in results])
+        if not finite.all():
+            bad = int(np.argmin(finite.all(axis=(0, 1))))
+            i, j = np.argwhere(~finite[:, :, bad])[0]
+            finished += bad
+            raise DataError(f"a feature of {designs[i].name} at T={periods[j]:g}s, r_ohm={r_ohm:g} is not finite")
         done.append(results)
+        finished += size
 
     try:
         in_order(jobs(), finish, len(entries))
     except (DataError, ValueError) as exc:
-        raise DataError(f"{entries[len(done)].path}: {exc}") from exc
+        raise DataError(f"{entries[finished].path}: {exc}") from exc
     sets = [
         [np.vstack([blocks[i][j] for blocks in done] or [np.empty((0, 0))]) for j in range(len(periods))]
         for i in range(len(designs))

@@ -16,7 +16,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled real-valued signal."""
+    """Uniformly sampled real-valued signal; the samples keep their dtype
+    (float32 for a raw recording as loaded)."""
 
     samples: np.ndarray
     fs: float
@@ -24,7 +25,7 @@ class TimeSeries:
     def __post_init__(self) -> None:
         if not 0 < self.fs < np.inf:  # NaN fails too
             raise ValueError(f"sampling rate must be positive and finite, got {self.fs}")
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        object.__setattr__(self, "samples", np.asarray(self.samples))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -61,12 +62,13 @@ def synth_sine(f_hz: float, amplitude: float, phase_rad: float, fs: float, durat
 
 
 def signal_energy(ts: TimeSeries, r_ohm: float = 1.0) -> float:
-    """Total discrete energy sum(x**2) / (R * fs) in Joules."""
+    """Total discrete energy sum(x**2) / (R * fs) in Joules, squared and
+    summed in float64 whatever the samples' dtype."""
     if r_ohm <= 0:
         raise ValueError(f"load resistance must be positive, got {r_ohm}")
     if len(ts) == 0:
         raise ValueError("cannot compute the energy of an empty series")
-    return float(np.sum(ts.samples**2) / (r_ohm * ts.fs))
+    return float(np.sum(np.square(ts.samples, dtype=np.float64)) / (r_ohm * ts.fs))
 
 
 def window_samples(n: int, fs: float, window_s: float, count: int) -> int:

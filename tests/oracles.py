@@ -7,6 +7,8 @@ whole segments. These are the older per-segment chain (`segment` ->
 oracles: the analytic FRF, the measured steady-state sine gain, Parseval
 through a one-sided spectrum, and the digital band energy. The FRF-fidelity,
 Parseval, `A^2*T/2`, per-segment and per-row differential tests run on them.
+`per_recording_feature_sets` is the feature pipeline as it ran before it
+stacked recordings into blocks: one recording at a time, serially.
 `reference_split` is the seeded train/validation split the kNN tests score
 their references on, written from the rule `classify.repeated_evaluation`
 documents.
@@ -20,6 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
+from pehfault.dataset import load_recording
+from pehfault.errors import DataError
 from pehfault.frontend import interval_samples
 from pehfault.harvester import PehDesign, filter_coefficients
 from pehfault.signals import TimeSeries, _check_rate_and_duration, _check_tone, synth_sine, window_samples
@@ -195,6 +199,46 @@ def filter_and_integrate_rows(pieces, b, a, windows, scale) -> list[np.ndarray]:
             for (n_per, dim), matrix in zip(windows, matrices):
                 matrix[row] = v[: dim * n_per].reshape(dim, n_per).sum(axis=1) / scale
     return matrices
+
+
+def per_recording_feature_sets(manifest, designs, segment_s: float, count: int, periods, r_ohm: float):
+    """`dataset.build_feature_sets` one recording at a time: each recording
+    loaded, widened to float64 and segmented on its own, and its segments
+    through each design's filter_and_integrate_rows; then its feature counts
+    checked against the first recording's and each of its matrices (designs
+    outer, periods inner) checked for a feature that is not finite. Returns
+    ((labels, recording_ids, segment_indices), sets[i][j]); the first error
+    is a DataError prefixed with its recording's path."""
+    sets = [[[] for _ in periods] for _ in designs]
+    for meta in manifest.entries:
+        try:
+            ts = load_recording(meta, manifest.root)
+            n_win = window_samples(len(ts), ts.fs, segment_s, count)
+            pieces = np.asarray(ts.samples[: count * n_win], dtype=np.float64).reshape(count, n_win)
+            filters = [filter_coefficients(design, ts.fs) for design in designs]
+            windows = [interval_samples(n_win, ts.fs, period_s, r_ohm) for period_s in periods]
+            results = [filter_and_integrate_rows(pieces, b, a, windows, r_ohm * ts.fs) for b, a in filters]
+            for matrices, design_sets in zip(results, sets):
+                for period_s, matrix, rows in zip(periods, matrices, design_sets):
+                    if rows and rows[0].shape[1] != matrix.shape[1]:
+                        raise DataError(
+                            f"{matrix.shape[1]} features per segment at T={period_s:g}s, where "
+                            f"{manifest.entries[0].path} gives {rows[0].shape[1]} (the sampling rates differ)"
+                        )
+            for design, matrices in zip(designs, results):
+                for period_s, matrix in zip(periods, matrices):
+                    if not np.isfinite(matrix).all():
+                        raise DataError(f"a feature of {design.name} at T={period_s:g}s, r_ohm={r_ohm:g} is not finite")
+        except (DataError, ValueError) as exc:
+            raise DataError(f"{meta.path}: {exc}") from exc
+        for matrices, design_sets in zip(results, sets):
+            for matrix, rows in zip(matrices, design_sets):
+                rows.append(matrix)
+    rows = [(meta.label.value, meta.path, index) for meta in manifest.entries for index in range(count)]
+    labels = np.array([label for label, _, _ in rows], dtype=str)
+    return (labels, tuple(path for _, path, _ in rows), tuple(index for _, _, index in rows)), [
+        [np.vstack(matrices) if matrices else np.empty((0, 0)) for matrices in design_sets] for design_sets in sets
+    ]
 
 
 def reference_split(labels, train_fraction: float, seed: int, stratified: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -30,6 +30,7 @@ from pehfault.dataset import (
     build_feature_sets,
     load_design_table,
     load_surrogate_spec,
+    read_csv_table,
     synth_surrogate_corpus,
     write_recording_f32,
 )
@@ -299,6 +300,24 @@ class TestOutputWriting:
         assert f"cannot write {tmp_path / 'features.csv'}: No space left on device" in err
         assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
         assert (tmp_path / "features.csv").read_text() == "previous run\n"
+
+    def test_text_is_written_as_utf8_under_the_c_locale(self, small_corpus, tmp_path):
+        """In the C locale, with UTF-8 mode and locale coercion off, Python's
+        default text encoding is ASCII. A design named peh_ü still reaches
+        features.csv, as UTF-8, which the CSV reader reads back."""
+        table = tmp_path / "designs.csv"
+        table.write_text(",".join(DESIGN_TABLE_FIELDS) + "\npeh_ü,0.5,200,10,1.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        env = {key: value for key, value in os.environ.items() if not key.startswith(("LC_", "PYTHONIOENCODING"))}
+        env.update(PYTHONPATH=str(REPO / "src"), LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        argv = ["extract", *small_flags(small_corpus, out), "--thickness", "0.5", "--design-table", str(table)]
+        done = subprocess.run([sys.executable, "-m", "pehfault", *argv], env=env, capture_output=True)
+        assert done.returncode == EXIT_OK, done.stderr.decode(errors="replace")
+        features = out / "features.csv"
+        header = features.read_bytes().decode("utf-8").split("\n", 1)[0].split(",")
+        rows = read_csv_table(features, "features", dict.fromkeys(header, str), lambda *fields: fields)
+        assert len(rows) == len(small_corpus.entries) * SMALL_SEGMENTS
+        assert {row[header.index("design")] for row in rows} == {"peh_ü"}
 
 
 class TestSingleLabelManifest:

@@ -32,7 +32,8 @@ from pehfault.dataset import (
 )
 from pehfault.errors import ConfigError, DataError
 from pehfault.frontend import mean_state_energy
-from pehfault.harvester import DEFAULT_DESIGNS, _biquad_coefficients, design_from_thickness
+from pehfault.harvester import DEFAULT_DESIGNS, PehDesign, _biquad_coefficients, design_from_thickness
+from pehfault.signals import TimeSeries, signal_energy
 from tests.conftest import MIXED_RATE_ERROR, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SPEC, mixed_rate_manifest
 from tests.oracles import make_feature, segment, simulate_voltage
 
@@ -207,12 +208,30 @@ class TestLoadRecording:
             load_recording(self.meta("rec.f32"), tmp_path)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_raw_samples_are_the_file_widened(self, n, tmp_path):
+    def test_raw_samples_are_the_file_as_stored(self, n, tmp_path):
+        """A raw file's samples come back as its float32s, not widened: the
+        pipeline widens them once, as it stacks them into a block."""
         path = tmp_path / "rec.f32"
         path.write_bytes(np.random.default_rng(n).standard_normal(n).astype("<f4").tobytes())
         ts = load_recording(self.meta("rec.f32"), tmp_path)
-        assert ts.samples.dtype == np.float64
-        assert np.array_equal(ts.samples, np.fromfile(path, "<f4").astype(np.float64))
+        assert ts.samples.dtype == np.float32
+        assert ts.samples.astype("<f4").tobytes() == path.read_bytes()
+
+    def test_text_samples_are_float64(self, tmp_path):
+        (tmp_path / "rec.txt").write_text("0.1\n-2.5e-7\n")
+        ts = load_recording(self.meta("rec.txt"), tmp_path)
+        assert ts.samples.dtype == np.float64 and ts.samples.tolist() == [0.1, -2.5e-7]
+
+    def test_the_energy_of_a_raw_recording_is_that_of_its_widening(self, tmp_path):
+        """signal_energy squares and sums float32 samples in float64: squared
+        in float32, 1e20 would overflow and the sum would lose bits."""
+        samples = np.random.default_rng(4).standard_normal(4097) * np.logspace(-20, 20, 4097)
+        write_recording_f32(samples, 8000.0, tmp_path / "rec.f32")
+        ts = load_recording(self.meta("rec.f32", fs=8000.0), tmp_path)
+        widened = TimeSeries(ts.samples.astype(np.float64), ts.fs)
+        assert ts.samples.dtype == np.float32
+        assert np.float64(signal_energy(ts, 3.3)).tobytes() == np.float64(signal_energy(widened, 3.3)).tobytes()
+        assert np.isfinite(signal_energy(ts))
 
     @pytest.mark.parametrize("name", ["rec.f32", "rec.txt"])
     @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()], ids=["missing", "directory"])
@@ -552,17 +571,68 @@ class TestBuildFeatureSets:
         assert str(info.value) == "r1.f32: filter fault"
         assert loaded == ["r0.f32", "r1.f32", "r2.f32"]
 
+    @pytest.mark.parametrize("per_block", [1, 2], ids=["alone", "stacked"])
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
-    def test_an_error_in_a_worker_stops_the_pass(self, cpus, tmp_path, monkeypatch):
-        """r0.f32 fails in the filter: past the recordings in flight, one more
-        is loaded while they run, and no other."""
+    def test_an_error_in_a_worker_stops_the_pass(self, cpus, per_block, tmp_path, monkeypatch):
+        """r0.f32 fails in the filter: past the blocks in flight, one more
+        block is loaded while they run, and no other. r0.f32 is a block on
+        its own (the next rate differs), and the cap puts the six recordings
+        after it (4000 samples each) one or two to a block."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        manifest = self._recordings(tmp_path, (8000, 8001, 8001, 8001, 8001))
+        monkeypatch.setattr(pehfault.dataset, "BLOCK_SAMPLES", 4000 * per_block)
+        manifest = self._recordings(tmp_path, (8000,) + (8001,) * 6)
         loaded = self._failing_filter(monkeypatch, 8000.0)
         with pytest.raises(DataError) as info:
             build_feature_sets(manifest, [design_from_thickness(0.50)], 0.25, 2, [0.125], 1.0)
         assert str(info.value) == "r0.f32: filter fault"
-        assert loaded == [f"r{i}.f32" for i in range(len(cpus) + 1)]
+        assert loaded == [f"r{i}.f32" for i in range(1 + len(cpus) * per_block)]
+
+    def test_an_overflow_names_the_first_recording_of_its_block_that_overflows(self, tmp_path, monkeypatch):
+        """Five recordings at one rate make one block. r2.txt and r3.txt hold
+        samples of about 1e200, whose features overflow through the design
+        of unit gain but not through the faint one listed first. The error
+        names r2, that design and the first period, as the per-recording
+        loop did."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rng = np.random.default_rng(5)
+        lines = ["path,label,bearing_type,load_w,fs_hz"]
+        for index, scale in enumerate((1.0, 1.0, 1e200, 1e200, 1.0)):
+            name = f"r{index}.txt" if scale > 1 else f"r{index}.f32"
+            samples = rng.standard_normal(8000) * scale
+            if scale > 1:
+                write_text_recording(tmp_path / name, samples.tolist())
+            else:
+                write_recording_f32(samples, 8000, tmp_path / name)
+            lines.append(f"{name},{('healthy', 'ball_crack')[index % 2]},6204,0,8000")
+        (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
+        designs = [PehDesign("faint", 0.35, 200.0, 10.0, 1e-200), PehDesign("unit", 0.50, 200.0, 10.0, 1.0)]
+        with pytest.raises(DataError) as info:
+            build_feature_sets(load_manifest(tmp_path / "manifest.csv"), designs, 0.25, 2, [0.125, 0.0625], 1.0)
+        assert str(info.value) == "r2.txt: a feature of unit at T=0.125s, r_ohm=1 is not finite"
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["clean", "filter fault"])
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_a_load_error_partway_through_a_block_comes_after_the_recordings_before_it(
+        self, cpus, fault, tmp_path, monkeypatch
+    ):
+        """r1.f32 to r4.f32 share a rate and would make one block; r3.f32's
+        sidecar declares a wrong count. The recordings before it are filtered
+        first, so a filter fault at their rate names r1.f32, as the serial
+        loop would, and without one the sidecar error names r3.f32. r4.f32
+        is never loaded."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        manifest = self._recordings(tmp_path, (8000,) + (8001,) * 4)
+        sidecar = tmp_path / "r3.f32.hdr"
+        sidecar.write_text("fs_hz=8001\nn_samples=8000\n")
+        if fault:
+            loaded = self._failing_filter(monkeypatch, 8001.0)
+        with pytest.raises(DataError) as info:
+            build_feature_sets(manifest, [design_from_thickness(0.50)], 0.25, 2, [0.125], 1.0)
+        if fault:
+            assert str(info.value) == "r1.f32: filter fault"
+            assert loaded == ["r0.f32", "r1.f32", "r2.f32", "r3.f32"]
+        else:
+            assert str(info.value) == f"r3.f32: {sidecar}: sidecar declares 8000 samples, file holds 8001"
 
     def test_on_an_error_the_queued_work_is_cancelled(self, tmp_path, monkeypatch):
         """r0.f32 fails in its first design while its other two hold both
@@ -683,24 +753,37 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def _peaks(tmp_path, spec, counts_per_class, segment_s, segments, periods):
+    """(synthesis peak, build peak) of the corpus of each count per class,
+    built with the 4 default designs: the first build's peak is the largest
+    of 5 runs, each later one is 1."""
+    peaks = []
+    for count_per_class, runs in zip(counts_per_class, (5, 1)):
+        out_dir, sized = tmp_path / str(count_per_class), replace(spec, count_per_class=count_per_class)
+        manifest, synth_peak = _traced_peak(lambda: synth_surrogate_corpus(sized, 0, out_dir))
+        build = lambda: build_feature_sets(manifest, DEFAULT_DESIGNS, segment_s, segments, periods, 1.0)
+        peaks.append((synth_peak, max(_traced_peak(build)[1] for _ in range(runs))))
+        shutil.rmtree(out_dir)
+    return peaks
+
+
 def test_memory_is_bounded_by_the_pool_not_by_the_corpus(tmp_path, monkeypatch):
     """On two CPUs, synth_surrogate_corpus and build_feature_sets (4 designs,
     T in {1, 3}) on 42 default recordings each peak within 1 MB of their
-    peak on 14 (about 8.5 MB and 21.8 MB): neither holds more recordings
+    peak on 14 (about 8.5 MB and 20.5 MB): neither holds more recordings
     than the pool has in flight. The 14-recording build is the largest of 5
     runs: whether two filter outputs (a recording's 3 segments, 3.7 MB each)
     are alive at once depends on the thread schedule, and the baseline is
-    the schedule's worst case.
+    the schedule's worst case. Short recordings (2 s at 25.6 kHz, 4 segments
+    of 0.5 s, T = 0.1 s) stack five to a 2 MB block, and the build on 126 of
+    them peaks within 1 MB of its peak on 42 (about 10.6 MB): it holds no
+    more blocks than the pool has in flight.
     scipy.signal is imported at the top of this module, so the first build
     does not count the import."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    peaks = []
-    for count_per_class, runs in ((7, 5), (21, 1)):
-        out_dir = tmp_path / str(count_per_class)
-        spec = replace(DEFAULT_SURROGATE_SPEC, count_per_class=count_per_class)
-        manifest, synth_peak = _traced_peak(lambda: synth_surrogate_corpus(spec, 0, out_dir))
-        build = lambda: build_feature_sets(manifest, DEFAULT_DESIGNS, 3.0, 3, [1.0, 3.0], 1.0)
-        peaks.append((synth_peak, max(_traced_peak(build)[1] for _ in range(runs))))
-        shutil.rmtree(out_dir)
-    (synth_14, build_14), (synth_42, build_42) = peaks
-    assert synth_42 <= synth_14 + 1e6 and build_42 <= build_14 + 1e6, peaks
+    default = _peaks(tmp_path, DEFAULT_SURROGATE_SPEC, (7, 21), 3.0, 3, [1.0, 3.0])
+    (synth_14, build_14), (synth_42, build_42) = default
+    assert synth_42 <= synth_14 + 1e6 and build_42 <= build_14 + 1e6, default
+    short = _peaks(tmp_path, replace(DEFAULT_SURROGATE_SPEC, fs=25600.0, duration_s=2.0), (21, 63), 0.5, 4, [0.1])
+    (_, build_short_42), (_, build_short_126) = short
+    assert build_short_126 <= build_short_42 + 1e6, short

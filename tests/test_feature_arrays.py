@@ -2,13 +2,15 @@
 `_groups`) and of `mean_state_energy` against the (vector, label) pair forms
 they replaced, kept verbatim below as the reference, of the threaded feature pipeline and the thought experiment
 against the per-segment segment -> simulate_voltage -> make_feature chain of
-tests/oracles.py, and of the feature kernel against its one-call-per-row
-form there."""
+tests/oracles.py, of the blocked pipeline against the per-recording one
+there, and of the feature kernel against its one-call-per-row form there."""
 
 import itertools
 import math
 import os
 import sys
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pehfault.dataset
 from pehfault.classify import _draw, _groups
 from pehfault.dataset import build_feature_sets, filter_and_integrate, load_manifest, load_recording, write_recording_f32
+from pehfault.errors import DataError
 from pehfault.frontend import mean_state_energy
 from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness, filter_coefficients
 from pehfault.report import run_thought_experiment
 from pehfault.signals import synth_sine
-from tests.oracles import filter_and_integrate_rows, make_feature, segment, simulate_voltage
+from tests.oracles import filter_and_integrate_rows, make_feature, per_recording_feature_sets, segment, simulate_voltage
 
 
 def _round_half_up(x: float) -> int:
@@ -191,6 +195,81 @@ def test_pipeline_equals_the_per_segment_loop_bit_for_bit(cpus, mixed_length_man
     assert rows.segment_indices == tuple(range(SEGMENTS)) * len(entries)
     assert rows.labels.tolist() == [meta.label.value for meta in entries for _ in range(SEGMENTS)]
 
+
+
+# Rates at which a 0.01 s segment gives 40, 40 and 50 samples, and each period
+# of STACK_PERIODS the same feature count: 4000 and 4001 Hz differ in rate
+# alone, so they must not share a block.
+STACK_RATES = (4000, 4001, 5000)
+STACK_SEGMENT_S = 0.01
+STACK_PERIODS = (0.01, 0.005, 0.0025)
+
+
+@st.composite
+def stacked_corpora(draw):
+    """A manifest of 1-9 recordings in runs of one rate, each long enough
+    for its segments plus a drawn tail, raw or text; one in ten text ones is
+    scaled to 1e200, so its features overflow. With the segment count, a
+    block cap on both sides of a recording's stacked samples (40-150), 1-3
+    designs and 1-3 periods."""
+    count = draw(st.integers(1, 3))
+    runs = draw(st.lists(st.tuples(st.sampled_from(STACK_RATES), st.integers(1, 4)), min_size=1, max_size=3))
+    rates = [rate for rate, length in runs for _ in range(length)]
+    recordings = [
+        (rate, draw(st.integers(0, 30)), draw(st.booleans()), draw(st.integers(0, 9)) == 0) for rate in rates
+    ]
+    designs = draw(st.lists(st.sampled_from(DEFAULT_DESIGNS), min_size=1, max_size=3, unique=True))
+    periods = draw(st.lists(st.sampled_from(STACK_PERIODS), min_size=1, max_size=3, unique=True))
+    return count, recordings, draw(st.integers(1, 200)), designs, periods, draw(st.integers(0, 2**32))
+
+
+def _write_corpus(root, count, recordings, seed):
+    rng = np.random.default_rng(seed)
+    lines = ["path,label,bearing_type,load_w,fs_hz"]
+    for index, (rate, tail, text, huge) in enumerate(recordings):
+        samples = rng.standard_normal(count * round(STACK_SEGMENT_S * rate) + tail) * (1e200 if text and huge else 1.0)
+        name = f"r{index}.{'txt' if text else 'f32'}"
+        if text:
+            (root / name).write_text("".join(f"{v!r}\n" for v in samples.tolist()))
+        else:
+            write_recording_f32(samples, rate, root / name)
+        lines.append(f"{name},{('healthy', 'ball_crack')[index % 2]},6204,0,{rate}")
+    (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+    return load_manifest(root / "manifest.csv")
+
+
+def _outcome(build):
+    try:
+        return build()
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+@settings(max_examples=60, deadline=None)
+@given(stacked_corpora())
+def test_stacked_blocks_equal_the_per_recording_pipeline_bit_for_bit(cpus, corpus):
+    """Whatever the blocks (recordings one, several or all to a block, runs
+    cut by rate changes, a cap below one recording's samples), the pipeline
+    gives the per-recording pipeline's rows and matrices, inf included, or
+    its first error."""
+    count, recordings, cap, designs, periods, seed = corpus
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+        manifest = _write_corpus(Path(root), count, recordings, seed)
+        patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        patch.setattr(pehfault.dataset, "BLOCK_SAMPLES", cap)
+        args = (manifest, designs, STACK_SEGMENT_S, count, periods, 1.0)
+        got, want = _outcome(lambda: build_feature_sets(*args)), _outcome(lambda: per_recording_feature_sets(*args))
+    if isinstance(want, str):
+        assert got == want
+        return
+    (rows, sets), ((labels, recording_ids, segment_indices), expected) = got, want
+    assert rows.labels.dtype == labels.dtype and np.array_equal(rows.labels, labels)
+    assert (rows.recording_ids, rows.segment_indices) == (recording_ids, segment_indices)
+    for design_sets, design_expected in zip(sets, expected, strict=True):
+        for matrix, reference in zip(design_sets, design_expected, strict=True):
+            assert matrix.dtype == np.float64 and matrix.shape == reference.shape
+            assert np.array_equal(matrix.view(np.int64), reference.view(np.int64))
 
 
 def test_thought_experiment_equals_the_per_segment_chain_bit_for_bit():
