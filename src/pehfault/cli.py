@@ -10,10 +10,11 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from .classify import METRICS, repeated_evaluation, train_size
 from .dataset import (
     DEFAULT_SURROGATE_SPEC,
     MachineState,
-    Manifest,
     build_feature_sets,
     csv_text,
     filter_manifest,
@@ -51,32 +51,19 @@ EXIT_CONFIG_ERROR = 2
 EXIT_DATA_ERROR = 3
 
 
-@dataclass
-class RunConfig:
-    """One experiment's parameters; loadable from a flat key=value file."""
+# The subcommands that take a parameter.
+FEATURES = ("extract", "classify", "sweep", "scatter")
+SIMULATING = ("thought-experiment", *FEATURES)
+KNN = ("classify", "sweep")
+EVERY = (*SIMULATING, "energy-report", "surrogate-gen")
 
-    manifest: str = ""
-    design_table: str = ""
-    thickness_mm: float = 0.50
-    thicknesses: tuple = (0.35, 0.40, 0.45, 0.50)
-    t_s: float = 3.0
-    t_values: tuple = (3.0,)
-    r_ohm: float = 1.0
-    segment_s: float = 3.0
-    segments_per_recording: int = 3
-    train_fraction: float = 0.8
-    stratified: bool = True
-    seed: int = 0
-    n_repeats: int = 20
-    k: int = 3
-    metric: str = "raw"
-    labels: tuple = ()
-    bearing_type: str = ""
-    load_w: int = -1
-    fault_label: str = "ball_crack"
-    fs_synth: float = 51200.0
-    surrogate_spec: str = ""
-    out_dir: str = "out"
+
+def _comma_floats(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _comma_strs(raw: str) -> tuple:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
 def _boolean(raw: str) -> bool:
@@ -85,43 +72,71 @@ def _boolean(raw: str) -> bool:
     return raw.lower() in ("true", "1", "yes", "on")
 
 
+# A check is (ok, message): a value that is not ok(value) is a ConfigError
+# whose message is formatted with the parameter's name, value, flag and `what`.
+FINITE = (lambda value: np.isfinite(value).all(), "{name} must be finite, got {value}")
+POSITIVE = (lambda value: np.greater(value, 0).all(), "{what} must be positive")
+AT_LEAST_ONE = (lambda n: n >= 1, "{what} must be >= 1")
+NOT_EMPTY = (bool, "{flag} is empty: give at least one {what}")
+ONCE = (lambda values: len(set(values)) == len(values), "{flag} repeats a value in {value}: give each {what} once")
+
+
+def _param(default, flag=None, commands=(), *checks, parse=None, what=None, **options):
+    """A run parameter: its default, its flag, the subcommands that take it and
+    its checks in order; the parser of its flag's and config key's value (the
+    default's type unless given), what one value is, and argparse options."""
+    metadata = dict(parse=parse or type(default), flag=flag, commands=commands, checks=checks, what=what, options=options)
+    return field(default=default, metadata=metadata)
+
+
+@dataclass
+class RunConfig:
+    """One experiment's parameters, each declared once, here; every field is
+    also a key of the flat key=value config file. A list compares its values as
+    parsed, so 0.5 and 0.50 are one value."""
+
+    manifest: str = _param("", "--manifest", FEATURES, metavar="CSV", help="recording manifest")
+    design_table: str = _param("", "--design-table", SIMULATING, metavar="CSV", help="override the built-in design table")
+    thickness_mm: float = _param(0.50, "--thickness", ("extract", "classify"), FINITE, help="design thickness in mm")
+    thicknesses: tuple = _param((0.35, 0.40, 0.45, 0.50), "--thicknesses", ("sweep", "scatter"), FINITE, NOT_EMPTY, ONCE,
+                                parse=_comma_floats, what="design thickness", help="comma-separated design thicknesses in mm")
+    t_s: float = _param(3.0, "--T", (*SIMULATING, "energy-report"), FINITE, POSITIVE,
+                        what="integration period", help="integration period in seconds")
+    t_values: tuple = _param((3.0,), "--t-values", ("sweep",), FINITE, POSITIVE, NOT_EMPTY, ONCE,
+                             parse=_comma_floats, what="integration period", help="comma-separated integration periods in s")
+    r_ohm: float = _param(1.0, "--r-ohm", SIMULATING, FINITE, POSITIVE, what="load resistance", help="load resistance in Ohms")
+    segment_s: float = _param(3.0, "--segment", FEATURES, FINITE, POSITIVE, what="segment length", help="segment length in seconds")
+    segments_per_recording: int = _param(3, "--segments", FEATURES, AT_LEAST_ONE,
+                                         what="segments per recording", help="segments per recording")
+    train_fraction: float = _param(0.8, "--train-fraction", KNN, (lambda f: 0 < f < 1, "train fraction must lie in (0, 1)"))
+    stratified: bool = _param(True, parse=_boolean)
+    seed: int = _param(0, "--seed", EVERY, (lambda s: s >= 0, "seed must be non-negative, got {value}"), help="base random seed")
+    n_repeats: int = _param(20, "--repeats", KNN, AT_LEAST_ONE, what="number of repeats", help="number of seeded splits")
+    k: int = _param(3, "--k", KNN, AT_LEAST_ONE, what="k", help="number of neighbors")
+    metric: str = _param("raw", "--metric", KNN, (METRICS.__contains__, f"metric must be one of {METRICS}"), choices=METRICS)
+    labels: tuple = _param((), "--labels", FEATURES, ONCE,
+                           parse=_comma_strs, what="machine state", help="restrict to these machine states (comma separated)")
+    bearing_type: str = _param("", "--bearing-type", FEATURES, help="restrict to one bearing type")
+    load_w: int = _param(-1, "--load-w", FEATURES,
+                         (lambda w: w >= -1, "load_w must be a load in Watts, or -1 for any load, got {value}"),
+                         help="restrict to one load in Watts")
+    fault_label: str = _param("ball_crack", "--fault-label", ("scatter",), help="fault state to compare against healthy")
+    fs_synth: float = _param(51200.0, None, (), FINITE, POSITIVE, what="synthesis rate")
+    surrogate_spec: str = _param("", "--spec", ("surrogate-gen",), metavar="PATH", help="surrogate recipe file (default: built-in)")
+    out_dir: str = _param("out", "--out", EVERY, metavar="DIR", help="output directory (default: out)")
+
+
 def parse_config_file(path: str | Path) -> dict:
-    keys = {f.name: type(f.default) for f in fields(RunConfig)}  # the field's default gives its type
-    keys.update(thicknesses=_comma_floats, t_values=_comma_floats, labels=_comma_strs, stratified=_boolean)
-    return read_key_values(path, "config file", ConfigError, keys)
+    return read_key_values(path, "config file", ConfigError, {f.name: f.metadata["parse"] for f in fields(RunConfig)})
 
 
 def validate_config(cfg: RunConfig) -> None:
-    for name in ("thickness_mm", "thicknesses", "t_s", "t_values", "r_ohm", "segment_s", "fs_synth"):
-        value = getattr(cfg, name)
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if cfg.t_s <= 0 or any(t <= 0 for t in cfg.t_values):
-        raise ConfigError("integration period must be positive")
-    if not cfg.t_values:
-        raise ConfigError("--t-values is empty: give at least one integration period")
-    if not cfg.thicknesses:
-        raise ConfigError("--thicknesses is empty: give at least one design thickness")
-    if cfg.r_ohm <= 0:
-        raise ConfigError("load resistance must be positive")
-    if cfg.segment_s <= 0:
-        raise ConfigError("segment length must be positive")
-    if cfg.segments_per_recording < 1:
-        raise ConfigError("segments per recording must be >= 1")
-    if not 0 < cfg.train_fraction < 1:
-        raise ConfigError("train fraction must lie in (0, 1)")
-    if cfg.n_repeats < 1:
-        raise ConfigError("number of repeats must be >= 1")
-    if cfg.k < 1:
-        raise ConfigError("k must be >= 1")
-    if cfg.metric not in METRICS:
-        raise ConfigError(f"metric must be one of {METRICS}")
-    if cfg.fs_synth <= 0:
-        raise ConfigError("synthesis rate must be positive")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    if cfg.load_w < -1:
-        raise ConfigError(f"load_w must be a load in Watts, or -1 for any load, got {cfg.load_w}")
+    """Every parameter's checks, in the order of the fields."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        for ok, message in f.metadata["checks"]:
+            if not ok(value):
+                raise ConfigError(message.format(name=f.name, value=value, **f.metadata))
 
 
 def _check_periods(periods, designs, segment_s: float = math.inf) -> None:
@@ -141,20 +156,14 @@ def _check_periods(periods, designs, segment_s: float = math.inf) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
-    cfg = RunConfig()
-    explicit: set[str] = set()
-    if args.config:
-        for key, value in parse_config_file(args.config).items():
-            setattr(cfg, key, value)
-            explicit.add(key)
-    # Each flag's dest is the RunConfig field it overrides.
-    for name in (f.name for f in fields(RunConfig)):
-        value = vars(args).get(name)
-        if value is not None:
-            setattr(cfg, name, value)
-            explicit.add(name)
+    """The checked run parameters, each the field's default unless the config
+    file gives its key, and that unless the flag is given; and the names of
+    those given (the flags' dests are the field names)."""
+    given = parse_config_file(args.config) if args.config else {}
+    given.update((name, value) for name, value in vars(args).items() if value is not None and name in RunConfig.__dataclass_fields__)
+    cfg = RunConfig(**given)
     validate_config(cfg)
-    return cfg, explicit
+    return cfg, set(given)
 
 
 def _designs(cfg: RunConfig, thicknesses) -> list:
@@ -166,10 +175,10 @@ def _designs(cfg: RunConfig, thicknesses) -> list:
         raise ConfigError(f"{cfg.design_table}: {exc}" if cfg.design_table else str(exc)) from None
 
 
-def _inputs(cfg: RunConfig, thicknesses, periods, *, split: bool = False, states=()) -> tuple[list, Manifest]:
-    """The designs of these thicknesses and the manifest entries to read at
-    these periods, checked before any recording is read, in this order: the
-    designs, the periods, the filtered manifest (at least one entry, each
+def _features(cfg: RunConfig, thicknesses, periods, *, split: bool = False, states=()) -> tuple:
+    """The designs of these thicknesses and their feature sets at these periods
+    (build_feature_sets), checked before any recording is read, in this order:
+    the designs, the periods, the filtered manifest (at least one entry, each
     sampled at >= MIN_FS_PER_F0 times the highest resonance in use), for a
     kNN `split` the classes and training points it needs, then `states`."""
     designs = _designs(cfg, thicknesses)
@@ -177,12 +186,10 @@ def _inputs(cfg: RunConfig, thicknesses, periods, *, split: bool = False, states
     if not cfg.manifest:
         raise ConfigError("a manifest path is required (--manifest or config key manifest)")
     manifest = load_manifest(cfg.manifest)
-    labels = None
-    if cfg.labels:
-        try:
-            labels = tuple(MachineState.from_token(tok) for tok in cfg.labels)
-        except DataError as exc:
-            raise ConfigError(f"labels: {exc}") from None
+    try:
+        labels = tuple(MachineState.from_token(tok) for tok in cfg.labels) or None
+    except DataError as exc:
+        raise ConfigError(f"labels: {exc}") from None
     manifest = filter_manifest(
         manifest,
         labels=labels,
@@ -215,7 +222,7 @@ def _inputs(cfg: RunConfig, thicknesses, periods, *, split: bool = False, states
     for state in states:
         if state.value not in counts:
             raise DataError(f"manifest holds no {state.value!r} recordings")
-    return designs, manifest
+    return designs, *build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, periods, cfg.r_ohm)
 
 
 def _evaluate(cfg: RunConfig, features, labels) -> tuple:
@@ -237,7 +244,7 @@ def _format_confusion(labels, confusion) -> str:
     return "\n".join(lines)
 
 
-def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
+def cmd_thought_experiment(cfg: RunConfig, args) -> int:
     designs = _designs(cfg, [args.design_a, args.design_b])
     _check_periods([cfg.t_s], designs)
     try:
@@ -250,9 +257,8 @@ def cmd_thought_experiment(cfg: RunConfig, args, explicit) -> int:
     return EXIT_OK
 
 
-def cmd_extract(cfg: RunConfig, args, explicit) -> int:
-    (design,), manifest = _inputs(cfg, [cfg.thickness_mm], [cfg.t_s])
-    rows, ((features,),) = build_feature_sets(manifest, [design], cfg.segment_s, cfg.segments_per_recording, [cfg.t_s], cfg.r_ohm)
+def cmd_extract(cfg: RunConfig, args) -> int:
+    (design,), rows, ((features,),) = _features(cfg, [cfg.thickness_mm], [cfg.t_s])
     header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(features.shape[1]))]
     lines = zip(rows.recording_ids, rows.segment_indices, rows.labels.tolist(), features.tolist())
     content = csv_text(header, [(rid, index, label, design.name, cfg.t_s, *values) for rid, index, label, values in lines])
@@ -261,9 +267,8 @@ def cmd_extract(cfg: RunConfig, args, explicit) -> int:
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig, args, explicit) -> int:
-    (design,), manifest = _inputs(cfg, [cfg.thickness_mm], [cfg.t_s], split=True)
-    rows, ((features,),) = build_feature_sets(manifest, [design], cfg.segment_s, cfg.segments_per_recording, [cfg.t_s], cfg.r_ohm)
+def cmd_classify(cfg: RunConfig, args) -> int:
+    (design,), rows, ((features,),) = _features(cfg, [cfg.thickness_mm], [cfg.t_s], split=True)
     names, confusions, accuracies = _evaluate(cfg, features, rows.labels)
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
     per_split = zip(accuracies.tolist(), confusions.sum(axis=(1, 2)).tolist())  # a numpy integer would print as 168.0
@@ -277,9 +282,8 @@ def cmd_classify(cfg: RunConfig, args, explicit) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
-    designs, manifest = _inputs(cfg, cfg.thicknesses, cfg.t_values, split=True)
-    rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, cfg.t_values, cfg.r_ohm)
+def cmd_sweep(cfg: RunConfig, args) -> int:
+    designs, rows, sets = _features(cfg, cfg.thicknesses, cfg.t_values, split=True)
     header = ["design", "thickness_mm", "T_s", "mean_accuracy", "std_accuracy", "n_repeats", "seed0"]
     results = []
     # Every cell reuses the same seeds, so the cells are comparable.
@@ -294,15 +298,14 @@ def cmd_sweep(cfg: RunConfig, args, explicit) -> int:
     return EXIT_OK
 
 
-def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
+def cmd_scatter(cfg: RunConfig, args) -> int:
     try:
         fault_label = MachineState.from_token(cfg.fault_label)
     except DataError as exc:
         raise ConfigError(str(exc)) from None
     if fault_label is MachineState.HEALTHY:
         raise ConfigError("--fault-label must name a fault state, not healthy, which it is compared with")
-    designs, manifest = _inputs(cfg, cfg.thicknesses, [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
-    rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, [cfg.t_s], cfg.r_ohm)
+    designs, rows, sets = _features(cfg, cfg.thicknesses, [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
     means = [mean_state_energy(matrix, rows.labels) for (matrix,) in sets]
     points = [(mean[MachineState.HEALTHY.value], mean[fault_label.value]) for mean in means]
     header = ["design", "thickness_mm", "mean_healthy_j", "mean_faulty_j", "diag_distance_j"]
@@ -324,7 +327,7 @@ def cmd_scatter(cfg: RunConfig, args, explicit) -> int:
     return EXIT_OK
 
 
-def cmd_energy_report(cfg: RunConfig, args, explicit) -> int:
+def cmd_energy_report(cfg: RunConfig, args) -> int:
     costs = dict(e_adc_per_sample_j=args.e_adc, e_tx_per_sample_j=args.e_tx, bits_per_sample=args.bits)
     try:
         text = format_sampling_cost(args.fs_raw, cfg.t_s, **costs)
@@ -334,9 +337,9 @@ def cmd_energy_report(cfg: RunConfig, args, explicit) -> int:
     return EXIT_OK
 
 
-def cmd_surrogate_gen(cfg: RunConfig, args, explicit) -> int:
+def cmd_surrogate_gen(cfg: RunConfig, args) -> int:
     spec = load_surrogate_spec(cfg.surrogate_spec) if cfg.surrogate_spec else DEFAULT_SURROGATE_SPEC
-    seed = cfg.seed if "seed" in explicit else spec.seed
+    seed = cfg.seed if "seed" in args.explicit else spec.seed
     out_dir = Path(cfg.out_dir) / "corpus"
     try:
         manifest = synth_surrogate_corpus(spec, seed, out_dir)
@@ -350,91 +353,58 @@ def cmd_surrogate_gen(cfg: RunConfig, args, explicit) -> int:
     return EXIT_OK
 
 
-def _comma_floats(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _comma_strs(raw: str) -> tuple:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="flat key=value run configuration file")
-    common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory (default: out)")
-    common.add_argument("--seed", type=int, help="base random seed")
-
-    manifesty = argparse.ArgumentParser(add_help=False)
-    manifesty.add_argument("--manifest", metavar="CSV", help="recording manifest")
-    manifesty.add_argument("--design-table", dest="design_table", metavar="CSV", help="override the built-in design table")
-    manifesty.add_argument("--labels", type=_comma_strs, help="restrict to these machine states (comma separated)")
-    manifesty.add_argument("--bearing-type", dest="bearing_type", help="restrict to one bearing type")
-    manifesty.add_argument("--load-w", dest="load_w", type=int, help="restrict to one load in Watts")
-    manifesty.add_argument("--T", dest="t_s", type=float, help="integration period in seconds")
-    manifesty.add_argument("--r-ohm", dest="r_ohm", type=float, help="load resistance in Ohms")
-    manifesty.add_argument("--segment", dest="segment_s", type=float, help="segment length in seconds")
-    manifesty.add_argument("--segments", dest="segments_per_recording", type=int, help="segments per recording")
-
-    knn = argparse.ArgumentParser(add_help=False)
-    knn.add_argument("--k", type=int, help="number of neighbors")
-    knn.add_argument("--repeats", dest="n_repeats", type=int, help="number of seeded splits")
-    knn.add_argument("--train-fraction", dest="train_fraction", type=float)
-    knn.add_argument("--metric", choices=METRICS)
+    # Each flag is one action, shared by the subcommands that take it, as argparse's `parents=` shares a parent's.
+    options = argparse.ArgumentParser(add_help=False)
+    shared = [(EVERY, options.add_argument("--config", metavar="PATH", help="flat key=value run configuration file"))]
+    for f in fields(RunConfig):
+        if f.metadata["flag"]:
+            action = options.add_argument(f.metadata["flag"], dest=f.name, type=f.metadata["parse"], **f.metadata["options"])
+            shared.append((f.metadata["commands"], action))
 
     parser = argparse.ArgumentParser(
         prog="pehfault",
         description="Harvester-filtered low-rate energy features for bearing fault detection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, text in (
+        ("thought-experiment", cmd_thought_experiment, "two sines through two designs, 2x2 energy matrix"),
+        ("extract", cmd_extract, "write the labeled feature CSV"),
+        ("classify", cmd_classify, "kNN accuracy over repeated seeded splits on one design"),
+        ("sweep", cmd_sweep, "accuracy over designs x integration periods"),
+        ("scatter", cmd_scatter, "per-design class-mean energies vs the 45-degree line"),
+        ("energy-report", cmd_energy_report, "sampling and energy comparison of the two architectures"),
+        ("surrogate-gen", cmd_surrogate_gen, "write a seeded synthetic corpus + manifest"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        for commands, action in shared:
+            if name in commands:
+                p._add_action(action)
 
-    p = sub.add_parser("thought-experiment", parents=[common], help="two sines through two designs, 2x2 energy matrix")
+    p = sub.choices["thought-experiment"]
     p.add_argument("--f-healthy", dest="f_healthy", type=float, default=200.0, help="healthy vibration frequency (Hz)")
     p.add_argument("--f-faulty", dest="f_faulty", type=float, default=150.0, help="faulty vibration frequency (Hz)")
     p.add_argument("--design-a", dest="design_a", type=float, default=0.50, metavar="MM", help="thickness matched to the healthy state")
     p.add_argument("--design-b", dest="design_b", type=float, default=0.40, metavar="MM", help="thickness matched to the faulty state")
-    p.add_argument("--T", dest="t_s", type=float, help="integration period in seconds")
-    p.add_argument("--r-ohm", dest="r_ohm", type=float, help="load resistance in Ohms")
-    p.add_argument("--design-table", dest="design_table", metavar="CSV")
-    p.set_defaults(handler=cmd_thought_experiment)
 
-    p = sub.add_parser("extract", parents=[common, manifesty], help="write the labeled feature CSV")
-    p.add_argument("--thickness", dest="thickness_mm", type=float, help="design thickness in mm")
-    p.set_defaults(handler=cmd_extract)
-
-    p = sub.add_parser("classify", parents=[common, manifesty, knn], help="kNN accuracy over repeated seeded splits on one design")
-    p.add_argument("--thickness", dest="thickness_mm", type=float, help="design thickness in mm")
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("sweep", parents=[common, manifesty, knn], help="accuracy over designs x integration periods")
-    p.add_argument("--thicknesses", type=_comma_floats, help="comma-separated design thicknesses in mm")
-    p.add_argument("--t-values", dest="t_values", type=_comma_floats, help="comma-separated integration periods in s")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("scatter", parents=[common, manifesty], help="per-design class-mean energies vs the 45-degree line")
-    p.add_argument("--thicknesses", type=_comma_floats)
-    p.add_argument("--fault-label", dest="fault_label", help="fault state to compare against healthy")
-    p.set_defaults(handler=cmd_scatter)
-
-    p = sub.add_parser("energy-report", parents=[common], help="sampling and energy comparison of the two architectures")
+    p = sub.choices["energy-report"]
     p.add_argument("--fs-raw", dest="fs_raw", type=float, default=51200.0, help="raw acquisition rate (Hz)")
-    p.add_argument("--T", dest="t_s", type=float, help="integration period in seconds")
     p.add_argument("--e-adc", dest="e_adc", type=float, default=E_ADC_PER_SAMPLE_J, help="ADC J/sample")
     p.add_argument("--e-tx", dest="e_tx", type=float, default=E_TX_PER_SAMPLE_J, help="radio J/sample")
     p.add_argument("--bits", type=int, default=BITS_PER_SAMPLE, help="bits per transmitted sample")
-    p.set_defaults(handler=cmd_energy_report)
-
-    p = sub.add_parser("surrogate-gen", parents=[common], help="write a seeded synthetic corpus + manifest")
-    p.add_argument("--spec", dest="surrogate_spec", metavar="PATH", help="surrogate recipe file (default: built-in)")
-    p.set_defaults(handler=cmd_surrogate_gen)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A design name that stdout's encoding (an ASCII locale's) cannot take prints as backslash escapes.
+    if codecs.lookup(getattr(sys.stdout, "encoding", None) or "utf-8").name != "utf-8":
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
-        cfg, explicit = resolve_config(args)
-        return args.handler(cfg, args, explicit)
+        # `explicit` names the parameters given: surrogate-gen prefers a given seed to its recipe's.
+        cfg, args.explicit = resolve_config(args)
+        return args.handler(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

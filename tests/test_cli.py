@@ -319,6 +319,32 @@ class TestOutputWriting:
         assert len(rows) == len(small_corpus.entries) * SMALL_SEGMENTS
         assert {row[header.index("design")] for row in rows} == {"peh_ü"}
 
+    @pytest.mark.parametrize(
+        "command, flags, output",
+        [
+            ("scatter", ["--thicknesses", "0.5,0.4"], "scatter.csv"),
+            ("sweep", ["--thicknesses", "0.5,0.4", "--t-values", str(SMALL_SEGMENT_S), "--repeats", "2"], "sweep.csv"),
+            ("classify", ["--thickness", "0.5", "--repeats", "2"], "classification.csv"),
+        ],
+    )
+    def test_a_non_ascii_design_name_prints_escaped_under_the_c_locale(self, command, flags, output, small_corpus, tmp_path):
+        """A command that prints a design name peh_ü to an ASCII stdout prints
+        it as peh_\\xfc and exits 0; its CSV is byte for byte the one written
+        in UTF-8 mode, where peh_ü prints as itself."""
+        table = tmp_path / "designs.csv"
+        table.write_text(",".join(DESIGN_TABLE_FIELDS) + "\npeh_ü,0.5,200,10,1.0\npeh_b,0.4,150,10,1.0\n", encoding="utf-8")
+        env = {key: value for key, value in os.environ.items() if not key.startswith(("LC_", "LANG", "PYTHONIOENCODING"))}
+        env.update(PYTHONPATH=str(REPO / "src"), PYTHONCOERCECLOCALE="0")
+        runs = {}
+        for mode, extra in (("ascii", dict(LC_ALL="C", LANG="C", PYTHONUTF8="0")), ("utf8", dict(PYTHONUTF8="1"))):
+            argv = [command, *small_flags(small_corpus, tmp_path / mode), *flags, "--design-table", str(table)]
+            runs[mode] = subprocess.Popen([sys.executable, "-m", "pehfault", *argv], env={**env, **extra}, stdout=subprocess.PIPE)
+        outputs = {mode: run.communicate()[0] for mode, run in runs.items()}
+        assert [run.returncode for run in runs.values()] == [EXIT_OK, EXIT_OK]
+        assert b"peh_\\xfc" in outputs["ascii"] and "peh_ü".encode() not in outputs["ascii"]
+        assert "peh_ü".encode() in outputs["utf8"]
+        assert (tmp_path / "ascii" / output).read_bytes() == (tmp_path / "utf8" / output).read_bytes()
+
 
 class TestSingleLabelManifest:
     @pytest.mark.parametrize("command", ["classify", "sweep"])
@@ -801,6 +827,49 @@ class TestRejectedBeforeReading:
         err = capsys.readouterr().err
         assert "integration period 0.001s" in err and design in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, value, message",
+    [
+        ("sweep", "--t-values", "t_values", "3,3.0", "--t-values repeats a value in (3.0, 3.0): give each integration period once"),
+        (
+            "sweep",
+            "--thicknesses",
+            "thicknesses",
+            "0.5,0.35,0.50",
+            "--thicknesses repeats a value in (0.5, 0.35, 0.5): give each design thickness once",
+        ),
+        (
+            "scatter",
+            "--thicknesses",
+            "thicknesses",
+            "0.4,0.40",
+            "--thicknesses repeats a value in (0.4, 0.4): give each design thickness once",
+        ),
+        (
+            "classify",
+            "--labels",
+            "labels",
+            "healthy,ball_crack,healthy",
+            "--labels repeats a value in ('healthy', 'ball_crack', 'healthy'): give each machine state once",
+        ),
+    ],
+)
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_a_list_repeating_a_value_is_a_config_error_before_reading(route, command, flag, key, value, message, tmp_path, capsys):
+    """Values compare as parsed, so 3 and 3.0 or 0.5 and 0.50 are one value.
+    The manifest's recordings do not exist: reading one would be a data error."""
+    manifest = _missing_recordings_manifest(tmp_path)
+    out = tmp_path / "out"
+    if route == "flag":
+        given = [flag, value]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+        given = ["--config", str(tmp_path / "run.cfg")]
+    assert main([command, "--manifest", str(manifest), "--out", str(out), *given]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
 
 
 def test_period_of_exactly_ten_resonance_cycles_accepted(small_corpus, tmp_path, capsys):
