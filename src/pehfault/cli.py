@@ -100,8 +100,8 @@ class RunConfig:
     thickness_mm: float = _param(0.50, "--thickness", ("extract", "classify"), FINITE, help="design thickness in mm")
     thicknesses: tuple = _param((0.35, 0.40, 0.45, 0.50), "--thicknesses", ("sweep", "scatter"), FINITE, NOT_EMPTY, ONCE,
                                 parse=_comma_floats, what="design thickness", help="comma-separated design thicknesses in mm")
-    t_s: float = _param(3.0, "--T", (*SIMULATING, "energy-report"), FINITE, POSITIVE,
-                        what="integration period", help="integration period in seconds")
+    t_s: float = _param(3.0, "--T", ("thought-experiment", "extract", "classify", "scatter", "energy-report"),
+                        FINITE, POSITIVE, what="integration period", help="integration period in seconds")
     t_values: tuple = _param((3.0,), "--t-values", ("sweep",), FINITE, POSITIVE, NOT_EMPTY, ONCE,
                              parse=_comma_floats, what="integration period", help="comma-separated integration periods in s")
     r_ohm: float = _param(1.0, "--r-ohm", SIMULATING, FINITE, POSITIVE, what="load resistance", help="load resistance in Ohms")
@@ -179,8 +179,9 @@ def _features(cfg: RunConfig, thicknesses, periods, *, split: bool = False, stat
     """The designs of these thicknesses and their feature sets at these periods
     (build_feature_sets), checked before any recording is read, in this order:
     the designs, the periods, the filtered manifest (at least one entry, each
-    sampled at >= MIN_FS_PER_F0 times the highest resonance in use), for a
-    kNN `split` the classes and training points it needs, then `states`."""
+    sampled at >= MIN_FS_PER_F0 times the highest resonance in use, at a rate
+    whose product with r_ohm is finite), for a kNN `split` the classes and
+    training points it needs, then `states`."""
     designs = _designs(cfg, thicknesses)
     _check_periods(periods, designs, cfg.segment_s)
     if not cfg.manifest:
@@ -205,6 +206,8 @@ def _features(cfg: RunConfig, thicknesses, periods, *, split: bool = False, stat
                 f"{cfg.manifest}: {meta.path}: sampling rate {meta.fs:g} Hz < {MIN_FS_PER_F0:g} * f0 = "
                 f"{MIN_FS_PER_F0 * fastest.f0_hz:g} Hz of {fastest.name}"
             )
+        if not math.isfinite(cfg.r_ohm * meta.fs):  # the energies' divisor: past it every energy reads 0
+            raise ConfigError(f"r_ohm={cfg.r_ohm:g} times the sampling rate {meta.fs:g} Hz of {meta.path} is not finite")
     counts = Counter(meta.label.value for meta in manifest.entries)
     if split:
         if len(counts) < 2:
@@ -247,6 +250,8 @@ def _format_confusion(labels, confusion) -> str:
 def cmd_thought_experiment(cfg: RunConfig, args) -> int:
     designs = _designs(cfg, [args.design_a, args.design_b])
     _check_periods([cfg.t_s], designs)
+    if not math.isfinite(cfg.r_ohm * cfg.fs_synth):
+        raise ConfigError(f"r_ohm={cfg.r_ohm:g} times fs_synth={cfg.fs_synth:g} Hz is not finite")
     try:
         energies = run_thought_experiment(args.f_healthy, args.f_faulty, *designs, cfg.t_s, cfg.r_ohm, cfg.fs_synth)
     except MemoryError:
@@ -302,7 +307,7 @@ def cmd_scatter(cfg: RunConfig, args) -> int:
     try:
         fault_label = MachineState.from_token(cfg.fault_label)
     except DataError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"fault_label: {exc}") from None
     if fault_label is MachineState.HEALTHY:
         raise ConfigError("--fault-label must name a fault state, not healthy, which it is compared with")
     designs, rows, sets = _features(cfg, cfg.thicknesses, [cfg.t_s], states=(MachineState.HEALTHY, fault_label))

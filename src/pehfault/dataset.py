@@ -394,30 +394,28 @@ def build_feature_sets(
     per-interval energies (see filter_and_integrate).
 
     Returns the row metadata and sets[i][j], the float64 (n, dim) feature
-    matrix of designs[i] at integration period periods[j]. Each recording is
-    loaded and segmented once, each segment is filtered once per design (from
-    zero state), and each voltage is integrated once per period. Rows are in
-    manifest order, then segment index. Every segment must give one dimension
-    per period: a recording whose sampling rate rounds to another is a
-    DataError.
+    matrix of designs[i] at integration period periods[j] (neither list
+    empty). Each recording is loaded and segmented once, each segment is
+    filtered once per design (from zero state), and each voltage is integrated
+    once per period. Rows are in manifest order, then segment index. Every
+    segment must give one dimension per period: a recording whose sampling
+    rate rounds to another is a DataError.
 
-    The recordings run through in_order in blocks. Recordings that follow
-    each other at one sampling rate are stacked, their segments widened to
-    float64, into a (rows, n_win) block of at most BLOCK_SAMPLES samples; a
-    block closes as soon as one more recording like its last would overflow
-    it. A block is one job with one call per design: the calling thread
-    loads and checks its recordings in manifest order (segmentation, each
-    design's sampling rate, each period's intervals) while the pool filters
-    and integrates. Rows are independent, so the result does not depend on
-    the blocks or the thread count, and the first error is the serial
-    loop's: a feature that is not finite (an overflow) is a DataError naming
-    its recording, design, period and r_ohm.
+    The recordings run through in_order in blocks: float64 (rows, n_win)
+    arrays of at most BLOCK_SAMPLES samples, each allocated, then filled
+    with the segments of recordings that follow each other at one sampling
+    rate; that copy is the one widening. A block closes as soon as one more
+    recording like its last would overflow it. It is one job, one call per
+    design: the calling thread loads and checks its recordings in manifest
+    order (segmentation, each design's sampling rate, each period's
+    intervals) while the pool filters and integrates. Rows are independent,
+    so the result does not depend on the blocks or the thread count, and the
+    first error is the serial loop's: a feature that is not finite (an
+    overflow) is a DataError naming its recording, design, period and r_ohm.
     """
     entries, count = manifest.entries, segments_per_recording
-    sizes: deque[int] = deque()  # recordings per job drawn and not yet finished
 
     def job(pieces, filters, windows, fs):
-        sizes.append(len(pieces) // count)
         return [(filter_and_integrate, pieces, b, a, windows, r_ohm * fs) for b, a in filters]
 
     def segments(meta: RecordingMeta) -> np.ndarray:
@@ -435,12 +433,9 @@ def build_feature_sets(
             stop, last = start + 1, min(start + BLOCK_SAMPLES // first.size, len(entries))
             while stop < last and entries[stop].fs == fs:
                 stop += 1
-            if stop == start + 1:
-                block = first.astype(np.float64, copy=False)
-            else:
-                block = np.empty(((stop - start) * count, first.shape[1]))
-                block[:count] = first
-            del first  # a raw file's bytes: free before the block waits for a pool slot
+            block = np.empty(((stop - start) * count, first.shape[1]))
+            block[:count] = first
+            del first  # the file's samples: free before the block waits for a pool slot
             for index in range(1, stop - start):
                 try:
                     block[index * count : (index + 1) * count] = segments(entries[start + index])
@@ -455,7 +450,7 @@ def build_feature_sets(
 
     def finish(results: list[list[np.ndarray]]) -> None:
         nonlocal finished
-        size = sizes.popleft()
+        size = len(results[0][0]) // count  # recordings in the block: a matrix has one row per segment
         for matrices, firsts in zip(results, done[0] if done else results):  # the first recording's counts rule
             for period_s, matrix, first in zip(periods, matrices, firsts):
                 if matrix.shape[1] != first.shape[1]:

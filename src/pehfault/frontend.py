@@ -16,7 +16,8 @@ MIN_CYCLES_PER_PERIOD = 10.0
 def interval_samples(n: int, fs: float, period_s: float, r_ohm: float) -> tuple[int, int]:
     """(samples per interval, number of intervals) of a trace of n samples at
     fs integrated over period_s into a load of r_ohm; a trailing partial
-    interval is discarded."""
+    interval is discarded. The energies are divided by r_ohm * fs, which
+    must be finite: past it every energy would read 0."""
     if period_s <= 0:
         raise ValueError(f"integration period must be positive, got {period_s}")
     if r_ohm <= 0:
@@ -27,6 +28,8 @@ def interval_samples(n: int, fs: float, period_s: float, r_ohm: float) -> tuple[
     n_intervals = n // n_per
     if n_intervals == 0:
         raise ValueError(f"trace of {n / fs:g}s is shorter than one integration period of {period_s:g}s")
+    if not np.isfinite(r_ohm * fs):
+        raise ValueError(f"r_ohm={r_ohm:g} times the sampling rate {fs:g} Hz is not finite")
     return n_per, n_intervals
 
 

@@ -56,21 +56,32 @@ TINY_RECIPE = "count_per_class=1\nfs_hz=8192\nduration_s=1\nhealthy.tones=200:1.
 TINY_FLAGS = ["--segment", "0.5", "--segments", "2", "--T", "0.25"]
 
 
+def tiny_argv(command, corpus, out, *flags):
+    """The command over the tiny corpus with TINY_FLAGS, its period from --t-values for sweep."""
+    period = ["--thicknesses", "0.5", "--t-values", TINY_FLAGS[-1]] if command == "sweep" else TINY_FLAGS[-2:]
+    return [command, "--manifest", str(corpus / "manifest.csv"), "--out", str(out), *TINY_FLAGS[:-2], *period, *flags]
+
+
+def rewrite_as_text(corpus):
+    """Rewrite a surrogate-gen corpus's recordings as text (one repr per
+    line), removing the raw files and sidecars."""
+    for recording in sorted(corpus.glob("*.f32")):
+        samples = np.fromfile(recording, dtype="<f4").tolist()
+        recording.with_suffix(".txt").write_text("".join(f"{v!r}\n" for v in samples))
+        recording.unlink()
+        recording.with_name(recording.name + ".hdr").unlink()
+    manifest = corpus / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace(".f32,", ".txt,"))
+
+
 def tiny_corpus(root, text=False):
     """A surrogate-gen corpus of one 1 s recording per state; with `text`,
-    the recordings are rewritten as text (one repr per line) and the raw
-    files and sidecars removed."""
+    rewritten as text."""
     (root / "recipe.cfg").write_text(TINY_RECIPE)
     corpus = root / "corpus"
     synth_surrogate_corpus(load_surrogate_spec(root / "recipe.cfg"), 0, corpus)
     if text:
-        for recording in sorted(corpus.glob("*.f32")):
-            samples = np.fromfile(recording, dtype="<f4").tolist()
-            recording.with_suffix(".txt").write_text("".join(f"{v!r}\n" for v in samples))
-            recording.unlink()
-            recording.with_name(recording.name + ".hdr").unlink()
-        manifest = corpus / "manifest.csv"
-        manifest.write_text(manifest.read_text().replace(".f32,", ".txt,"))
+        rewrite_as_text(corpus)
     return corpus
 
 

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -29,12 +30,13 @@ from pehfault.dataset import (
     MachineState,
     build_feature_sets,
     load_design_table,
+    load_manifest,
     load_surrogate_spec,
     read_csv_table,
     synth_surrogate_corpus,
     write_recording_f32,
 )
-from pehfault.errors import ConfigError
+from pehfault.errors import ConfigError, DataError
 from pehfault.frontend import mean_state_energy
 from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness
 from tests.conftest import (
@@ -44,6 +46,7 @@ from tests.conftest import (
     SMALL_SEGMENTS,
     TINY_FLAGS,
     mixed_rate_manifest,
+    tiny_argv,
     tiny_corpus,
 )
 from tests.test_classify import accuracies
@@ -56,19 +59,12 @@ def readme_example(heading: str) -> str:
     return (REPO / "README.md").read_text().split(heading, 1)[1].split("```", 2)[1]
 
 
-def small_flags(corpus, out_dir):
-    return [
-        "--manifest",
-        str(corpus.root / "manifest.csv"),
-        "--out",
-        str(out_dir),
-        "--segment",
-        str(SMALL_SEGMENT_S),
-        "--segments",
-        str(SMALL_SEGMENTS),
-        "--T",
-        str(SMALL_SEGMENT_S),
-    ]
+def small_flags(corpus, out_dir, command=None):
+    """The small corpus's manifest, segmentation and output flags, and T
+    unless the command is sweep, which takes its periods from --t-values."""
+    flags = ["--manifest", str(corpus.root / "manifest.csv"), "--out", str(out_dir)]
+    flags += ["--segment", str(SMALL_SEGMENT_S), "--segments", str(SMALL_SEGMENTS)]
+    return flags if command == "sweep" else [*flags, "--T", str(SMALL_SEGMENT_S)]
 
 
 class TestConfigHandling:
@@ -337,7 +333,7 @@ class TestOutputWriting:
         env.update(PYTHONPATH=str(REPO / "src"), PYTHONCOERCECLOCALE="0")
         runs = {}
         for mode, extra in (("ascii", dict(LC_ALL="C", LANG="C", PYTHONUTF8="0")), ("utf8", dict(PYTHONUTF8="1"))):
-            argv = [command, *small_flags(small_corpus, tmp_path / mode), *flags, "--design-table", str(table)]
+            argv = [command, *small_flags(small_corpus, tmp_path / mode, command), *flags, "--design-table", str(table)]
             runs[mode] = subprocess.Popen([sys.executable, "-m", "pehfault", *argv], env={**env, **extra}, stdout=subprocess.PIPE)
         outputs = {mode: run.communicate()[0] for mode, run in runs.items()}
         assert [run.returncode for run in runs.values()] == [EXIT_OK, EXIT_OK]
@@ -349,7 +345,7 @@ class TestOutputWriting:
 class TestSingleLabelManifest:
     @pytest.mark.parametrize("command", ["classify", "sweep"])
     def test_rejected_with_manifest_and_label(self, command, small_corpus, tmp_path, capsys):
-        args = [command, *small_flags(small_corpus, tmp_path), "--labels", "healthy"]
+        args = [command, *small_flags(small_corpus, tmp_path, command), "--labels", "healthy"]
         if command == "sweep":
             args += ["--t-values", str(SMALL_SEGMENT_S)]
         assert main(args) == EXIT_DATA_ERROR
@@ -472,7 +468,7 @@ class TestSweep:
     def test_table_shape(self, small_corpus, tmp_path, capsys):
         args = [
             "sweep",
-            *small_flags(small_corpus, tmp_path),
+            *small_flags(small_corpus, tmp_path, "sweep"),
             "--thicknesses",
             "0.35,0.50",
             "--t-values",
@@ -486,10 +482,22 @@ class TestSweep:
         assert len(lines) == 3
 
     def test_single_repeat_writes_zero_std(self, small_corpus, tmp_path, capsys):
-        args = ["sweep", *small_flags(small_corpus, tmp_path), "--thicknesses", "0.50", "--t-values", str(SMALL_SEGMENT_S)]
+        args = ["sweep", *small_flags(small_corpus, tmp_path, "sweep"), "--thicknesses", "0.50", "--t-values", str(SMALL_SEGMENT_S)]
         assert main([*args, "--repeats", "1"]) == EXIT_OK
         (row,) = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert row.split(",")[4:6] == ["0.0", "1"]
+
+    def test_a_period_flag_is_an_unrecognized_argument(self, small_corpus, tmp_path, capsys):
+        """sweep takes its periods only from --t-values; a --T beside them was
+        once accepted and ignored, even at a T that breaks the 10-cycle rule."""
+        out = tmp_path / "out"
+        for period in ("3", "0.001"):
+            args = ["sweep", *small_flags(small_corpus, out, "sweep"), "--t-values", str(SMALL_SEGMENT_S), "--T", period]
+            with pytest.raises(SystemExit) as exit_info:
+                main(args)
+            assert exit_info.value.code == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err.endswith(f"pehfault: error: unrecognized arguments: --T {period}\n")
+        assert not out.exists()
 
     def test_each_cell_is_repeated_evaluation_of_its_feature_matrix(self, tmp_path, capsys):
         """Each row's mean and std are those of repeated_evaluation on the
@@ -807,6 +815,15 @@ class TestRejectedBeforeReading:
         assert "--fault-label" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scatter_unknown_fault_label_is_named(self, tmp_path, capsys):
+        """An unknown fault label once printed `unknown label token '0'`
+        without naming the parameter."""
+        manifest = _missing_recordings_manifest(tmp_path)
+        out = tmp_path / "out"
+        assert main(["scatter", "--manifest", str(manifest), "--out", str(out), "--fault-label", "0"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: fault_label: unknown label token '0' (valid: healthy, ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--t-values", "--thicknesses"])
     def test_sweep_empty_list(self, flag, tmp_path, capsys):
         manifest = _missing_recordings_manifest(tmp_path)
@@ -887,8 +904,8 @@ class TestMixedFeatureDimensions:
         manifest = mixed_rate_manifest(tmp_path)
         out = tmp_path / "out"
         args = [command, "--manifest", str(manifest), "--out", str(out), *MIXED_RATE_FLAGS]
-        if command == "sweep":
-            args += ["--thicknesses", "0.50", "--t-values", "0.1"]
+        if command == "sweep":  # its period comes from --t-values, in place of MIXED_RATE_FLAGS' closing --T 0.1
+            args[-2:] = ["--thicknesses", "0.50", "--t-values", "0.1"]
         assert main(args) == EXIT_DATA_ERROR
         err = capsys.readouterr().err
         assert err == f"data error: {MIXED_RATE_ERROR}\n"
@@ -1191,7 +1208,7 @@ def test_features_too_large_for_knn_distances_are_a_config_error_before_writing(
     distances overflow: every sweep cell once read 0.5 at exit 0. In log
     space the same features classify."""
     out = tmp_path / "out"
-    argv = [command, *small_flags(small_corpus, out), "--r-ohm", "1e-300"]
+    argv = [command, *small_flags(small_corpus, out, command), "--r-ohm", "1e-300"]
     if command == "sweep":
         argv += ["--thicknesses", "0.5", "--t-values", str(SMALL_SEGMENT_S)]
     assert main(argv) == EXIT_CONFIG_ERROR
@@ -1200,6 +1217,51 @@ def test_features_too_large_for_knn_distances_are_a_config_error_before_writing(
     assert err.endswith(" in raw space, too large for finite kNN distances\n")
     assert not out.exists()
     assert main([*argv, "--metric", "log"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["extract", "classify", "sweep", "scatter"])
+def test_a_load_whose_product_with_the_rate_overflows_is_a_config_error_before_reading(command, tmp_path, monkeypatch, capsys):
+    """The energies are divided by r_ohm * fs: at 1e305 Ohm and 8192 Hz that
+    is inf, and every energy once read 0.0 at exit 0 (all-zero features,
+    accuracy 0.5, a 0 J scatter)."""
+    corpus, out = tiny_corpus(tmp_path), tmp_path / "out"
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("a recording was read")
+
+    monkeypatch.setattr(pehfault.dataset, "load_recording", no_reading)
+    assert main(tiny_argv(command, corpus, out, "--r-ohm", "1e305")) == EXIT_CONFIG_ERROR
+    expected = "config error: r_ohm=1e+305 times the sampling rate 8192 Hz of ball_crack_00.f32 is not finite\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not out.exists()
+
+
+def test_a_thought_experiment_load_whose_product_with_fs_synth_overflows_is_a_config_error(capsys):
+    """At 1e305 Ohm and 51.2 kHz every energy once read 0, and the faulty
+    state was decided healthy."""
+    assert main(["thought-experiment", "--r-ohm", "1e305"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", "config error: r_ohm=1e+305 times fs_synth=51200 Hz is not finite\n")
+
+
+def test_a_load_whose_product_with_the_rate_overflows_is_a_data_error_of_build_feature_sets(tmp_path):
+    manifest = load_manifest(tiny_corpus(tmp_path) / "manifest.csv")
+    rule = "ball_crack_00.f32: r_ohm=1e+305 times the sampling rate 8192 Hz is not finite"
+    with pytest.raises(DataError, match=f"^{re.escape(rule)}$"):
+        build_feature_sets(manifest, [design_from_thickness(0.5)], 0.5, 2, [0.25], 1e305)
+
+
+def test_a_large_load_and_an_all_zero_recording_stay_valid(tmp_path, capsys):
+    """At 1e300 Ohm the energies are tiny but not 0; a silent recording's are
+    exactly 0. Both exit 0."""
+    corpus = tiny_corpus(tmp_path)
+    assert main(tiny_argv("extract", corpus, tmp_path / "large", "--r-ohm", "1e300")) == EXIT_OK
+    features = np.loadtxt(tmp_path / "large" / "features.csv", delimiter=",", skiprows=1, usecols=(5, 6))
+    assert (features > 0).all() and (features < 1e-290).all()
+    assert main(["thought-experiment", "--r-ohm", "1e300"]) == EXIT_OK
+    write_recording_f32(np.zeros(8192), 8192, corpus / "ball_crack_00.f32")
+    assert main(tiny_argv("extract", corpus, tmp_path / "zero")) == EXIT_OK
+    rows = (tmp_path / "zero" / "features.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[5:] for row in rows if row.startswith("ball_crack")] == [["0.0", "0.0"]] * 2
 
 
 @pytest.mark.parametrize("fs", ["1e15", "1e20"])

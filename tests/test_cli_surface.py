@@ -14,7 +14,7 @@ OPTIONS = {
     "thought-experiment": {"--f-healthy", "--f-faulty", "--design-a", "--design-b", "--T", "--r-ohm", "--design-table"},
     "extract": EXTRACT,
     "classify": CLASSIFY,
-    "sweep": CLASSIFY - {"--thickness"} | {"--thicknesses", "--t-values"},
+    "sweep": CLASSIFY - {"--thickness", "--T"} | {"--thicknesses", "--t-values"},
     "scatter": EXTRACT - {"--thickness"} | {"--thicknesses", "--fault-label"},
     "energy-report": {"--fs-raw", "--T", "--e-adc", "--e-tx", "--bits"},
     "surrogate-gen": {"--spec"},

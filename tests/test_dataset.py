@@ -34,7 +34,7 @@ from pehfault.errors import ConfigError, DataError
 from pehfault.frontend import mean_state_energy
 from pehfault.harvester import DEFAULT_DESIGNS, PehDesign, _biquad_coefficients, design_from_thickness
 from pehfault.signals import TimeSeries, signal_energy
-from tests.conftest import MIXED_RATE_ERROR, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SPEC, mixed_rate_manifest
+from tests.conftest import MIXED_RATE_ERROR, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SPEC, mixed_rate_manifest, rewrite_as_text
 from tests.oracles import make_feature, segment, simulate_voltage
 
 
@@ -753,14 +753,18 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def _peaks(tmp_path, spec, counts_per_class, segment_s, segments, periods):
+def _peaks(tmp_path, spec, counts_per_class, segment_s, segments, periods, text=False):
     """(synthesis peak, build peak) of the corpus of each count per class,
-    built with the 4 default designs: the first build's peak is the largest
-    of 5 runs, each later one is 1."""
+    built with the 4 default designs (from its recordings rewritten as text
+    with `text`): the first build's peak is the largest of 5 runs, each later
+    one is 1."""
     peaks = []
     for count_per_class, runs in zip(counts_per_class, (5, 1)):
         out_dir, sized = tmp_path / str(count_per_class), replace(spec, count_per_class=count_per_class)
         manifest, synth_peak = _traced_peak(lambda: synth_surrogate_corpus(sized, 0, out_dir))
+        if text:
+            rewrite_as_text(out_dir)
+            manifest = load_manifest(out_dir / "manifest.csv")
         build = lambda: build_feature_sets(manifest, DEFAULT_DESIGNS, segment_s, segments, periods, 1.0)
         peaks.append((synth_peak, max(_traced_peak(build)[1] for _ in range(runs))))
         shutil.rmtree(out_dir)
@@ -777,7 +781,10 @@ def test_memory_is_bounded_by_the_pool_not_by_the_corpus(tmp_path, monkeypatch):
     the schedule's worst case. Short recordings (2 s at 25.6 kHz, 4 segments
     of 0.5 s, T = 0.1 s) stack five to a 2 MB block, and the build on 126 of
     them peaks within 1 MB of its peak on 42 (about 10.6 MB): it holds no
-    more blocks than the pool has in flight.
+    more blocks than the pool has in flight. So does the build on 42 text
+    recordings (2 s at 8192 Hz, each its own block) against 14: each
+    recording's parsed samples are copied into its block and freed before
+    the block waits for the pool.
     scipy.signal is imported at the top of this module, so the first build
     does not count the import."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -787,3 +794,7 @@ def test_memory_is_bounded_by_the_pool_not_by_the_corpus(tmp_path, monkeypatch):
     short = _peaks(tmp_path, replace(DEFAULT_SURROGATE_SPEC, fs=25600.0, duration_s=2.0), (21, 63), 0.5, 4, [0.1])
     (_, build_short_42), (_, build_short_126) = short
     assert build_short_126 <= build_short_42 + 1e6, short
+    monkeypatch.setattr(pehfault.dataset, "BLOCK_SAMPLES", 1)  # one recording a block, as a long recording is
+    text = _peaks(tmp_path, replace(DEFAULT_SURROGATE_SPEC, fs=8192.0, duration_s=2.0), (7, 21), 0.5, 4, [0.1], text=True)
+    (_, build_text_14), (_, build_text_42) = text
+    assert build_text_42 <= build_text_14 + 1e6, text
