@@ -36,15 +36,7 @@ from .dataset import (
 from .errors import ConfigError, DataError
 from .frontend import MIN_CYCLES_PER_PERIOD, mean_state_energy
 from .harvester import DEFAULT_DESIGNS, MIN_FS_PER_F0, design_from_thickness
-from .report import (
-    BITS_PER_SAMPLE,
-    E_ADC_PER_SAMPLE_J,
-    E_TX_PER_SAMPLE_J,
-    format_sampling_cost,
-    format_thought_experiment,
-    run_thought_experiment,
-    scatter_svg,
-)
+from .report import format_sampling_cost, format_thought_experiment, run_thought_experiment, scatter_svg
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -75,10 +67,13 @@ def _boolean(raw: str) -> bool:
 # A check is (ok, message): a value that is not ok(value) is a ConfigError
 # whose message is formatted with the parameter's name, value, flag and `what`.
 FINITE = (lambda value: np.isfinite(value).all(), "{name} must be finite, got {value}")
-POSITIVE = (lambda value: np.greater(value, 0).all(), "{what} must be positive")
-AT_LEAST_ONE = (lambda n: n >= 1, "{what} must be >= 1")
+POSITIVE = (lambda value: np.greater(value, 0).all(), "{name} must be positive, got {value}")
+AT_LEAST_ONE = (lambda n: n >= 1, "{name} must be >= 1, got {value}")
+# At most the largest float, so that an int too large to convert fails here, not in a product.
+NON_NEGATIVE = (lambda value: 0 <= value <= sys.float_info.max, "{name} must be non-negative and finite, got {value}")
 NOT_EMPTY = (bool, "{flag} is empty: give at least one {what}")
 ONCE = (lambda values: len(set(values)) == len(values), "{flag} repeats a value in {value}: give each {what} once")
+STATES = tuple(state.value for state in MachineState)
 
 
 def _param(default, flag=None, commands=(), *checks, parse=None, what=None, **options):
@@ -101,18 +96,17 @@ class RunConfig:
     thicknesses: tuple = _param((0.35, 0.40, 0.45, 0.50), "--thicknesses", ("sweep", "scatter"), FINITE, NOT_EMPTY, ONCE,
                                 parse=_comma_floats, what="design thickness", help="comma-separated design thicknesses in mm")
     t_s: float = _param(3.0, "--T", ("thought-experiment", "extract", "classify", "scatter", "energy-report"),
-                        FINITE, POSITIVE, what="integration period", help="integration period in seconds")
+                        FINITE, POSITIVE, help="integration period in seconds")
     t_values: tuple = _param((3.0,), "--t-values", ("sweep",), FINITE, POSITIVE, NOT_EMPTY, ONCE,
                              parse=_comma_floats, what="integration period", help="comma-separated integration periods in s")
-    r_ohm: float = _param(1.0, "--r-ohm", SIMULATING, FINITE, POSITIVE, what="load resistance", help="load resistance in Ohms")
-    segment_s: float = _param(3.0, "--segment", FEATURES, FINITE, POSITIVE, what="segment length", help="segment length in seconds")
-    segments_per_recording: int = _param(3, "--segments", FEATURES, AT_LEAST_ONE,
-                                         what="segments per recording", help="segments per recording")
+    r_ohm: float = _param(1.0, "--r-ohm", SIMULATING, FINITE, POSITIVE, help="load resistance in Ohms")
+    segment_s: float = _param(3.0, "--segment", FEATURES, FINITE, POSITIVE, help="segment length in seconds")
+    segments_per_recording: int = _param(3, "--segments", FEATURES, AT_LEAST_ONE, help="segments per recording")
     train_fraction: float = _param(0.8, "--train-fraction", KNN, (lambda f: 0 < f < 1, "train fraction must lie in (0, 1)"))
     stratified: bool = _param(True, parse=_boolean)
     seed: int = _param(0, "--seed", EVERY, (lambda s: s >= 0, "seed must be non-negative, got {value}"), help="base random seed")
-    n_repeats: int = _param(20, "--repeats", KNN, AT_LEAST_ONE, what="number of repeats", help="number of seeded splits")
-    k: int = _param(3, "--k", KNN, AT_LEAST_ONE, what="k", help="number of neighbors")
+    n_repeats: int = _param(20, "--repeats", KNN, AT_LEAST_ONE, help="number of seeded splits")
+    k: int = _param(3, "--k", KNN, AT_LEAST_ONE, help="number of neighbors")
     metric: str = _param("raw", "--metric", KNN, (METRICS.__contains__, f"metric must be one of {METRICS}"), choices=METRICS)
     labels: tuple = _param((), "--labels", FEATURES, ONCE,
                            parse=_comma_strs, what="machine state", help="restrict to these machine states (comma separated)")
@@ -120,10 +114,26 @@ class RunConfig:
     load_w: int = _param(-1, "--load-w", FEATURES,
                          (lambda w: w >= -1, "load_w must be a load in Watts, or -1 for any load, got {value}"),
                          help="restrict to one load in Watts")
-    fault_label: str = _param("ball_crack", "--fault-label", ("scatter",), help="fault state to compare against healthy")
-    fs_synth: float = _param(51200.0, None, (), FINITE, POSITIVE, what="synthesis rate")
+    fs_synth: float = _param(51200.0, None, (), FINITE, POSITIVE)
+    fault_label: str = _param("ball_crack", "--fault-label", ("scatter",),
+                              (STATES.__contains__, f"{{name}}: unknown label token {{value!r}} (valid: {', '.join(STATES)})"),
+                              ("healthy".__ne__, "{flag} must name a fault state, not healthy, which it is compared with"),
+                              help="fault state to compare against healthy")
     surrogate_spec: str = _param("", "--spec", ("surrogate-gen",), metavar="PATH", help="surrogate recipe file (default: built-in)")
     out_dir: str = _param("out", "--out", EVERY, metavar="DIR", help="output directory (default: out)")
+    f_healthy: float = _param(200.0, "--f-healthy", ("thought-experiment",), help="healthy vibration frequency (Hz)")
+    f_faulty: float = _param(150.0, "--f-faulty", ("thought-experiment",), help="faulty vibration frequency (Hz)")
+    design_a: float = _param(0.50, "--design-a", ("thought-experiment",), metavar="MM", help="thickness matched to the healthy state")
+    design_b: float = _param(0.40, "--design-b", ("thought-experiment",), metavar="MM", help="thickness matched to the faulty state")
+    # Linear per-sample acquisition costs: illustrative placeholders for a generic
+    # ADC + low-power radio, not measured figures; both architectures are costed
+    # with the same model.
+    e_adc_per_sample_j: float = _param(2e-9, "--e-adc", ("energy-report",), NON_NEGATIVE, help="ADC J/sample")
+    e_tx_per_sample_j: float = _param(1.6e-6, "--e-tx", ("energy-report",), NON_NEGATIVE, help="radio J/sample")
+    bits_per_sample: int = _param(16, "--bits", ("energy-report",), NON_NEGATIVE, help="bits per transmitted sample")
+    fs_raw_hz: float = _param(51200.0, "--fs-raw", ("energy-report",),
+                              (lambda fs: 0 < fs <= sys.float_info.max, "{name} must be positive and finite, got {value}"),
+                              help="raw acquisition rate (Hz)")
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -247,22 +257,27 @@ def _format_confusion(labels, confusion) -> str:
     return "\n".join(lines)
 
 
-def cmd_thought_experiment(cfg: RunConfig, args) -> int:
-    designs = _designs(cfg, [args.design_a, args.design_b])
+def cmd_thought_experiment(cfg: RunConfig, given) -> int:
+    designs = _designs(cfg, [cfg.design_a, cfg.design_b])
     _check_periods([cfg.t_s], designs)
     if not math.isfinite(cfg.r_ohm * cfg.fs_synth):
         raise ConfigError(f"r_ohm={cfg.r_ohm:g} times fs_synth={cfg.fs_synth:g} Hz is not finite")
+    for name, f_hz in (("f_healthy", cfg.f_healthy), ("f_faulty", cfg.f_faulty)):
+        if not 0 < f_hz < cfg.fs_synth / 2:  # NaN fails too
+            raise ConfigError(f"{name}={f_hz:g} Hz must lie in (0, fs_synth/2) = (0, {cfg.fs_synth / 2:g}) to avoid aliasing")
+    if not math.isfinite(cfg.t_s * cfg.fs_synth):
+        raise ConfigError(f"t_s={cfg.t_s:g}s at fs_synth={cfg.fs_synth:g} Hz is not a finite number of samples")
     try:
-        energies = run_thought_experiment(args.f_healthy, args.f_faulty, *designs, cfg.t_s, cfg.r_ohm, cfg.fs_synth)
+        energies = run_thought_experiment(cfg.f_healthy, cfg.f_faulty, *designs, cfg.t_s, cfg.r_ohm, cfg.fs_synth)
     except MemoryError:
         raise ConfigError(f"fs_synth={cfg.fs_synth:g} Hz over T={cfg.t_s:g}s is more samples than memory holds") from None
-    except ValueError as exc:  # every input is a parameter: a tone outside (0, fs/2), fs under 20 * f0
+    except ValueError as exc:  # every input is a parameter: fs under 20 * f0, an energy that is not finite
         raise ConfigError(str(exc)) from None
-    print(format_thought_experiment(args.f_healthy, args.f_faulty, [design.name for design in designs], energies))
+    print(format_thought_experiment(cfg.f_healthy, cfg.f_faulty, [design.name for design in designs], energies))
     return EXIT_OK
 
 
-def cmd_extract(cfg: RunConfig, args) -> int:
+def cmd_extract(cfg: RunConfig, given) -> int:
     (design,), rows, ((features,),) = _features(cfg, [cfg.thickness_mm], [cfg.t_s])
     header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(features.shape[1]))]
     lines = zip(rows.recording_ids, rows.segment_indices, rows.labels.tolist(), features.tolist())
@@ -272,7 +287,7 @@ def cmd_extract(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig, args) -> int:
+def cmd_classify(cfg: RunConfig, given) -> int:
     (design,), rows, ((features,),) = _features(cfg, [cfg.thickness_mm], [cfg.t_s], split=True)
     names, confusions, accuracies = _evaluate(cfg, features, rows.labels)
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
@@ -287,7 +302,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
+def cmd_sweep(cfg: RunConfig, given) -> int:
     designs, rows, sets = _features(cfg, cfg.thicknesses, cfg.t_values, split=True)
     header = ["design", "thickness_mm", "T_s", "mean_accuracy", "std_accuracy", "n_repeats", "seed0"]
     results = []
@@ -303,13 +318,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_scatter(cfg: RunConfig, args) -> int:
-    try:
-        fault_label = MachineState.from_token(cfg.fault_label)
-    except DataError as exc:
-        raise ConfigError(f"fault_label: {exc}") from None
-    if fault_label is MachineState.HEALTHY:
-        raise ConfigError("--fault-label must name a fault state, not healthy, which it is compared with")
+def cmd_scatter(cfg: RunConfig, given) -> int:
+    fault_label = MachineState(cfg.fault_label)
     designs, rows, sets = _features(cfg, cfg.thicknesses, [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
     means = [mean_state_energy(matrix, rows.labels) for (matrix,) in sets]
     points = [(mean[MachineState.HEALTHY.value], mean[fault_label.value]) for mean in means]
@@ -332,19 +342,19 @@ def cmd_scatter(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_energy_report(cfg: RunConfig, args) -> int:
-    costs = dict(e_adc_per_sample_j=args.e_adc, e_tx_per_sample_j=args.e_tx, bits_per_sample=args.bits)
+def cmd_energy_report(cfg: RunConfig, given) -> int:
+    costs = (cfg.e_adc_per_sample_j, cfg.e_tx_per_sample_j, cfg.bits_per_sample)
     try:
-        text = format_sampling_cost(args.fs_raw, cfg.t_s, **costs)
+        text = format_sampling_cost(cfg.fs_raw_hz, cfg.t_s, *costs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     print(text)
     return EXIT_OK
 
 
-def cmd_surrogate_gen(cfg: RunConfig, args) -> int:
+def cmd_surrogate_gen(cfg: RunConfig, given) -> int:
     spec = load_surrogate_spec(cfg.surrogate_spec) if cfg.surrogate_spec else DEFAULT_SURROGATE_SPEC
-    seed = cfg.seed if "seed" in args.explicit else spec.seed
+    seed = cfg.seed if "seed" in given else spec.seed  # a given seed beats the recipe's
     out_dir = Path(cfg.out_dir) / "corpus"
     try:
         manifest = synth_surrogate_corpus(spec, seed, out_dir)
@@ -386,18 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         for commands, action in shared:
             if name in commands:
                 p._add_action(action)
-
-    p = sub.choices["thought-experiment"]
-    p.add_argument("--f-healthy", dest="f_healthy", type=float, default=200.0, help="healthy vibration frequency (Hz)")
-    p.add_argument("--f-faulty", dest="f_faulty", type=float, default=150.0, help="faulty vibration frequency (Hz)")
-    p.add_argument("--design-a", dest="design_a", type=float, default=0.50, metavar="MM", help="thickness matched to the healthy state")
-    p.add_argument("--design-b", dest="design_b", type=float, default=0.40, metavar="MM", help="thickness matched to the faulty state")
-
-    p = sub.choices["energy-report"]
-    p.add_argument("--fs-raw", dest="fs_raw", type=float, default=51200.0, help="raw acquisition rate (Hz)")
-    p.add_argument("--e-adc", dest="e_adc", type=float, default=E_ADC_PER_SAMPLE_J, help="ADC J/sample")
-    p.add_argument("--e-tx", dest="e_tx", type=float, default=E_TX_PER_SAMPLE_J, help="radio J/sample")
-    p.add_argument("--bits", type=int, default=BITS_PER_SAMPLE, help="bits per transmitted sample")
     return parser
 
 
@@ -407,9 +405,7 @@ def main(argv=None) -> int:
     if codecs.lookup(getattr(sys.stdout, "encoding", None) or "utf-8").name != "utf-8":
         sys.stdout.reconfigure(errors="backslashreplace")
     try:
-        # `explicit` names the parameters given: surrogate-gen prefers a given seed to its recipe's.
-        cfg, args.explicit = resolve_config(args)
-        return args.handler(cfg, args)
+        return args.handler(*resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

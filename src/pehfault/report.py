@@ -15,33 +15,16 @@ from .harvester import PehDesign, filter_coefficients
 from .signals import synth_sine
 
 
-# Linear per-sample acquisition costs: illustrative placeholders for a generic
-# ADC + low-power radio, not measured figures; both architectures are costed
-# with the same model.
-E_ADC_PER_SAMPLE_J = 2e-9
-E_TX_PER_SAMPLE_J = 1.6e-6
-BITS_PER_SAMPLE = 16
-
-
 def format_sampling_cost(
-    fs_raw_hz: float,
-    period_s: float,
-    *,
-    e_adc_per_sample_j: float = E_ADC_PER_SAMPLE_J,
-    e_tx_per_sample_j: float = E_TX_PER_SAMPLE_J,
-    bits_per_sample: int = BITS_PER_SAMPLE,
+    fs_raw_hz: float, period_s: float, e_adc_per_sample_j: float, e_tx_per_sample_j: float, bits_per_sample: int
 ) -> str:
-    """Compare raw-rate acquisition against one energy sample per integration period."""
-    for name, value in (
-        ("e_adc_per_sample_j", e_adc_per_sample_j),
-        ("e_tx_per_sample_j", e_tx_per_sample_j),
-        ("bits_per_sample", bits_per_sample),
-    ):
-        if not 0 <= value < math.inf:  # NaN fails too
-            raise ValueError(f"{name} must be non-negative and finite, got {value}")
-    for name, value in (("fs_raw_hz", fs_raw_hz), ("period_s", period_s)):
-        if not 0 < value < math.inf:  # NaN fails too
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    """Compare raw-rate acquisition against one energy sample per integration
+    period, both costed at the same ADC and radio energy per sample (J) and
+    bits per sample. The caller checks each value: the rate and the period
+    positive and finite, the costs and the bits non-negative and at most the
+    largest float (the CLI's RunConfig table does). A per-sample cost, rate,
+    ratio or power that leaves the floating-point range is a ValueError naming
+    the inputs."""
     per_sample = e_adc_per_sample_j + e_tx_per_sample_j
     if per_sample == math.inf:
         raise ValueError(f"e_adc_per_sample_j + e_tx_per_sample_j must be finite, got {per_sample}")
@@ -51,7 +34,9 @@ def format_sampling_cost(
     raw_power, feature_power = fs_raw_hz * per_sample, feature_rate * per_sample
     if not (ratio > 0 and all(map(math.isfinite, (feature_rate, ratio, raw_bits, feature_bits, raw_power, feature_power)))):
         raise ValueError(
-            f"fs_raw_hz={fs_raw_hz:g} and period_s={period_s:g} give a rate, ratio or power out of floating-point range"
+            f"fs_raw_hz={fs_raw_hz:g}, period_s={period_s:g}, e_adc_per_sample_j={e_adc_per_sample_j:g}, "
+            f"e_tx_per_sample_j={e_tx_per_sample_j:g} and bits_per_sample={bits_per_sample:g} "
+            "give a rate, ratio or power out of floating-point range"
         )
     lines = [
         f"raw architecture:     {fs_raw_hz:g} Hz sampling ({raw_bits:g} bit/s)",

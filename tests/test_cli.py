@@ -933,7 +933,7 @@ USER_INPUT_ERRORS = [
     (["sweep", "--thicknesses", "0.5,0.9"], "unknown design: thickness 0.9 mm not in table (0.35, 0.4, 0.45, 0.5 mm)"),
     (
         ["thought-experiment", "--f-healthy", "30000"],
-        "tone frequency 30000.0 Hz must lie in (0, fs/2) = (0, 25600.0) to avoid aliasing",
+        "f_healthy=30000 Hz must lie in (0, fs_synth/2) = (0, 25600) to avoid aliasing",
     ),
     (["classify", "--k", "40"], "k=40 exceeds the 34 training points"),
     (["sweep", "--k", "40"], "k=40 exceeds the 34 training points"),
@@ -1147,7 +1147,7 @@ def test_a_synthesis_rate_whose_sample_count_is_not_finite_is_a_config_error(tmp
     config = tmp_path / "run.cfg"
     config.write_text("fs_synth=1e308\n")
     assert main(["thought-experiment", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr() == ("", "config error: duration of 3s at fs=1e+308 Hz is not a finite number of samples\n")
+    assert capsys.readouterr() == ("", "config error: t_s=3s at fs_synth=1e+308 Hz is not a finite number of samples\n")
     assert sorted(tmp_path.iterdir()) == [config]
 
 
@@ -1314,20 +1314,38 @@ def test_scatter_values_that_are_not_finite_are_a_config_error_before_writing(r_
 
 
 RANGE = "give a rate, ratio or power out of floating-point range"
+COSTS = "e_adc_per_sample_j=2e-09, e_tx_per_sample_j=1.6e-06 and bits_per_sample=16"
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--fs-raw", "1e300", "--T", "1e300"], f"fs_raw_hz=1e+300 and period_s=1e+300 {RANGE}"),
-        (["--T", "1e-320"], f"fs_raw_hz=51200 and period_s=9.99989e-321 {RANGE}"),
-        (["--fs-raw", "1e-200", "--T", "1e-200"], f"fs_raw_hz=1e-200 and period_s=1e-200 {RANGE}"),
+        (["--fs-raw", "1e300", "--T", "1e300"], f"fs_raw_hz=1e+300, period_s=1e+300, {COSTS} {RANGE}"),
+        (["--T", "1e-320"], f"fs_raw_hz=51200, period_s=9.99989e-321, {COSTS} {RANGE}"),
+        (["--fs-raw", "1e-200", "--T", "1e-200"], f"fs_raw_hz=1e-200, period_s=1e-200, {COSTS} {RANGE}"),
         (["--e-adc", "1e308", "--e-tx", "1e308"], "e_adc_per_sample_j + e_tx_per_sample_j must be finite, got inf"),
+        (
+            ["--e-adc", "1e308"],
+            f"fs_raw_hz=51200, period_s=3, e_adc_per_sample_j=1e+308, e_tx_per_sample_j=1.6e-06 and bits_per_sample=16 {RANGE}",
+        ),
+        (
+            ["--e-tx", "1e308"],
+            f"fs_raw_hz=51200, period_s=3, e_adc_per_sample_j=2e-09, e_tx_per_sample_j=1e+308 and bits_per_sample=16 {RANGE}",
+        ),
+        (
+            ["--bits", str(10**307)],
+            f"fs_raw_hz=51200, period_s=3, e_adc_per_sample_j=2e-09, e_tx_per_sample_j=1.6e-06 and bits_per_sample=1e+307 {RANGE}",
+        ),
+        (["--bits", str(10**400)], f"bits_per_sample must be non-negative and finite, got {10**400}"),
     ],
+    ids=["huge-rate-and-period", "tiny-period", "tiny-rate-and-period", "cost-sum", "e-adc", "e-tx", "bits", "bits-past-float"],
 )
 def test_an_energy_report_value_out_of_range_is_a_config_error(argv, message, capsys):
     """Finite inputs whose sampling reduction (1e600, or 1e-400, which is 0),
-    feature rate (1e320 Hz) or per-sample cost (2e308 J) leaves the float
-    range once printed inf at exit 0, or failed with `math domain error`."""
+    feature rate (1e320 Hz), per-sample cost (2e308 J), power or bit rate
+    (5.12e311) leaves the float range once printed inf at exit 0, or failed
+    with `math domain error`; a cost's overflow once named only fs_raw_hz and
+    period_s, and a bit count past the float range (a 401-digit --bits) once
+    ended in an OverflowError traceback (exit 1)."""
     assert main(["energy-report", *argv]) == EXIT_CONFIG_ERROR
     assert capsys.readouterr() == ("", f"config error: {message}\n")

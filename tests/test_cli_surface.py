@@ -2,10 +2,13 @@
 message and exit code of one bad value given as a flag or as a config key."""
 
 import argparse
+from dataclasses import fields
 
 import pytest
 
-from pehfault.cli import EXIT_CONFIG_ERROR, build_parser, main
+
+from pehfault.cli import EXIT_CONFIG_ERROR, RunConfig, build_parser, main
+from pehfault.dataset import MachineState
 
 COMMON = {"--config", "--out", "--seed"}
 EXTRACT = {"--manifest", "--design-table", "--labels", "--bearing-type", "--load-w", "--T", "--r-ohm", "--segment", "--segments", "--thickness"}
@@ -34,6 +37,20 @@ def test_every_subcommand_is_listed():
 @pytest.mark.parametrize("command", OPTIONS)
 def test_each_subcommand_keeps_its_option_strings(command):
     assert option_strings(command) == {"-h", "--help"} | COMMON | OPTIONS[command]
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_every_option_is_the_flag_of_a_table_field_that_names_its_subcommand(command):
+    """Besides help and --config, each option is declared once, in the
+    RunConfig table: the flag of the field its value is stored under, and
+    that field lists the subcommand."""
+    (subparsers,) = (action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    table = {f.name: f.metadata for f in fields(RunConfig)}
+    for action in subparsers.choices[command]._actions:
+        if set(action.option_strings) & {"-h", "--help", "--config"}:
+            continue
+        assert action.option_strings == [table[action.dest]["flag"]], action.option_strings
+        assert command in table[action.dest]["commands"], action.option_strings
 
 
 def config_error(message):
@@ -68,8 +85,8 @@ BAD_VALUES = [
         config_error("{path}:1: could not convert string to float: 'x'"),
     ),
     ("extract", "--T", "t_s", "inf", *[config_error("t_s must be finite, got inf")] * 2),
-    ("classify", "--T", "t_s", "0", *[config_error("integration period must be positive")] * 2),
-    ("thought-experiment", "--T", "t_s", "-1", *[config_error("integration period must be positive")] * 2),
+    ("classify", "--T", "t_s", "0", *[config_error("t_s must be positive, got 0.0")] * 2),
+    ("thought-experiment", "--T", "t_s", "-1", *[config_error("t_s must be positive, got -1.0")] * 2),
     ("energy-report", "--T", "t_s", "nan", *[config_error("t_s must be finite, got nan")] * 2),
     (
         "energy-report",
@@ -80,13 +97,13 @@ BAD_VALUES = [
         config_error("{path}:1: could not convert string to float: 'abc'"),
     ),
     ("sweep", "--t-values", "t_values", "1,nan", *[config_error("t_values must be finite, got (1.0, nan)")] * 2),
-    ("sweep", "--t-values", "t_values", "3,-1", *[config_error("integration period must be positive")] * 2),
+    ("sweep", "--t-values", "t_values", "3,-1", *[config_error("t_values must be positive, got (3.0, -1.0)")] * 2),
     ("sweep", "--t-values", "t_values", ",", *[config_error("--t-values is empty: give at least one integration period")] * 2),
     ("extract", "--r-ohm", "r_ohm", "nan", *[config_error("r_ohm must be finite, got nan")] * 2),
-    ("thought-experiment", "--r-ohm", "r_ohm", "0", *[config_error("load resistance must be positive")] * 2),
+    ("thought-experiment", "--r-ohm", "r_ohm", "0", *[config_error("r_ohm must be positive, got 0.0")] * 2),
     ("scatter", "--segment", "segment_s", "inf", *[config_error("segment_s must be finite, got inf")] * 2),
-    ("extract", "--segment", "segment_s", "-1", *[config_error("segment length must be positive")] * 2),
-    ("extract", "--segments", "segments_per_recording", "0", *[config_error("segments per recording must be >= 1")] * 2),
+    ("extract", "--segment", "segment_s", "-1", *[config_error("segment_s must be positive, got -1.0")] * 2),
+    ("extract", "--segments", "segments_per_recording", "0", *[config_error("segments_per_recording must be >= 1, got 0")] * 2),
     (
         "extract",
         "--segments",
@@ -96,8 +113,8 @@ BAD_VALUES = [
         config_error("{path}:1: invalid literal for int() with base 10: '1.5'"),
     ),
     ("classify", "--train-fraction", "train_fraction", "1", *[config_error("train fraction must lie in (0, 1)")] * 2),
-    ("sweep", "--repeats", "n_repeats", "0", *[config_error("number of repeats must be >= 1")] * 2),
-    ("classify", "--k", "k", "0", *[config_error("k must be >= 1")] * 2),
+    ("sweep", "--repeats", "n_repeats", "0", *[config_error("n_repeats must be >= 1, got 0")] * 2),
+    ("classify", "--k", "k", "0", *[config_error("k must be >= 1, got 0")] * 2),
     (
         "classify",
         "--k",
@@ -132,8 +149,64 @@ BAD_VALUES = [
         argparse_error("scatter", "--load-w: invalid int value: '1.5'"),
         config_error("{path}:1: invalid literal for int() with base 10: '1.5'"),
     ),
+    (
+        "scatter",
+        "--fault-label",
+        "fault_label",
+        "bogus",
+        *[config_error(f"fault_label: unknown label token 'bogus' (valid: {', '.join(state.value for state in MachineState)})")] * 2,
+    ),
+    (
+        "scatter",
+        "--fault-label",
+        "fault_label",
+        "healthy",
+        *[config_error("--fault-label must name a fault state, not healthy, which it is compared with")] * 2,
+    ),
+    (
+        "thought-experiment",
+        "--f-healthy",
+        "f_healthy",
+        "-1",
+        *[config_error("f_healthy=-1 Hz must lie in (0, fs_synth/2) = (0, 25600) to avoid aliasing")] * 2,
+    ),
+    (
+        "thought-experiment",
+        "--f-faulty",
+        "f_faulty",
+        "x",
+        argparse_error("thought-experiment", "--f-faulty: invalid float value: 'x'"),
+        config_error("{path}:1: could not convert string to float: 'x'"),
+    ),
+    (
+        "thought-experiment",
+        "--design-a",
+        "design_a",
+        "0.33",
+        *[config_error("unknown design: thickness 0.33 mm not in table (0.35, 0.4, 0.45, 0.5 mm)")] * 2,
+    ),
+    (
+        "thought-experiment",
+        "--design-b",
+        "design_b",
+        "1e308",
+        *[config_error("unknown design: thickness 1e+308 mm not in table (0.35, 0.4, 0.45, 0.5 mm)")] * 2,
+    ),
+    ("energy-report", "--e-adc", "e_adc_per_sample_j", "-1", *[config_error("e_adc_per_sample_j must be non-negative and finite, got -1.0")] * 2),
+    ("energy-report", "--e-tx", "e_tx_per_sample_j", "inf", *[config_error("e_tx_per_sample_j must be non-negative and finite, got inf")] * 2),
+    ("energy-report", "--bits", "bits_per_sample", "-1", *[config_error("bits_per_sample must be non-negative and finite, got -1")] * 2),
+    (
+        "energy-report",
+        "--bits",
+        "bits_per_sample",
+        "8.5",
+        argparse_error("energy-report", "--bits: invalid int value: '8.5'"),
+        config_error("{path}:1: invalid literal for int() with base 10: '8.5'"),
+    ),
+    ("energy-report", "--fs-raw", "fs_raw_hz", "0", *[config_error("fs_raw_hz must be positive and finite, got 0.0")] * 2),
+    ("energy-report", "--fs-raw", "fs_raw_hz", "nan", *[config_error("fs_raw_hz must be positive and finite, got nan")] * 2),
     ("thought-experiment", None, "stratified", "maybe", None, config_error("{path}:1: expected a boolean, got 'maybe'")),
-    ("thought-experiment", None, "fs_synth", "0", None, config_error("synthesis rate must be positive")),
+    ("thought-experiment", None, "fs_synth", "0", None, config_error("fs_synth must be positive, got 0.0")),
     ("thought-experiment", None, "fs_synth", "nan", None, config_error("fs_synth must be finite, got nan")),
     (
         "thought-experiment",
@@ -184,3 +257,26 @@ def test_one_bad_value_gives_the_same_line_and_exit_code(route, command, flag, k
     else:
         assert stderr.startswith("usage: ") and stderr.splitlines()[-1] == expected
     assert not out.exists()
+
+
+# A value of each demo parameter that changes its command's stdout.
+DEMO_VALUES = [
+    ("thought-experiment", "--f-healthy", "f_healthy", "180"),
+    ("thought-experiment", "--f-faulty", "f_faulty", "180"),
+    ("thought-experiment", "--design-a", "design_a", "0.45"),
+    ("thought-experiment", "--design-b", "design_b", "0.35"),
+    ("energy-report", "--e-adc", "e_adc_per_sample_j", "0"),
+    ("energy-report", "--e-tx", "e_tx_per_sample_j", "0"),
+    ("energy-report", "--bits", "bits_per_sample", "8"),
+    ("energy-report", "--fs-raw", "fs_raw_hz", "4"),
+]
+
+
+@pytest.mark.parametrize("command, flag, key, value", DEMO_VALUES, ids=[key for _, _, key, _ in DEMO_VALUES])
+def test_a_demo_key_gives_the_same_stdout_as_its_flag(command, flag, key, value, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key}={value}\n")
+    by_flag = run([command, flag, value], capsys)
+    assert by_flag[0] == 0 and by_flag[1].err == ""
+    assert run([command, "--config", str(path)], capsys) == by_flag
+    assert run([command], capsys) != by_flag
