@@ -35,7 +35,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError
 from .frontend import MIN_CYCLES_PER_PERIOD, mean_state_energy
-from .harvester import DEFAULT_DESIGNS, MIN_FS_PER_F0, design_from_thickness
+from .harvester import DEFAULT_DESIGNS, MIN_FS_PER_F0, design_from_thickness, filter_coefficients
 from .report import format_sampling_cost, format_thought_experiment, run_thought_experiment, scatter_svg
 
 EXIT_OK = 0
@@ -176,23 +176,28 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     return cfg, set(given)
 
 
-def _designs(cfg: RunConfig, thicknesses) -> list:
-    """The designs of these thicknesses in the configured design table."""
+def _designs(cfg: RunConfig, *keys: str) -> list:
+    """The designs of the thicknesses that these keys hold (one or a list
+    each), in the configured design table; an unknown one names its key."""
     table = load_design_table(cfg.design_table) if cfg.design_table else DEFAULT_DESIGNS
-    try:
-        return [design_from_thickness(t, table) for t in thicknesses]
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.design_table}: {exc}" if cfg.design_table else str(exc)) from None
+    designs = []
+    for key in keys:
+        value = getattr(cfg, key)
+        try:
+            designs += [design_from_thickness(t, table) for t in (value if isinstance(value, tuple) else (value,))]
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.design_table}: {key}: {exc}" if cfg.design_table else f"{key}: {exc}") from None
+    return designs
 
 
-def _features(cfg: RunConfig, thicknesses, periods, *, split: bool = False, states=()) -> tuple:
-    """The designs of these thicknesses and their feature sets at these periods
+def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=()) -> tuple:
+    """The designs of the thicknesses in `key` and their feature sets at these periods
     (build_feature_sets), checked before any recording is read, in this order:
     the designs, the periods, the filtered manifest (at least one entry, each
     sampled at >= MIN_FS_PER_F0 times the highest resonance in use, at a rate
     whose product with r_ohm is finite), for a kNN `split` the classes and
     training points it needs, then `states`."""
-    designs = _designs(cfg, thicknesses)
+    designs = _designs(cfg, key)
     _check_periods(periods, designs, cfg.segment_s)
     if not cfg.manifest:
         raise ConfigError("a manifest path is required (--manifest or config key manifest)")
@@ -258,7 +263,7 @@ def _format_confusion(labels, confusion) -> str:
 
 
 def cmd_thought_experiment(cfg: RunConfig, given) -> int:
-    designs = _designs(cfg, [cfg.design_a, cfg.design_b])
+    designs = _designs(cfg, "design_a", "design_b")
     _check_periods([cfg.t_s], designs)
     if not math.isfinite(cfg.r_ohm * cfg.fs_synth):
         raise ConfigError(f"r_ohm={cfg.r_ohm:g} times fs_synth={cfg.fs_synth:g} Hz is not finite")
@@ -267,18 +272,23 @@ def cmd_thought_experiment(cfg: RunConfig, given) -> int:
             raise ConfigError(f"{name}={f_hz:g} Hz must lie in (0, fs_synth/2) = (0, {cfg.fs_synth / 2:g}) to avoid aliasing")
     if not math.isfinite(cfg.t_s * cfg.fs_synth):
         raise ConfigError(f"t_s={cfg.t_s:g}s at fs_synth={cfg.fs_synth:g} Hz is not a finite number of samples")
+    for key, design in zip(("design_a", "design_b"), designs):
+        try:
+            filter_coefficients(design, cfg.fs_synth)
+        except ValueError as exc:  # fs under MIN_FS_PER_F0 * f0
+            raise ConfigError(f"fs_synth={cfg.fs_synth:g} Hz for {key}={design.thickness_mm:g} mm ({design.name}): {exc}") from None
     try:
         energies = run_thought_experiment(cfg.f_healthy, cfg.f_faulty, *designs, cfg.t_s, cfg.r_ohm, cfg.fs_synth)
     except MemoryError:
         raise ConfigError(f"fs_synth={cfg.fs_synth:g} Hz over T={cfg.t_s:g}s is more samples than memory holds") from None
-    except ValueError as exc:  # every input is a parameter: fs under 20 * f0, an energy that is not finite
+    except ValueError as exc:  # an energy that is not finite, named with r_ohm and T
         raise ConfigError(str(exc)) from None
     print(format_thought_experiment(cfg.f_healthy, cfg.f_faulty, [design.name for design in designs], energies))
     return EXIT_OK
 
 
 def cmd_extract(cfg: RunConfig, given) -> int:
-    (design,), rows, ((features,),) = _features(cfg, [cfg.thickness_mm], [cfg.t_s])
+    (design,), rows, ((features,),) = _features(cfg, "thickness_mm", [cfg.t_s])
     header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(features.shape[1]))]
     lines = zip(rows.recording_ids, rows.segment_indices, rows.labels.tolist(), features.tolist())
     content = csv_text(header, [(rid, index, label, design.name, cfg.t_s, *values) for rid, index, label, values in lines])
@@ -288,7 +298,7 @@ def cmd_extract(cfg: RunConfig, given) -> int:
 
 
 def cmd_classify(cfg: RunConfig, given) -> int:
-    (design,), rows, ((features,),) = _features(cfg, [cfg.thickness_mm], [cfg.t_s], split=True)
+    (design,), rows, ((features,),) = _features(cfg, "thickness_mm", [cfg.t_s], split=True)
     names, confusions, accuracies = _evaluate(cfg, features, rows.labels)
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
     per_split = zip(accuracies.tolist(), confusions.sum(axis=(1, 2)).tolist())  # a numpy integer would print as 168.0
@@ -303,7 +313,7 @@ def cmd_classify(cfg: RunConfig, given) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, given) -> int:
-    designs, rows, sets = _features(cfg, cfg.thicknesses, cfg.t_values, split=True)
+    designs, rows, sets = _features(cfg, "thicknesses", cfg.t_values, split=True)
     header = ["design", "thickness_mm", "T_s", "mean_accuracy", "std_accuracy", "n_repeats", "seed0"]
     results = []
     # Every cell reuses the same seeds, so the cells are comparable.
@@ -320,7 +330,7 @@ def cmd_sweep(cfg: RunConfig, given) -> int:
 
 def cmd_scatter(cfg: RunConfig, given) -> int:
     fault_label = MachineState(cfg.fault_label)
-    designs, rows, sets = _features(cfg, cfg.thicknesses, [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
+    designs, rows, sets = _features(cfg, "thicknesses", [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
     means = [mean_state_energy(matrix, rows.labels) for (matrix,) in sets]
     points = [(mean[MachineState.HEALTHY.value], mean[fault_label.value]) for mean in means]
     header = ["design", "thickness_mm", "mean_healthy_j", "mean_faulty_j", "diag_distance_j"]

@@ -41,6 +41,8 @@ MANIFEST_FIELDS = ("path", "label", "bearing_type", "load_w", "fs_hz")
 DESIGN_TABLE_FIELDS = ("name", "thickness_mm", "f0_hz", "bw3db_hz", "peak_gain_v_per_g")
 VALID_LOADS_W = (0, 200, 400)
 RAW_SUFFIXES = (".f32", ".raw")
+# The suffixes that np.loadtxt opens a path through a decompressor for.
+COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class MachineState(str, enum.Enum):
@@ -225,20 +227,25 @@ def filter_manifest(
 
 
 def _load_text_recording(full: Path) -> np.ndarray:
-    """One value per line, read as `float(line)` reads it. The whole file is
-    converted in one numpy call (which applies `float()` to each line); a
-    blank, bad or non-finite line sends it through the per-line loop, which
-    skips blank lines and names the first bad `file:line`."""
-    lines = read_text(full, "recording file", DataError).splitlines()
-    try:
-        samples = np.array(lines, dtype=np.float64)
-    except ValueError:
-        pass
-    else:
-        if np.isfinite(samples).all():
-            return samples
+    """One value per line, read as `float(line)` reads it, blank lines skipped.
+    After read_text's checks, numpy's C reader parses the file again by path in
+    one pass, converting each value with the parser `float()` uses. Unless that
+    gives one column of finite values, the per-line loop reads the text: it
+    takes what `float()` takes beyond that reader (a line break other than
+    `\\n` and `\\r`, an underscore, a non-ASCII digit) and names the first bad
+    `file:line`. numpy would decompress a path with a compressed suffix, and
+    warns on a file without data, so neither takes the one pass."""
+    text = read_text(full, "recording file", DataError)
+    if full.suffix not in COMPRESSED_SUFFIXES and text and not text.isspace():
+        try:
+            samples = np.loadtxt(full, dtype=np.float64, comments=None, ndmin=2, encoding="utf-8")
+        except ValueError:
+            pass
+        else:
+            if samples.shape[1] == 1 and np.isfinite(samples).all():
+                return samples[:, 0]
     values = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         token = line.strip()
         if not token:
             continue

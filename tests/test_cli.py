@@ -1117,7 +1117,7 @@ def test_a_thickness_missing_from_the_design_table_names_the_table(tmp_path, cap
     table.write_text(",".join(DESIGN_TABLE_FIELDS) + "\ncustom_a,0.5,200,10,1.0\n")
     args = ["classify", "--manifest", str(_missing_recordings_manifest(tmp_path)), "--out", str(tmp_path / "out")]
     assert main([*args, "--design-table", str(table), "--thickness", "0.45"]) == EXIT_CONFIG_ERROR
-    expected = f"config error: {table}: unknown design: thickness 0.45 mm not in table (0.5 mm)\n"
+    expected = f"config error: {table}: thickness_mm: unknown design: thickness 0.45 mm not in table (0.5 mm)\n"
     assert capsys.readouterr() == ("", expected)
     assert not (tmp_path / "out").exists()
 

@@ -3,10 +3,10 @@ corpus: `thought-experiment`, `extract`, `classify`, `sweep`, `scatter` and
 `energy-report`, each given one to three of its own parameters (taken from
 the `commands` of the RunConfig table, plus the keys that no flag sets) at
 special values, each as its flag or as its key in a `--config` file. The
-exit is 0, 2 or 3 and nothing escapes. A failure prints one line naming a
-parameter (its flag, key or what it is) or a file, after argparse's usage
-for a flag's value its parser rejects, and leaves no output file new or
-changed.
+exit is 0, 2 or 3 and nothing escapes. A failure prints one line naming one
+of the command's own parameters (its flag, key or what it is) or a file,
+after argparse's usage for a flag's value its parser rejects, and leaves no
+output file new or changed.
 
 The values are 0, -1, 5e-324, 1e308, nan, inf, a non-ASCII token and, for a
 list, a repeated entry. Counts parse only at 0 and -1, so no draw asks for
@@ -38,13 +38,23 @@ PATHS = ("manifest", "design_table")
 CONFIG = "run.cfg"
 OUTPUTS = ("features.csv", "classification.csv", "sweep.csv", "scatter.csv", "scatter.svg")
 MEMORY_BUDGET = 32 << 20
-# Each parameter by its flag (without the dashes), its key, its key in words and what one value is.
-NAMES = {
-    name
-    for f in fields(RunConfig)
-    for name in ((f.metadata["flag"] or "").lstrip("-"), f.name, f.name.replace("_", " "), f.metadata["what"])
-    if name
-}
+
+
+def own_params(command: str) -> list:
+    """The parameters a command takes: those whose flag it has, and the keys
+    that no flag sets."""
+    return [f for f in fields(RunConfig) if command in f.metadata["commands"] or not f.metadata["flag"]]
+
+
+def own_names(command: str) -> set:
+    """Each of the command's parameters by its flag (without the dashes), its
+    key, its key in words and what one value is."""
+    return {
+        name
+        for f in own_params(command)
+        for name in ((f.metadata["flag"] or "").lstrip("-"), f.name, f.name.replace("_", " "), f.metadata["what"])
+        if name
+    }
 
 
 @st.composite
@@ -53,8 +63,7 @@ def runs(draw):
     value and given as its flag or, when drawn so or when it has no flag, as
     its key in the config file."""
     command = draw(st.sampled_from(COMMANDS))
-    params = [f for f in fields(RunConfig) if command in f.metadata["commands"] or not f.metadata["flag"]]
-    drawn = draw(st.lists(st.sampled_from(params), min_size=1, max_size=3, unique_by=lambda f: f.name))
+    drawn = draw(st.lists(st.sampled_from(own_params(command)), min_size=1, max_size=3, unique_by=lambda f: f.name))
     values = [draw(st.sampled_from(VALUES + REPEATED.get(f.name, []))) for f in drawn]
     as_key = [not f.metadata["flag"] or draw(st.booleans()) for f in drawn]
     return command, [(f.metadata["flag"], f.name, value, by_key) for f, value, by_key in zip(drawn, values, as_key)]
@@ -115,4 +124,4 @@ def test_a_parameter_at_a_special_value_exits_cleanly(run, corpus, capsys):
                 assert line.startswith(("config error: ", "data error: ")), err
                 files = {str(corpus / "manifest.csv"), CONFIG} | {path.name for path in corpus.iterdir()}
                 files |= {value for _, name, value, _ in drawn if name in PATHS}
-                assert any(re.search(rf"(^|\W){re.escape(name)}(\W|$)", line) for name in NAMES | files), (argv, lines, line)
+                assert any(re.search(rf"(^|\W){re.escape(name)}(\W|$)", line) for name in own_names(command) | files), (argv, lines, line)

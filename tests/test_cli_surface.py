@@ -74,7 +74,28 @@ BAD_VALUES = [
         argparse_error("extract", "--thickness: invalid float value: 'abc'"),
         config_error("{path}:1: could not convert string to float: 'abc'"),
     ),
+    (
+        "classify",
+        "--thickness",
+        "thickness_mm",
+        "0.33",
+        *[config_error("thickness_mm: unknown design: thickness 0.33 mm not in table (0.35, 0.4, 0.45, 0.5 mm)")] * 2,
+    ),
     ("sweep", "--thicknesses", "thicknesses", "0.5,nan", *[config_error("thicknesses must be finite, got (0.5, nan)")] * 2),
+    (
+        "sweep",
+        "--thicknesses",
+        "thicknesses",
+        "0",
+        *[config_error("thicknesses: unknown design: thickness 0 mm not in table (0.35, 0.4, 0.45, 0.5 mm)")] * 2,
+    ),
+    (
+        "scatter",
+        "--thicknesses",
+        "thicknesses",
+        "0.5,0.33",
+        *[config_error("thicknesses: unknown design: thickness 0.33 mm not in table (0.35, 0.4, 0.45, 0.5 mm)")] * 2,
+    ),
     ("scatter", "--thicknesses", "thicknesses", ",", *[config_error("--thicknesses is empty: give at least one design thickness")] * 2),
     (
         "sweep",
@@ -183,14 +204,14 @@ BAD_VALUES = [
         "--design-a",
         "design_a",
         "0.33",
-        *[config_error("unknown design: thickness 0.33 mm not in table (0.35, 0.4, 0.45, 0.5 mm)")] * 2,
+        *[config_error("design_a: unknown design: thickness 0.33 mm not in table (0.35, 0.4, 0.45, 0.5 mm)")] * 2,
     ),
     (
         "thought-experiment",
         "--design-b",
         "design_b",
         "1e308",
-        *[config_error("unknown design: thickness 1e+308 mm not in table (0.35, 0.4, 0.45, 0.5 mm)")] * 2,
+        *[config_error("design_b: unknown design: thickness 1e+308 mm not in table (0.35, 0.4, 0.45, 0.5 mm)")] * 2,
     ),
     ("energy-report", "--e-adc", "e_adc_per_sample_j", "-1", *[config_error("e_adc_per_sample_j must be non-negative and finite, got -1.0")] * 2),
     ("energy-report", "--e-tx", "e_tx_per_sample_j", "inf", *[config_error("e_tx_per_sample_j must be non-negative and finite, got inf")] * 2),
@@ -208,6 +229,14 @@ BAD_VALUES = [
     ("thought-experiment", None, "stratified", "maybe", None, config_error("{path}:1: expected a boolean, got 'maybe'")),
     ("thought-experiment", None, "fs_synth", "0", None, config_error("fs_synth must be positive, got 0.0")),
     ("thought-experiment", None, "fs_synth", "nan", None, config_error("fs_synth must be finite, got nan")),
+    (
+        "thought-experiment",
+        None,
+        "fs_synth",
+        "1000",
+        None,
+        config_error("fs_synth=1000 Hz for design_a=0.5 mm (peh_0.50mm): sampling rate too low: 1000.0 Hz < 20 * f0 = 4000 Hz"),
+    ),
     (
         "thought-experiment",
         None,

@@ -4,6 +4,7 @@ import shutil
 import threading
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -295,7 +296,7 @@ def per_line_oracle(full):
     """The text loader as it was before the one-call parse: one `float()` per
     non-blank line, the first bad line named as `file:line`."""
     values = []
-    for lineno, line in enumerate(full.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(full.read_text(encoding="utf-8").splitlines(), start=1):
         token = line.strip()
         if not token:
             continue
@@ -324,6 +325,11 @@ blank_lines = st.lists(st.sampled_from(["", " ", "\t"]), max_size=3)
 sample_line = st.tuples(
     blank_lines, padding, st.one_of(finite, finite_f32), st.sampled_from([repr, lambda v: "%.17g" % v]), padding
 )
+# Characters around a value, a value `float()` alone accepts or nobody does, and line breaks.
+odd = st.sampled_from(["", " ", "\t", "\x1f", "\u3000", "\ufeff", "\x00"])
+odd_token = st.sampled_from(["", "\u0661\u0662", "1_0", "1 2", "abc", "inf", "nan"])
+line_break = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+NAMES = ["rec.txt", "rec.csv", "rec", "rec.gz", "rec.bz2", "rec.xz", "rec.lzma"]
 
 
 class TestTextParseMatchesPerLineLoop:
@@ -369,6 +375,8 @@ class TestTextParseMatchesPerLineLoop:
             ("\n\n0.5\ninf\n1.0\n", "4: non-finite sample 'inf'"),
             ("0.5\n-inf\n", "2: non-finite sample '-inf'"),
             ("0.5\nabc\n", "2: unparseable sample 'abc'"),
+            ("1 2\n", "1: unparseable sample '1 2'"),
+            ("1\x0b2\n3 4\n", "3: unparseable sample '3 4'"),
         ],
     )
     def test_error_names_the_file_line(self, tmp_path, text, message):
@@ -378,6 +386,50 @@ class TestTextParseMatchesPerLineLoop:
             load_recording(RecordingMeta("rec.txt", MachineState.HEALTHY, "6204", 0, 51200.0), tmp_path)
         assert str(caught.value) == f"{full}:{message}"
         assert outcome(per_line_oracle, full) == str(caught.value)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(odd, st.one_of(finite.map(repr), odd_token), odd, line_break), max_size=12), st.sampled_from(NAMES))
+    def test_odd_characters_and_compressed_suffixes_read_alike(self, tmp_path, lines, name):
+        """Line breaks that `float()`'s loop splits on and numpy's reader does
+        not, characters `float()` accepts and that reader does not (a BOM,
+        NUL, a non-ASCII digit, an underscore), and the names numpy would
+        decompress: the same array or the same error."""
+        full = tmp_path / name
+        full.write_bytes("".join(map("".join, lines)).encode())
+        got, want = outcome(pehfault.dataset._load_text_recording, full), outcome(per_line_oracle, full)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_plain_text_recording_loads_under_any_name(self, tmp_path, name):
+        full = tmp_path / name
+        write_text_recording(full, [0.1, -2.5e-7, 3.0])
+        assert load_recording(RecordingMeta(name, MachineState.HEALTHY, "6204", 0, 51200.0), tmp_path).samples.tolist() == [0.1, -2.5e-7, 3.0]
+
+    @pytest.mark.parametrize("text", ["", "\n", " \t\n\n", "\u3000\r\n\x0b"])
+    def test_a_file_of_whitespace_holds_no_samples_and_warns_nothing(self, tmp_path, text):
+        full = tmp_path / "rec.txt"
+        full.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(DataError) as info:
+            warnings.simplefilter("always")
+            load_recording(RecordingMeta("rec.txt", MachineState.HEALTHY, "6204", 0, 51200.0), tmp_path)
+        assert str(info.value) == f"{full}: recording holds no samples"
+        assert caught == []
+
+    def test_the_compressed_suffixes_cover_every_one_numpy_decompresses(self):
+        assert set(np.lib._datasource._file_openers.keys()) - {None} <= set(pehfault.dataset.COMPRESSED_SUFFIXES)
+
+    @pytest.mark.parametrize("name, calls", [("rec.txt", 1), ("rec", 1), ("rec.gz", 0), ("rec.xz", 0)])
+    def test_a_plain_name_is_parsed_in_one_numpy_call(self, tmp_path, monkeypatch, name, calls):
+        full = tmp_path / name
+        write_text_recording(full, [0.5, 0.25])
+        seen = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: seen.append(args) or loadtxt(*args, **kwargs))
+        assert pehfault.dataset._load_text_recording(full).tolist() == [0.5, 0.25]
+        assert len(seen) == calls
 
 
 class TestBuildFeatureSet:

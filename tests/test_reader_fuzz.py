@@ -141,7 +141,7 @@ def design_table_case(root):
     rows = [(d.name, d.thickness_mm, d.f0_hz, d.bw3db_hz, d.peak_gain_v_per_g) for d in DEFAULT_DESIGNS]
     table.write_text(csv_text(DESIGN_TABLE_FIELDS, rows))
     argv = [*_extract_argv(corpus), "--design-table", str(table), "--thickness", "0.5"]
-    return argv, table, lambda run, target: _designs(RunConfig(design_table=str(target)), [0.5])
+    return argv, table, lambda run, target: _designs(RunConfig(design_table=str(target), thickness_mm=0.5), "thickness_mm")
 
 
 def config_case(root):
