@@ -306,17 +306,18 @@ def load_recording(meta: RecordingMeta, root: str | Path = ".") -> TimeSeries:
     return TimeSeries(samples, meta.fs)
 
 
-def write_atomic(path: str | Path, content: str | bytes) -> Path:
+def write_atomic(path: str | Path, content: str | bytes | np.ndarray) -> Path:
     """Write one file atomically: a temporary file in the target directory,
     then a rename over the target, so no partial file is left. Text is
-    written as UTF-8 whatever the locale, as every reader demands. An OSError
-    becomes a DataError naming the target."""
+    written as UTF-8 whatever the locale, as every reader demands; anything
+    else is written as the bytes of its buffer (bytes, a contiguous array).
+    An OSError becomes a DataError naming the target."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_bytes(content) if isinstance(content, bytes) else tmp.write_text(content, encoding="utf-8")
+            tmp.write_text(content, encoding="utf-8") if isinstance(content, str) else tmp.write_bytes(content)
             os.replace(tmp, target)
         finally:
             tmp.unlink(missing_ok=True)
@@ -326,10 +327,12 @@ def write_atomic(path: str | Path, content: str | bytes) -> Path:
 
 
 def write_recording_f32(samples: np.ndarray, fs: float, path: str | Path) -> None:
-    """Write a raw little-endian float32 recording plus its sidecar header."""
+    """Write a raw little-endian float32 recording plus its sidecar header.
+    The samples are written from their buffer, copied only if they are not
+    contiguous little-endian float32."""
     path = Path(path)
-    data = np.asarray(samples, dtype="<f4")
-    write_atomic(path, data.tobytes())
+    data = np.ascontiguousarray(samples, dtype="<f4")
+    write_atomic(path, data)
     write_atomic(path.with_name(path.name + ".hdr"), f"fs_hz={_rate(fs)}\nn_samples={len(data)}\n")
 
 
@@ -340,7 +343,9 @@ def _rate(fs: float) -> str:
     return repr(float(fs)).removesuffix(".0")
 
 
-def in_order(jobs: Iterable[Sequence[tuple]], finish: Callable[[list], None], n_jobs: int) -> None:
+def in_order(
+    jobs: Iterable[Sequence[tuple]], finish: Callable[[list], None], n_jobs: int, *, per_worker: int = 1
+) -> None:
     """Run `jobs` on a thread pool and pass each one's results to `finish`
     on the calling thread, in job order. A job is a list of calls `(fn,
     *args)`; finish(results) gets their return values in call order.
@@ -348,8 +353,10 @@ def in_order(jobs: Iterable[Sequence[tuple]], finish: Callable[[list], None], n_
     The pool has one thread per CPU this process may run on (os.cpu_count()
     where the affinity mask is not available), at most n_jobs, at least one.
     Jobs are drawn from `jobs` lazily on the calling thread while at most
-    that many are in the pool, so a draw (a block of loads and checks, a
-    buffer) overlaps the work. An error raised drawing, running or finishing
+    per_worker jobs per thread are in the pool, so a draw (a block of loads
+    and checks, a buffer) overlaps the work, and with per_worker=2 a thread
+    that finishes a job while the calling thread runs `finish` of an earlier
+    one has the next job waiting. An error raised drawing, running or finishing
     job i comes out after finish of every earlier job and before that of any
     later one, so the number of jobs finished is the index of the job that
     failed. On any error the calls not yet started are cancelled, and no
@@ -357,6 +364,7 @@ def in_order(jobs: Iterable[Sequence[tuple]], finish: Callable[[list], None], n_
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = max(1, min(cpus, n_jobs))
+    depth = workers * per_worker  # the most jobs in the pool
     jobs, pending = iter(jobs), deque()  # pending: each job's futures, in job order
 
     def settle() -> None:
@@ -373,7 +381,7 @@ def in_order(jobs: Iterable[Sequence[tuple]], finish: Callable[[list], None], n_
                 raise
             if job is None:
                 break
-            while len(pending) >= workers:
+            while len(pending) >= depth:
                 settle()
             pending.append([pool.submit(*call) for call in job])
         while pending:
@@ -546,6 +554,8 @@ class SurrogateSpec:
             raise ConfigError(f"amplitude jitter must lie in [0, 1), got {self.amplitude_jitter}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.load_w not in VALID_LOADS_W:  # the manifest it writes must load
+            raise ConfigError(f"load_w must be one of {VALID_LOADS_W} W, got {self.load_w}")
         for state, cspec in self.classes.items():
             for f_hz, _amp in cspec.tones:
                 if not 0 < f_hz < self.fs / 2:
@@ -609,8 +619,9 @@ def load_surrogate_spec(path: str | Path) -> SurrogateSpec:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-# Samples computed at a time per recording: each tone's temporaries stay small.
-SYNTH_BLOCK = 8192
+# Samples computed at a time per recording: each tone's temporaries stay small
+# (128 KB as float64).
+SYNTH_BLOCK = 16384
 
 
 def _synth_class_recording(cspec: ClassSignalSpec, fs: float, jitter: float, rng, out: np.ndarray) -> np.ndarray:
@@ -640,11 +651,13 @@ def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) 
     Byte-identical output for identical spec and seed. A failed write is a
     DataError naming the file (see write_atomic).
 
-    The recordings run through in_order, one job each: the calling thread
-    allocates each float32 buffer, the pool computes the recording into it,
-    and the calling thread writes each recording and its sidecar in order,
-    then the manifest. Each recording has its own generator, so the bytes do
-    not depend on the thread count. On an error nothing later is written.
+    The recordings run through in_order, one job each and two per worker,
+    so a worker has its next recording queued while the calling thread
+    writes: the calling thread allocates each float32 buffer, the pool
+    computes the recording into it, and the calling thread writes each
+    recording (from its buffer) and its sidecar in order, then the manifest.
+    Each recording has its own generator, so the bytes do not depend on the
+    thread count. On an error nothing later is written.
     """
     out_dir = Path(out_dir)
     states = sorted(spec.classes, key=lambda s: s.value)
@@ -662,5 +675,5 @@ def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) 
         for s, i in slots
     )
     paths = (out_dir / row[0] for row in rows)
-    in_order(jobs, lambda results: write_recording_f32(results[0], spec.fs, next(paths)), len(slots))
+    in_order(jobs, lambda results: write_recording_f32(results[0], spec.fs, next(paths)), len(slots), per_worker=2)
     return load_manifest(write_atomic(out_dir / "manifest.csv", csv_text(MANIFEST_FIELDS, rows)))

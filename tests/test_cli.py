@@ -760,6 +760,15 @@ class TestSurrogateGen:
         assert capsys.readouterr().err == f"config error: {spec}: duration_s=1e-05 at fs_hz=8192 gives 0 samples; need >= 1\n"
         assert not list(tmp_path.rglob("*.f32"))
 
+    def test_load_outside_the_manifest_loads_is_a_config_error_before_writing(self, tmp_path, capsys):
+        """The corpus's manifest could not load at 500 W: the recipe is
+        rejected before any recording is computed or written."""
+        spec = tmp_path / "r.spec"
+        spec.write_text("count_per_class=1\nfs_hz=8192\nduration_s=1\nload_w=500\nhealthy.tones=200:1\nball_crack.tones=150:1\n")
+        assert main(["surrogate-gen", "--spec", str(spec), "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {spec}: load_w must be one of (0, 200, 400) W, got 500\n"
+        assert not (tmp_path / "o" / "corpus").exists()
+
     def test_write_failure_is_data_error_without_manifest_or_temp_files(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text("count_per_class=2\nfs_hz=8192\nduration_s=0.5\nhealthy.tones=200:1.0\nball_crack.tones=150:1.0\n")

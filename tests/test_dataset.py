@@ -165,10 +165,17 @@ class TestLoadRecording:
         with pytest.raises(DataError, match=":3"):
             load_recording(self.meta("rec.txt"), tmp_path)
 
-    def test_raw_roundtrip_with_sidecar(self, tmp_path):
+    @pytest.mark.parametrize(
+        "layout",
+        [lambda x: x, lambda x: np.repeat(x.astype("<f4"), 3)[::3], lambda x: x.astype(">f4"), lambda x: x.astype("<f4")],
+        ids=["float64", "strided", "big-endian", "little-endian-f32"],
+    )
+    def test_raw_roundtrip_with_sidecar(self, layout, tmp_path):
+        """Any layout of the samples is written as the same little-endian float32 bytes."""
         rng = np.random.default_rng(2)
         samples = rng.standard_normal(256).astype("<f4").astype(np.float64)
-        write_recording_f32(samples, 8000.0, tmp_path / "rec.f32")
+        write_recording_f32(layout(samples), 8000.0, tmp_path / "rec.f32")
+        assert (tmp_path / "rec.f32").read_bytes() == samples.astype("<f4").tobytes()
         ts = load_recording(self.meta("rec.f32", fs=8000.0), tmp_path)
         assert np.array_equal(ts.samples, samples)
 
@@ -826,8 +833,9 @@ def _peaks(tmp_path, spec, counts_per_class, segment_s, segments, periods, text=
 def test_memory_is_bounded_by_the_pool_not_by_the_corpus(tmp_path, monkeypatch):
     """On two CPUs, synth_surrogate_corpus and build_feature_sets (4 designs,
     T in {1, 3}) on 42 default recordings each peak within 1 MB of their
-    peak on 14 (about 8.5 MB and 20.5 MB): neither holds more recordings
-    than the pool has in flight. The 14-recording build is the largest of 5
+    peak on 14 (about 11.5 MB and 20.5 MB): neither holds more recordings
+    than the pool has in flight (two per worker in synthesis, one in the
+    build). The 14-recording build is the largest of 5
     runs: whether two filter outputs (a recording's 3 segments, 3.7 MB each)
     are alive at once depends on the thread schedule, and the baseline is
     the schedule's worst case. Short recordings (2 s at 25.6 kHz, 4 segments

@@ -43,12 +43,15 @@ def test_results_arrive_in_job_order_on_the_calling_thread(count, monkeypatch):
     assert got == [[(i, 0), (i, 1)] for i in range(8)]
 
 
+@pytest.mark.parametrize("per_worker", [1, 2])
 @pytest.mark.parametrize("count, n_jobs, workers", [(1, 5, 1), (2, 5, 2), (4, 5, 4), (4, 2, 2)])
-def test_at_most_workers_jobs_are_in_the_pool_while_the_next_is_drawn(count, n_jobs, workers, monkeypatch):
-    """One worker per CPU, at most one per job: job i is drawn while the
-    min(i, workers) jobs before it are in the pool, and finish of job i
-    comes once job i + workers has been drawn."""
+def test_at_most_workers_jobs_are_in_the_pool_while_the_next_is_drawn(count, n_jobs, workers, per_worker, monkeypatch):
+    """One worker per CPU, at most one per job, and per_worker jobs per
+    worker in the pool (depth): job i is drawn while the min(i, depth) jobs
+    before it are in the pool, and finish of job i comes once job i + depth
+    has been drawn."""
     cpus(monkeypatch, count)
+    depth = workers * per_worker
     events, finished = [], []
 
     def jobs():
@@ -60,11 +63,11 @@ def test_at_most_workers_jobs_are_in_the_pool_while_the_next_is_drawn(count, n_j
         finished.append(results[0])
         events.append(("finish", results[0]))
 
-    in_order(jobs(), finish, n_jobs)
-    expected = [("draw", i, min(i, workers)) for i in range(min(workers, n_jobs))]
-    for i in range(workers, n_jobs):
-        expected += [("draw", i, workers), ("finish", i - workers)]
-    expected += [("finish", i) for i in range(max(0, n_jobs - workers), n_jobs)]
+    in_order(jobs(), finish, n_jobs, per_worker=per_worker)
+    expected = [("draw", i, min(i, depth)) for i in range(min(depth, n_jobs))]
+    for i in range(depth, n_jobs):
+        expected += [("draw", i, depth), ("finish", i - depth)]
+    expected += [("finish", i) for i in range(max(0, n_jobs - depth), n_jobs)]
     assert events == expected
 
 

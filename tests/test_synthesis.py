@@ -68,11 +68,12 @@ def files(root: Path) -> dict[str, bytes]:
 
 EIGHT_TONES = tuple((40.0 + 45.0 * i, 0.3 + 0.1 * i) for i in range(8))
 
+# Lengths in SYNTH_BLOCKs, so that each case keeps what its name says whatever the block size.
 SPECS = {
     # 2.5 blocks, noise on both classes
-    "partial-last-block": replace(SMALL_SPEC, duration_s=2.5),
+    "partial-last-block": replace(SMALL_SPEC, duration_s=2.5 * SYNTH_BLOCK / SMALL_SPEC.fs),
     # exactly two blocks
-    "whole-blocks": SMALL_SPEC,
+    "whole-blocks": replace(SMALL_SPEC, duration_s=2 * SYNTH_BLOCK / SMALL_SPEC.fs),
     # shorter than one block, one recording per class, no jitter, no noise
     "under-one-block": SurrogateSpec(
         classes={
@@ -81,7 +82,7 @@ SPECS = {
         },
         count_per_class=1,
         fs=8192.0,
-        duration_s=0.37,
+        duration_s=0.37 * SYNTH_BLOCK / 8192.0,
         amplitude_jitter=0.0,
     ),
     # one tone with noise, eight without, an odd length over several blocks
@@ -92,7 +93,7 @@ SPECS = {
         },
         count_per_class=5,
         fs=51200.0,
-        duration_s=0.51,
+        duration_s=(3 * SYNTH_BLOCK + 1235) / 51200.0,
         amplitude_jitter=0.2,
         seed=3,
     ),
@@ -104,9 +105,10 @@ SPECS = {
 def test_corpus_equals_the_serial_synthesis_byte_for_byte(name, cpus, tmp_path, monkeypatch):
     spec = SPECS[name]
     n = round(spec.duration_s * spec.fs)
-    assert name != "partial-last-block" or n % SYNTH_BLOCK
-    assert name != "whole-blocks" or n % SYNTH_BLOCK == 0
+    assert name != "partial-last-block" or (n > SYNTH_BLOCK and n % SYNTH_BLOCK)
+    assert name != "whole-blocks" or n == 2 * SYNTH_BLOCK
     assert name != "under-one-block" or n < SYNTH_BLOCK
+    assert name != "mixed" or (n > 3 * SYNTH_BLOCK and n % 2)
     want = reference_corpus(spec, 11, tmp_path / "serial")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     interval = sys.getswitchinterval()
@@ -190,7 +192,7 @@ def test_a_failed_write_is_the_serial_loops_first_error(cpus, tmp_path, monkeypa
     errors["pool"] = str(info.value).replace(str(tmp_path / "pool"), "<out>")
     assert errors["pool"] == errors["serial"]
     assert errors["pool"].startswith(f"cannot write <out>/{third}: ")
-    assert len(submitted) <= 3 + len(cpus) - 1
+    assert len(submitted) <= 3 + 2 * len(cpus) - 1
     assert all(future.done() for future in submitted)
     assert len(finished) == len(started) <= len(submitted)
     assert threading.active_count() == threads
