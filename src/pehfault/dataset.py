@@ -28,6 +28,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,8 +42,10 @@ MANIFEST_FIELDS = ("path", "label", "bearing_type", "load_w", "fs_hz")
 DESIGN_TABLE_FIELDS = ("name", "thickness_mm", "f0_hz", "bw3db_hz", "peak_gain_v_per_g")
 VALID_LOADS_W = (0, 200, 400)
 RAW_SUFFIXES = (".f32", ".raw")
-# The suffixes that np.loadtxt opens a path through a decompressor for.
-COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+_DIGITS = b"0123456789"
+# In a plain decimal, the bytes that may come before and after each sign and `e`.
+_NEIGHBOURS = {ord("-"): (b"\neE", _DIGITS + b"."), ord("+"): (b"eE", _DIGITS)}
+_NEIGHBOURS |= dict.fromkeys(b"eE", (_DIGITS + b".", _DIGITS + b"+-"))
 
 
 class MachineState(str, enum.Enum):
@@ -117,8 +120,12 @@ def read_text(path: str | Path, what: str, error: type[Exception], optional: boo
     data = _read_file(path)
     if data is None and not optional:
         raise error(f"{what} not found: {path}")
+    return _utf8(data or b"", path, error)
+
+
+def _utf8(data: bytes, path: Path, error: type[Exception]) -> str:
     try:
-        return (data or b"").decode()
+        return data.decode()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
@@ -226,26 +233,58 @@ def filter_manifest(
     return Manifest(entries, manifest.root)
 
 
+def _plain_decimals(data: bytes) -> np.ndarray | None:
+    """The values of `data` if each line (`\\n` or `\\r\\n` ended) is a plain decimal,
+    `-?(\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?`, parsed by one scipy.io.mmread call
+    to the bits `float()` gives; else None. mmread reads a prefix of each line
+    and ignores the rest (`1.2.3` reads as 1.2), so the grammar is proved first
+    on the digit-free skeleton and at each sign and `e`, except a lone `.` as
+    mantissa, on which mmread raises."""
+    data = data.replace(b"\r\n", b"\n") if b"\r" in data else data
+    data += b"" if data.endswith(b"\n") else b"\n"
+    skeleton = data.translate(None, _DIGITS)
+    if skeleton.translate(None, b".eE+-\n") or data[:1] == b"\n" or (b"\n\n" in skeleton and b"\n\n" in data):
+        return None  # a byte outside the grammar, or a blank line
+    # Without its signs, and with `E` as `e`, each line reads `.`, `e`, `.e` or nothing.
+    shape = np.frombuffer(skeleton.translate(bytes.maketrans(b"E", b"e"), b"+-"), np.uint8)
+    left, right = shape[:-1], shape[1:]
+    if ((left != ord("\n")) & (right != ord("\n")) & ((left != ord(".")) | (right != ord("e")))).any():
+        return None
+    view = np.frombuffer(data, np.uint8)  # ends in a line break: at + 1 stays in it, and at - 1 wraps to that break
+    for mark, (before, after) in _NEIGHBOURS.items():
+        if mark not in skeleton:
+            continue
+        for start in range(0, len(view), 1 << 18):  # in blocks, to keep the mask small
+            at = start + np.flatnonzero(view[start : start + (1 << 18)] == mark)
+            if view[at - 1].tobytes().translate(None, before) or view[at + 1].tobytes().translate(None, after):
+                return None
+    import scipy.io  # deferred: only text recordings need it, and it imports scipy.sparse
+
+    # A one-column array file: a header, then the bytes themselves, not a copy.
+    parts = iter([b"%%%%MatrixMarket matrix array real general\n%d 1\n" % skeleton.count(b"\n"), data])
+    try:
+        values = scipy.io.mmread(SimpleNamespace(read=lambda size=-1: next(parts, b""))).reshape(-1)
+    except ValueError:
+        return None
+    zero = np.flatnonzero(values == 0)
+    if zero.size and b"-" in skeleton:  # mmread reads `-0` as +0.0; a zero takes the sign its line starts with
+        starts = np.flatnonzero(view == ord("\n")) + 1  # line i starts at starts[i - 1]; line 0 at starts[-1] % len
+        values[zero] = np.where(view[starts[zero - 1] % len(data)] == ord("-"), -0.0, 0.0)
+    return values if np.isfinite(values).all() else None
+
+
 def _load_text_recording(full: Path) -> np.ndarray:
-    """One value per line, read as `float(line)` reads it, blank lines skipped.
-    After read_text's checks, numpy's C reader parses the file again by path in
-    one pass, converting each value with the parser `float()` uses. Unless that
-    gives one column of finite values, the per-line loop reads the text: it
-    takes what `float()` takes beyond that reader (a line break other than
-    `\\n` and `\\r`, an underscore, a non-ASCII digit) and names the first bad
-    `file:line`. numpy would decompress a path with a compressed suffix, and
-    warns on a file without data, so neither takes the one pass."""
-    text = read_text(full, "recording file", DataError)
-    if full.suffix not in COMPRESSED_SUFFIXES and text and not text.isspace():
-        try:
-            samples = np.loadtxt(full, dtype=np.float64, comments=None, ndmin=2, encoding="utf-8")
-        except ValueError:
-            pass
-        else:
-            if samples.shape[1] == 1 and np.isfinite(samples).all():
-                return samples[:, 0]
+    """One value per line, read as `float(line)` reads it, blank lines skipped,
+    from one read of the file: by _plain_decimals, or else by a per-line loop
+    that takes what `float()` takes beyond that grammar and names `file:line`."""
+    data = _read_file(full)
+    if data is None:
+        raise DataError(f"recording file not found: {full}")
+    samples = _plain_decimals(data)
+    if samples is not None:
+        return samples
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_utf8(data, full, DataError).splitlines(), start=1):
         token = line.strip()
         if not token:
             continue
@@ -253,7 +292,7 @@ def _load_text_recording(full: Path) -> np.ndarray:
             value = float(token)
         except ValueError:
             raise DataError(f"{full}:{lineno}: unparseable sample {token!r}") from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DataError(f"{full}:{lineno}: non-finite sample {token!r}")
         values.append(value)
     return np.asarray(values, dtype=np.float64)
@@ -517,13 +556,6 @@ class ClassSignalSpec:
     tones: tuple[tuple[float, float], ...]
     noise_sigma: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
-            raise ConfigError(f"noise sigma must be non-negative and finite, got {self.noise_sigma}")
-        for f_hz, amplitude in self.tones:
-            if not math.isfinite(amplitude):
-                raise ConfigError(f"tone at {f_hz} Hz: amplitude must be finite, got {amplitude}")
-
 
 @dataclass(frozen=True)
 class SurrogateSpec:
@@ -544,7 +576,7 @@ class SurrogateSpec:
         if self.count_per_class < 1:
             raise ConfigError(f"count per class must be >= 1, got {self.count_per_class}")
         if not (0 < self.fs < math.inf and 0 < self.duration_s < math.inf):  # NaN fails too
-            raise ConfigError("sampling rate and duration must be positive and finite")
+            raise ConfigError(f"fs_hz={self.fs:g} and duration_s={self.duration_s:g} must be positive and finite")
         if not math.isfinite(self.duration_s * self.fs):
             raise ConfigError(f"duration_s={self.duration_s:g} at fs_hz={self.fs:g} is not a finite number of samples")
         n_samples = round(self.duration_s * self.fs)
@@ -557,9 +589,17 @@ class SurrogateSpec:
         if self.load_w not in VALID_LOADS_W:  # the manifest it writes must load
             raise ConfigError(f"load_w must be one of {VALID_LOADS_W} W, got {self.load_w}")
         for state, cspec in self.classes.items():
-            for f_hz, _amp in cspec.tones:
+            if not 0 <= cspec.noise_sigma < math.inf:  # NaN fails too
+                raise ConfigError(f"{state.value}: noise sigma must be non-negative and finite, got {cspec.noise_sigma}")
+            for f_hz, amplitude in cspec.tones:
                 if not 0 < f_hz < self.fs / 2:
                     raise ConfigError(f"{state.value}: tone at {f_hz} Hz outside (0, fs/2)")
+                if not math.isfinite(amplitude):
+                    raise ConfigError(f"{state.value}: tone at {f_hz} Hz: amplitude must be finite, got {amplitude}")
+            # Recordings are float32. A normal draw of numpy's stays within 14 sigma, so 40 bound the noise.
+            peak = sum(abs(amp) for _, amp in cspec.tones) * (1 + self.amplitude_jitter) + 40 * cspec.noise_sigma
+            if not peak < float(np.finfo(np.float32).max):
+                raise ConfigError(f"{state.value}: tones and noise can reach {peak:g} g, past the float32 range")
 
 
 # Healthy: energy concentrated in two narrow bands, one inside the 0.50 mm
@@ -605,6 +645,9 @@ def load_surrogate_spec(path: str | Path) -> SurrogateSpec:
     `<label>.tones=f:amp,f:amp,...` and `<label>.noise_sigma=`.
     """
     values = read_key_values(path, "surrogate spec", ConfigError, RECIPE_KEYS)
+    for key in values:
+        if key.endswith(".noise_sigma") and key.replace("noise_sigma", "tones") not in values:
+            raise ConfigError(f"{path}: {key} is given without {key.replace('noise_sigma', 'tones')}")
     plain = {("fs" if key == "fs_hz" else key): value for key, value in values.items() if "." not in key}
     try:
         classes = {

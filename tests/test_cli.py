@@ -1175,16 +1175,21 @@ def test_a_recording_rate_whose_sample_count_is_not_finite_is_a_data_error(tmp_p
 @pytest.mark.parametrize(
     "text, rule",
     [
-        ("healthy.tones=100:nan\n", "tone at 100.0 Hz: amplitude must be finite, got nan"),
-        ("healthy.tones=100:1.0\nhealthy.noise_sigma=inf\n", "noise sigma must be non-negative and finite, got inf"),
-        ("healthy.tones=100:1.0\nhealthy.noise_sigma=nan\n", "noise sigma must be non-negative and finite, got nan"),
+        ("healthy.tones=100:nan\n", "healthy: tone at 100.0 Hz: amplitude must be finite, got nan"),
+        ("healthy.tones=100:1.0\nhealthy.noise_sigma=inf\n", "healthy: noise sigma must be non-negative and finite, got inf"),
+        ("healthy.tones=100:1.0\nhealthy.noise_sigma=nan\n", "healthy: noise sigma must be non-negative and finite, got nan"),
+        ("healthy.tones=100:1e308\n", "healthy: tones and noise can reach 1.1e+308 g, past the float32 range"),
+        ("healthy.tones=100:1.0\nhealthy.noise_sigma=1e37\n", "healthy: tones and noise can reach 4e+38 g, past the float32 range"),
+        ("healthy.tones=100:1.0\ninner_crack.noise_sigma=0.5\n", "inner_crack.noise_sigma is given without inner_crack.tones"),
     ],
-    ids=["nan-amplitude", "infinite-noise", "nan-noise"],
+    ids=["nan-amplitude", "infinite-noise", "nan-noise", "huge-amplitude", "huge-noise", "noise-without-tones"],
 )
 def test_a_recipe_value_that_is_not_finite_is_a_config_error(text, rule, tmp_path, capsys):
     """Each once exited 0: the first two after writing recordings that are
     not finite, the third after writing recordings without the noise asked
-    for."""
+    for. So did the next two, after writing float32 recordings that overflow
+    to infinity, and the last, after ignoring the noise of a state it wrote
+    no recordings of."""
     recipe = tmp_path / "recipe.cfg"
     recipe.write_text(f"fs_hz=8192\nduration_s=1\n{text}ball_crack.tones=60:0.5\n")
     assert main(["surrogate-gen", "--spec", str(recipe), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR

@@ -325,6 +325,30 @@ def outcome(load, full):
         return str(exc)
 
 
+def assert_loads_as_oracle(full):
+    """The loader gives the oracle's error, or float64 values with the
+    oracle's bits (so the sign of each zero too)."""
+    got, want = outcome(pehfault.dataset._load_text_recording, full), outcome(per_line_oracle, full)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def count_parsers(monkeypatch):
+    """The calls the loader makes to scipy.io.mmread and to float()."""
+    import scipy.io
+
+    calls = {"mmread": 0, "float": 0}
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.__setitem__(name, calls[name] + 1) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.io, "mmread", counted("mmread", scipy.io.mmread))
+    monkeypatch.setattr(pehfault.dataset, "float", counted("float", float), raising=False)
+    return calls
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 finite_f32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
 padding = st.sampled_from(["", " ", "\t", " \t  "])
@@ -337,11 +361,14 @@ odd = st.sampled_from(["", " ", "\t", "\x1f", "\u3000", "\ufeff", "\x00"])
 odd_token = st.sampled_from(["", "\u0661\u0662", "1_0", "1 2", "abc", "inf", "nan"])
 line_break = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
 NAMES = ["rec.txt", "rec.csv", "rec", "rec.gz", "rec.bz2", "rec.xz", "rec.lzma"]
+# The plain decimals the one-call parse takes, and lines over the same alphabet that are not.
+plain_decimal = st.from_regex(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", fullmatch=True)
+near_decimal = st.text(alphabet="0123456789.eE+-", max_size=8)
 
 
 class TestTextParseMatchesPerLineLoop:
     """The one-call parse returns exactly what the per-line loop it replaced
-    returns, and raises the same error where that loop raised one."""
+    returns, bit for bit, and raises the same error where that loop raised one."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(sample_line, min_size=1, max_size=40), blank_lines, st.sampled_from(["\n", "\r\n"]))
@@ -351,10 +378,8 @@ class TestTextParseMatchesPerLineLoop:
             text += [*blanks, f"{left}{fmt(value)}{right}"]
         full = tmp_path / "rec.txt"
         full.write_bytes(newline.join([*text, *trailing]).encode() + newline.encode())
-        got = pehfault.dataset._load_text_recording(full)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, per_line_oracle(full))
-        assert np.array_equal(got, [value for _, _, value, _, _ in lines])
+        assert_loads_as_oracle(full)
+        assert pehfault.dataset._load_text_recording(full).tobytes() == np.array([value for _, _, value, _, _ in lines]).tobytes()
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -369,11 +394,56 @@ class TestTextParseMatchesPerLineLoop:
     def test_arbitrary_lines_accepted_or_rejected_alike(self, tmp_path, lines):
         full = tmp_path / "rec.txt"
         full.write_text("\n".join(lines))
-        got, want = outcome(pehfault.dataset._load_text_recording, full), outcome(per_line_oracle, full)
-        if isinstance(want, str):
-            assert got == want
+        assert_loads_as_oracle(full)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(plain_decimal, max_size=12),
+        st.lists(st.tuples(st.integers(0, 12), near_decimal), max_size=2),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    def test_lines_over_the_decimal_alphabet_read_alike(self, tmp_path, lines, inserted, newline, trailing):
+        """Plain decimals, some files with a line over the same alphabet
+        inserted (`1e`, `1-2`, `.`, a blank line): the guard in front of the
+        one-call parse lets through only what it parses as `float()` does."""
+        for index, line in inserted:
+            lines.insert(index, line)
+        full = tmp_path / "rec.txt"
+        full.write_bytes((newline.join(lines) + (newline if trailing else "")).encode())
+        assert_loads_as_oracle(full)
+
+    @pytest.mark.parametrize(
+        "token, value, mmread_calls",
+        [
+            ("-0", -0.0, 1),
+            ("-0.0e5", -0.0, 1),
+            ("4.9e-324", 5e-324, 1),
+            ("1e-400", 0.0, 1),
+            ("-1e-400", -0.0, 1),
+            ("1e400", "non-finite", 1),
+            ("123456789012345678901234567890", 1.2345678901234568e29, 1),
+            ("1.e5", 1e5, 1),
+            (".5", 0.5, 1),
+            ("+5", 5.0, 0),
+            # A mantissa of a lone `.` passes the guard, and mmread raises on it.
+            *((token, "unparseable", 1) for token in [".e5", "."]),
+            *((token, "unparseable", 0) for token in ["1.2.3", "1e5e5", "1e", "1e+", "1-2", "1+", "1..", "1e5.5", "-", "e5", "-e5"]),
+        ],
+    )
+    def test_a_token_reads_as_float_does_or_names_its_line(self, tmp_path, monkeypatch, token, value, mmread_calls):
+        """Each token as a value or as an error naming its line, and whether
+        the guard let the file through to mmread."""
+        full = tmp_path / "rec.txt"
+        full.write_text(f"0.5\n{token}\n-0.25\n")
+        calls = count_parsers(monkeypatch)
+        got = outcome(pehfault.dataset._load_text_recording, full)
+        if isinstance(value, str):
+            assert got == f"{full}:2: {value} sample {token!r}"
         else:
-            assert np.array_equal(got, want)
+            assert got.tobytes() == np.array([0.5, value, -0.25]).tobytes()
+        assert calls["mmread"] == mmread_calls
+        assert_loads_as_oracle(full)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -396,18 +466,14 @@ class TestTextParseMatchesPerLineLoop:
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.tuples(odd, st.one_of(finite.map(repr), odd_token), odd, line_break), max_size=12), st.sampled_from(NAMES))
-    def test_odd_characters_and_compressed_suffixes_read_alike(self, tmp_path, lines, name):
-        """Line breaks that `float()`'s loop splits on and numpy's reader does
-        not, characters `float()` accepts and that reader does not (a BOM,
-        NUL, a non-ASCII digit, an underscore), and the names numpy would
+    def test_odd_characters_and_any_name_read_alike(self, tmp_path, lines, name):
+        """Line breaks that `float()`'s loop splits on and the one-call parse
+        does not, characters `float()` accepts and that parse does not (a BOM,
+        NUL, a non-ASCII digit, an underscore), and names a reader might
         decompress: the same array or the same error."""
         full = tmp_path / name
         full.write_bytes("".join(map("".join, lines)).encode())
-        got, want = outcome(pehfault.dataset._load_text_recording, full), outcome(per_line_oracle, full)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert_loads_as_oracle(full)
 
     @pytest.mark.parametrize("name", NAMES)
     def test_a_plain_text_recording_loads_under_any_name(self, tmp_path, name):
@@ -425,18 +491,22 @@ class TestTextParseMatchesPerLineLoop:
         assert str(info.value) == f"{full}: recording holds no samples"
         assert caught == []
 
-    def test_the_compressed_suffixes_cover_every_one_numpy_decompresses(self):
-        assert set(np.lib._datasource._file_openers.keys()) - {None} <= set(pehfault.dataset.COMPRESSED_SUFFIXES)
-
-    @pytest.mark.parametrize("name, calls", [("rec.txt", 1), ("rec", 1), ("rec.gz", 0), ("rec.xz", 0)])
-    def test_a_plain_name_is_parsed_in_one_numpy_call(self, tmp_path, monkeypatch, name, calls):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("name", ["rec.txt", "rec", "rec.gz", "rec.xz"])
+    def test_plain_decimals_are_parsed_in_one_mmread_call_and_no_float(self, tmp_path, monkeypatch, name, newline):
         full = tmp_path / name
-        write_text_recording(full, [0.5, 0.25])
-        seen = []
-        loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: seen.append(args) or loadtxt(*args, **kwargs))
+        full.write_bytes(newline.join(["0.5", "-0.25", "3e-05", "-0", "0"]).encode() + newline.encode())
+        calls = count_parsers(monkeypatch)
+        assert pehfault.dataset._load_text_recording(full).tobytes() == np.array([0.5, -0.25, 3e-05, -0.0, 0.0]).tobytes()
+        assert calls == {"mmread": 1, "float": 0}
+
+    @pytest.mark.parametrize("text", ["0.5\n 0.25\n", "0.5\n0.25\t\n", "0.5\r\n0.25 \r\n", "0.5\n\n0.25\n", "\n0.5\n0.25"])
+    def test_a_padded_or_blank_line_makes_no_mmread_call(self, tmp_path, monkeypatch, text):
+        full = tmp_path / "rec.txt"
+        full.write_text(text)
+        calls = count_parsers(monkeypatch)
         assert pehfault.dataset._load_text_recording(full).tolist() == [0.5, 0.25]
-        assert len(seen) == calls
+        assert calls == {"mmread": 0, "float": 2}
 
 
 class TestBuildFeatureSet:
