@@ -462,10 +462,11 @@ def build_feature_sets(
     recording like its last would overflow it. It is one job, one call per
     design: the calling thread loads and checks its recordings in manifest
     order (segmentation, each design's sampling rate, each period's
-    intervals) while the pool filters and integrates. Rows are independent,
-    so the result does not depend on the blocks or the thread count, and the
-    first error is the serial loop's: a feature that is not finite (an
-    overflow) is a DataError naming its recording, design, period and r_ohm.
+    intervals and feature count) while the pool filters and integrates. Rows
+    are independent, so the result does not depend on the blocks or the
+    thread count, and the first error is the serial loop's: a feature that is
+    not finite (an overflow) is a DataError naming its recording, design,
+    period and r_ohm.
     """
     entries, count = manifest.entries, segments_per_recording
 
@@ -479,11 +480,18 @@ def build_feature_sets(
         return ts.samples[: count * n_win].reshape(count, n_win)
 
     def jobs():
-        start = 0
+        start, dims = 0, []
         while start < len(entries):
             first, fs = segments(entries[start]), entries[start].fs
             filters = [filter_coefficients(design, fs) for design in designs]
             windows = [interval_samples(first.shape[1], fs, period_s, r_ohm) for period_s in periods]
+            dims = dims or [dim for _, dim in windows]  # the first recording's counts rule; a block shares one rate
+            for period_s, (_, dim), first_dim in zip(periods, windows, dims):
+                if dim != first_dim:
+                    raise DataError(
+                        f"{dim} features per segment at T={period_s:g}s, where "
+                        f"{entries[0].path} gives {first_dim} (the sampling rates differ)"
+                    )
             stop, last = start + 1, min(start + BLOCK_SAMPLES // first.size, len(entries))
             while stop < last and entries[stop].fs == fs:
                 stop += 1
@@ -505,13 +513,6 @@ def build_feature_sets(
     def finish(results: list[list[np.ndarray]]) -> None:
         nonlocal finished
         size = len(results[0][0]) // count  # recordings in the block: a matrix has one row per segment
-        for matrices, firsts in zip(results, done[0] if done else results):  # the first recording's counts rule
-            for period_s, matrix, first in zip(periods, matrices, firsts):
-                if matrix.shape[1] != first.shape[1]:
-                    raise DataError(
-                        f"{matrix.shape[1]} features per segment at T={period_s:g}s, where "
-                        f"{entries[0].path} gives {first.shape[1]} (the sampling rates differ)"
-                    )
         # finite[i, j, r]: every feature of recording r of the block for designs[i] at periods[j] is finite
         finite = np.array([[np.isfinite(m).reshape(size, -1).all(axis=1) for m in matrices] for matrices in results])
         if not finite.all():

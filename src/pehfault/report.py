@@ -64,14 +64,13 @@ def run_thought_experiment(
     design_healthy should be tuned near f_healthy_hz and design_faulty near
     f_faulty_hz for the decision rule to be meaningful.
     """
-    energies = np.empty((2, 2))
-    for i, f_hz in enumerate((f_healthy_hz, f_faulty_hz)):
-        vibration = synth_sine(f_hz, 1.0, 0.0, fs, period_s).samples
-        for j, design in enumerate((design_healthy, design_faulty)):
-            b, a = filter_coefficients(design, fs)
-            # The sine spans exactly one interval, so the kernel gives one (1, 1) matrix.
-            interval = interval_samples(len(vibration), fs, period_s, r_ohm)
-            energies[i, j] = filter_and_integrate([vibration], b, a, [interval], r_ohm * fs)[0][0, 0]
+    vibrations = np.stack([synth_sine(f_hz, 1.0, 0.0, fs, period_s).samples for f_hz in (f_healthy_hz, f_faulty_hz)])
+    # Each sine spans exactly one interval, so the kernel gives one (2, 1) matrix per design.
+    interval = interval_samples(vibrations.shape[1], fs, period_s, r_ohm)
+    designs = (design_healthy, design_faulty)
+    energies = np.hstack(
+        [filter_and_integrate(vibrations, *filter_coefficients(d, fs), [interval], r_ohm * fs)[0] for d in designs]
+    )
     if not np.isfinite(energies).all():
         raise ValueError(f"an energy at r_ohm={r_ohm:g} and T={period_s:g}s is not finite")
     return energies

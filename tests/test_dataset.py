@@ -585,6 +585,26 @@ class TestBuildFeatureSets:
             build_feature_sets(manifest, [design_from_thickness(0.50)], 0.3, 2, [0.1], 1.0)
         assert str(info.value) == MIXED_RATE_ERROR
 
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_a_feature_that_is_not_finite_comes_before_a_later_count_mismatch(self, cpus, tmp_path, monkeypatch):
+        """b.txt, stacked with a.f32 at 8000 Hz, overflows; c.f32 at 8015 Hz
+        gives 2 features per segment where a.f32 gives 3. The count check runs
+        when c.f32's block is drawn, which may be before b.txt's block is
+        filtered, but the error is still the earlier recording's."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        rng = np.random.default_rng(3)
+        write_recording_f32(rng.standard_normal(8000), 8000, tmp_path / "a.f32")
+        write_text_recording(tmp_path / "b.txt", (rng.standard_normal(8000) * 1e200).tolist())
+        write_recording_f32(rng.standard_normal(8015), 8015, tmp_path / "c.f32")
+        (tmp_path / "manifest.csv").write_text(
+            "path,label,bearing_type,load_w,fs_hz\n"
+            "a.f32,healthy,6204,0,8000\nb.txt,ball_crack,6204,0,8000\nc.f32,healthy,6204,0,8015\n"
+        )
+        manifest = load_manifest(tmp_path / "manifest.csv")
+        with pytest.raises(DataError) as info:
+            build_feature_sets(manifest, [design_from_thickness(0.50)], 0.3, 2, [0.1], 1.0)
+        assert str(info.value) == "b.txt: a feature of peh_0.50mm at T=0.1s, r_ohm=1 is not finite"
+
     def test_bad_recording_error_prefixed_with_manifest_path(self, small_corpus, tmp_path):
         good = small_corpus.entries[0]
         (tmp_path / "good.f32").write_bytes((small_corpus.root / good.path).read_bytes())

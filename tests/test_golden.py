@@ -1,11 +1,14 @@
 """Golden outputs: the README experiment on the default surrogate corpus (seed 0)
 must keep writing byte-identical normative CSVs. A refactor that changes any
-number, format or row order fails here."""
+number, format or row order fails here, and so does a README edit that changes
+what its quick start writes."""
 
 import hashlib
+import shlex
 
 from pehfault.cli import EXIT_OK, main
 from pehfault.dataset import ClassSignalSpec, MachineState, SurrogateSpec, synth_surrogate_corpus
+from tests.test_cli import readme_example
 
 # SHA-256 of each normative CSV written by the README experiment, seed 0.
 GOLDEN_SHA256 = {
@@ -15,18 +18,18 @@ GOLDEN_SHA256 = {
     "scatter.csv": "b3b51cf989fc50318e8b9a6f09042db8dfa1f0b0939974d73c50b32ee6f9c5e6",
 }
 
-README_EXPERIMENT = (
-    ["extract", "--thickness", "0.50"],
-    ["classify", "--thickness", "0.50"],
-    ["sweep", "--thicknesses", "0.35,0.40,0.45,0.50", "--t-values", "1,3"],
-    ["scatter"],
-)
-
 
 def test_readme_experiment_outputs_match_golden_digests(default_corpus, tmp_path, capsys):
-    base = ["--manifest", str(default_corpus.root / "manifest.csv"), "--out", str(tmp_path), "--seed", "0"]
-    for command in README_EXPERIMENT:
-        assert main([*command, *base]) == EXIT_OK, command[0]
+    """The quick start's commands that read the corpus, run as written but on
+    the default_corpus fixture (the corpus its surrogate-gen line writes) and
+    into tmp_path."""
+    argvs = [shlex.split(line, comments=True) for line in readme_example("## Quick start").splitlines()]
+    commands = [argv[1:] for argv in argvs if argv[:1] == ["pehfault"]]
+    assert ["surrogate-gen", "--out", "out", "--seed", "0"] in commands
+    for argv in (argv for argv in commands if "--manifest" in argv):
+        for flag, value in (("--manifest", default_corpus.root / "manifest.csv"), ("--out", tmp_path)):
+            argv[argv.index(flag) + 1] = str(value)
+        assert main(argv) == EXIT_OK, argv[0]
     capsys.readouterr()
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
