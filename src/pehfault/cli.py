@@ -4,7 +4,7 @@ Subcommands: thought-experiment, extract, classify, sweep, scatter,
 energy-report, surrogate-gen. Every command is deterministic under a fixed
 seed; CSV files are the normative outputs and SVG is derived from them.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 1 closed stdout, 2 configuration error, 3 data error.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import codecs
 import math
+import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from .dataset import (
     MachineState,
     build_feature_sets,
     csv_text,
-    filter_manifest,
     load_design_table,
     load_manifest,
     load_surrogate_spec,
@@ -39,6 +39,7 @@ from .harvester import DEFAULT_DESIGNS, MIN_FS_PER_F0, design_from_thickness, fi
 from .report import format_sampling_cost, format_thought_experiment, run_thought_experiment, scatter_svg
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_DATA_ERROR = 3
 
@@ -74,6 +75,7 @@ NON_NEGATIVE = (lambda value: 0 <= value <= sys.float_info.max, "{name} must be 
 NOT_EMPTY = (bool, "{flag} is empty: give at least one {what}")
 ONCE = (lambda values: len(set(values)) == len(values), "{flag} repeats a value in {value}: give each {what} once")
 STATES = tuple(state.value for state in MachineState)
+UNKNOWN_STATE = f"{{name}}: unknown label token {{value!r}} (valid: {', '.join(STATES)})"
 
 
 def _param(default, flag=None, commands=(), *checks, parse=None, what=None, **options):
@@ -116,7 +118,7 @@ class RunConfig:
                          help="restrict to one load in Watts")
     fs_synth: float = _param(51200.0, None, (), FINITE, POSITIVE)
     fault_label: str = _param("ball_crack", "--fault-label", ("scatter",),
-                              (STATES.__contains__, f"{{name}}: unknown label token {{value!r}} (valid: {', '.join(STATES)})"),
+                              (STATES.__contains__, UNKNOWN_STATE),
                               ("healthy".__ne__, "{flag} must name a fault state, not healthy, which it is compared with"),
                               help="fault state to compare against healthy")
     surrogate_spec: str = _param("", "--spec", ("surrogate-gen",), metavar="PATH", help="surrogate recipe file (default: built-in)")
@@ -192,30 +194,25 @@ def _designs(cfg: RunConfig, *keys: str) -> list:
 
 def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=()) -> tuple:
     """The designs of the thicknesses in `key` and their feature sets at these periods
-    (build_feature_sets), checked before any recording is read, in this order:
-    the designs, the periods, the filtered manifest (at least one entry, each
-    sampled at >= MIN_FS_PER_F0 times the highest resonance in use, at a rate
-    whose product with r_ohm is finite), for a kNN `split` the classes and
-    training points it needs, then `states`."""
+    (build_feature_sets), checked before any recording is read, in this order: the
+    designs, the periods, the manifest, the labels' states, the entries that the labels,
+    bearing_type and load_w filters keep (an empty filter keeps all; at least one entry,
+    each sampled at >= MIN_FS_PER_F0 times the highest resonance in use, at a rate whose
+    product with r_ohm is finite), for a kNN `split` the classes and training points it
+    needs, then `states`."""
     designs = _designs(cfg, key)
     _check_periods(periods, designs, cfg.segment_s)
     if not cfg.manifest:
         raise ConfigError("a manifest path is required (--manifest or config key manifest)")
     manifest = load_manifest(cfg.manifest)
-    try:
-        labels = tuple(MachineState.from_token(tok) for tok in cfg.labels) or None
-    except DataError as exc:
-        raise ConfigError(f"labels: {exc}") from None
-    manifest = filter_manifest(
-        manifest,
-        labels=labels,
-        bearing_type=cfg.bearing_type or None,
-        load_w=cfg.load_w if cfg.load_w >= 0 else None,
-    )
-    if not manifest.entries:
-        raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
+    if unknown := [token for token in cfg.labels if token not in STATES]:
+        raise ConfigError(UNKNOWN_STATE.format(name="labels", value=unknown[0]))
     fastest = max(designs, key=lambda design: design.f0_hz)
+    kept = []
     for meta in manifest.entries:
+        if (meta.label.value not in (cfg.labels or STATES) or cfg.bearing_type not in ("", meta.bearing_type)
+                or cfg.load_w not in (-1, meta.load_w)):
+            continue
         if meta.fs < MIN_FS_PER_F0 * fastest.f0_hz:
             raise DataError(
                 f"{cfg.manifest}: {meta.path}: sampling rate {meta.fs:g} Hz < {MIN_FS_PER_F0:g} * f0 = "
@@ -223,6 +220,10 @@ def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=
             )
         if not math.isfinite(cfg.r_ohm * meta.fs):  # the energies' divisor: past it every energy reads 0
             raise ConfigError(f"r_ohm={cfg.r_ohm:g} times the sampling rate {meta.fs:g} Hz of {meta.path} is not finite")
+        kept.append(meta)
+    if not kept:
+        raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
+    manifest = replace(manifest, entries=tuple(kept))
     counts = Counter(meta.label.value for meta in manifest.entries)
     if split:
         if len(counts) < 2:
@@ -239,7 +240,7 @@ def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=
             raise ConfigError(f"k={cfg.k} exceeds the {n_train} training points")
     for state in states:
         if state.value not in counts:
-            raise DataError(f"manifest holds no {state.value!r} recordings")
+            raise DataError(f"{cfg.manifest}: no {state.value!r} recordings matched the manifest/filters")
     return designs, *build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, periods, cfg.r_ohm)
 
 
@@ -415,14 +416,15 @@ def main(argv=None) -> int:
     if codecs.lookup(getattr(sys.stdout, "encoding", None) or "utf-8").name != "utf-8":
         sys.stdout.reconfigure(errors="backslashreplace")
     try:
-        return args.handler(*resolve_config(args))
+        code = args.handler(*resolve_config(args))
+        sys.stdout.flush()  # so that a closed stdout raises here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:  # as Python's `signal` docs advise, the rest of the output goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -216,23 +216,6 @@ def load_design_table(path: str | Path) -> tuple[PehDesign, ...]:
     return tuple(read_csv_table(path, "design table", columns, PehDesign, unique=("name", "thickness_mm")))
 
 
-def filter_manifest(
-    manifest: Manifest,
-    labels: tuple[MachineState, ...] | None = None,
-    bearing_type: str | None = None,
-    load_w: int | None = None,
-) -> Manifest:
-    """Restrict a manifest to the given states / bearing type / load."""
-    entries = tuple(
-        meta
-        for meta in manifest.entries
-        if (labels is None or meta.label in labels)
-        and (bearing_type is None or meta.bearing_type == bearing_type)
-        and (load_w is None or meta.load_w == load_w)
-    )
-    return Manifest(entries, manifest.root)
-
-
 def _plain_decimals(data: bytes) -> np.ndarray | None:
     """The values of `data` if each line (`\\n` or `\\r\\n` ended) is a plain decimal,
     `-?(\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?`, parsed by one scipy.io.mmread call

@@ -297,6 +297,19 @@ class TestOutputWriting:
         assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
         assert (tmp_path / "features.csv").read_text() == "previous run\n"
 
+    def test_a_closed_stdout_exits_1_without_a_traceback(self):
+        """A reader that closes the pipe first (`| true`, `| head`) once left
+        a BrokenPipeError traceback on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts, so before it writes
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        try:
+            cmd = [sys.executable, "-m", "pehfault", "thought-experiment"]
+            done = subprocess.run(cmd, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+
     def test_text_is_written_as_utf8_under_the_c_locale(self, small_corpus, tmp_path):
         """In the C locale, with UTF-8 mode and locale coercion off, Python's
         default text encoding is ASCII. A design named peh_ü still reaches
@@ -538,6 +551,42 @@ class TestLoadFilter:
         assert main(["extract", "--manifest", manifest, "--out", str(tmp_path / "none"), "--load-w", "200"]) == EXIT_DATA_ERROR
         assert capsys.readouterr() == ("", f"data error: {manifest}: no recordings matched the manifest/filters\n")
 
+    @staticmethod
+    def mixed_manifest(root):
+        """Six 1 s noise recordings at 8192 Hz whose label, bearing type and load vary."""
+        rng = np.random.default_rng(5)
+        lines = ["path,label,bearing_type,load_w,fs_hz"]
+        for name, label, bearing, load in (
+            ("a.f32", "healthy", "6204", 0),
+            ("b.f32", "ball_crack", "6204", 200),
+            ("c.f32", "healthy", "6205", 200),
+            ("d.f32", "ball_crack", "6205", 0),
+            ("e.f32", "inner_crack", "6204", 200),
+            ("f.f32", "healthy", "6204", 200),
+        ):
+            write_recording_f32(rng.standard_normal(8192), 8192, root / name)
+            lines.append(f"{name},{label},{bearing},{load},8192")
+        (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+        return root / "manifest.csv"
+
+    @pytest.mark.parametrize(
+        "flags, kept",
+        [
+            ([], "abcdef"),
+            (["--labels", "healthy"], "acf"),
+            (["--bearing-type", "6205"], "cd"),
+            (["--load-w", "200"], "bcef"),
+            (["--labels", "healthy,ball_crack", "--bearing-type", "6204", "--load-w", "200"], "bf"),
+            (["--labels", "inner_crack,ball_crack"], "bde"),  # manifest order, not the flag's
+        ],
+    )
+    def test_extract_writes_the_rows_of_the_recordings_each_filter_keeps(self, flags, kept, tmp_path, capsys):
+        manifest = self.mixed_manifest(tmp_path)
+        argv = ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out"), *TINY_FLAGS, *flags]
+        assert main(argv) == EXIT_OK
+        rows = (tmp_path / "out" / "features.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [f"{name}.f32" for name in kept for _ in range(2)]
+
 
 class TestScatter:
     def test_design_names_are_escaped_in_the_svg(self, default_corpus, tmp_path, capsys):
@@ -569,7 +618,8 @@ class TestScatter:
         monkeypatch.setattr(pehfault.dataset, "load_recording", no_reading)
         out = tmp_path / "out"
         assert main(["scatter", *small_flags(small_corpus, out), "--labels", "healthy"]) == EXIT_DATA_ERROR
-        assert capsys.readouterr().err == "data error: manifest holds no 'ball_crack' recordings\n"
+        manifest = small_corpus.root / "manifest.csv"
+        assert capsys.readouterr().err == f"data error: {manifest}: no 'ball_crack' recordings matched the manifest/filters\n"
         assert not (out / "scatter.csv").exists()
 
     def test_four_points_and_discriminating_design(self, default_corpus, tmp_path, capsys):

@@ -24,7 +24,6 @@ from pehfault.dataset import (
     SurrogateSpec,
     build_feature_sets,
     csv_text,
-    filter_manifest,
     load_manifest,
     load_recording,
     load_surrogate_spec,
@@ -126,13 +125,6 @@ class TestLoadManifest:
         path.write_text("path,label,bearing_type,load_w,fs_hz\n\n\na.txt,ballcrak,6204,0,8000\n")
         with pytest.raises(DataError, match=r"manifest\.csv:4: .*'ballcrak'"):
             load_manifest(path)
-
-    def test_filter_manifest(self, tmp_path):
-        rows = [("h0.txt", "healthy"), ("h1.txt", "healthy"), ("b0.txt", "ball_crack"), ("b1.txt", "ball_crack")]
-        manifest = load_manifest(make_manifest(tmp_path, rows))
-        only_faulty = filter_manifest(manifest, labels=(MachineState.BALL_CRACK,))
-        assert [m.path for m in only_faulty.entries] == ["b0.txt", "b1.txt"]
-        assert filter_manifest(manifest, load_w=200).entries == ()
 
 
 def test_csv_text_quotes_a_comma_and_writes_numbers_by_repr():

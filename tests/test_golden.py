@@ -26,11 +26,15 @@ def test_readme_experiment_outputs_match_golden_digests(default_corpus, tmp_path
     argvs = [shlex.split(line, comments=True) for line in readme_example("## Quick start").splitlines()]
     commands = [argv[1:] for argv in argvs if argv[:1] == ["pehfault"]]
     assert ["surrogate-gen", "--out", "out", "--seed", "0"] in commands
+    stdout = {}
     for argv in (argv for argv in commands if "--manifest" in argv):
         for flag, value in (("--manifest", default_corpus.root / "manifest.csv"), ("--out", tmp_path)):
             argv[argv.index(flag) + 1] = str(value)
         assert main(argv) == EXIT_OK, argv[0]
-    capsys.readouterr()
+        stdout[argv[0]] = capsys.readouterr().out
+    # Every design classifies this corpus perfectly, so classification.csv is
+    # the same for any of them; only the report's first line names the one run.
+    assert stdout["classify"].splitlines()[0] == "design peh_0.50mm, T=3s, k=3, 20 split(s), seed0=0"
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
 
