@@ -12,33 +12,36 @@ METRICS = ("raw", "log")
 _LOG_FLOOR = 1e-300  # keeps log-energy finite for exactly-zero features
 
 
-def train_size(n: int, train_fraction: float) -> int:
-    """Training members of a group of n: round(train_fraction * n), half up,
-    clamped so both sides stay non-empty."""
-    return min(max(math.floor(train_fraction * n + 0.5), 1), n - 1)
-
-
-def _groups(labels: np.ndarray, stratified: bool) -> list[np.ndarray]:
-    """The row groups a split shuffles (see repeated_evaluation), each of >= 2 rows."""
-    if not stratified:
-        if len(labels) < 2:
-            raise ValueError(f"split needs >= 2 samples, got {len(labels)}")
-        return [np.arange(len(labels))]
+def draw_splits(
+    labels, n_repeats: int, *, train_fraction: float = 0.8, seed: int = 0, stratified: bool = True
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ascending train and validation rows of n_repeats seeded splits of
+    the rows of `labels`, the i-th seeded seed + i. A split shuffles each
+    class, in order of first appearance, when stratified, else all rows, by
+    one rng.permutation call per group, each of >= 2 rows; the first
+    round(train_fraction * size) rows of each group's permutation, half up
+    and clamped so that both sides keep one, train."""
+    if not 0 < train_fraction < 1:
+        raise ValueError(f"train fraction must lie in (0, 1), got {train_fraction}")
+    if n_repeats < 1:
+        raise ValueError(f"need at least one repeat, got {n_repeats}")
+    labels = np.asarray(labels)
+    if not stratified and len(labels) < 2:
+        raise ValueError(f"split needs >= 2 samples, got {len(labels)}")
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    groups = [np.flatnonzero(inverse == c) for c in np.argsort(first)]
+    groups = [np.flatnonzero(inverse == c) for c in np.argsort(first)] if stratified else [np.arange(len(labels))]
     for group in groups:
         if len(group) < 2:
             raise ValueError(f"stratified split needs >= 2 samples per class; {labels[group[0]].item()!r} has {len(group)}")
-    return groups
-
-
-def _draw(groups: list[np.ndarray], train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending train and validation rows that `seed` draws from `groups`, a partition of the rows."""
-    rng = np.random.default_rng(seed)
-    in_train = np.zeros(sum(map(len, groups)), dtype=bool)
-    for group in groups:
-        in_train[group[rng.permutation(len(group))[: train_size(len(group), train_fraction)]]] = True
-    return np.flatnonzero(in_train), np.flatnonzero(~in_train)
+    splits = []
+    for i in range(n_repeats):
+        rng = np.random.default_rng(seed + i)
+        in_train = np.zeros(len(labels), dtype=bool)
+        for group in groups:
+            n_train = min(max(math.floor(train_fraction * len(group) + 0.5), 1), len(group) - 1)
+            in_train[group[rng.permutation(len(group))[:n_train]]] = True
+        splits.append((np.flatnonzero(in_train), np.flatnonzero(~in_train)))
+    return splits
 
 
 def _to_space(x: np.ndarray, metric: str) -> np.ndarray:
@@ -105,27 +108,15 @@ def _head_width(n: int, k: int) -> int:
     return min(n, 4 * k + 32)
 
 
-def repeated_evaluation(
-    features,
-    labels,
-    k: int,
-    n_repeats: int,
-    *,
-    metric: str = "raw",
-    train_fraction: float = 0.8,
-    seed: int = 0,
-    stratified: bool = True,
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Score the kNN classifier on n_repeats seeded splits of one (n, dim)
-    feature matrix: the sorted label names, and an (n_repeats, C, C) int64
-    stack of confusion matrices (rows true, columns predicted), the i-th
-    that of the split seeded seed + i. A split shuffles each class, in order
-    of first appearance, when stratified, else all rows, by one
-    rng.permutation call per group; the first train_size rows of each
-    group's permutation train. Each validation row takes the majority label
-    of its k nearest training rows by Euclidean distance in metric space. A
-    distance tie goes to the lower training index, a vote tie to the label
-    of the nearest neighbor among the tied labels.
+def repeated_evaluation(features, labels, splits, k: int, *, metric: str = "raw") -> tuple[tuple[str, ...], np.ndarray]:
+    """Score the kNN classifier on each (train, validation) split of the
+    rows of one (n, dim) feature matrix, ascending rows as draw_splits gives
+    them: the sorted label names, and a (len(splits), C, C) int64 stack of
+    confusion matrices (rows true, columns predicted), one per split. Each
+    validation row takes the majority label of its k nearest training rows
+    by Euclidean distance in metric space. A distance tie goes to the lower
+    training index, a vote tie to the label of the nearest neighbor among
+    the tied labels. No split may train fewer than k rows.
 
     The matrix is mapped to metric space once, and the head of each row
     some split validates, its first `_head_width` points in (distance,
@@ -133,12 +124,8 @@ def repeated_evaluation(
     row's k nearest training points are the first k training members of its
     head; a row whose head holds fewer is ranked against that split's
     training rows alone. Features whose distances could overflow (NaN
-    entries aside) raise OverflowError before any split is drawn.
+    entries aside) raise OverflowError.
     """
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"train fraction must lie in (0, 1), got {train_fraction}")
-    if n_repeats < 1:
-        raise ValueError(f"need at least one repeat, got {n_repeats}")
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or len(features) != len(labels):
         raise ValueError(f"need an (n, dimension) feature matrix and n labels, got {features.shape} and {len(labels)}")
@@ -146,14 +133,12 @@ def repeated_evaluation(
     reach = float(np.fmax.reduce(np.abs(space), axis=None, initial=0.0))
     if not 2 * reach * math.sqrt(space.shape[1]) <= math.sqrt(sys.float_info.max):  # bounds dim * (2 * reach)**2
         raise OverflowError(f"features reach {reach:g} in {metric} space, too large for finite kNN distances")
-    labels = np.asarray(labels)
-    groups = _groups(labels, stratified)
-    splits = [_draw(groups, train_fraction, seed + i) for i in range(n_repeats)]
-    # Every seed's split has the same training size.
+    if not splits:
+        raise ValueError("need at least one split")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k > len(splits[0][0]):
-        raise ValueError(f"k={k} exceeds the {len(splits[0][0])} training points")
+    if k > (n_train := min(len(train) for train, _ in splits)):
+        raise ValueError(f"k={k} exceeds the {n_train} training points")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     names, codes = np.unique(labels, return_inverse=True)
@@ -163,7 +148,7 @@ def repeated_evaluation(
     slot[queried] = np.arange(len(queried))
     head = trained[_nearest_blocks(space[trained], space[queried], _head_width(len(trained), k))]
     in_train = np.zeros(len(space), dtype=bool)
-    confusions = np.zeros((n_repeats, len(names), len(names)), dtype=np.int64)
+    confusions = np.zeros((len(splits), len(names), len(names)), dtype=np.int64)
     for confusion, (train, validation) in zip(confusions, splits):
         in_train[:] = False
         in_train[train] = True

@@ -20,9 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import METRICS, repeated_evaluation, train_size
+from .classify import METRICS, draw_splits, repeated_evaluation
 from .dataset import (
     DEFAULT_SURROGATE_SPEC,
+    STATES,
+    UNKNOWN_STATE,
     MachineState,
     build_feature_sets,
     csv_text,
@@ -74,8 +76,6 @@ AT_LEAST_ONE = (lambda n: n >= 1, "{name} must be >= 1, got {value}")
 NON_NEGATIVE = (lambda value: 0 <= value <= sys.float_info.max, "{name} must be non-negative and finite, got {value}")
 NOT_EMPTY = (bool, "{flag} is empty: give at least one {what}")
 ONCE = (lambda values: len(set(values)) == len(values), "{flag} repeats a value in {value}: give each {what} once")
-STATES = tuple(state.value for state in MachineState)
-UNKNOWN_STATE = f"{{name}}: unknown label token {{value!r}} (valid: {', '.join(STATES)})"
 
 
 def _param(default, flag=None, commands=(), *checks, parse=None, what=None, **options):
@@ -118,7 +118,7 @@ class RunConfig:
                          help="restrict to one load in Watts")
     fs_synth: float = _param(51200.0, None, (), FINITE, POSITIVE)
     fault_label: str = _param("ball_crack", "--fault-label", ("scatter",),
-                              (STATES.__contains__, UNKNOWN_STATE),
+                              (STATES.__contains__, "{name}: " + UNKNOWN_STATE),
                               ("healthy".__ne__, "{flag} must name a fault state, not healthy, which it is compared with"),
                               help="fault state to compare against healthy")
     surrogate_spec: str = _param("", "--spec", ("surrogate-gen",), metavar="PATH", help="surrogate recipe file (default: built-in)")
@@ -193,20 +193,21 @@ def _designs(cfg: RunConfig, *keys: str) -> list:
 
 
 def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=()) -> tuple:
-    """The designs of the thicknesses in `key` and their feature sets at these periods
-    (build_feature_sets), checked before any recording is read, in this order: the
+    """The designs of the thicknesses in `key`, their feature sets at these periods
+    (build_feature_sets) and, for a kNN `split`, the configured splits of their rows
+    (draw_splits), else None; checked before any recording is read, in this order: the
     designs, the periods, the manifest, the labels' states, the entries that the labels,
     bearing_type and load_w filters keep (an empty filter keeps all; at least one entry,
     each sampled at >= MIN_FS_PER_F0 times the highest resonance in use, at a rate whose
-    product with r_ohm is finite), for a kNN `split` the classes and training points it
-    needs, then `states`."""
+    product with r_ohm is finite), for a kNN `split` the classes, the splits and the
+    training points k needs, then `states`."""
     designs = _designs(cfg, key)
     _check_periods(periods, designs, cfg.segment_s)
     if not cfg.manifest:
         raise ConfigError("a manifest path is required (--manifest or config key manifest)")
     manifest = load_manifest(cfg.manifest)
     if unknown := [token for token in cfg.labels if token not in STATES]:
-        raise ConfigError(UNKNOWN_STATE.format(name="labels", value=unknown[0]))
+        raise ConfigError("labels: " + UNKNOWN_STATE.format(value=unknown[0]))
     fastest = max(designs, key=lambda design: design.f0_hz)
     kept = []
     for meta in manifest.entries:
@@ -225,31 +226,31 @@ def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=
         raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
     manifest = replace(manifest, entries=tuple(kept))
     counts = Counter(meta.label.value for meta in manifest.entries)
+    splits = None
     if split:
         if len(counts) < 2:
             raise DataError(f"{cfg.manifest}: classification needs at least 2 labels, found only {next(iter(counts))!r}")
-        short = sorted(label for label, n in counts.items() if n * cfg.segments_per_recording < 2)
-        if cfg.stratified and short:
-            raise DataError(
-                f"{cfg.manifest}: a stratified split needs >= 2 features per class; {short[0]!r} has "
-                f"{counts[short[0]]} recording(s) x {cfg.segments_per_recording} segment(s)"
-            )
-        groups = [n * cfg.segments_per_recording for n in counts.values()]
-        n_train = sum(train_size(n, cfg.train_fraction) for n in (groups if cfg.stratified else [sum(groups)]))
-        if cfg.k > n_train:
+        # The label of each row, in build_feature_sets' order.
+        labels = np.repeat([meta.label.value for meta in manifest.entries], cfg.segments_per_recording)
+        try:
+            splits = draw_splits(labels, cfg.n_repeats, train_fraction=cfg.train_fraction, seed=cfg.seed,
+                                 stratified=cfg.stratified)
+        except ValueError as exc:
+            raise DataError(f"{cfg.manifest}: {exc}") from None
+        if cfg.k > (n_train := len(splits[0][0])):
             raise ConfigError(f"k={cfg.k} exceeds the {n_train} training points")
     for state in states:
         if state.value not in counts:
             raise DataError(f"{cfg.manifest}: no {state.value!r} recordings matched the manifest/filters")
-    return designs, *build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, periods, cfg.r_ohm)
+    rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, periods, cfg.r_ohm)
+    return designs, rows, sets, splits
 
 
-def _evaluate(cfg: RunConfig, features, labels) -> tuple:
-    """repeated_evaluation with the configured split, k and metric, plus each
+def _evaluate(cfg: RunConfig, features, labels, splits) -> tuple:
+    """repeated_evaluation over these splits with the configured k and metric, plus each
     split's accuracy; features overflowing kNN distances are a config error naming r_ohm."""
-    split = dict(train_fraction=cfg.train_fraction, seed=cfg.seed, stratified=cfg.stratified)
     try:
-        names, confusions = repeated_evaluation(features, labels, cfg.k, cfg.n_repeats, metric=cfg.metric, **split)
+        names, confusions = repeated_evaluation(features, labels, splits, cfg.k, metric=cfg.metric)
     except OverflowError as exc:
         raise ConfigError(f"r_ohm={cfg.r_ohm:g}: {exc}") from None
     return names, confusions, np.trace(confusions, axis1=1, axis2=2) / confusions.sum(axis=(1, 2))
@@ -289,7 +290,7 @@ def cmd_thought_experiment(cfg: RunConfig, given) -> int:
 
 
 def cmd_extract(cfg: RunConfig, given) -> int:
-    (design,), rows, ((features,),) = _features(cfg, "thickness_mm", [cfg.t_s])
+    (design,), rows, ((features,),), _ = _features(cfg, "thickness_mm", [cfg.t_s])
     header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(features.shape[1]))]
     lines = zip(rows.recording_ids, rows.segment_indices, rows.labels.tolist(), features.tolist())
     content = csv_text(header, [(rid, index, label, design.name, cfg.t_s, *values) for rid, index, label, values in lines])
@@ -299,8 +300,8 @@ def cmd_extract(cfg: RunConfig, given) -> int:
 
 
 def cmd_classify(cfg: RunConfig, given) -> int:
-    (design,), rows, ((features,),) = _features(cfg, "thickness_mm", [cfg.t_s], split=True)
-    names, confusions, accuracies = _evaluate(cfg, features, rows.labels)
+    (design,), rows, ((features,),), splits = _features(cfg, "thickness_mm", [cfg.t_s], split=True)
+    names, confusions, accuracies = _evaluate(cfg, features, rows.labels, splits)
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
     per_split = zip(accuracies.tolist(), confusions.sum(axis=(1, 2)).tolist())  # a numpy integer would print as 168.0
     results = [(i, cfg.seed + i, acc, len(features) - n, n) for i, (acc, n) in enumerate(per_split)]
@@ -314,13 +315,13 @@ def cmd_classify(cfg: RunConfig, given) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, given) -> int:
-    designs, rows, sets = _features(cfg, "thicknesses", cfg.t_values, split=True)
+    designs, rows, sets, splits = _features(cfg, "thicknesses", cfg.t_values, split=True)
     header = ["design", "thickness_mm", "T_s", "mean_accuracy", "std_accuracy", "n_repeats", "seed0"]
     results = []
-    # Every cell reuses the same seeds, so the cells are comparable.
+    # Every cell scores the same splits, so the cells are comparable.
     for design, design_sets in zip(designs, sets):
         for t_s, features in zip(cfg.t_values, design_sets):
-            *_, acc = _evaluate(cfg, features, rows.labels)
+            *_, acc = _evaluate(cfg, features, rows.labels, splits)
             results.append((design.name, design.thickness_mm, t_s, acc.mean(), acc.std(), cfg.n_repeats, cfg.seed))
     content = csv_text(header, results)
     target = write_atomic(Path(cfg.out_dir) / "sweep.csv", content)
@@ -331,7 +332,7 @@ def cmd_sweep(cfg: RunConfig, given) -> int:
 
 def cmd_scatter(cfg: RunConfig, given) -> int:
     fault_label = MachineState(cfg.fault_label)
-    designs, rows, sets = _features(cfg, "thicknesses", [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
+    designs, rows, sets, _ = _features(cfg, "thicknesses", [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
     means = [mean_state_energy(matrix, rows.labels) for (matrix,) in sets]
     points = [(mean[MachineState.HEALTHY.value], mean[fault_label.value]) for mean in means]
     header = ["design", "thickness_mm", "mean_healthy_j", "mean_faulty_j", "diag_distance_j"]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .frontend import interval_samples
-from .harvester import PehDesign, filter_coefficients
+from .harvester import PehDesign, filter_coefficients, float_text
 from .signals import TimeSeries, window_samples
 
 MANIFEST_FIELDS = ("path", "label", "bearing_type", "load_w", "fs_hz")
@@ -64,8 +64,11 @@ class MachineState(str, enum.Enum):
         try:
             return cls(token)
         except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise DataError(f"unknown label token {token!r} (valid: {valid})") from None
+            raise DataError(UNKNOWN_STATE.format(value=token)) from None
+
+
+STATES = tuple(state.value for state in MachineState)
+UNKNOWN_STATE = f"unknown label token {{value!r}} (valid: {', '.join(STATES)})"
 
 
 @dataclass(frozen=True)
@@ -355,14 +358,7 @@ def write_recording_f32(samples: np.ndarray, fs: float, path: str | Path) -> Non
     path = Path(path)
     data = np.ascontiguousarray(samples, dtype="<f4")
     write_atomic(path, data)
-    write_atomic(path.with_name(path.name + ".hdr"), f"fs_hz={_rate(fs)}\nn_samples={len(data)}\n")
-
-
-def _rate(fs: float) -> str:
-    """A sampling rate as a sidecar or manifest states it: the shortest repr
-    that reads back as the same float, without a trailing `.0` (51200,
-    12345.678)."""
-    return repr(float(fs)).removesuffix(".0")
+    write_atomic(path.with_name(path.name + ".hdr"), f"fs_hz={float_text(fs)}\nn_samples={len(data)}\n")
 
 
 def in_order(
@@ -695,7 +691,7 @@ def synth_surrogate_corpus(spec: SurrogateSpec, seed: int, out_dir: str | Path) 
     n = round(spec.duration_s * spec.fs)
     if n > np.iinfo(np.intp).max // 4:  # past the address space numpy raises ValueError, not MemoryError
         raise MemoryError(f"{n} samples exceed the address space")
-    rows = [(f"{s.value}_{i:02d}.f32", s.value, spec.bearing_type, spec.load_w, _rate(spec.fs)) for s, i in slots]
+    rows = [(f"{s.value}_{i:02d}.f32", s.value, spec.bearing_type, spec.load_w, float_text(spec.fs)) for s, i in slots]
     jobs = (  # lazy: each buffer is allocated as in_order draws its recording
         [(_synth_class_recording, spec.classes[s], spec.fs, spec.amplitude_jitter, np.random.default_rng(slot_seeds[i]),
           np.empty(n, dtype="<f4"))]

@@ -61,13 +61,20 @@ DEFAULT_DESIGNS: tuple[PehDesign, ...] = (
 )
 
 
+def float_text(x: float) -> str:
+    """A number as a sidecar, a manifest or a message states it: the shortest
+    repr that reads back as the same float, without a trailing `.0` (51200,
+    12345.678, 0.42)."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def design_from_thickness(thickness_mm: float, table: tuple[PehDesign, ...] = DEFAULT_DESIGNS) -> PehDesign:
-    """Look up the design with the given substrate thickness (exact table entry)."""
+    """Look up the design with exactly the given substrate thickness."""
     for design in table:
-        if abs(design.thickness_mm - thickness_mm) < 1e-9:
+        if design.thickness_mm == thickness_mm:
             return design
-    known = ", ".join(f"{d.thickness_mm:g}" for d in table)
-    raise ValueError(f"unknown design: thickness {thickness_mm:g} mm not in table ({known} mm)")
+    known = ", ".join(float_text(design.thickness_mm) for design in table)
+    raise ValueError(f"unknown design: thickness {float_text(thickness_mm)} mm not in table ({known} mm)")
 
 
 def _biquad_coefficients(design: PehDesign, fs: float) -> tuple[np.ndarray, np.ndarray]:

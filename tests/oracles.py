@@ -10,8 +10,8 @@ Parseval, `A^2*T/2`, per-segment and per-row differential tests run on them.
 `per_recording_feature_sets` is the feature pipeline as it ran before it
 stacked recordings into blocks: one recording at a time, serially.
 `reference_split` is the seeded train/validation split the kNN tests score
-their references on, written from the rule `classify.repeated_evaluation`
-documents.
+their references on, written from the rule `classify.draw_splits`
+documents; `train_size` is its training size per group.
 """
 
 from __future__ import annotations
@@ -241,6 +241,12 @@ def per_recording_feature_sets(manifest, designs, segment_s: float, count: int, 
     ]
 
 
+def train_size(n: int, train_fraction: float) -> int:
+    """Training members of a group of n: round(train_fraction * n), half up,
+    clamped to [1, n - 1]."""
+    return min(max(math.floor(train_fraction * n + 0.5), 1), n - 1)
+
+
 def reference_split(labels, train_fraction: float, seed: int, stratified: bool) -> tuple[np.ndarray, np.ndarray]:
     """The ascending train and validation rows of the split seeded `seed`:
     the rows form one group per label in order of first appearance when
@@ -253,7 +259,6 @@ def reference_split(labels, train_fraction: float, seed: int, stratified: bool) 
         groups.setdefault(label if stratified else None, []).append(row)
     train = []
     for rows in groups.values():
-        n_train = min(max(math.floor(train_fraction * len(rows) + 0.5), 1), len(rows) - 1)
-        train += [rows[p] for p in rng.permutation(len(rows))[:n_train]]
+        train += [rows[p] for p in rng.permutation(len(rows))[: train_size(len(rows), train_fraction)]]
     validation = sorted(set(range(len(labels))) - set(train))
     return np.array(sorted(train), dtype=np.intp), np.array(validation, dtype=np.intp)

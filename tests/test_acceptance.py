@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pehfault.classify import repeated_evaluation, train_size
 from pehfault.cli import EXIT_OK, main
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
@@ -34,8 +33,9 @@ from tests.oracles import (
     measure_steady_gain,
     simulate_voltage,
     synth_composite,
+    train_size,
 )
-from tests.test_classify import accuracies, brute_force_reports
+from tests.test_classify import accuracies, brute_force_reports, seeded_evaluation
 
 FS = 51200.0
 
@@ -124,7 +124,7 @@ def test_criterion_4_knn_oracle_equivalence():
         k = int(rng.integers(1, train_size(n, 0.8) + 1))
         (got_names, got), (want_names, want) = (
             evaluate(features, labels, k, 2, seed=seed, stratified=False)
-            for evaluate in (repeated_evaluation, brute_force_reports)
+            for evaluate in (seeded_evaluation, brute_force_reports)
         )
         if got_names != want_names or not np.array_equal(got, want):
             mismatches += 1
@@ -157,7 +157,7 @@ def test_criterion_6_surrogate_end_to_end(tmp_path):
     started = time.perf_counter()
     manifest = synth_surrogate_corpus(DEFAULT_SURROGATE_SPEC, seed=0, out_dir=tmp_path / "corpus")
     rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.50)], 3.0, 3, [3.0], 1.0)
-    _, confusions = repeated_evaluation(features, rows.labels, 3, 20)
+    _, confusions = seeded_evaluation(features, rows.labels, 3, 20)
     mean_accuracy = float(np.mean(accuracies(confusions)))
     elapsed = time.perf_counter() - started
     ok = mean_accuracy >= 0.85 and elapsed < 60.0
@@ -183,7 +183,7 @@ def test_criterion_7_published_dataset_reproduction():
     states = (MachineState.HEALTHY, MachineState.BALL_CRACK)
     manifest = replace(manifest, entries=tuple(meta for meta in manifest.entries if meta.label in states))
     rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.45)], 3.0, 3, [3.0], 1.0)
-    _, confusions = repeated_evaluation(features, rows.labels, 3, 20)
+    _, confusions = seeded_evaluation(features, rows.labels, 3, 20)
     mean_accuracy = float(np.mean(accuracies(confusions)))
     ok = abs(mean_accuracy - 0.89) <= 0.07
     _conclude("criterion 7: published-dataset accuracy reproduced", ok, f"mean accuracy {mean_accuracy:.3f}")

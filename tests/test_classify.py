@@ -5,24 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import pehfault.classify
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pehfault.classify import (
-    _distances,
-    _draw,
-    _groups,
-    _nearest_blocks,
-    _to_space,
-    _vote,
-    repeated_evaluation,
-    train_size,
-)
+from pehfault.classify import _distances, _nearest_blocks, _to_space, _vote, draw_splits, repeated_evaluation
 from pehfault.dataset import build_feature_sets
 from pehfault.harvester import design_from_thickness
 from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS
-from tests.oracles import reference_split
+from tests.oracles import reference_split, train_size
 from tests.test_feature_arrays import interleaved_labels
 
 
@@ -56,6 +46,12 @@ def brute_force_predict(points, k, query):
             return points[i][1]
 
 
+def seeded_evaluation(features, labels, k, n_repeats, *, metric="raw", **split):
+    """repeated_evaluation over the n_repeats splits draw_splits draws from
+    the labels under these split settings."""
+    return repeated_evaluation(features, labels, draw_splits(labels, n_repeats, **split), k, metric=metric)
+
+
 def brute_force_reports(features, labels, k, n_repeats, *, train_fraction=0.8, seed=0, stratified=True):
     """The (names, confusions) repeated_evaluation should give, with every
     validation row of each reference_split labelled by brute_force_predict
@@ -87,8 +83,8 @@ def accuracies(confusions):
 
 
 def engine_split(labels, train_fraction, seed, stratified=True):
-    """The train and validation rows repeated_evaluation draws for `seed`."""
-    return _draw(_groups(np.asarray(labels), stratified), train_fraction, seed)
+    """The train and validation rows draw_splits draws for `seed`."""
+    return draw_splits(labels, 1, train_fraction=train_fraction, seed=seed, stratified=stratified)[0]
 
 
 def engine_labels(points, k, queries, metric="raw"):
@@ -131,15 +127,22 @@ class TestSplit:
         assert first[1].tolist() == second[1].tolist()
 
     def test_single_sample_class_rejected(self):
-        features, labels = matrix([*labeled(2), (np.array([9.0]), "c")])
         with pytest.raises(ValueError, match="'c' has 1"):
-            repeated_evaluation(features, labels, 1, 1)
+            draw_splits(labels_of([*labeled(2), (np.array([9.0]), "c")]), 1)
 
     @pytest.mark.parametrize("fraction", [1.0, 0.0, 1.5, -0.2, math.nan])
     def test_bad_fraction_rejected(self, fraction):
         with pytest.raises(ValueError) as info:
-            repeated_evaluation(*matrix(labeled(5)), 1, 1, train_fraction=fraction)
+            draw_splits(labels_of(labeled(5)), 1, train_fraction=fraction)
         assert str(info.value) == f"train fraction must lie in (0, 1), got {fraction}"
+
+    def test_the_ith_split_is_seeded_seed_plus_i(self):
+        labels = labels_of(labeled(10, classes=("b", "a", "c")))
+        splits = draw_splits(labels, 4, train_fraction=0.6, seed=9, stratified=False)
+        assert len(splits) == 4
+        for i, split in enumerate(splits):
+            for got, want in zip(split, reference_split(labels, 0.6, 9 + i, False), strict=True):
+                np.testing.assert_array_equal(got, want, strict=True)
 
     def test_unstratified_partition(self):
         train, validation = engine_split(labels_of(labeled(10)), 0.8, 3, stratified=False)
@@ -179,31 +182,45 @@ def test_engine_split_is_the_reference_split_bit_for_bit(labels, seed, fraction,
 class TestArguments:
     def test_reports_name_the_sorted_labels(self):
         features, labels = matrix(labeled(17, classes=("b", "a")))
-        names, confusions = repeated_evaluation(features, labels, 3, 2)
+        names, confusions = seeded_evaluation(features, labels, 3, 2)
         assert names == ("a", "b")
         assert confusions.shape == (2, 2, 2) and confusions.dtype == np.int64
         assert confusions.sum(axis=(1, 2)).tolist() == [2 * (17 - train_size(17, 0.8))] * 2
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
-            repeated_evaluation(*matrix(labeled(5)), 0, 1)
+            seeded_evaluation(*matrix(labeled(5)), 0, 1)
 
     def test_k_exceeding_points_rejected(self):
         with pytest.raises(ValueError, match="exceeds the 2 training points"):
-            repeated_evaluation(*matrix(labeled(2)), 5, 1)
+            seeded_evaluation(*matrix(labeled(2)), 5, 1)
+
+    def test_k_is_bounded_by_the_smallest_training_side(self):
+        """Hand-made splits need not share a training size: k is checked
+        against every one of them, not only the first."""
+        splits = [(np.arange(6), np.arange(6, 8)), (np.arange(2), np.arange(2, 8))]
+        with pytest.raises(ValueError) as info:
+            repeated_evaluation(*matrix(labeled(4)), splits, 3)
+        assert str(info.value) == "k=3 exceeds the 2 training points"
+
+    def test_no_split_rejected(self):
+        with pytest.raises(ValueError) as info:
+            repeated_evaluation(*matrix(labeled(4)), [], 1)
+        assert str(info.value) == "need at least one split"
 
     def test_mixed_dimensions_rejected(self):
         # Mixed dimensions cannot form one matrix: build_feature_sets rejects
         # them (tests/test_dataset.py); a set that is not an (n, dim) matrix
         # with n labels is rejected here.
+        splits = [(np.array([0]), np.array([1]))]
         with pytest.raises(ValueError, match="dimension"):
-            repeated_evaluation(np.array([1.0, 2.0, 3.0]), ["a", "b", "b"], 1, 1)
+            repeated_evaluation(np.array([1.0, 2.0, 3.0]), ["a", "b", "b"], splits, 1)
         with pytest.raises(ValueError, match="dimension"):
-            repeated_evaluation(np.zeros((3, 2)), ["a", "b"], 1, 1)
+            repeated_evaluation(np.zeros((3, 2)), ["a", "b"], splits, 1)
 
     def test_bad_metric_rejected(self):
         with pytest.raises(ValueError, match="metric"):
-            repeated_evaluation(*matrix(labeled(3)), 1, 1, metric="cosine")
+            seeded_evaluation(*matrix(labeled(3)), 1, 1, metric="cosine")
 
 
 class TestNeighbors:
@@ -235,7 +252,7 @@ class TestNeighbors:
             features, labels = matrix(points)
             split = dict(seed=seed, stratified=False)
             want = brute_force_reports(features, labels, k, 5, **split)
-            assert_same_reports(repeated_evaluation(features, labels, k, 5, **split), want)
+            assert_same_reports(seeded_evaluation(features, labels, k, 5, **split), want)
 
 
 @settings(max_examples=60)
@@ -246,7 +263,7 @@ def test_knn_matches_oracle_property(seed):
     features, labels = matrix(points)
     split = dict(seed=seed, stratified=False)
     want = brute_force_reports(features, labels, k, 2, **split)
-    assert_same_reports(repeated_evaluation(features, labels, k, 2, **split), want)
+    assert_same_reports(seeded_evaluation(features, labels, k, 2, **split), want)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
@@ -264,14 +281,14 @@ def test_prediction_invariant_under_uniform_scaling(seed, scale):
     features = rng.uniform(0, 10, size=(17, 2))
     labels = rng.choice(["u", "v"], size=17)
     split = dict(seed=seed, stratified=False)
-    want = repeated_evaluation(features, labels, 3, 4, **split)
-    assert_same_reports(repeated_evaluation(features * scale, labels, 3, 4, **split), want)
+    want = seeded_evaluation(features, labels, 3, 4, **split)
+    assert_same_reports(seeded_evaluation(features * scale, labels, 3, 4, **split), want)
 
 
 class TestReports:
     def test_perfect_predictions(self):
         points = [(np.array([i / 10]), "A") for i in range(5)] + [(np.array([5 + i / 10]), "B") for i in range(5)]
-        _, confusions = repeated_evaluation(*matrix(points), 1, 3)
+        _, confusions = seeded_evaluation(*matrix(points), 1, 3)
         assert accuracies(confusions).tolist() == [1.0] * 3
         assert np.array_equal(confusions, np.broadcast_to(np.eye(2, dtype=np.int64), (3, 2, 2)))
 
@@ -283,20 +300,20 @@ class TestReports:
     def test_each_confusion_counts_the_validation_rows(self):
         rng = np.random.default_rng(4)
         features, labels = rng.uniform(0, 1, size=(30, 2)), rng.choice(["A", "B"], size=30)
-        _, confusions = repeated_evaluation(features, labels, 3, 4, stratified=False)
+        _, confusions = seeded_evaluation(features, labels, 3, 4, stratified=False)
         assert confusions.sum(axis=(1, 2)).tolist() == [30 - train_size(30, 0.8)] * 4
 
     @pytest.mark.parametrize("stratified", [True, False])
     def test_empty_validation_rejected(self, stratified):
         with pytest.raises(ValueError):
-            repeated_evaluation(np.empty((0, 1)), [], 1, 1, stratified=stratified)
+            seeded_evaluation(np.empty((0, 1)), [], 1, 1, stratified=stratified)
 
 
 class TestRepeatedEvaluation:
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         points = [(rng.uniform(0, 1, size=1), label) for label in ["A", "B"] * 10]
-        runs = [repeated_evaluation(*matrix(points), 3, 4, seed=5) for _ in range(2)]
+        runs = [seeded_evaluation(*matrix(points), 3, 4, seed=5) for _ in range(2)]
         assert_same_reports(runs[0], runs[1])
 
     def test_seeds_advance(self):
@@ -304,7 +321,7 @@ class TestRepeatedEvaluation:
         rng = np.random.default_rng(8)
         points = [(rng.uniform(0, 1, size=1), label) for label in ["A", "B"] * 10]
         features, labels = matrix(points)[0], labels_of(points)
-        names, confusions = repeated_evaluation(features, labels, 1, 3, seed=100)
+        names, confusions = seeded_evaluation(features, labels, 1, 3, seed=100)
         assert_same_reports((names, confusions), brute_force_reports(features, labels, 1, 3, seed=100))
         # the three splits score differently, so a seed that did not advance would show
         assert len({confusion.tobytes() for confusion in confusions}) == 3
@@ -318,47 +335,40 @@ class TestRepeatedEvaluation:
             (np.arange(8.0)[:, None, None], "(8, 1, 1)"),
         ],
     )
-    def test_a_matrix_not_matching_the_labels_is_rejected_before_any_split(self, features, shape, monkeypatch):
+    def test_a_matrix_not_matching_the_labels_is_rejected_before_any_split(self, features, shape):
         """Scoring only the first len(labels) rows would be a silently
-        meaningless result; the check comes before the splits are drawn."""
-
-        def no_split(labels, stratified):
-            raise AssertionError("split drawn")
-
-        monkeypatch.setattr(pehfault.classify, "_groups", no_split)
+        meaningless result; the check comes before the splits are read, so
+        splits naming rows past the matrix do not get to fail first."""
+        splits = [(np.array([0, 20]), np.array([1, 30]))]
         message = f"need an (n, dimension) feature matrix and n labels, got {shape} and 8"
         with pytest.raises(ValueError) as info:
-            repeated_evaluation(features, ["a", "b"] * 4, 1, 2)
+            repeated_evaluation(features, ["a", "b"] * 4, splits, 1)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("metric", ["raw", "log"])
     @pytest.mark.parametrize("dim", [1, 4])
-    def test_features_whose_distances_could_overflow_are_rejected_before_any_split(self, metric, dim, monkeypatch):
+    def test_features_whose_distances_could_overflow_are_rejected_before_any_split(self, metric, dim):
         """Squared distances of features near 1e298 overflow to inf, so every
         neighbour would tie and every split score chance; in log space the
-        same features are far from overflowing."""
-
-        def no_split(labels, stratified):
-            raise AssertionError("split drawn")
-
+        same features are far from overflowing. The check comes before the
+        splits are read: an empty list of them does not get to fail first."""
         features = np.full((8, dim), 1e298)
         features[::2] *= 2
         labels = ["a", "b"] * 4
         if metric == "log":
-            _, confusions = repeated_evaluation(features, labels, 1, 2, metric=metric)
+            _, confusions = seeded_evaluation(features, labels, 1, 2, metric=metric)
             assert accuracies(confusions).tolist() == [1.0, 1.0]
             return
-        monkeypatch.setattr(pehfault.classify, "_groups", no_split)
         with pytest.raises(OverflowError) as info:
-            repeated_evaluation(features, labels, 1, 2, metric=metric)
+            repeated_evaluation(features, labels, [], 1, metric=metric)
         assert str(info.value) == "features reach 2e+298 in raw space, too large for finite kNN distances"
 
     def test_the_overflow_bound_counts_every_dimension(self):
         """(2 * 6e153)**2 fits in a float, four times that does not."""
         labels = ["a", "b"] * 4
-        assert repeated_evaluation(np.full((8, 1), 6e153), labels, 1, 1)[1].shape == (1, 2, 2)
+        assert seeded_evaluation(np.full((8, 1), 6e153), labels, 1, 1)[1].shape == (1, 2, 2)
         with pytest.raises(OverflowError):
-            repeated_evaluation(np.full((8, 4), 6e153), labels, 1, 1)
+            seeded_evaluation(np.full((8, 4), 6e153), labels, 1, 1)
 
 
 def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):
@@ -370,5 +380,5 @@ def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):
     rows, ((feats_base,),) = build_feature_sets(small_corpus, [base], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
     _, ((feats_scaled,),) = build_feature_sets(small_corpus, [scaled], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
     np.testing.assert_allclose(feats_scaled, factor**2 * feats_base, rtol=1e-9)
-    want = repeated_evaluation(feats_base, rows.labels, 3, 5, seed=2)
-    assert_same_reports(repeated_evaluation(feats_scaled, rows.labels, 3, 5, seed=2), want)
+    want = seeded_evaluation(feats_base, rows.labels, 3, 5, seed=2)
+    assert_same_reports(seeded_evaluation(feats_scaled, rows.labels, 3, 5, seed=2), want)

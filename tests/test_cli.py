@@ -23,7 +23,7 @@ from pehfault.cli import (
     parse_config_file,
     validate_config,
 )
-from pehfault.classify import repeated_evaluation
+from pehfault.classify import draw_splits, repeated_evaluation
 from pehfault.dataset import (
     DEFAULT_SURROGATE_SPEC,
     DESIGN_TABLE_FIELDS,
@@ -49,7 +49,7 @@ from tests.conftest import (
     tiny_argv,
     tiny_corpus,
 )
-from tests.test_classify import accuracies
+from tests.test_classify import accuracies, seeded_evaluation
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -370,21 +370,27 @@ class TestSingleLabelManifest:
 
 class TestTooFewSamplesPerClass:
     @pytest.mark.parametrize("command", ["classify", "sweep"])
-    def test_one_recording_one_segment_is_data_error(self, command, tmp_path, capsys):
+    def test_one_recording_one_segment_is_data_error(self, command, tmp_path, monkeypatch, capsys):
+        """The splits are drawn from the manifest before any recording is
+        read, so a class too small to split stops the command there."""
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a recording was read")
+
         spec = tmp_path / "spec.cfg"
         spec.write_text(
             "count_per_class=1\nfs_hz=8192\nduration_s=1.0\nhealthy.tones=200:1.0\nball_crack.tones=150:1.0\n"
         )
         assert main(["surrogate-gen", "--spec", str(spec), "--out", str(tmp_path)]) == EXIT_OK
+        monkeypatch.setattr(pehfault.dataset, "load_recording", no_reading)
         manifest = tmp_path / "corpus" / "manifest.csv"
         out = tmp_path / "out"
         args = [command, "--manifest", str(manifest), "--out", str(out), "--segment", "0.5", "--segments", "1"]
         args += ["--T", "0.5"] if command == "classify" else ["--t-values", "0.5"]
         capsys.readouterr()
         assert main(args) == EXIT_DATA_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith(f"data error: {manifest}: ")
-        assert "'ball_crack' has 1 recording(s) x 1 segment(s)" in err
+        expected = f"data error: {manifest}: stratified split needs >= 2 samples per class; 'ball_crack' has 1\n"
+        assert capsys.readouterr() == ("", expected)
         assert not out.exists()
 
 
@@ -440,7 +446,7 @@ class TestUnstratified:
         assert main([command, *argv, "--out", str(tmp_path)]) == EXIT_OK
         rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.5)], 0.5, 2, [0.25], 1.0)
         evaluations = {
-            stratified: repeated_evaluation(features, rows.labels, 3, 5, seed=4, stratified=stratified)[1]
+            stratified: seeded_evaluation(features, rows.labels, 3, 5, seed=4, stratified=stratified)[1]
             for stratified in (False, True)
         }
         confusions, acc = evaluations[False], accuracies(evaluations[False])
@@ -526,11 +532,31 @@ class TestSweep:
         expected = []
         for design, design_sets in zip(designs, sets):
             for t_s, features in zip(periods, design_sets):
-                acc = accuracies(repeated_evaluation(features, rows.labels, 3, 3, seed=4)[1])
+                acc = accuracies(seeded_evaluation(features, rows.labels, 3, 3, seed=4)[1])
                 expected.append([design.name, t_s, acc.mean(), acc.std()])
         cells = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
         assert [[name, float(t_s), float(mean), float(std)] for name, _, t_s, mean, std, _, _ in cells] == expected
         assert len({mean for _, _, mean, _ in expected}) > 1
+
+    def test_every_cell_scores_the_one_list_of_splits_drawn_before_reading(self, small_corpus, tmp_path, monkeypatch):
+        """4 designs x 2 periods: draw_splits runs once, from the manifest, and
+        all eight cells score the list it returned."""
+        drawn, scored = [], []
+
+        def counted_draw(*args, **kwargs):
+            drawn.append(draw_splits(*args, **kwargs))
+            return drawn[-1]
+
+        def spied_evaluation(features, labels, splits, *args, **kwargs):
+            scored.append(splits)
+            return repeated_evaluation(features, labels, splits, *args, **kwargs)
+
+        monkeypatch.setattr(pehfault.cli, "draw_splits", counted_draw)
+        monkeypatch.setattr(pehfault.cli, "repeated_evaluation", spied_evaluation)
+        flags = ["--thicknesses", "0.35,0.40,0.45,0.50", "--t-values", f"{SMALL_SEGMENT_S / 2},{SMALL_SEGMENT_S}"]
+        assert main(["sweep", *small_flags(small_corpus, tmp_path, "sweep"), *flags, "--repeats", "4"]) == EXIT_OK
+        assert len(drawn) == 1 and len(drawn[0]) == 4
+        assert len(scored) == 8 and all(splits is drawn[0] for splits in scored)
 
 
 class TestLoadFilter:
@@ -1179,6 +1205,28 @@ def test_a_thickness_missing_from_the_design_table_names_the_table(tmp_path, cap
     expected = f"config error: {table}: thickness_mm: unknown design: thickness 0.45 mm not in table (0.5 mm)\n"
     assert capsys.readouterr() == ("", expected)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_thickness_picks_the_design_of_exactly_that_thickness(small_corpus, tmp_path, capsys):
+    """Two designs 1e-10 mm apart are two designs: a thickness within 1e-9 of
+    the first once picked it for the second."""
+    table = tmp_path / "designs.csv"
+    table.write_text(",".join(DESIGN_TABLE_FIELDS) + "\nA,0.5,200,10,1.0\nB,0.5000000001,150,10,1.0\n")
+    args = ["classify", *small_flags(small_corpus, tmp_path / "out"), "--design-table", str(table), "--repeats", "1"]
+    for thickness, name in (("0.5", "A"), ("0.5000000001", "B")):
+        assert main([*args, "--thickness", thickness]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"design {name}, ")
+
+
+@pytest.mark.parametrize("command", ["sweep", "scatter"])
+def test_a_thickness_near_a_table_entry_is_not_that_entry(command, small_corpus, tmp_path, capsys):
+    """0.5000000001 is not in the built-in table, so it cannot repeat the
+    0.50 mm design's row; the message states it as given."""
+    out = tmp_path / "out"
+    assert main([command, *small_flags(small_corpus, out, command), "--thicknesses", "0.5,0.5000000001"]) == EXIT_CONFIG_ERROR
+    rule = "unknown design: thickness 0.5000000001 mm not in table (0.35, 0.4, 0.45, 0.5 mm)"
+    assert capsys.readouterr() == ("", f"config error: thicknesses: {rule}\n")
+    assert not out.exists()
 
 
 def test_an_unknown_label_token_names_the_key(tmp_path, capsys):

@@ -1,9 +1,10 @@
-"""Differential tests of the array forms of the kNN split (`_draw` over
-`_groups`) and of `mean_state_energy` against the (vector, label) pair forms
-they replaced, kept verbatim below as the reference, of the threaded feature pipeline and the thought experiment
-against the per-segment segment -> simulate_voltage -> make_feature chain of
-tests/oracles.py, of the blocked pipeline against the per-recording one
-there, and of the feature kernel against its one-call-per-row form there."""
+"""Differential tests of the array forms of the kNN split (`draw_splits`)
+and of `mean_state_energy` against the (vector, label) pair forms they
+replaced, kept verbatim below as the reference, of the threaded feature
+pipeline and the thought experiment against the per-segment segment ->
+simulate_voltage -> make_feature chain of tests/oracles.py, of the blocked
+pipeline against the per-recording one there, and of the feature kernel
+against its one-call-per-row form there."""
 
 import itertools
 import math
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pehfault.dataset
-from pehfault.classify import _draw, _groups
+from pehfault.classify import draw_splits
 from pehfault.dataset import build_feature_sets, filter_and_integrate, load_manifest, load_recording, write_recording_f32
 from pehfault.errors import DataError
 from pehfault.frontend import mean_state_energy
@@ -103,10 +104,10 @@ def test_array_split_picks_the_pair_split_members_in_order(labels, seed, fractio
         expected = pair_split(items, cfg, label_of=lambda item: item[1])
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
-            _groups(np.array(labels), stratified)
+            draw_splits(labels, 1, train_fraction=fraction, seed=seed, stratified=stratified)
         assert str(info.value) == str(exc)
         return
-    train, validation = _draw(_groups(np.array(labels), stratified), fraction, seed)
+    ((train, validation),) = draw_splits(labels, 1, train_fraction=fraction, seed=seed, stratified=stratified)
     assert train.tolist() == [i for i, _ in expected[0]]
     assert validation.tolist() == [i for i, _ in expected[1]]
 
@@ -118,7 +119,7 @@ def test_split_visits_classes_in_order_of_first_appearance():
     items = list(enumerate(labels))
     for seed in range(20):
         cfg = SimpleNamespace(train_fraction=0.5, seed=seed, stratified=True)
-        train, validation = _draw(_groups(np.array(labels), True), 0.5, seed)
+        ((train, validation),) = draw_splits(labels, 1, train_fraction=0.5, seed=seed)
         expected_train, expected_validation = pair_split(items, cfg, label_of=lambda item: item[1])
         assert train.tolist() == [i for i, _ in expected_train]
         assert validation.tolist() == [i for i, _ in expected_validation]

@@ -37,6 +37,15 @@ class TestDesignTable:
         with pytest.raises(ValueError, match="unknown design"):
             design_from_thickness(0.42)
 
+    def test_a_thickness_matches_exactly(self):
+        """A thickness 1e-10 mm off a table entry is not that entry; the
+        message states it as given."""
+        with pytest.raises(ValueError) as info:
+            design_from_thickness(0.5000000001)
+        assert str(info.value) == "unknown design: thickness 0.5000000001 mm not in table (0.35, 0.4, 0.45, 0.5 mm)"
+        table = (PehDesign("A", 0.5, 200.0, 10.0), PehDesign("B", 0.5000000001, 150.0, 10.0))
+        assert [design_from_thickness(t, table).name for t in (0.5000000001, 0.5)] == ["B", "A"]
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             PehDesign("bad", 0.4, -150.0, 10.0)

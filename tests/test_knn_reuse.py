@@ -1,13 +1,14 @@
-"""Differential tests of repeated_evaluation, which ranks each row's nearest
-points once per feature matrix, against the per-split loop it replaced."""
+"""Differential tests of repeated_evaluation over draw_splits' splits, which
+ranks each row's nearest points once per feature matrix, against the
+per-split loop it replaced."""
 
 import numpy as np
 import pytest
 
 from pehfault import classify
-from pehfault.classify import METRICS, repeated_evaluation
+from pehfault.classify import METRICS
 from tests.oracles import reference_split
-from tests.test_classify import assert_same_reports
+from tests.test_classify import assert_same_reports, seeded_evaluation
 from tests.test_knn_block import per_query_knn_predict
 
 
@@ -93,7 +94,7 @@ def test_reuse_matches_per_split_reference(metric, integer, block_bytes, head, s
         n_train = len(reference_split(labels, 0.8, seed, stratified)[0])
         for k in k_values(n_train):
             want = per_split_repeated_evaluation(features, labels, k, 4, **arguments)
-            assert_same_reports(repeated_evaluation(features, labels, k, 4, **arguments), want)
+            assert_same_reports(seeded_evaluation(features, labels, k, 4, **arguments), want)
         lacking += sum("z" not in labels[reference_split(labels, 0.8, seed + i, stratified)[0]] for i in range(4))
     if not stratified:
         assert lacking > 0, "no split left a class out of training"
@@ -109,7 +110,7 @@ def test_nan_entry_matches_per_split_reference(metric, head, monkeypatch):
     labels = np.array(["a", "b", "c"] * 20)
     for k in (1, 3, 10, 47, 48):
         want = per_split_repeated_evaluation(features, labels, k, 6, metric=metric, seed=3)
-        assert_same_reports(repeated_evaluation(features, labels, k, 6, metric=metric, seed=3), want)
+        assert_same_reports(seeded_evaluation(features, labels, k, 6, metric=metric, seed=3), want)
 
 
 @pytest.mark.parametrize(
@@ -130,7 +131,7 @@ def test_bad_arguments_raise_as_the_reference_does(k, n_repeats, metric, train_f
     with pytest.raises(ValueError) as want:
         per_split_repeated_evaluation(features, labels, k, n_repeats, **arguments)
     with pytest.raises(ValueError) as got:
-        repeated_evaluation(features, labels, k, n_repeats, **arguments)
+        seeded_evaluation(features, labels, k, n_repeats, **arguments)
     assert str(got.value) == str(want.value) == message
 
 
@@ -150,6 +151,6 @@ def test_no_distance_block_exceeds_the_block_budget(k, monkeypatch):
     monkeypatch.setattr(classify, "_distances", spy)
     rng = np.random.default_rng(0)
     features, labels = rng.uniform(0, 1, size=(n, 4)), np.array(["a", "b", "c"] * (n // 3))
-    repeated_evaluation(features, labels, k, 5)
+    seeded_evaluation(features, labels, k, 5)
     assert requested
     assert max(requested) <= max(classify._BLOCK_BYTES, 8 * n)
