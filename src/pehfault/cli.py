@@ -23,6 +23,7 @@ import numpy as np
 from .classify import METRICS, draw_splits, repeated_evaluation
 from .dataset import (
     DEFAULT_SURROGATE_SPEC,
+    RAW_SUFFIXES,
     STATES,
     UNKNOWN_STATE,
     MachineState,
@@ -39,6 +40,7 @@ from .errors import ConfigError, DataError
 from .frontend import MIN_CYCLES_PER_PERIOD, mean_state_energy
 from .harvester import DEFAULT_DESIGNS, MIN_FS_PER_F0, design_from_thickness, filter_coefficients
 from .report import format_sampling_cost, format_thought_experiment, run_thought_experiment, scatter_svg
+from .signals import window_samples
 
 EXIT_OK = 0
 EXIT_CLOSED_STDOUT = 1
@@ -199,8 +201,8 @@ def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=
     designs, the periods, the manifest, the labels' states, the entries that the labels,
     bearing_type and load_w filters keep (an empty filter keeps all; at least one entry,
     each sampled at >= MIN_FS_PER_F0 times the highest resonance in use, at a rate whose
-    product with r_ohm is finite), for a kNN `split` the classes, the splits and the
-    training points k needs, then `states`."""
+    product with r_ohm is finite), each kept file's size, which must hold the segments,
+    for a kNN `split` the classes, the splits and the training points k needs, then `states`."""
     designs = _designs(cfg, key)
     _check_periods(periods, designs, cfg.segment_s)
     if not cfg.manifest:
@@ -224,6 +226,17 @@ def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=
         kept.append(meta)
     if not kept:
         raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
+    for meta in kept:  # a file's size bounds its samples: 4 bytes each raw, a digit and a line break each as text
+        try:
+            size = os.stat(os.path.join(manifest.root, meta.path)).st_size
+        except (FileNotFoundError, NotADirectoryError):
+            raise DataError(f"{cfg.manifest}: recording file not found: {manifest.root / meta.path}") from None
+        raw = os.path.splitext(meta.path)[1] in RAW_SUFFIXES
+        try:
+            if not (raw and size % 4):  # a ragged raw size keeps the reader's error
+                window_samples(size // 4 if raw else (size + 1) // 2, meta.fs, cfg.segment_s, cfg.segments_per_recording, not raw)
+        except ValueError as exc:
+            raise DataError(f"{meta.path}: {exc}") from None
     manifest = replace(manifest, entries=tuple(kept))
     counts = Counter(meta.label.value for meta in manifest.entries)
     splits = None

@@ -38,9 +38,10 @@ def format_sampling_cost(
             f"e_tx_per_sample_j={e_tx_per_sample_j:g} and bits_per_sample={bits_per_sample:g} "
             "give a rate, ratio or power out of floating-point range"
         )
+    rate = np.format_float_positional(feature_rate, precision=2, unique=False, fractional=False, trim="-")
     lines = [
         f"raw architecture:     {fs_raw_hz:g} Hz sampling ({raw_bits:g} bit/s)",
-        f"feature architecture: {feature_rate:.2f} Hz sampling ({feature_bits:g} bit/s)",
+        f"feature architecture: {rate} Hz sampling ({feature_bits:g} bit/s)",
         f"sampling reduction:   {ratio:g}x (10^{math.log10(ratio):.2f})",
         f"modeled ADC+TX power: raw {raw_power:g} J/s, feature {feature_power:g} J/s",
     ]

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import os
 import re
+import resource
 import subprocess
 import sys
 from dataclasses import fields
@@ -784,9 +785,16 @@ modeled ADC+TX power: raw 0.0820224 J/s, feature 5.34e-07 J/s
 """,
     "energy-report --fs-raw 4 --T 0.25": """\
 raw architecture:     4 Hz sampling (64 bit/s)
-feature architecture: 4.00 Hz sampling (64 bit/s)
+feature architecture: 4 Hz sampling (64 bit/s)
 sampling reduction:   1x (10^0.00)
 modeled ADC+TX power: raw 6.408e-06 J/s, feature 6.408e-06 J/s
+""",
+    # a rate of 1/300 Hz once printed as 0.00 Hz
+    "energy-report --T 300": """\
+raw architecture:     51200 Hz sampling (819200 bit/s)
+feature architecture: 0.0033 Hz sampling (0.0533333 bit/s)
+sampling reduction:   1.536e+07x (10^7.19)
+modeled ADC+TX power: raw 0.0820224 J/s, feature 5.34e-09 J/s
 """,
     "energy-report --e-adc 0 --e-tx 0": """\
 raw architecture:     51200 Hz sampling (819200 bit/s)
@@ -1346,6 +1354,63 @@ def test_a_load_whose_product_with_the_rate_overflows_is_a_config_error_before_r
     expected = "config error: r_ohm=1e+305 times the sampling rate 8192 Hz of ball_crack_00.f32 is not finite\n"
     assert capsys.readouterr() == ("", expected)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [False, True], ids=["raw", "text"])
+def test_a_segment_count_no_file_can_hold_is_a_data_error_before_reading(text, tmp_path, monkeypatch, capsys):
+    """A raw file holds a quarter of its bytes in samples; a text file at most
+    half of them, rounded up (a digit and a line break each, the last break
+    optional)."""
+    corpus, out = tiny_corpus(tmp_path, text=text), tmp_path / "out"
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("a recording was read")
+
+    monkeypatch.setattr(pehfault.dataset, "load_recording", no_reading)
+    assert main(tiny_argv("classify", corpus, out, "--segments", "1000")) == EXIT_DATA_ERROR
+    name = "ball_crack_00.txt" if text else "ball_crack_00.f32"
+    have = f"at most {((corpus / name).stat().st_size + 1) // 2}" if text else "8192"
+    expected = f"data error: {name}: insufficient duration: need 1000x0.5s = 4096000 samples, have {have}\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not out.exists()
+
+
+def test_a_recording_removed_after_the_manifest_is_read_is_not_found_before_reading(tmp_path, monkeypatch, capsys):
+    corpus = tiny_corpus(tmp_path)
+
+    def load_then_remove(path):
+        manifest = load_manifest(path)
+        (corpus / "healthy_00.f32").unlink()
+        return manifest
+
+    monkeypatch.setattr(pehfault.cli, "load_manifest", load_then_remove)
+    assert main(tiny_argv("classify", corpus, tmp_path / "out")) == EXIT_DATA_ERROR
+    missing = corpus.resolve() / "healthy_00.f32"
+    assert capsys.readouterr() == ("", f"data error: {corpus / 'manifest.csv'}: recording file not found: {missing}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_huge_segment_count_is_rejected_before_anything_is_allocated(default_corpus, tmp_path):
+    """10^7 segments of 0.05 s: the splits were once drawn before any
+    recording's length was known, and their row labels alone need about
+    5.6 GB. Under a 1 GiB address-space limit such a regression ends in a
+    MemoryError (exit 1), not in the machine running out of memory."""
+    argv = ["classify", "--manifest", str(default_corpus.root / "manifest.csv"), "--out", str(tmp_path / "out")]
+    argv += ["--segment", "0.05", "--T", "0.05", "--repeats", "5", "--segments", "10000000"]
+    # At exec Linux charges a process the peak RSS of the image it replaces, so a child forked from this
+    # test's large process reports this process's peak. A small interpreter forks the command instead,
+    # and prints its exit code and its own peak in KiB, read with wait4 (RUSAGE_CHILDREN sums every child).
+    peak = ("import os, sys; pid = os.fork() or os.execv(sys.executable, [sys.executable, *sys.argv[1:]]); "
+            "_, status, usage = os.wait4(pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    done = subprocess.run(
+        [sys.executable, "-c", peak, "-m", "pehfault", *argv], env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    code, peak_kib = map(int, done.stdout.split())
+    rule = "insufficient duration: need 10000000x0.05s = 25600000000 samples, have 512000"
+    assert (code, done.stderr) == (EXIT_DATA_ERROR, f"data error: ball_crack_00.f32: {rule}\n")
+    assert peak_kib < 64 * 1024
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_thought_experiment_load_whose_product_with_fs_synth_overflows_is_a_config_error(capsys):

@@ -298,6 +298,7 @@ DEMO_VALUES = [
     ("energy-report", "--e-tx", "e_tx_per_sample_j", "0"),
     ("energy-report", "--bits", "bits_per_sample", "8"),
     ("energy-report", "--fs-raw", "fs_raw_hz", "4"),
+    ("energy-report", "--T", "t_s", "0.25"),
 ]
 
 

@@ -3,12 +3,19 @@ must keep writing byte-identical normative CSVs. A refactor that changes any
 number, format or row order fails here, and so does a README edit that changes
 what its quick start writes."""
 
+import filecmp
 import hashlib
+import os
 import shlex
+import subprocess
+import sys
+from xml.etree import ElementTree
+
+import pytest
 
 from pehfault.cli import EXIT_OK, main
 from pehfault.dataset import ClassSignalSpec, MachineState, SurrogateSpec, synth_surrogate_corpus
-from tests.test_cli import readme_example
+from tests.test_cli import REPO, readme_example
 
 # SHA-256 of each normative CSV written by the README experiment, seed 0.
 GOLDEN_SHA256 = {
@@ -19,24 +26,48 @@ GOLDEN_SHA256 = {
 }
 
 
-def test_readme_experiment_outputs_match_golden_digests(default_corpus, tmp_path, capsys):
-    """The quick start's commands that read the corpus, run as written but on
-    the default_corpus fixture (the corpus its surrogate-gen line writes) and
-    into tmp_path."""
-    argvs = [shlex.split(line, comments=True) for line in readme_example("## Quick start").splitlines()]
-    commands = [argv[1:] for argv in argvs if argv[:1] == ["pehfault"]]
-    assert ["surrogate-gen", "--out", "out", "--seed", "0"] in commands
-    stdout = {}
-    for argv in (argv for argv in commands if "--manifest" in argv):
-        for flag, value in (("--manifest", default_corpus.root / "manifest.csv"), ("--out", tmp_path)):
-            argv[argv.index(flag) + 1] = str(value)
-        assert main(argv) == EXIT_OK, argv[0]
-        stdout[argv[0]] = capsys.readouterr().out
+def pehfault_on_path(root):
+    """The directory to put first on PATH for `pehfault`: the console script's,
+    where it is installed beside this interpreter, else root/bin holding a
+    shim that runs this interpreter's `-m pehfault` (never a stale install)."""
+    script = os.path.join(os.path.dirname(sys.executable), "pehfault")
+    if os.path.isfile(script):
+        return os.path.dirname(script)
+    (root / "bin").mkdir()
+    (root / "bin" / "pehfault").write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m pehfault "$@"\n')
+    (root / "bin" / "pehfault").chmod(0o755)
+    return str(root / "bin")
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "one-cpu"])
+def test_readme_quick_start_run_as_written(pinned, default_corpus, tmp_path):
+    """The quick start's block, run by `sh -e` in tmp_path, writes the golden
+    CSVs, a well-formed SVG and the default_corpus fixture's files, and prints
+    nothing on stderr. Pinned to one CPU it writes the same bytes: the pool
+    sizes itself from the affinity mask, and the outputs must not depend on it."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    if pinned and len(cpus) < 2:
+        pytest.skip("a one-CPU run is the unpinned run here")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env["PATH"] = pehfault_on_path(tmp_path) + os.pathsep + env.get("PATH", "")
+    block = readme_example("## Quick start").split("\n", 1)[1]
+    pin = (lambda: os.sched_setaffinity(0, {min(cpus)})) if pinned else None
+    try:
+        done = subprocess.run(["sh", "-e", "-c", block], cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=pin)
+    except subprocess.SubprocessError:  # the preexec_fn failed in the child
+        pytest.skip("a one-CPU affinity mask cannot be set")
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
     # Every design classifies this corpus perfectly, so classification.csv is
     # the same for any of them; only the report's first line names the one run.
-    assert stdout["classify"].splitlines()[0] == "design peh_0.50mm, T=3s, k=3, 20 split(s), seed0=0"
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
-    assert digests == GOLDEN_SHA256
+    assert "design peh_0.50mm, T=3s, k=3, 20 split(s), seed0=0" in done.stdout.splitlines()
+    out = tmp_path / "out"
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256} == GOLDEN_SHA256
+    ElementTree.parse(out / "scatter.svg")
+    names = sorted(os.listdir(default_corpus.root))
+    assert sorted(os.listdir(out / "corpus")) == names
+    assert filecmp.cmpfiles(out / "corpus", default_corpus.root, names, shallow=False) == (names, [], [])
+    module = [sys.executable, "-m", "pehfault", "energy-report", "--fs-raw", "51200", "--T", "3"]
+    assert subprocess.run(module, env=env, capture_output=True, text=True, check=True).stdout in done.stdout
 
 
 # Seven states whose 200 Hz tones, inside the 0.50 mm design's pass-band,

@@ -216,3 +216,5 @@ def test_a_fractional_rate_is_written_as_given(tmp_path, capsys):
     for name in ("ball_crack_00.f32", "healthy_00.f32"):
         assert (corpus / f"{name}.hdr").read_text() == f"fs_hz=12345.678\nn_samples={round(3 * 12345.678)}\n"
     assert [meta.fs for meta in load_manifest(corpus / "manifest.csv").entries] == [12345.678] * 2
+    extract = ["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(tmp_path)]
+    assert main([*extract, "--segment", "1", "--segments", "2", "--T", "1"]) == EXIT_OK
