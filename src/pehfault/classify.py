@@ -46,6 +46,8 @@ def draw_splits(
 
 def _to_space(x: np.ndarray, metric: str) -> np.ndarray:
     if metric == "log":
+        if (low := float(np.min(x, initial=np.inf, where=x > 0))) < _LOG_FLOOR:
+            raise FloatingPointError(f"features fall to {low:g}, under the log floor {_LOG_FLOOR:g}, too small for log space")
         return np.log(np.maximum(x, _LOG_FLOOR))
     return x
 
@@ -124,7 +126,8 @@ def repeated_evaluation(features, labels, splits, k: int, *, metric: str = "raw"
     row's k nearest training points are the first k training members of its
     head; a row whose head holds fewer is ranked against that split's
     training rows alone. Features whose distances could overflow (NaN
-    entries aside) raise OverflowError.
+    entries aside) raise OverflowError, and features too small to tell apart
+    (in log space, any positive one under _LOG_FLOOR) FloatingPointError.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or len(features) != len(labels):
@@ -133,6 +136,8 @@ def repeated_evaluation(features, labels, splits, k: int, *, metric: str = "raw"
     reach = float(np.fmax.reduce(np.abs(space), axis=None, initial=0.0))
     if not 2 * reach * math.sqrt(space.shape[1]) <= math.sqrt(sys.float_info.max):  # bounds dim * (2 * reach)**2
         raise OverflowError(f"features reach {reach:g} in {metric} space, too large for finite kNN distances")
+    if 0 < reach and reach * reach < sys.float_info.min:  # the largest square is subnormal: distances underflow
+        raise FloatingPointError(f"features reach {reach:g} in {metric} space, too small for kNN distances to tell apart")
     if not splits:
         raise ValueError("need at least one split")
     if not isinstance(k, int) or k < 1:

@@ -195,14 +195,15 @@ def _designs(cfg: RunConfig, *keys: str) -> list:
 
 
 def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=()) -> tuple:
-    """The designs of the thicknesses in `key`, their feature sets at these periods
-    (build_feature_sets) and, for a kNN `split`, the configured splits of their rows
-    (draw_splits), else None; checked before any recording is read, in this order: the
-    designs, the periods, the manifest, the labels' states, the entries that the labels,
-    bearing_type and load_w filters keep (an empty filter keeps all; at least one entry,
-    each sampled at >= MIN_FS_PER_F0 times the highest resonance in use, at a rate whose
-    product with r_ohm is finite), each kept file's size, which must hold the segments,
-    for a kNN `split` the classes, the splits and the training points k needs, then `states`."""
+    """The designs of the thicknesses in `key`, the kept manifest entries, each row's label, their
+    feature sets at these periods (build_feature_sets: rows are the kept entries x segments) and,
+    for a kNN `split`, the configured splits (draw_splits), else None; checked before any recording
+    is read, in this order: the designs, the periods, the manifest, the labels' states, the entries
+    that the labels, bearing_type and load_w filters keep (an empty filter keeps all; at least one
+    entry, each sampled at >= MIN_FS_PER_F0 times the highest resonance in use, at a rate whose
+    product with r_ohm is finite), each kept file's size, which must hold the segments (else that
+    file alone is read for the pipeline's error), for a kNN `split` the classes, the splits' indices
+    against physical memory, the splits and the training points k needs, then `states`."""
     designs = _designs(cfg, key)
     _check_periods(periods, designs, cfg.segment_s)
     if not cfg.manifest:
@@ -233,18 +234,22 @@ def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=
             raise DataError(f"{cfg.manifest}: recording file not found: {manifest.root / meta.path}") from None
         raw = os.path.splitext(meta.path)[1] in RAW_SUFFIXES
         try:
-            if not (raw and size % 4):  # a ragged raw size keeps the reader's error
-                window_samples(size // 4 if raw else (size + 1) // 2, meta.fs, cfg.segment_s, cfg.segments_per_recording, not raw)
-        except ValueError as exc:
+            window_samples(size // 4 if raw else (size + 1) // 2, meta.fs, cfg.segment_s, cfg.segments_per_recording)
+        except ValueError as exc:  # the file cannot hold the segments: its error is the pipeline's, the reader's first
+            build_feature_sets(replace(manifest, entries=(meta,)), designs, cfg.segment_s, cfg.segments_per_recording, periods, cfg.r_ohm)
             raise DataError(f"{meta.path}: {exc}") from None
     manifest = replace(manifest, entries=tuple(kept))
     counts = Counter(meta.label.value for meta in manifest.entries)
+    labels = np.repeat([meta.label.value for meta in manifest.entries], cfg.segments_per_recording)
     splits = None
     if split:
         if len(counts) < 2:
             raise DataError(f"{cfg.manifest}: classification needs at least 2 labels, found only {next(iter(counts))!r}")
-        # The label of each row, in build_feature_sets' order.
-        labels = np.repeat([meta.label.value for meta in manifest.entries], cfg.segments_per_recording)
+        known = "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ())  # physical memory bounds the splits' indices
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if known else 0
+        if (need := cfg.n_repeats * len(labels) * np.dtype(np.intp).itemsize) > memory > 0:
+            raise ConfigError(f"n_repeats={cfg.n_repeats} splits of {len(labels)} rows need {need} bytes of indices, "
+                              f"more than the {memory} bytes of physical memory")
         try:
             splits = draw_splits(labels, cfg.n_repeats, train_fraction=cfg.train_fraction, seed=cfg.seed,
                                  stratified=cfg.stratified)
@@ -255,16 +260,16 @@ def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=
     for state in states:
         if state.value not in counts:
             raise DataError(f"{cfg.manifest}: no {state.value!r} recordings matched the manifest/filters")
-    rows, sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, periods, cfg.r_ohm)
-    return designs, rows, sets, splits
+    sets = build_feature_sets(manifest, designs, cfg.segment_s, cfg.segments_per_recording, periods, cfg.r_ohm)
+    return designs, manifest.entries, labels, sets, splits
 
 
 def _evaluate(cfg: RunConfig, features, labels, splits) -> tuple:
     """repeated_evaluation over these splits with the configured k and metric, plus each
-    split's accuracy; features overflowing kNN distances are a config error naming r_ohm."""
+    split's accuracy; features too large or too small for kNN are a config error naming r_ohm."""
     try:
         names, confusions = repeated_evaluation(features, labels, splits, cfg.k, metric=cfg.metric)
-    except OverflowError as exc:
+    except ArithmeticError as exc:
         raise ConfigError(f"r_ohm={cfg.r_ohm:g}: {exc}") from None
     return names, confusions, np.trace(confusions, axis1=1, axis2=2) / confusions.sum(axis=(1, 2))
 
@@ -303,18 +308,19 @@ def cmd_thought_experiment(cfg: RunConfig, given) -> int:
 
 
 def cmd_extract(cfg: RunConfig, given) -> int:
-    (design,), rows, ((features,),), _ = _features(cfg, "thickness_mm", [cfg.t_s])
+    (design,), entries, _, ((features,),), _ = _features(cfg, "thickness_mm", [cfg.t_s])
     header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(features.shape[1]))]
-    lines = zip(rows.recording_ids, rows.segment_indices, rows.labels.tolist(), features.tolist())
-    content = csv_text(header, [(rid, index, label, design.name, cfg.t_s, *values) for rid, index, label, values in lines])
+    # Python int indices: csv_text writes a numpy integer as repr(float).
+    rows = [(meta.path, index, meta.label.value) for meta in entries for index in range(cfg.segments_per_recording)]
+    content = csv_text(header, [(*row, design.name, cfg.t_s, *values) for row, values in zip(rows, features.tolist())])
     target = write_atomic(Path(cfg.out_dir) / "features.csv", content)
     print(f"wrote {len(features)} feature rows to {target}")
     return EXIT_OK
 
 
 def cmd_classify(cfg: RunConfig, given) -> int:
-    (design,), rows, ((features,),), splits = _features(cfg, "thickness_mm", [cfg.t_s], split=True)
-    names, confusions, accuracies = _evaluate(cfg, features, rows.labels, splits)
+    (design,), _, labels, ((features,),), splits = _features(cfg, "thickness_mm", [cfg.t_s], split=True)
+    names, confusions, accuracies = _evaluate(cfg, features, labels, splits)
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
     per_split = zip(accuracies.tolist(), confusions.sum(axis=(1, 2)).tolist())  # a numpy integer would print as 168.0
     results = [(i, cfg.seed + i, acc, len(features) - n, n) for i, (acc, n) in enumerate(per_split)]
@@ -328,13 +334,13 @@ def cmd_classify(cfg: RunConfig, given) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, given) -> int:
-    designs, rows, sets, splits = _features(cfg, "thicknesses", cfg.t_values, split=True)
+    designs, _, labels, sets, splits = _features(cfg, "thicknesses", cfg.t_values, split=True)
     header = ["design", "thickness_mm", "T_s", "mean_accuracy", "std_accuracy", "n_repeats", "seed0"]
     results = []
     # Every cell scores the same splits, so the cells are comparable.
     for design, design_sets in zip(designs, sets):
         for t_s, features in zip(cfg.t_values, design_sets):
-            *_, acc = _evaluate(cfg, features, rows.labels, splits)
+            *_, acc = _evaluate(cfg, features, labels, splits)
             results.append((design.name, design.thickness_mm, t_s, acc.mean(), acc.std(), cfg.n_repeats, cfg.seed))
     content = csv_text(header, results)
     target = write_atomic(Path(cfg.out_dir) / "sweep.csv", content)
@@ -345,8 +351,8 @@ def cmd_sweep(cfg: RunConfig, given) -> int:
 
 def cmd_scatter(cfg: RunConfig, given) -> int:
     fault_label = MachineState(cfg.fault_label)
-    designs, rows, sets, _ = _features(cfg, "thicknesses", [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
-    means = [mean_state_energy(matrix, rows.labels) for (matrix,) in sets]
+    designs, _, labels, sets, _ = _features(cfg, "thicknesses", [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
+    means = [mean_state_energy(matrix, labels) for (matrix,) in sets]
     points = [(mean[MachineState.HEALTHY.value], mean[fault_label.value]) for mean in means]
     header = ["design", "thickness_mm", "mean_healthy_j", "mean_faulty_j", "diag_distance_j"]
     # The perpendicular distance to the 45-degree line: designs far from it

@@ -92,17 +92,6 @@ class Manifest:
     root: Path
 
 
-@dataclass(frozen=True)
-class FeatureRows:
-    """Row r of every feature matrix from one pass is segment
-    segment_indices[r] of recording recording_ids[r], whose state is labels[r]
-    (a MachineState value)."""
-
-    labels: np.ndarray
-    recording_ids: tuple[str, ...]
-    segment_indices: tuple[int, ...]
-
-
 def _read_file(path: Path) -> bytes | None:
     """The bytes of `path`, read from one open, or None where Path.is_file()
     is False (a missing path, a directory, a FIFO). A FIFO does not block."""
@@ -421,18 +410,18 @@ def build_feature_sets(
     segments_per_recording: int,
     periods: Sequence[float],
     r_ohm: float,
-) -> tuple[FeatureRows, list[list[np.ndarray]]]:
+) -> list[list[np.ndarray]]:
     """Run the full pipeline over every recording in one pass: segment,
     filter each segment through each design's harvester, and integrate the
     per-interval energies (see filter_and_integrate).
 
-    Returns the row metadata and sets[i][j], the float64 (n, dim) feature
-    matrix of designs[i] at integration period periods[j] (neither list
-    empty). Each recording is loaded and segmented once, each segment is
-    filtered once per design (from zero state), and each voltage is integrated
-    once per period. Rows are in manifest order, then segment index. Every
-    segment must give one dimension per period: a recording whose sampling
-    rate rounds to another is a DataError.
+    Returns sets[i][j], the float64 (n, dim) feature matrix of designs[i] at
+    integration period periods[j] (neither list empty). Row r of every matrix
+    is segment r % S of the (r // S)-th manifest entry, where S is
+    segments_per_recording. Each recording is loaded and segmented once, each
+    segment is filtered once per design (from zero state), and each voltage
+    is integrated once per period. Every segment must give one dimension per
+    period: a recording whose sampling rate rounds to another is a DataError.
 
     The recordings run through in_order in blocks: float64 (rows, n_win)
     arrays of at most BLOCK_SAMPLES samples, each allocated, then filled
@@ -506,13 +495,10 @@ def build_feature_sets(
         in_order(jobs(), finish, len(entries))
     except (DataError, ValueError) as exc:
         raise DataError(f"{entries[finished].path}: {exc}") from exc
-    sets = [
+    return [
         [np.vstack([blocks[i][j] for blocks in done] or [np.empty((0, 0))]) for j in range(len(periods))]
         for i in range(len(designs))
     ]
-    rows = [(meta.label.value, meta.path, index) for meta in entries for index in range(count)]
-    labels, recording_ids, segment_indices = zip(*rows) if rows else ((), (), ())
-    return FeatureRows(np.array(labels, dtype=str), recording_ids, segment_indices), sets
 
 
 def filter_and_integrate(pieces, b, a, windows, scale) -> list[np.ndarray]:

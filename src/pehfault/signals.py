@@ -71,10 +71,10 @@ def signal_energy(ts: TimeSeries, r_ohm: float = 1.0) -> float:
     return float(np.sum(np.square(ts.samples, dtype=np.float64)) / (r_ohm * ts.fs))
 
 
-def window_samples(n: int, fs: float, window_s: float, count: int, at_most: bool = False) -> int:
+def window_samples(n: int, fs: float, window_s: float, count: int) -> int:
     """The samples in each of `count` contiguous windows of window_s seconds
-    from the start of a recording of n samples at fs (`at_most` n samples,
-    a bound), which must hold them all."""
+    from the start of a recording of n samples at fs, which must hold them
+    all."""
     if window_s <= 0:
         raise ValueError(f"window must be positive, got {window_s}")
     if count < 1:
@@ -83,5 +83,5 @@ def window_samples(n: int, fs: float, window_s: float, count: int, at_most: bool
     if n_win < 1:
         raise ValueError(f"window of {window_s}s is shorter than one sample at fs={fs}")
     if count * n_win > n:
-        raise ValueError(f"insufficient duration: need {count}x{window_s}s = {count * n_win} samples, have {'at most ' * at_most}{n}")
+        raise ValueError(f"insufficient duration: need {count}x{window_s}s = {count * n_win} samples, have {n}")
     return n_win

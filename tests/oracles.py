@@ -9,9 +9,11 @@ through a one-sided spectrum, and the digital band energy. The FRF-fidelity,
 Parseval, `A^2*T/2`, per-segment and per-row differential tests run on them.
 `per_recording_feature_sets` is the feature pipeline as it ran before it
 stacked recordings into blocks: one recording at a time, serially.
-`reference_split` is the seeded train/validation split the kNN tests score
-their references on, written from the rule `classify.draw_splits`
-documents; `train_size` is its training size per group.
+`row_labels` is the label of each of its rows, which are the manifest's
+entries x segments. `reference_split` is the seeded train/validation split
+the kNN tests score their references on, written from the rule
+`classify.draw_splits` documents; `train_size` is its training size per
+group.
 """
 
 from __future__ import annotations
@@ -207,8 +209,8 @@ def per_recording_feature_sets(manifest, designs, segment_s: float, count: int, 
     through each design's filter_and_integrate_rows; then its feature counts
     checked against the first recording's and each of its matrices (designs
     outer, periods inner) checked for a feature that is not finite. Returns
-    ((labels, recording_ids, segment_indices), sets[i][j]); the first error
-    is a DataError prefixed with its recording's path."""
+    sets[i][j]; the first error is a DataError prefixed with its recording's
+    path."""
     sets = [[[] for _ in periods] for _ in designs]
     for meta in manifest.entries:
         try:
@@ -234,11 +236,15 @@ def per_recording_feature_sets(manifest, designs, segment_s: float, count: int, 
         for matrices, design_sets in zip(results, sets):
             for matrix, rows in zip(matrices, design_sets):
                 rows.append(matrix)
-    rows = [(meta.label.value, meta.path, index) for meta in manifest.entries for index in range(count)]
-    labels = np.array([label for label, _, _ in rows], dtype=str)
-    return (labels, tuple(path for _, path, _ in rows), tuple(index for _, _, index in rows)), [
+    return [
         [np.vstack(matrices) if matrices else np.empty((0, 0)) for matrices in design_sets] for design_sets in sets
     ]
+
+
+def row_labels(manifest, count: int) -> np.ndarray:
+    """The label of each feature row: row r is segment r % count of the
+    (r // count)-th manifest entry."""
+    return np.repeat([meta.label.value for meta in manifest.entries], count)
 
 
 def train_size(n: int, train_fraction: float) -> int:

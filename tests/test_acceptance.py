@@ -31,6 +31,7 @@ from tests.oracles import (
     frf_magnitude,
     make_feature,
     measure_steady_gain,
+    row_labels,
     simulate_voltage,
     synth_composite,
     train_size,
@@ -156,8 +157,8 @@ def test_criterion_5_parseval_and_baseline_consistency():
 def test_criterion_6_surrogate_end_to_end(tmp_path):
     started = time.perf_counter()
     manifest = synth_surrogate_corpus(DEFAULT_SURROGATE_SPEC, seed=0, out_dir=tmp_path / "corpus")
-    rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.50)], 3.0, 3, [3.0], 1.0)
-    _, confusions = seeded_evaluation(features, rows.labels, 3, 20)
+    ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.50)], 3.0, 3, [3.0], 1.0)
+    _, confusions = seeded_evaluation(features, row_labels(manifest, 3), 3, 20)
     mean_accuracy = float(np.mean(accuracies(confusions)))
     elapsed = time.perf_counter() - started
     ok = mean_accuracy >= 0.85 and elapsed < 60.0
@@ -182,8 +183,8 @@ def test_criterion_7_published_dataset_reproduction():
     manifest = load_manifest(manifest_path)
     states = (MachineState.HEALTHY, MachineState.BALL_CRACK)
     manifest = replace(manifest, entries=tuple(meta for meta in manifest.entries if meta.label in states))
-    rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.45)], 3.0, 3, [3.0], 1.0)
-    _, confusions = seeded_evaluation(features, rows.labels, 3, 20)
+    ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.45)], 3.0, 3, [3.0], 1.0)
+    _, confusions = seeded_evaluation(features, row_labels(manifest, 3), 3, 20)
     mean_accuracy = float(np.mean(accuracies(confusions)))
     ok = abs(mean_accuracy - 0.89) <= 0.07
     _conclude("criterion 7: published-dataset accuracy reproduced", ok, f"mean accuracy {mean_accuracy:.3f}")

@@ -12,7 +12,7 @@ from pehfault.classify import _distances, _nearest_blocks, _to_space, _vote, dra
 from pehfault.dataset import build_feature_sets
 from pehfault.harvester import design_from_thickness
 from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS
-from tests.oracles import reference_split, train_size
+from tests.oracles import reference_split, row_labels, train_size
 from tests.test_feature_arrays import interleaved_labels
 
 
@@ -377,8 +377,9 @@ def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):
     factor = 3.7
     base = design_from_thickness(0.50)
     scaled = replace(base, peak_gain_v_per_g=base.peak_gain_v_per_g * factor)
-    rows, ((feats_base,),) = build_feature_sets(small_corpus, [base], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
-    _, ((feats_scaled,),) = build_feature_sets(small_corpus, [scaled], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
+    ((feats_base,),) = build_feature_sets(small_corpus, [base], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
+    ((feats_scaled,),) = build_feature_sets(small_corpus, [scaled], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
     np.testing.assert_allclose(feats_scaled, factor**2 * feats_base, rtol=1e-9)
-    want = seeded_evaluation(feats_base, rows.labels, 3, 5, seed=2)
-    assert_same_reports(seeded_evaluation(feats_scaled, rows.labels, 3, 5, seed=2), want)
+    labels = row_labels(small_corpus, SMALL_SEGMENTS)
+    want = seeded_evaluation(feats_base, labels, 3, 5, seed=2)
+    assert_same_reports(seeded_evaluation(feats_scaled, labels, 3, 5, seed=2), want)

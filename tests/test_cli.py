@@ -50,6 +50,7 @@ from tests.conftest import (
     tiny_argv,
     tiny_corpus,
 )
+from tests.oracles import row_labels
 from tests.test_classify import accuracies, seeded_evaluation
 
 REPO = Path(__file__).resolve().parents[1]
@@ -445,9 +446,9 @@ class TestUnstratified:
         (tmp_path / "run.cfg").write_text(settings + "t_s=0.25\nt_values=0.25\nthicknesses=0.5\n")
         argv = ["--config", str(tmp_path / "run.cfg"), "--manifest", str(manifest.root / "manifest.csv")]
         assert main([command, *argv, "--out", str(tmp_path)]) == EXIT_OK
-        rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.5)], 0.5, 2, [0.25], 1.0)
+        ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.5)], 0.5, 2, [0.25], 1.0)
         evaluations = {
-            stratified: seeded_evaluation(features, rows.labels, 3, 5, seed=4, stratified=stratified)[1]
+            stratified: seeded_evaluation(features, row_labels(manifest, 2), 3, 5, seed=4, stratified=stratified)[1]
             for stratified in (False, True)
         }
         confusions, acc = evaluations[False], accuracies(evaluations[False])
@@ -529,11 +530,11 @@ class TestSweep:
         flags = ["--segment", "0.5", "--segments", "2", "--thicknesses", "0.35,0.5", "--t-values", "0.125,0.25"]
         argv = ["sweep", "--manifest", str(tmp_path / "corpus" / "manifest.csv"), "--out", str(tmp_path), *flags]
         assert main([*argv, "--repeats", "3", "--seed", "4"]) == EXIT_OK
-        rows, sets = build_feature_sets(manifest, designs, 0.5, 2, periods, 1.0)
+        sets = build_feature_sets(manifest, designs, 0.5, 2, periods, 1.0)
         expected = []
         for design, design_sets in zip(designs, sets):
             for t_s, features in zip(periods, design_sets):
-                acc = accuracies(seeded_evaluation(features, rows.labels, 3, 3, seed=4)[1])
+                acc = accuracies(seeded_evaluation(features, row_labels(manifest, 2), 3, 3, seed=4)[1])
                 expected.append([design.name, t_s, acc.mean(), acc.std()])
         cells = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
         assert [[name, float(t_s), float(mean), float(std)] for name, _, t_s, mean, std, _, _ in cells] == expected
@@ -608,11 +609,15 @@ class TestLoadFilter:
         ],
     )
     def test_extract_writes_the_rows_of_the_recordings_each_filter_keeps(self, flags, kept, tmp_path, capsys):
+        """Rows are the kept entries x segments, in manifest order: each row
+        names its recording, its segment index (an int, not 0.0) and its label."""
         manifest = self.mixed_manifest(tmp_path)
         argv = ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out"), *TINY_FLAGS, *flags]
         assert main(argv) == EXIT_OK
         rows = (tmp_path / "out" / "features.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == [f"{name}.f32" for name in kept for _ in range(2)]
+        labels = {meta.path: meta.label.value for meta in load_manifest(manifest).entries}
+        expected = [[f"{name}.f32", str(index), labels[f"{name}.f32"]] for name in kept for index in range(2)]
+        assert [row.split(",")[:3] for row in rows] == expected
 
 
 class TestScatter:
@@ -630,10 +635,10 @@ class TestScatter:
     def test_each_pair_is_the_state_means_of_its_feature_matrix(self, small_corpus, tmp_path, capsys):
         designs = [design_from_thickness(t) for t in (0.35, 0.45, 0.50)]
         assert main(["scatter", *small_flags(small_corpus, tmp_path), "--thicknesses", "0.35,0.45,0.5"]) == EXIT_OK
-        rows, sets = build_feature_sets(small_corpus, designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
+        sets = build_feature_sets(small_corpus, designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
         expected = []
         for design, (matrix,) in zip(designs, sets):
-            means = mean_state_energy(matrix, rows.labels)
+            means = mean_state_energy(matrix, row_labels(small_corpus, SMALL_SEGMENTS))
             expected.append([design.name, means["healthy"], means["ball_crack"]])
         pairs = [line.split(",") for line in (tmp_path / "scatter.csv").read_text().splitlines()[1:]]
         assert [[name, float(healthy), float(faulty)] for name, _, healthy, faulty, _ in pairs] == expected
@@ -1323,20 +1328,34 @@ def test_a_feature_that_is_not_finite_is_a_data_error_before_writing(cause, tmp_
 
 
 @pytest.mark.parametrize("command", ["classify", "sweep"])
-def test_features_too_large_for_knn_distances_are_a_config_error_before_writing(command, small_corpus, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "r_ohm, metric, start, end, valid",
+    [
+        ("1e-300", "raw", "features reach ", " in raw space, too large for finite kNN distances", ["--metric", "log"]),
+        ("1e200", "raw", "features reach ", " in raw space, too small for kNN distances to tell apart", ["--r-ohm", "1e150"]),
+        ("1e303", "log", "features fall to ", ", under the log floor 1e-300, too small for log space", ["--r-ohm", "1e297"]),
+    ],
+    ids=["overflow", "underflow", "log-floor"],
+)
+def test_features_too_large_for_knn_distances_are_a_config_error_before_writing(
+    command, r_ohm, metric, start, end, valid, small_corpus, tmp_path, capsys
+):
     """At 1e-300 Ohm the features are finite, near 1e299, but their squared
     distances overflow: every sweep cell once read 0.5 at exit 0. In log
-    space the same features classify."""
+    space the same features classify. At 1e200 Ohm, near 1e-201, every
+    squared difference underflows, so every distance tied at 0; at 1e303 Ohm
+    every feature lay under the log floor, so all were one value in log
+    space: both once read 0.5 at exit 0. A neighbouring run stays valid."""
     out = tmp_path / "out"
-    argv = [command, *small_flags(small_corpus, out, command), "--r-ohm", "1e-300"]
+    argv = [command, *small_flags(small_corpus, out, command), "--r-ohm", r_ohm, "--metric", metric]
     if command == "sweep":
         argv += ["--thicknesses", "0.5", "--t-values", str(SMALL_SEGMENT_S)]
     assert main(argv) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("config error: r_ohm=1e-300: features reach ")
-    assert err.endswith(" in raw space, too large for finite kNN distances\n")
+    assert err.startswith(f"config error: r_ohm={float(r_ohm):g}: {start}")
+    assert err.endswith(end + "\n")
     assert not out.exists()
-    assert main([*argv, "--metric", "log"]) == EXIT_OK
+    assert main([*argv, *valid]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command", ["extract", "classify", "sweep", "scatter"])
@@ -1356,22 +1375,33 @@ def test_a_load_whose_product_with_the_rate_overflows_is_a_config_error_before_r
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [False, True], ids=["raw", "text"])
-def test_a_segment_count_no_file_can_hold_is_a_data_error_before_reading(text, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("kind", ["raw", "text", "empty", "malformed"])
+def test_a_segment_count_no_file_can_hold_is_the_pipelines_data_error_before_the_split(kind, tmp_path, monkeypatch, capsys):
     """A raw file holds a quarter of its bytes in samples; a text file at most
     half of them, rounded up (a digit and a line break each, the last break
-    optional)."""
-    corpus, out = tiny_corpus(tmp_path, text=text), tmp_path / "out"
+    optional). The first kept file that cannot hold the segments is read,
+    alone and before the split is drawn, so that its error is the
+    pipeline's: the reader's first (an empty or malformed text file's size
+    bound once hid it), else the exact sample count."""
+    corpus, out = tiny_corpus(tmp_path, text=kind != "raw"), tmp_path / "out"
+    name = "ball_crack_00.f32" if kind == "raw" else "ball_crack_00.txt"
+    rule = "insufficient duration: need 1000x0.5s = 4096000 samples, have 8192"
+    if kind == "empty":
+        (corpus / name).write_bytes(b"")
+        rule = f"{corpus.resolve() / name}: recording holds no samples"
+    if kind == "malformed":
+        (corpus / name).write_bytes(b"0.5\n-")
+        rule = f"{corpus.resolve() / name}:2: unparseable sample '-'"
+    read, load = [], pehfault.dataset.load_recording
 
-    def no_reading(*args, **kwargs):
-        raise AssertionError("a recording was read")
+    def no_split(*args, **kwargs):
+        raise AssertionError("the splits were drawn")
 
-    monkeypatch.setattr(pehfault.dataset, "load_recording", no_reading)
+    monkeypatch.setattr(pehfault.dataset, "load_recording", lambda meta, root: read.append(meta.path) or load(meta, root))
+    monkeypatch.setattr(pehfault.cli, "draw_splits", no_split)
     assert main(tiny_argv("classify", corpus, out, "--segments", "1000")) == EXIT_DATA_ERROR
-    name = "ball_crack_00.txt" if text else "ball_crack_00.f32"
-    have = f"at most {((corpus / name).stat().st_size + 1) // 2}" if text else "8192"
-    expected = f"data error: {name}: insufficient duration: need 1000x0.5s = 4096000 samples, have {have}\n"
-    assert capsys.readouterr() == ("", expected)
+    assert capsys.readouterr() == ("", f"data error: {name}: {rule}\n")
+    assert read == [name]
     assert not out.exists()
 
 
@@ -1390,13 +1420,24 @@ def test_a_recording_removed_after_the_manifest_is_read_is_not_found_before_read
     assert not (tmp_path / "out").exists()
 
 
-def test_a_huge_segment_count_is_rejected_before_anything_is_allocated(default_corpus, tmp_path):
+@pytest.mark.parametrize(
+    "flags, code, stderr",
+    [
+        (["--segment", "0.05", "--T", "0.05", "--repeats", "5", "--segments", "10000000"], EXIT_DATA_ERROR,
+         "data error: ball_crack_00.f32: insufficient duration: need 10000000x0.05s = 25600000000 samples, have 512000\n"),
+        (["--repeats", "1000000000"], EXIT_CONFIG_ERROR,
+         "config error: n_repeats=1000000000 splits of 42 rows need 336000000000 bytes of indices, "
+         "more than the {memory} bytes of physical memory\n"),
+    ],
+    ids=["segments", "repeats"],
+)
+def test_a_huge_segment_count_is_rejected_before_anything_is_allocated(flags, code, stderr, default_corpus, tmp_path):
     """10^7 segments of 0.05 s: the splits were once drawn before any
     recording's length was known, and their row labels alone need about
-    5.6 GB. Under a 1 GiB address-space limit such a regression ends in a
+    5.6 GB. 10^9 repeats of the 42 rows: their split indices alone need
+    336 GB. Under a 1 GiB address-space limit such a regression ends in a
     MemoryError (exit 1), not in the machine running out of memory."""
-    argv = ["classify", "--manifest", str(default_corpus.root / "manifest.csv"), "--out", str(tmp_path / "out")]
-    argv += ["--segment", "0.05", "--T", "0.05", "--repeats", "5", "--segments", "10000000"]
+    argv = ["classify", "--manifest", str(default_corpus.root / "manifest.csv"), "--out", str(tmp_path / "out"), *flags]
     # At exec Linux charges a process the peak RSS of the image it replaces, so a child forked from this
     # test's large process reports this process's peak. A small interpreter forks the command instead,
     # and prints its exit code and its own peak in KiB, read with wait4 (RUSAGE_CHILDREN sums every child).
@@ -1406,9 +1447,9 @@ def test_a_huge_segment_count_is_rejected_before_anything_is_allocated(default_c
         [sys.executable, "-c", peak, "-m", "pehfault", *argv], env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         capture_output=True, text=True, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
-    code, peak_kib = map(int, done.stdout.split())
-    rule = "insufficient duration: need 10000000x0.05s = 25600000000 samples, have 512000"
-    assert (code, done.stderr) == (EXIT_DATA_ERROR, f"data error: ball_crack_00.f32: {rule}\n")
+    exit_code, peak_kib = map(int, done.stdout.split())
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert (exit_code, done.stderr) == (code, stderr.format(memory=memory))
     assert peak_kib < 64 * 1024
     assert not (tmp_path / "out").exists()
 
@@ -1428,12 +1469,14 @@ def test_a_load_whose_product_with_the_rate_overflows_is_a_data_error_of_build_f
 
 
 def test_a_large_load_and_an_all_zero_recording_stay_valid(tmp_path, capsys):
-    """At 1e300 Ohm the energies are tiny but not 0; a silent recording's are
-    exactly 0. Both exit 0."""
+    """At 1e300 Ohm the energies are tiny but not 0, and extract and scatter,
+    which take no kNN distances, write them; a silent recording's are exactly
+    0. Both exit 0."""
     corpus = tiny_corpus(tmp_path)
     assert main(tiny_argv("extract", corpus, tmp_path / "large", "--r-ohm", "1e300")) == EXIT_OK
     features = np.loadtxt(tmp_path / "large" / "features.csv", delimiter=",", skiprows=1, usecols=(5, 6))
     assert (features > 0).all() and (features < 1e-290).all()
+    assert main(tiny_argv("scatter", corpus, tmp_path / "large", "--r-ohm", "1e300")) == EXIT_OK
     assert main(["thought-experiment", "--r-ohm", "1e300"]) == EXIT_OK
     write_recording_f32(np.zeros(8192), 8192, corpus / "ball_crack_00.f32")
     assert main(tiny_argv("extract", corpus, tmp_path / "zero")) == EXIT_OK

@@ -35,7 +35,7 @@ from pehfault.frontend import mean_state_energy
 from pehfault.harvester import DEFAULT_DESIGNS, PehDesign, _biquad_coefficients, design_from_thickness
 from pehfault.signals import TimeSeries, signal_energy
 from tests.conftest import MIXED_RATE_ERROR, SMALL_SEGMENT_S, SMALL_SEGMENTS, SMALL_SPEC, mixed_rate_manifest, rewrite_as_text
-from tests.oracles import make_feature, segment, simulate_voltage
+from tests.oracles import make_feature, row_labels, segment, simulate_voltage
 
 
 def write_text_recording(path, samples):
@@ -503,32 +503,28 @@ class TestTextParseMatchesPerLineLoop:
 
 class TestBuildFeatureSet:
     def test_counts_labels_and_order(self, small_corpus):
+        """Rows are the entries x segments: entry i's segments are rows
+        i * S ... i * S + S - 1, as the entry alone gives them."""
         design = design_from_thickness(0.50)
-        rows, ((features,),) = build_feature_sets(small_corpus, [design], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
+        build = lambda manifest: build_feature_sets(manifest, [design], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
+        ((features,),) = build(small_corpus)
         assert features.shape == (len(small_corpus.entries) * SMALL_SEGMENTS, 1)
-        assert len(rows.labels) == len(rows.recording_ids) == len(rows.segment_indices) == len(features)
-        by_recording = {}
-        for recording_id, index in zip(rows.recording_ids, rows.segment_indices):
-            by_recording.setdefault(recording_id, []).append(index)
-        assert all(indices == [0, 1, 2] for indices in by_recording.values())
-        # Python ints: the CSV writer writes them as they are, other numbers by repr(float).
-        assert all(type(index) is int for index in rows.segment_indices)
-        labels = {meta.path: meta.label.value for meta in small_corpus.entries}
-        assert rows.labels.tolist() == [labels[recording_id] for recording_id in rows.recording_ids]
+        for i, meta in enumerate(small_corpus.entries):
+            ((alone,),) = build(replace(small_corpus, entries=(meta,)))
+            assert np.array_equal(features[i * SMALL_SEGMENTS : (i + 1) * SMALL_SEGMENTS], alone)
 
     def test_deterministic_rerun(self, small_corpus):
         design = design_from_thickness(0.50)
         run = lambda: build_feature_sets(small_corpus, [design], SMALL_SEGMENT_S, SMALL_SEGMENTS, [SMALL_SEGMENT_S], 1.0)
-        (rows_a, ((a,),)), (rows_b, ((b,),)) = run(), run()
+        ((a,),), ((b,),) = run(), run()
         assert np.array_equal(a, b)
-        assert rows_a.recording_ids == rows_b.recording_ids and np.array_equal(rows_a.labels, rows_b.labels)
 
     def test_empty_manifest_gives_empty_list(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("path,label,bearing_type,load_w,fs_hz\n")
         manifest = load_manifest(path)
-        rows, ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.50)], 3.0, 3, [3.0], 1.0)
-        assert len(rows.labels) == len(rows.recording_ids) == len(features) == 0
+        ((features,),) = build_feature_sets(manifest, [design_from_thickness(0.50)], 3.0, 3, [3.0], 1.0)
+        assert len(features) == 0
 
     def test_errors_annotated_with_recording(self, tmp_path):
         # recording too short for the requested segmentation
@@ -547,7 +543,7 @@ class TestBuildFeatureSets:
     def test_matches_per_cell_reference(self, small_corpus):
         """Differential test against the per-(design, T) loop the one-pass
         pipeline replaced: every cell reloads, resegments and refilters."""
-        rows, sets = build_feature_sets(small_corpus, self.designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, self.periods, 1.0)
+        sets = build_feature_sets(small_corpus, self.designs, SMALL_SEGMENT_S, SMALL_SEGMENTS, self.periods, 1.0)
         assert len(sets) == len(self.designs)
         for design, design_sets in zip(self.designs, sets):
             assert len(design_sets) == len(self.periods)
@@ -555,12 +551,10 @@ class TestBuildFeatureSets:
                 expected = []
                 for meta in small_corpus.entries:
                     ts = load_recording(meta, small_corpus.root)
-                    for index, piece in enumerate(segment(ts, SMALL_SEGMENT_S, SMALL_SEGMENTS)):
-                        values = make_feature(simulate_voltage(design, piece), period_s, 1.0)
-                        expected.append((values, meta.label.value, meta.path, index))
-                assert got.dtype == np.float64 and got.shape == (len(expected), len(expected[0][0]))
-                for r, (values, *row) in enumerate(expected):
-                    assert [rows.labels[r], rows.recording_ids[r], rows.segment_indices[r]] == row
+                    for piece in segment(ts, SMALL_SEGMENT_S, SMALL_SEGMENTS):
+                        expected.append(make_feature(simulate_voltage(design, piece), period_s, 1.0))
+                assert got.dtype == np.float64 and got.shape == (len(expected), len(expected[0]))
+                for r, values in enumerate(expected):
                     assert np.array_equal(got[r], values)
 
     def test_a_feature_that_is_not_finite_is_a_data_error_naming_its_cell(self, small_corpus):
@@ -822,8 +816,8 @@ class TestSurrogateCorpus:
 
     def test_default_spec_separates_classes(self, default_corpus):
         design = design_from_thickness(0.50)
-        rows, ((features,),) = build_feature_sets(default_corpus, [design], 3.0, 3, [3.0], 1.0)
-        means = mean_state_energy(features, rows.labels)
+        ((features,),) = build_feature_sets(default_corpus, [design], 3.0, 3, [3.0], 1.0)
+        means = mean_state_energy(features, row_labels(default_corpus, 3))
         ratio = means[MachineState.HEALTHY.value] / means[MachineState.BALL_CRACK.value]
         assert ratio >= 3.0
 

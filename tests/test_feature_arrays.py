@@ -182,7 +182,7 @@ def test_pipeline_equals_the_per_segment_loop_bit_for_bit(cpus, mixed_length_man
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        rows, sets = build_feature_sets(mixed_length_manifest, DESIGNS, SEGMENT_S, SEGMENTS, PERIODS, R_OHM)
+        sets = build_feature_sets(mixed_length_manifest, DESIGNS, SEGMENT_S, SEGMENTS, PERIODS, R_OHM)
     finally:
         sys.setswitchinterval(interval)
     expected = per_segment_reference(mixed_length_manifest, DESIGNS, PERIODS)
@@ -191,10 +191,6 @@ def test_pipeline_equals_the_per_segment_loop_bit_for_bit(cpus, mixed_length_man
         for got, want in zip(design_sets, design_expected):
             assert got.dtype == np.float64 and got.shape == want.shape
             assert np.array_equal(got, want)
-    entries = mixed_length_manifest.entries
-    assert rows.recording_ids == tuple(meta.path for meta in entries for _ in range(SEGMENTS))
-    assert rows.segment_indices == tuple(range(SEGMENTS)) * len(entries)
-    assert rows.labels.tolist() == [meta.label.value for meta in entries for _ in range(SEGMENTS)]
 
 
 
@@ -252,8 +248,8 @@ def _outcome(build):
 def test_stacked_blocks_equal_the_per_recording_pipeline_bit_for_bit(cpus, corpus):
     """Whatever the blocks (recordings one, several or all to a block, runs
     cut by rate changes, a cap below one recording's samples), the pipeline
-    gives the per-recording pipeline's rows and matrices, inf included, or
-    its first error."""
+    gives the per-recording pipeline's matrices, inf included, or its first
+    error."""
     count, recordings, cap, designs, periods, seed = corpus
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
         manifest = _write_corpus(Path(root), count, recordings, seed)
@@ -264,10 +260,7 @@ def test_stacked_blocks_equal_the_per_recording_pipeline_bit_for_bit(cpus, corpu
     if isinstance(want, str):
         assert got == want
         return
-    (rows, sets), ((labels, recording_ids, segment_indices), expected) = got, want
-    assert rows.labels.dtype == labels.dtype and np.array_equal(rows.labels, labels)
-    assert (rows.recording_ids, rows.segment_indices) == (recording_ids, segment_indices)
-    for design_sets, design_expected in zip(sets, expected, strict=True):
+    for design_sets, design_expected in zip(got, want, strict=True):
         for matrix, reference in zip(design_sets, design_expected, strict=True):
             assert matrix.dtype == np.float64 and matrix.shape == reference.shape
             assert np.array_equal(matrix.view(np.int64), reference.view(np.int64))
