@@ -14,11 +14,11 @@ _LOG_FLOOR = 1e-300  # keeps log-energy finite for exactly-zero features
 
 def draw_splits(
     labels, n_repeats: int, *, train_fraction: float = 0.8, seed: int = 0, stratified: bool = True
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ascending train and validation rows of n_repeats seeded splits of
-    the rows of `labels`, the i-th seeded seed + i. A split shuffles each
-    class, in order of first appearance, when stratified, else all rows, by
-    one rng.permutation call per group, each of >= 2 rows; the first
+) -> np.ndarray:
+    """An (n_repeats, len(labels)) boolean array whose row i marks the
+    training rows of the split seeded seed + i. A split shuffles each class,
+    in order of first appearance, when stratified, else all rows, by one
+    rng.permutation call per group, each of >= 2 rows; the first
     round(train_fraction * size) rows of each group's permutation, half up
     and clamped so that both sides keep one, train."""
     if not 0 < train_fraction < 1:
@@ -33,14 +33,12 @@ def draw_splits(
     for group in groups:
         if len(group) < 2:
             raise ValueError(f"stratified split needs >= 2 samples per class; {labels[group[0]].item()!r} has {len(group)}")
-    splits = []
-    for i in range(n_repeats):
+    splits = np.zeros((n_repeats, len(labels)), dtype=bool)
+    for i, in_train in enumerate(splits):
         rng = np.random.default_rng(seed + i)
-        in_train = np.zeros(len(labels), dtype=bool)
         for group in groups:
             n_train = min(max(math.floor(train_fraction * len(group) + 0.5), 1), len(group) - 1)
             in_train[group[rng.permutation(len(group))[:n_train]]] = True
-        splits.append((np.flatnonzero(in_train), np.flatnonzero(~in_train)))
     return splits
 
 
@@ -111,60 +109,56 @@ def _head_width(n: int, k: int) -> int:
 
 
 def repeated_evaluation(features, labels, splits, k: int, *, metric: str = "raw") -> tuple[tuple[str, ...], np.ndarray]:
-    """Score the kNN classifier on each (train, validation) split of the
-    rows of one (n, dim) feature matrix, ascending rows as draw_splits gives
-    them: the sorted label names, and a (len(splits), C, C) int64 stack of
-    confusion matrices (rows true, columns predicted), one per split. Each
-    validation row takes the majority label of its k nearest training rows
-    by Euclidean distance in metric space. A distance tie goes to the lower
-    training index, a vote tie to the label of the nearest neighbor among
-    the tied labels. No split may train fewer than k rows.
+    """Score the kNN classifier on each split of the rows of one (n, dim)
+    feature matrix, an (n_splits, n) boolean array as draw_splits gives it:
+    row i marks split i's training rows, the others validate. Returns the
+    sorted label names, and an (n_splits, C, C) int64 stack of confusion
+    matrices (rows true, columns predicted), one per split. Each validation
+    row takes the majority label of its k nearest training rows by Euclidean
+    distance in metric space. A distance tie goes to the lower training
+    index, a vote tie to the label of the nearest neighbor among the tied
+    labels. No split may train fewer than k rows. Every argument is checked
+    before any arithmetic.
 
-    The matrix is mapped to metric space once, and the head of each row
-    some split validates, its first `_head_width` points in (distance,
-    index) order, is ranked once. Training indices ascend, so a validation
-    row's k nearest training points are the first k training members of its
-    head; a row whose head holds fewer is ranked against that split's
-    training rows alone. Features whose distances could overflow (NaN
-    entries aside) raise OverflowError, and features too small to tell apart
-    (in log space, any positive one under _LOG_FLOOR) FloatingPointError.
+    The matrix is mapped to metric space once, and the head of every row,
+    its first `_head_width` points among all rows in (distance, index)
+    order, is ranked once. A validation row's k nearest training points are
+    the first k training members of its head; a row whose head holds fewer
+    is ranked against that split's training rows alone. Features whose
+    distances could overflow (NaN entries aside) raise OverflowError, and
+    features too small to tell apart (in log space, any positive one under
+    _LOG_FLOOR) FloatingPointError.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or len(features) != len(labels):
         raise ValueError(f"need an (n, dimension) feature matrix and n labels, got {features.shape} and {len(labels)}")
+    if (splits := np.asarray(splits)).dtype != bool or splits.shape[1:] != (len(features),) or not len(splits):
+        raise ValueError(f"need at least one split, as an (n_splits, {len(features)}) boolean mask, got {splits.dtype} {splits.shape}")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if k > (n_train := int(splits.sum(axis=1).min())):
+        raise ValueError(f"k={k} exceeds the {n_train} training points")
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     space = _to_space(features, metric)
     reach = float(np.fmax.reduce(np.abs(space), axis=None, initial=0.0))
     if not 2 * reach * math.sqrt(space.shape[1]) <= math.sqrt(sys.float_info.max):  # bounds dim * (2 * reach)**2
         raise OverflowError(f"features reach {reach:g} in {metric} space, too large for finite kNN distances")
     if 0 < reach and reach * reach < sys.float_info.min:  # the largest square is subnormal: distances underflow
         raise FloatingPointError(f"features reach {reach:g} in {metric} space, too small for kNN distances to tell apart")
-    if not splits:
-        raise ValueError("need at least one split")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k > (n_train := min(len(train) for train, _ in splits)):
-        raise ValueError(f"k={k} exceeds the {n_train} training points")
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     names, codes = np.unique(labels, return_inverse=True)
-    # Heads only for rows some split validates, only among rows some split trains on.
-    trained, queried = (np.unique(np.concatenate(side)) for side in zip(*splits))
-    slot = np.empty(len(space), dtype=np.intp)
-    slot[queried] = np.arange(len(queried))
-    head = trained[_nearest_blocks(space[trained], space[queried], _head_width(len(trained), k))]
-    in_train = np.zeros(len(space), dtype=bool)
+    head = _nearest_blocks(space, space, _head_width(len(space), k))
     confusions = np.zeros((len(splits), len(names), len(names)), dtype=np.int64)
-    for confusion, (train, validation) in zip(confusions, splits):
-        in_train[:] = False
-        in_train[train] = True
-        candidates = head[slot[validation]]
+    for confusion, in_train in zip(confusions, splits):
+        validation = np.flatnonzero(~in_train)
+        candidates = head[validation]
         member = in_train[candidates]
         rank = np.cumsum(member, axis=1)
         full = rank[:, -1] >= k
         neighbors = np.empty((len(validation), k), dtype=np.intp)
         neighbors[full] = candidates[full][(member & (rank <= k))[full]].reshape(-1, k)
-        short = validation[~full]
-        if short.size:
-            neighbors[~full] = train[_nearest_blocks(space[train], space[short], k)]
+        if not full.all():
+            train = np.flatnonzero(in_train)
+            neighbors[~full] = train[_nearest_blocks(space[train], space[validation[~full]], k)]
         np.add.at(confusion, (codes[validation], _vote(codes[neighbors], len(names))), 1)
     return tuple(names.tolist()), confusions

@@ -202,8 +202,8 @@ def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=
     that the labels, bearing_type and load_w filters keep (an empty filter keeps all; at least one
     entry, each sampled at >= MIN_FS_PER_F0 times the highest resonance in use, at a rate whose
     product with r_ohm is finite), each kept file's size, which must hold the segments (else that
-    file alone is read for the pipeline's error), for a kNN `split` the classes, the splits' indices
-    against physical memory, the splits and the training points k needs, then `states`."""
+    file alone is read for the pipeline's error), for a kNN `split` the classes, the splits at 8 bytes
+    a row each against physical memory, the splits and the training points k needs, then `states`."""
     designs = _designs(cfg, key)
     _check_periods(periods, designs, cfg.segment_s)
     if not cfg.manifest:
@@ -245,17 +245,17 @@ def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=
     if split:
         if len(counts) < 2:
             raise DataError(f"{cfg.manifest}: classification needs at least 2 labels, found only {next(iter(counts))!r}")
-        known = "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ())  # physical memory bounds the splits' indices
+        known = "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ())  # physical memory bounds the splits
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if known else 0
-        if (need := cfg.n_repeats * len(labels) * np.dtype(np.intp).itemsize) > memory > 0:
-            raise ConfigError(f"n_repeats={cfg.n_repeats} splits of {len(labels)} rows need {need} bytes of indices, "
-                              f"more than the {memory} bytes of physical memory")
+        if (need := cfg.n_repeats * len(labels) * 8) > memory > 0:
+            raise ConfigError(f"n_repeats={cfg.n_repeats} splits of {len(labels)} rows, at 8 bytes a row each, need {need} "
+                              f"bytes, more than the {memory} bytes of physical memory")
         try:
             splits = draw_splits(labels, cfg.n_repeats, train_fraction=cfg.train_fraction, seed=cfg.seed,
                                  stratified=cfg.stratified)
         except ValueError as exc:
             raise DataError(f"{cfg.manifest}: {exc}") from None
-        if cfg.k > (n_train := len(splits[0][0])):
+        if cfg.k > (n_train := splits[0].sum()):
             raise ConfigError(f"k={cfg.k} exceeds the {n_train} training points")
     for state in states:
         if state.value not in counts:

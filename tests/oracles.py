@@ -12,8 +12,9 @@ stacked recordings into blocks: one recording at a time, serially.
 `row_labels` is the label of each of its rows, which are the manifest's
 entries x segments. `reference_split` is the seeded train/validation split
 the kNN tests score their references on, written from the rule
-`classify.draw_splits` documents; `train_size` is its training size per
-group.
+`classify.draw_splits` documents, as ascending row indices; `mask_rows`
+reads one of draw_splits' training masks in that form; `train_size` is the
+training size per group.
 """
 
 from __future__ import annotations
@@ -268,3 +269,9 @@ def reference_split(labels, train_fraction: float, seed: int, stratified: bool) 
         train += [rows[p] for p in rng.permutation(len(rows))[: train_size(len(rows), train_fraction)]]
     validation = sorted(set(range(len(labels))) - set(train))
     return np.array(sorted(train), dtype=np.intp), np.array(validation, dtype=np.intp)
+
+
+def mask_rows(in_train) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending train and validation rows of one split's training mask,
+    a row of `classify.draw_splits`, in reference_split's form."""
+    return np.flatnonzero(in_train), np.flatnonzero(~in_train)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from pehfault.classify import _distances, _nearest_blocks, _to_space, _vote, dra
 from pehfault.dataset import build_feature_sets
 from pehfault.harvester import design_from_thickness
 from tests.conftest import SMALL_SEGMENT_S, SMALL_SEGMENTS
-from tests.oracles import reference_split, row_labels, train_size
+from tests.oracles import mask_rows, reference_split, row_labels, train_size
 from tests.test_feature_arrays import interleaved_labels
 
 
@@ -83,8 +84,8 @@ def accuracies(confusions):
 
 
 def engine_split(labels, train_fraction, seed, stratified=True):
-    """The train and validation rows draw_splits draws for `seed`."""
-    return draw_splits(labels, 1, train_fraction=train_fraction, seed=seed, stratified=stratified)[0]
+    """The train and validation rows of the mask draw_splits draws for `seed`."""
+    return mask_rows(draw_splits(labels, 1, train_fraction=train_fraction, seed=seed, stratified=stratified)[0])
 
 
 def engine_labels(points, k, queries, metric="raw"):
@@ -140,8 +141,9 @@ class TestSplit:
         labels = labels_of(labeled(10, classes=("b", "a", "c")))
         splits = draw_splits(labels, 4, train_fraction=0.6, seed=9, stratified=False)
         assert len(splits) == 4
-        for i, split in enumerate(splits):
-            for got, want in zip(split, reference_split(labels, 0.6, 9 + i, False), strict=True):
+        assert splits.shape == (4, 30) and splits.dtype == bool
+        for i, in_train in enumerate(splits):
+            for got, want in zip(mask_rows(in_train), reference_split(labels, 0.6, 9 + i, False), strict=True):
                 np.testing.assert_array_equal(got, want, strict=True)
 
     def test_unstratified_partition(self):
@@ -198,21 +200,33 @@ class TestArguments:
     def test_k_is_bounded_by_the_smallest_training_side(self):
         """Hand-made splits need not share a training size: k is checked
         against every one of them, not only the first."""
-        splits = [(np.arange(6), np.arange(6, 8)), (np.arange(2), np.arange(2, 8))]
+        splits = np.arange(8) < np.array([[6], [2]])  # rows 0-5 train, then rows 0-1
         with pytest.raises(ValueError) as info:
             repeated_evaluation(*matrix(labeled(4)), splits, 3)
         assert str(info.value) == "k=3 exceeds the 2 training points"
 
-    def test_no_split_rejected(self):
+    @pytest.mark.parametrize(
+        "splits",
+        [
+            np.ones((0, 8), dtype=bool),
+            np.ones((1, 7), dtype=bool),  # narrower than the matrix: its rows would misalign
+            np.ones((1, 9), dtype=bool),
+            np.ones(8, dtype=bool),
+            np.ones((1, 8, 1), dtype=bool),
+            np.ones((1, 8), dtype=np.int8),
+        ],
+        ids=["none", "narrower", "wider", "one-dimensional", "three-dimensional", "not-boolean"],
+    )
+    def test_no_split_rejected(self, splits):
         with pytest.raises(ValueError) as info:
-            repeated_evaluation(*matrix(labeled(4)), [], 1)
-        assert str(info.value) == "need at least one split"
+            repeated_evaluation(*matrix(labeled(4)), splits, 1)
+        assert str(info.value) == f"need at least one split, as an (n_splits, 8) boolean mask, got {splits.dtype} {splits.shape}"
 
     def test_mixed_dimensions_rejected(self):
         # Mixed dimensions cannot form one matrix: build_feature_sets rejects
         # them (tests/test_dataset.py); a set that is not an (n, dim) matrix
         # with n labels is rejected here.
-        splits = [(np.array([0]), np.array([1]))]
+        splits = np.array([[True, False, False]])
         with pytest.raises(ValueError, match="dimension"):
             repeated_evaluation(np.array([1.0, 2.0, 3.0]), ["a", "b", "b"], splits, 1)
         with pytest.raises(ValueError, match="dimension"):
@@ -338,8 +352,8 @@ class TestRepeatedEvaluation:
     def test_a_matrix_not_matching_the_labels_is_rejected_before_any_split(self, features, shape):
         """Scoring only the first len(labels) rows would be a silently
         meaningless result; the check comes before the splits are read, so
-        splits naming rows past the matrix do not get to fail first."""
-        splits = [(np.array([0, 20]), np.array([1, 30]))]
+        a mask of rows past the matrix does not get to fail first."""
+        splits = np.ones((1, 30), dtype=bool)
         message = f"need an (n, dimension) feature matrix and n labels, got {shape} and 8"
         with pytest.raises(ValueError) as info:
             repeated_evaluation(features, ["a", "b"] * 4, splits, 1)
@@ -350,8 +364,8 @@ class TestRepeatedEvaluation:
     def test_features_whose_distances_could_overflow_are_rejected_before_any_split(self, metric, dim):
         """Squared distances of features near 1e298 overflow to inf, so every
         neighbour would tie and every split score chance; in log space the
-        same features are far from overflowing. The check comes before the
-        splits are read: an empty list of them does not get to fail first."""
+        same features are far from overflowing. The check comes after the
+        arguments are checked and before any split is scored."""
         features = np.full((8, dim), 1e298)
         features[::2] *= 2
         labels = ["a", "b"] * 4
@@ -360,7 +374,7 @@ class TestRepeatedEvaluation:
             assert accuracies(confusions).tolist() == [1.0, 1.0]
             return
         with pytest.raises(OverflowError) as info:
-            repeated_evaluation(features, labels, [], 1, metric=metric)
+            seeded_evaluation(features, labels, 1, 2, metric=metric)
         assert str(info.value) == "features reach 2e+298 in raw space, too large for finite kNN distances"
 
     def test_the_overflow_bound_counts_every_dimension(self):
@@ -369,6 +383,32 @@ class TestRepeatedEvaluation:
         assert seeded_evaluation(np.full((8, 1), 6e153), labels, 1, 1)[1].shape == (1, 2, 2)
         with pytest.raises(OverflowError):
             seeded_evaluation(np.full((8, 4), 6e153), labels, 1, 1)
+
+
+def test_splits_are_held_and_scored_in_about_a_byte_per_row():
+    """2,000 splits of 42 rows, the README corpus's count. draw_splits holds
+    each as one boolean mask row, at most 1.1 bytes a row, and scoring them
+    all adds a transient peak of at most 80 bytes a split, fixed costs and
+    the returned confusion stack included. Splits held as index pairs, and
+    turned back into masks and unions to be scored, cost about 870 and
+    1,200 bytes a split here. Tracing makes every allocation slow, so the
+    count stays at 2,000 (about 1 s)."""
+    n_repeats, rows = 2_000, 42
+    labels = np.repeat(["healthy", "ball_crack"], rows // 2)
+    features = np.random.default_rng(0).uniform(size=(rows, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        splits = draw_splits(labels, n_repeats)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        repeated_evaluation(features, labels, splits, 3)
+        transient = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * rows * n_repeats
+    assert transient <= 80 * n_repeats
 
 
 def test_gain_rescaling_leaves_predictions_unchanged(small_corpus):

@@ -542,7 +542,7 @@ class TestSweep:
 
     def test_every_cell_scores_the_one_list_of_splits_drawn_before_reading(self, small_corpus, tmp_path, monkeypatch):
         """4 designs x 2 periods: draw_splits runs once, from the manifest, and
-        all eight cells score the list it returned."""
+        all eight cells score the one mask array it returned."""
         drawn, scored = [], []
 
         def counted_draw(*args, **kwargs):
@@ -1426,7 +1426,7 @@ def test_a_recording_removed_after_the_manifest_is_read_is_not_found_before_read
         (["--segment", "0.05", "--T", "0.05", "--repeats", "5", "--segments", "10000000"], EXIT_DATA_ERROR,
          "data error: ball_crack_00.f32: insufficient duration: need 10000000x0.05s = 25600000000 samples, have 512000\n"),
         (["--repeats", "1000000000"], EXIT_CONFIG_ERROR,
-         "config error: n_repeats=1000000000 splits of 42 rows need 336000000000 bytes of indices, "
+         "config error: n_repeats=1000000000 splits of 42 rows, at 8 bytes a row each, need 336000000000 bytes, "
          "more than the {memory} bytes of physical memory\n"),
     ],
     ids=["segments", "repeats"],
@@ -1434,8 +1434,8 @@ def test_a_recording_removed_after_the_manifest_is_read_is_not_found_before_read
 def test_a_huge_segment_count_is_rejected_before_anything_is_allocated(flags, code, stderr, default_corpus, tmp_path):
     """10^7 segments of 0.05 s: the splits were once drawn before any
     recording's length was known, and their row labels alone need about
-    5.6 GB. 10^9 repeats of the 42 rows: their split indices alone need
-    336 GB. Under a 1 GiB address-space limit such a regression ends in a
+    5.6 GB. 10^9 repeats of the 42 rows: their training masks alone need
+    42 GB. Under a 1 GiB address-space limit such a regression ends in a
     MemoryError (exit 1), not in the machine running out of memory."""
     argv = ["classify", "--manifest", str(default_corpus.root / "manifest.csv"), "--out", str(tmp_path / "out"), *flags]
     # At exec Linux charges a process the peak RSS of the image it replaces, so a child forked from this

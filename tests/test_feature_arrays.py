@@ -27,7 +27,14 @@ from pehfault.frontend import mean_state_energy
 from pehfault.harvester import DEFAULT_DESIGNS, design_from_thickness, filter_coefficients
 from pehfault.report import run_thought_experiment
 from pehfault.signals import synth_sine
-from tests.oracles import filter_and_integrate_rows, make_feature, per_recording_feature_sets, segment, simulate_voltage
+from tests.oracles import (
+    filter_and_integrate_rows,
+    make_feature,
+    mask_rows,
+    per_recording_feature_sets,
+    segment,
+    simulate_voltage,
+)
 
 
 def _round_half_up(x: float) -> int:
@@ -107,7 +114,7 @@ def test_array_split_picks_the_pair_split_members_in_order(labels, seed, fractio
             draw_splits(labels, 1, train_fraction=fraction, seed=seed, stratified=stratified)
         assert str(info.value) == str(exc)
         return
-    ((train, validation),) = draw_splits(labels, 1, train_fraction=fraction, seed=seed, stratified=stratified)
+    train, validation = mask_rows(*draw_splits(labels, 1, train_fraction=fraction, seed=seed, stratified=stratified))
     assert train.tolist() == [i for i, _ in expected[0]]
     assert validation.tolist() == [i for i, _ in expected[1]]
 
@@ -119,7 +126,7 @@ def test_split_visits_classes_in_order_of_first_appearance():
     items = list(enumerate(labels))
     for seed in range(20):
         cfg = SimpleNamespace(train_fraction=0.5, seed=seed, stratified=True)
-        ((train, validation),) = draw_splits(labels, 1, train_fraction=0.5, seed=seed)
+        train, validation = mask_rows(*draw_splits(labels, 1, train_fraction=0.5, seed=seed))
         expected_train, expected_validation = pair_split(items, cfg, label_of=lambda item: item[1])
         assert train.tolist() == [i for i, _ in expected_train]
         assert validation.tolist() == [i for i, _ in expected_validation]

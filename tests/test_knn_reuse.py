@@ -72,7 +72,9 @@ def k_values(n_train):
 
 HEAD_WIDTHS = {
     "default": classify._head_width,
-    "one": lambda n, k: 1,  # every validation row falls back
+    # One point per head: for k > 1 every validation row falls back; for k = 1 a row whose one point is
+    # a training row (an equal row of lower index, or any row for a row with a NaN) does not.
+    "one": lambda n, k: 1,
     "mixed": lambda n, k: min(n, k + 2),  # some rows fall back, some do not
 }
 
@@ -114,19 +116,22 @@ def test_nan_entry_matches_per_split_reference(metric, head, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "k, n_repeats, metric, train_fraction, message",
+    "k, n_repeats, metric, train_fraction, message, scale",
     [
-        (0, 2, "raw", 0.8, "k must be a positive integer, got 0"),
-        (3.0, 2, "raw", 0.8, "k must be a positive integer, got 3.0"),
-        (41, 2, "raw", 0.8, "k=41 exceeds the 40 training points"),
-        (3, 2, "cosine", 0.8, "metric must be one of ('raw', 'log'), got 'cosine'"),
-        (3, 0, "raw", 0.8, "need at least one repeat, got 0"),
-        (3, 0, "raw", 1.0, "train fraction must lie in (0, 1), got 1.0"),
+        (0, 2, "raw", 0.8, "k must be a positive integer, got 0", 1.0),
+        (3.0, 2, "raw", 0.8, "k must be a positive integer, got 3.0", 1.0),
+        (41, 2, "raw", 0.8, "k=41 exceeds the 40 training points", 1.0),
+        (3, 2, "cosine", 0.8, "metric must be one of ('raw', 'log'), got 'cosine'", 1.0),
+        (3, 0, "raw", 0.8, "need at least one repeat, got 0", 1.0),
+        (3, 0, "raw", 1.0, "train fraction must lie in (0, 1), got 1.0", 1.0),
+        # features whose raw distances would overflow: the arguments are checked before any arithmetic
+        (3, 2, "bogus", 0.8, "metric must be one of ('raw', 'log'), got 'bogus'", 1e300),
+        (3, 2, "LOG", 0.8, "metric must be one of ('raw', 'log'), got 'LOG'", 1e300),
     ],
-    ids=["0-2-raw", "3.0-2-raw", "41-2-raw", "3-2-cosine", "3-0-raw", "3-0-raw-fraction-1"],
+    ids=["0-2-raw", "3.0-2-raw", "41-2-raw", "3-2-cosine", "3-0-raw", "3-0-raw-fraction-1", "3-2-bogus-1e300", "3-2-LOG-1e300"],
 )
-def test_bad_arguments_raise_as_the_reference_does(k, n_repeats, metric, train_fraction, message):
-    features, labels = np.arange(50.0)[:, None], np.array(["a", "b"] * 25)
+def test_bad_arguments_raise_as_the_reference_does(k, n_repeats, metric, train_fraction, message, scale):
+    features, labels = np.arange(50.0)[:, None] * scale, np.array(["a", "b"] * 25)
     arguments = dict(metric=metric, train_fraction=train_fraction)
     with pytest.raises(ValueError) as want:
         per_split_repeated_evaluation(features, labels, k, n_repeats, **arguments)
