@@ -16,6 +16,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .dataset import (
     load_design_table,
     load_manifest,
     load_surrogate_spec,
+    read_file,
     read_key_values,
     synth_surrogate_corpus,
     write_atomic,
@@ -55,12 +57,15 @@ KNN = ("classify", "sweep")
 EVERY = (*SIMULATING, "energy-report", "surrogate-gen")
 
 
-def _comma_floats(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+class _ListValueError(ValueError, argparse.ArgumentTypeError):
+    """A bad value in a list, whose message argparse prints as it is, as the config file's reader does."""
 
 
-def _comma_strs(raw: str) -> tuple:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+def _comma_list(convert, raw: str) -> tuple:
+    try:
+        return tuple(convert(tok.strip()) for tok in raw.split(",") if tok.strip())
+    except ValueError as exc:
+        raise _ListValueError(exc) from None
 
 
 def _boolean(raw: str) -> bool:
@@ -98,11 +103,11 @@ class RunConfig:
     design_table: str = _param("", "--design-table", SIMULATING, metavar="CSV", help="override the built-in design table")
     thickness_mm: float = _param(0.50, "--thickness", ("extract", "classify"), FINITE, help="design thickness in mm")
     thicknesses: tuple = _param((0.35, 0.40, 0.45, 0.50), "--thicknesses", ("sweep", "scatter"), FINITE, NOT_EMPTY, ONCE,
-                                parse=_comma_floats, what="design thickness", help="comma-separated design thicknesses in mm")
+                                parse=partial(_comma_list, float), what="design thickness", help="comma-separated design thicknesses in mm")
     t_s: float = _param(3.0, "--T", ("thought-experiment", "extract", "classify", "scatter", "energy-report"),
                         FINITE, POSITIVE, help="integration period in seconds")
     t_values: tuple = _param((3.0,), "--t-values", ("sweep",), FINITE, POSITIVE, NOT_EMPTY, ONCE,
-                             parse=_comma_floats, what="integration period", help="comma-separated integration periods in s")
+                             parse=partial(_comma_list, float), what="integration period", help="comma-separated integration periods in s")
     r_ohm: float = _param(1.0, "--r-ohm", SIMULATING, FINITE, POSITIVE, help="load resistance in Ohms")
     segment_s: float = _param(3.0, "--segment", FEATURES, FINITE, POSITIVE, help="segment length in seconds")
     segments_per_recording: int = _param(3, "--segments", FEATURES, AT_LEAST_ONE, help="segments per recording")
@@ -113,7 +118,7 @@ class RunConfig:
     k: int = _param(3, "--k", KNN, AT_LEAST_ONE, help="number of neighbors")
     metric: str = _param("raw", "--metric", KNN, (METRICS.__contains__, f"metric must be one of {METRICS}"), choices=METRICS)
     labels: tuple = _param((), "--labels", FEATURES, ONCE,
-                           parse=_comma_strs, what="machine state", help="restrict to these machine states (comma separated)")
+                           parse=partial(_comma_list, str), what="machine state", help="restrict to these machine states (comma separated)")
     bearing_type: str = _param("", "--bearing-type", FEATURES, help="restrict to one bearing type")
     load_w: int = _param(-1, "--load-w", FEATURES,
                          (lambda w: w >= -1, "load_w must be a load in Watts, or -1 for any load, got {value}"),
@@ -195,15 +200,15 @@ def _designs(cfg: RunConfig, *keys: str) -> list:
 
 
 def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=()) -> tuple:
-    """The designs of the thicknesses in `key`, the kept manifest entries, each row's label, their
-    feature sets at these periods (build_feature_sets: rows are the kept entries x segments) and,
-    for a kNN `split`, the configured splits (draw_splits), else None; checked before any recording
-    is read, in this order: the designs, the periods, the manifest, the labels' states, the entries
-    that the labels, bearing_type and load_w filters keep (an empty filter keeps all; at least one
-    entry, each sampled at >= MIN_FS_PER_F0 times the highest resonance in use, at a rate whose
-    product with r_ohm is finite), each kept file's size, which must hold the segments (else that
-    file alone is read for the pipeline's error), for a kNN `split` the classes, the splits at 8 bytes
-    a row each against physical memory, the splits and the training points k needs, then `states`."""
+    """The designs of the thicknesses in `key`, the kept manifest entries, each row's label, their feature
+    sets at these periods (build_feature_sets: rows are the kept entries x segments) and, for a kNN `split`,
+    the configured splits (draw_splits), else None; checked before any recording is read, in this order: the
+    designs, the periods, the manifest, the labels' states, the entries that the labels, bearing_type and
+    load_w filters keep (an empty filter keeps all; at least one entry, each sampled at >= MIN_FS_PER_F0
+    times the highest resonance in use, at a rate whose product with r_ohm is finite), each kept file's
+    size, looked up again (read_file), which must hold the segments (else that file alone is read for the
+    pipeline's error), for a kNN `split` the classes, the splits at 8 bytes a row each against physical
+    memory, the splits and the training points k needs, then `states`."""
     designs = _designs(cfg, key)
     _check_periods(periods, designs, cfg.segment_s)
     if not cfg.manifest:
@@ -228,10 +233,7 @@ def _features(cfg: RunConfig, key: str, periods, *, split: bool = False, states=
     if not kept:
         raise DataError(f"{cfg.manifest}: no recordings matched the manifest/filters")
     for meta in kept:  # a file's size bounds its samples: 4 bytes each raw, a digit and a line break each as text
-        try:
-            size = os.stat(os.path.join(manifest.root, meta.path)).st_size
-        except (FileNotFoundError, NotADirectoryError):
-            raise DataError(f"{cfg.manifest}: recording file not found: {manifest.root / meta.path}") from None
+        size = read_file(manifest.root / meta.path, f"{cfg.manifest}: recording file", DataError, size=True)
         raw = os.path.splitext(meta.path)[1] in RAW_SUFFIXES
         try:
             window_samples(size // 4 if raw else (size + 1) // 2, meta.fs, cfg.segment_s, cfg.segments_per_recording)

@@ -10,8 +10,9 @@ Recording formats:
   * raw: little-endian 32-bit floats (`.f32` or `.raw`), optionally with a
     sidecar text header `<file>.hdr` declaring `fs_hz=` and `n_samples=`.
 
-Every input-file rule (UTF-8, unknown and repeated keys, `file:line` in each
-error) lives in read_text, read_key_values and read_csv_table; each format
+Every input-file rule (a path that names no file, any other OS error, UTF-8
+and a leading BOM, unknown and repeated keys, `file:line` in each error) lives
+in read_file, read_text, read_key_values and read_csv_table; each format
 declares only its keys or columns and their converters.
 """
 
@@ -92,32 +93,39 @@ class Manifest:
     root: Path
 
 
-def _read_file(path: Path) -> bytes | None:
-    """The bytes of `path`, read from one open, or None where Path.is_file()
-    is False (a missing path, a directory, a FIFO). A FIFO does not block."""
+def read_file(path: Path, what: str, error: type[Exception], *, size: bool = False, optional: bool = False) -> bytes | int:
+    """A regular file's bytes, from one open that never waits on a FIFO, or
+    with `size` its size, from one os.stat and no open. A path that names no
+    regular file (missing, a non-directory on it, a directory, a FIFO, a
+    symlink loop, a name too long, a NUL) raises `error` `<what> not found:
+    <path>`, or reads as b"" if `optional`; any other OSError raises `error`
+    `<what> <path>: <reason>`."""
     try:
-        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | getattr(os, "O_NONBLOCK", 0))) as file:
-            return file.read() if stat.S_ISREG(os.fstat(file.fileno()).st_mode) else None
+        if not size:
+            with open(path, "rb", opener=lambda name, flags: os.open(name, flags | getattr(os, "O_NONBLOCK", 0))) as file:
+                if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                    return file.read()
+        elif stat.S_ISREG((info := os.stat(path)).st_mode):
+            return info.st_size
     except (OSError, ValueError) as exc:  # a ValueError: the path holds a NUL
-        if getattr(exc, "errno", errno.ENOENT) in (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.EBADF, errno.ELOOP):
-            return None
-        raise
+        if getattr(exc, "errno", errno.ENOENT) not in (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ELOOP, errno.ENAMETOOLONG):
+            raise error(f"{what} {path}: {exc.strerror or exc}") from None
+    if not optional:
+        raise error(f"{what} not found: {path}")
+    return b""
 
 
 def read_text(path: str | Path, what: str, error: type[Exception], optional: bool = False) -> str:
-    """The contents of a UTF-8 text file. A missing file raises `error`
-    `<what> not found: <path>`, or reads as empty if `optional`; a byte that
+    """The contents of a UTF-8 text file, one leading BOM dropped (see
+    read_file for a path that names no file, and for `optional`); a byte that
     is not UTF-8 raises `<path>: not UTF-8 text (byte <offset>)`."""
     path = Path(path)
-    data = _read_file(path)
-    if data is None and not optional:
-        raise error(f"{what} not found: {path}")
-    return _utf8(data or b"", path, error)
+    return _utf8(read_file(path, what, error, optional=optional), path, error)
 
 
 def _utf8(data: bytes, path: Path, error: type[Exception]) -> str:
     try:
-        return data.decode()
+        return data.decode().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
@@ -196,8 +204,7 @@ def load_manifest(path: str | Path) -> Manifest:
     entries = read_csv_table(path, "manifest", columns, RecordingMeta, unique=("path",))
     root = Path(path).resolve().parent
     for meta in entries:
-        if not (root / meta.path).is_file():
-            raise DataError(f"{path}: recording file not found: {root / meta.path}")
+        read_file(root / meta.path, f"{path}: recording file", DataError, size=True)
     return Manifest(tuple(entries), root)
 
 
@@ -252,9 +259,7 @@ def _load_text_recording(full: Path) -> np.ndarray:
     """One value per line, read as `float(line)` reads it, blank lines skipped,
     from one read of the file: by _plain_decimals, or else by a per-line loop
     that takes what `float()` takes beyond that grammar and names `file:line`."""
-    data = _read_file(full)
-    if data is None:
-        raise DataError(f"recording file not found: {full}")
+    data = read_file(full, "recording file", DataError)
     samples = _plain_decimals(data)
     if samples is not None:
         return samples
@@ -291,9 +296,7 @@ SIDECAR_KEYS = {
 
 
 def _load_raw_recording(full: Path, fs: float) -> np.ndarray:
-    data = _read_file(full)
-    if data is None:
-        raise DataError(f"recording file not found: {full}")
+    data = read_file(full, "recording file", DataError)
     if len(data) % 4 != 0:
         raise DataError(f"{full}: raw float32 file size {len(data)} is not a multiple of 4")
     samples = np.frombuffer(data, dtype="<f4")

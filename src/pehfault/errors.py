@@ -1,14 +1,9 @@
-"""Error categories shared across the package.
-
-ConfigError covers bad run parameters and malformed configuration files;
-DataError covers problems with manifest/recording contents. The CLI maps
-them to distinct exit codes.
-"""
+"""Error categories shared across the package; the CLI maps each to its exit code."""
 
 
 class ConfigError(Exception):
-    """Invalid run configuration or configuration file."""
+    """Invalid run parameters, or an invalid or unreadable configuration file or recipe."""
 
 
 class DataError(Exception):
-    """Invalid or unreadable input data (manifest rows, recording files)."""
+    """Invalid or unreadable input data (manifest, design table, recordings), or an unwritable output."""

@@ -1138,6 +1138,104 @@ def test_non_utf8_byte_in_an_input_file_names_the_file_and_offset(kind, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def _outputs(out):
+    """Every file under `out`, by its path relative to it, as bytes."""
+    return {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("kind", ["manifest", "design table", "config", "recipe", "sidecar", "text recording"])
+def test_a_leading_bom_is_dropped_and_byte_offsets_count_from_the_first_byte(kind, tmp_path, capsys):
+    """A file saved as Excel's "CSV UTF-8" starts with EF BB BF, which once
+    read as part of the first field or key. The outputs are those of the
+    file without it, and a bad byte's offset still counts the BOM's 3 bytes."""
+    argv, target, code, prefix = _non_utf8_case(kind, tmp_path)
+    out = tmp_path / "out"
+    assert main(argv) == EXIT_OK
+    clean = _outputs(out)
+    target.write_bytes(b"\xef\xbb\xbf" + target.read_bytes())
+    assert main(argv) == EXIT_OK
+    assert _outputs(out) == clean
+    capsys.readouterr()
+    content = target.read_bytes()
+    offset = content.index(b"\n") + 1
+    target.write_bytes(content[:offset] + b"\xff" + content[offset:])
+    assert main(argv) == code
+    error = "config error" if code == EXIT_CONFIG_ERROR else "data error"
+    assert capsys.readouterr() == ("", f"{error}: {prefix}{target}: not UTF-8 text (byte {offset})\n")
+
+
+@pytest.mark.parametrize("kind", ["manifest", "design table", "config", "recipe", "manifest row"])
+def test_a_name_too_long_for_the_file_system_is_not_found(kind, tmp_path, capsys):
+    """A 300-byte name fails with ENAMETOOLONG, which once ended in an
+    OSError traceback: it names no file, as a missing path does."""
+    argv, target, code, _ = _non_utf8_case("manifest" if kind == "manifest row" else kind, tmp_path)
+    if kind == "manifest row":
+        long = target.resolve().with_name("x" * 300 + ".f32")
+        target.write_text(target.read_text().replace("healthy_00.f32", long.name))
+        line = f"data error: {target}: recording file not found: {long}"
+    else:
+        long = target.with_name("x" * 300 + target.suffix)
+        argv = [str(long) if arg == str(target) else arg for arg in argv]
+        what = {"manifest": "manifest", "design table": "design table", "config": "config file", "recipe": "surrogate spec"}
+        line = f"{'config error' if code == EXIT_CONFIG_ERROR else 'data error'}: {what[kind]} not found: {long}"
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", line + "\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_recording_whose_sidecar_name_is_too_long_has_no_sidecar(tmp_path):
+    """A recording name one byte under NAME_MAX is valid, but `<name>.hdr` is
+    too long to exist (ENAMETOOLONG), which once ended in an OSError
+    traceback: the recording has no sidecar and loads as a short name does."""
+    corpus = tiny_corpus(tmp_path)
+    assert main(tiny_argv("extract", corpus, tmp_path / "short")) == EXIT_OK
+    name = "h" * (os.pathconf(corpus, "PC_NAME_MAX") - 5) + ".f32"
+    (corpus / "healthy_00.f32").rename(corpus / name)
+    (corpus / "healthy_00.f32.hdr").unlink()
+    manifest = corpus / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace("healthy_00.f32", name))
+    assert main(tiny_argv("extract", corpus, tmp_path / "long")) == EXIT_OK
+    short, long = ([line.split(",") for line in (tmp_path / run / "features.csv").read_text().splitlines()] for run in ("short", "long"))
+    assert [row[1:] for row in long] == [row[1:] for row in short]
+    assert {row[0] for row in long[1:]} == {name, "ball_crack_00.f32"}
+
+
+NOT_ROOT = pytest.mark.skipif(getattr(os, "geteuid", lambda: 0)() == 0, reason="root reads a file of mode 0")
+
+
+@pytest.mark.parametrize(
+    "kind, how",
+    [
+        ("text recording", "os.open"),
+        ("sidecar", "os.open"),
+        ("config", "os.open"),
+        pytest.param("text recording", "chmod", marks=NOT_ROOT),
+        pytest.param("config", "chmod", marks=NOT_ROOT),
+    ],
+)
+def test_an_unreadable_input_names_its_path_and_the_reason(kind, how, tmp_path, monkeypatch, capsys):
+    """A PermissionError on open once ended in a traceback. It is the
+    error of the file's reader, naming the path and the OS's reason."""
+    argv, target, code, prefix = _non_utf8_case(kind, tmp_path)
+    if how == "chmod":
+        target.chmod(0)
+    else:
+        real_open = os.open
+
+        def deny(path, flags, *args, **kwargs):
+            if os.path.abspath(path) == os.path.abspath(target):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", deny)
+    assert main(argv) == code
+    what = {"text recording": "recording file", "sidecar": "sidecar", "config": "config file"}[kind]
+    path = target if kind == "config" else target.resolve()
+    error = "config error" if code == EXIT_CONFIG_ERROR else "data error"
+    assert capsys.readouterr() == ("", f"{error}: {prefix}{what} {path}: {os.strerror(errno.EACCES)}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["classify", "sweep"])
 @pytest.mark.parametrize(
     "row, repeated", [("custom_a,0.45,175,10,1.0", "name 'custom_a'"), ("custom_b,0.50,210,10,1.0", "thickness_mm 0.5")]

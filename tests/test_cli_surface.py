@@ -102,7 +102,7 @@ BAD_VALUES = [
         "--thicknesses",
         "thicknesses",
         "0.5,x",
-        argparse_error("sweep", "--thicknesses: invalid _comma_floats value: '0.5,x'"),
+        argparse_error("sweep", "--thicknesses: could not convert string to float: 'x'"),
         config_error("{path}:1: could not convert string to float: 'x'"),
     ),
     ("extract", "--T", "t_s", "inf", *[config_error("t_s must be finite, got inf")] * 2),
@@ -116,6 +116,14 @@ BAD_VALUES = [
         "abc",
         argparse_error("energy-report", "--T: invalid float value: 'abc'"),
         config_error("{path}:1: could not convert string to float: 'abc'"),
+    ),
+    (
+        "sweep",
+        "--t-values",
+        "t_values",
+        "3, y",
+        argparse_error("sweep", "--t-values: could not convert string to float: 'y'"),
+        config_error("{path}:1: could not convert string to float: 'y'"),
     ),
     ("sweep", "--t-values", "t_values", "1,nan", *[config_error("t_values must be finite, got (1.0, nan)")] * 2),
     ("sweep", "--t-values", "t_values", "3,-1", *[config_error("t_values must be positive, got (3.0, -1.0)")] * 2),

@@ -234,12 +234,17 @@ class TestLoadRecording:
         assert np.isfinite(signal_energy(ts))
 
     @pytest.mark.parametrize("name", ["rec.f32", "rec.txt"])
-    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()], ids=["missing", "directory"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda path: path, lambda path: path.mkdir() or path, lambda path: path.with_name("x" * 300 + path.name)],
+        ids=["missing", "directory", "name-too-long"],
+    )
     def test_a_path_that_is_no_file_is_not_found(self, name, make, tmp_path):
-        make(tmp_path / name)
+        """A name over NAME_MAX bytes (ENAMETOOLONG) names no file, as a missing path does."""
+        full = make(tmp_path / name)
         with pytest.raises(DataError) as info:
-            load_recording(self.meta(name), tmp_path)
-        assert str(info.value) == f"recording file not found: {tmp_path / name}"
+            load_recording(self.meta(full.name), tmp_path)
+        assert str(info.value) == f"recording file not found: {full}"
 
     def test_raw_bad_byte_count_message(self, tmp_path):
         (tmp_path / "rec.f32").write_bytes(b"\x00" * 10)
@@ -293,9 +298,10 @@ def test_a_fifo_config_is_not_found_and_does_not_block(tmp_path, capsys):
 
 def per_line_oracle(full):
     """The text loader as it was before the one-call parse: one `float()` per
-    non-blank line, the first bad line named as `file:line`."""
+    non-blank line, the first bad line named as `file:line`, after the one
+    leading BOM that every reader drops."""
     values = []
-    for lineno, line in enumerate(full.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(full.read_text(encoding="utf-8-sig").splitlines(), start=1):
         token = line.strip()
         if not token:
             continue
