@@ -1,10 +1,10 @@
 """Command-line entry point tying the pipeline together.
 
-Subcommands: thought-experiment, extract, classify, sweep, scatter,
-energy-report, surrogate-gen. Every command is deterministic under a fixed
-seed; CSV files are the normative outputs and SVG is derived from them.
-
-Exit codes: 0 success, 1 closed stdout, 2 configuration error, 3 data error.
+Subcommands: thought-experiment, extract, classify, sweep, scatter, energy-report,
+surrogate-gen. Every command is deterministic under a fixed seed; CSV files are the
+normative outputs and SVG is derived from them. A handler succeeds or raises
+ConfigError or DataError, and `main` maps each outcome to its exit code: 0 success,
+1 closed stdout, 2 configuration error, 3 data error.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def _format_confusion(labels, confusion) -> str:
     return "\n".join(lines)
 
 
-def cmd_thought_experiment(cfg: RunConfig, given) -> int:
+def cmd_thought_experiment(cfg: RunConfig, given) -> None:
     designs = _designs(cfg, "design_a", "design_b")
     _check_periods([cfg.t_s], designs)
     if not math.isfinite(cfg.r_ohm * cfg.fs_synth):
@@ -306,25 +306,22 @@ def cmd_thought_experiment(cfg: RunConfig, given) -> int:
     except ValueError as exc:  # an energy that is not finite, named with r_ohm and T
         raise ConfigError(str(exc)) from None
     print(format_thought_experiment(cfg.f_healthy, cfg.f_faulty, [design.name for design in designs], energies))
-    return EXIT_OK
 
 
-def cmd_extract(cfg: RunConfig, given) -> int:
+def cmd_extract(cfg: RunConfig, given) -> None:
     (design,), entries, _, ((features,),), _ = _features(cfg, "thickness_mm", [cfg.t_s])
     header = ["recording_id", "segment_index", "label", "design", "T_s", *(f"feature_{i}" for i in range(features.shape[1]))]
-    # Python int indices: csv_text writes a numpy integer as repr(float).
     rows = [(meta.path, index, meta.label.value) for meta in entries for index in range(cfg.segments_per_recording)]
     content = csv_text(header, [(*row, design.name, cfg.t_s, *values) for row, values in zip(rows, features.tolist())])
     target = write_atomic(Path(cfg.out_dir) / "features.csv", content)
     print(f"wrote {len(features)} feature rows to {target}")
-    return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig, given) -> int:
+def cmd_classify(cfg: RunConfig, given) -> None:
     (design,), _, labels, ((features,),), splits = _features(cfg, "thickness_mm", [cfg.t_s], split=True)
     names, confusions, accuracies = _evaluate(cfg, features, labels, splits)
     header = ["repeat", "seed", "accuracy", "n_train", "n_validation"]
-    per_split = zip(accuracies.tolist(), confusions.sum(axis=(1, 2)).tolist())  # a numpy integer would print as 168.0
+    per_split = zip(accuracies, confusions.sum(axis=(1, 2)))
     results = [(i, cfg.seed + i, acc, len(features) - n, n) for i, (acc, n) in enumerate(per_split)]
     target = write_atomic(Path(cfg.out_dir) / "classification.csv", csv_text(header, results))
     print(f"design {design.name}, T={cfg.t_s:g}s, k={cfg.k}, {cfg.n_repeats} split(s), seed0={cfg.seed}")
@@ -332,10 +329,9 @@ def cmd_classify(cfg: RunConfig, given) -> int:
     print("confusion over all repeats:")
     print(_format_confusion(names, confusions.sum(axis=0)))
     print(f"wrote per-repeat results to {target}")
-    return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, given) -> int:
+def cmd_sweep(cfg: RunConfig, given) -> None:
     designs, _, labels, sets, splits = _features(cfg, "thicknesses", cfg.t_values, split=True)
     header = ["design", "thickness_mm", "T_s", "mean_accuracy", "std_accuracy", "n_repeats", "seed0"]
     results = []
@@ -348,10 +344,9 @@ def cmd_sweep(cfg: RunConfig, given) -> int:
     target = write_atomic(Path(cfg.out_dir) / "sweep.csv", content)
     print(content, end="")
     print(f"wrote sweep table to {target}")
-    return EXIT_OK
 
 
-def cmd_scatter(cfg: RunConfig, given) -> int:
+def cmd_scatter(cfg: RunConfig, given) -> None:
     fault_label = MachineState(cfg.fault_label)
     designs, _, labels, sets, _ = _features(cfg, "thicknesses", [cfg.t_s], states=(MachineState.HEALTHY, fault_label))
     means = [mean_state_energy(matrix, labels) for (matrix,) in sets]
@@ -372,20 +367,18 @@ def cmd_scatter(cfg: RunConfig, given) -> int:
     for name, _, healthy, faulty, distance in results:
         print(f"{name}: healthy {healthy:.6g} J, faulty {faulty:.6g} J, distance to diagonal {distance:.6g} J")
     print(f"wrote {csv_target} and {svg_target}")
-    return EXIT_OK
 
 
-def cmd_energy_report(cfg: RunConfig, given) -> int:
+def cmd_energy_report(cfg: RunConfig, given) -> None:
     costs = (cfg.e_adc_per_sample_j, cfg.e_tx_per_sample_j, cfg.bits_per_sample)
     try:
         text = format_sampling_cost(cfg.fs_raw_hz, cfg.t_s, *costs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     print(text)
-    return EXIT_OK
 
 
-def cmd_surrogate_gen(cfg: RunConfig, given) -> int:
+def cmd_surrogate_gen(cfg: RunConfig, given) -> None:
     spec = load_surrogate_spec(cfg.surrogate_spec) if cfg.surrogate_spec else DEFAULT_SURROGATE_SPEC
     seed = cfg.seed if "seed" in given else spec.seed  # a given seed beats the recipe's
     out_dir = Path(cfg.out_dir) / "corpus"
@@ -398,7 +391,6 @@ def cmd_surrogate_gen(cfg: RunConfig, given) -> int:
     groups = Counter((meta.label.value, meta.bearing_type, meta.load_w) for meta in manifest.entries)
     for (state, bearing, load), count in sorted(groups.items()):
         print(f"  {state} / {bearing} / {load}W: {count}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,9 +430,9 @@ def main(argv=None) -> int:
     if codecs.lookup(getattr(sys.stdout, "encoding", None) or "utf-8").name != "utf-8":
         sys.stdout.reconfigure(errors="backslashreplace")
     try:
-        code = args.handler(*resolve_config(args))
+        args.handler(*resolve_config(args))
         sys.stdout.flush()  # so that a closed stdout raises here, not in the interpreter's final flush
-        return code
+        return EXIT_OK
     except BrokenPipeError:  # as Python's `signal` docs advise, the rest of the output goes to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT

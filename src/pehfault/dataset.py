@@ -188,13 +188,13 @@ def read_csv_table(
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A CSV document: strings and integers as they are, every other number
-    as repr(float(x)), so it round-trips exactly, a field holding a comma or
-    quote quoted."""
+    """A CSV document: strings and integers (numpy's too) as they are, every
+    other number as repr(float(x)), so it round-trips exactly, a field holding
+    a comma or quote quoted."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([cell if isinstance(cell, (str, int)) else repr(float(cell)) for cell in row] for row in rows)
+    writer.writerows([cell if isinstance(cell, (str, int, np.integer)) else repr(float(cell)) for cell in row] for row in rows)
     return out.getvalue()
 
 
@@ -210,9 +210,11 @@ def load_manifest(path: str | Path) -> Manifest:
 
 def load_design_table(path: str | Path) -> tuple[PehDesign, ...]:
     """Read a design table from CSV with header name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g;
-    a repeated name or thickness is rejected."""
+    a repeated name or thickness is rejected, and so is a table without a design."""
     columns = dict(zip(DESIGN_TABLE_FIELDS, (str, float, float, float, float)))
-    return tuple(read_csv_table(path, "design table", columns, PehDesign, unique=("name", "thickness_mm")))
+    if not (designs := tuple(read_csv_table(path, "design table", columns, PehDesign, unique=("name", "thickness_mm")))):
+        raise DataError(f"empty design table: {path}")
+    return designs
 
 
 def _plain_decimals(data: bytes) -> np.ndarray | None:

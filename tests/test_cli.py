@@ -1253,6 +1253,26 @@ def test_design_table_repeating_a_name_or_thickness_is_a_data_error(command, row
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["thought-experiment", "extract"])
+@pytest.mark.parametrize(
+    "content",
+    ["", ",".join(DESIGN_TABLE_FIELDS) + "\n", ",".join(DESIGN_TABLE_FIELDS) + "\n\n \n"],
+    ids=["zero bytes", "header", "header and blank lines"],
+)
+def test_design_table_without_a_design_is_a_data_error(command, content, tmp_path, capsys):
+    """A table of only its header once read as a table of no thickness, so the
+    configured one was reported unknown, exit 2, "not in table ( mm)"."""
+    table = tmp_path / "designs.csv"
+    table.write_text(content)
+    out = tmp_path / "out"
+    args = [command, "--design-table", str(table), "--out", str(out)]
+    if command == "extract":
+        args += ["--manifest", str(_missing_recordings_manifest(tmp_path))]
+    assert main(args) == EXIT_DATA_ERROR
+    assert capsys.readouterr() == ("", f"data error: empty design table: {table}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["extract", "classify", "sweep", "scatter"])
 def test_manifest_rate_under_twenty_times_the_highest_resonance_is_rejected_before_reading(
     command, tmp_path, monkeypatch, capsys
@@ -1298,13 +1318,26 @@ def test_a_config_or_recipe_key_given_twice_or_unknown_is_a_config_error(command
     assert not (tmp_path / "out").exists()
 
 
-def test_a_recipe_rule_broken_after_parsing_names_the_recipe(tmp_path, capsys):
-    """fs_hz and count_per_class swapped: every key parses, but the tone now
-    lies above fs/2."""
+@pytest.mark.parametrize(
+    "keys, rule",
+    [
+        # fs_hz and count_per_class swapped: every key parses, but the tone now lies above fs/2.
+        ({"count_per_class": "8192", "fs_hz": "1"}, "healthy: tone at 100.0 Hz outside (0, fs/2)"),
+        ({"count_per_class": "0"}, "count per class must be >= 1, got 0"),
+        ({"amplitude_jitter": "1"}, "amplitude jitter must lie in [0, 1), got 1.0"),
+        ({"seed": "-1"}, "seed must be non-negative, got -1"),
+        ({"fs_hz": "0"}, "fs_hz=0 and duration_s=1 must be positive and finite"),
+        ({"duration_s": "-1"}, "fs_hz=8192 and duration_s=-1 must be positive and finite"),
+        ({"healthy.tones": None, "ball_crack.tones": None}, "no per-class tone lists given"),
+    ],
+)
+def test_a_recipe_rule_broken_after_parsing_names_the_recipe(keys, rule, tmp_path, capsys):
+    """Every key parses, but the recipe breaks one of SurrogateSpec's rules; a key of None is left out."""
     recipe = tmp_path / "recipe.cfg"
-    recipe.write_text("count_per_class=8192\nfs_hz=1\nduration_s=1\nhealthy.tones=100:1.0\nball_crack.tones=60:0.5\n")
+    lines = {"count_per_class": "1", "fs_hz": "8192", "duration_s": "1", "healthy.tones": "100:1.0", "ball_crack.tones": "60:0.5"}
+    recipe.write_text("".join(f"{key}={value}\n" for key, value in {**lines, **keys}.items() if value is not None))
     assert main(["surrogate-gen", "--spec", str(recipe), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr() == ("", f"config error: {recipe}: healthy: tone at 100.0 Hz outside (0, fs/2)\n")
+    assert capsys.readouterr() == ("", f"config error: {recipe}: {rule}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -128,8 +128,8 @@ class TestLoadManifest:
 
 
 def test_csv_text_quotes_a_comma_and_writes_numbers_by_repr():
-    text = csv_text(["name", "n", "x"], [("peh,a", 3, np.float64(0.1)), ("b", 0, 1 / 3)])
-    assert text == 'name,n,x\n"peh,a",3,0.1\nb,0,0.3333333333333333\n'
+    text = csv_text(["name", "n", "x"], [("peh,a", 3, np.float64(0.1)), ("b", 0, 1 / 3), ("c", np.int64(3), 0.5)])
+    assert text == 'name,n,x\n"peh,a",3,0.1\nb,0,0.3333333333333333\nc,3,0.5\n'
 
 
 class TestLoadRecording:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,12 @@ class TestDesignTable:
         path = tmp_path / "designs.csv"
         path.write_text("name,thickness\nx,0.35\n")
         with pytest.raises(DataError, match="header"):
+            load_design_table(path)
+
+    def test_table_with_only_a_header(self, tmp_path):
+        path = tmp_path / "designs.csv"
+        path.write_text("name,thickness_mm,f0_hz,bw3db_hz,peak_gain_v_per_g\n\n")
+        with pytest.raises(DataError, match=f"^empty design table: {re.escape(str(path))}$"):
             load_design_table(path)
 
     def test_table_quoted_name_with_comma(self, tmp_path):

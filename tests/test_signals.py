@@ -159,6 +159,16 @@ class TestBandEnergyDigital:
             band_energy_digital(ts, 0.0, ts.fs)
 
 
+class TestSignalEnergy:
+    def test_load_resistance_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^load resistance must be positive, got 0\.0$"):
+            signal_energy(make_ts(np.ones(4)), 0.0)
+
+    def test_empty_series_has_no_energy(self):
+        with pytest.raises(ValueError, match=r"^cannot compute the energy of an empty series$"):
+            signal_energy(make_ts([]))
+
+
 class TestSegment:
     def test_recording_shape(self):
         ts = make_ts(np.arange(512000), fs=51200.0)
@@ -179,6 +189,18 @@ class TestSegment:
     def test_window_count_that_is_not_finite_is_rejected_by_name(self):
         with pytest.raises(ValueError, match=r"^window of 3s at fs=1e\+308 Hz is not a finite number of samples$"):
             window_samples(10, 1e308, 3.0, 1)
+
+    @pytest.mark.parametrize(
+        "window_s, count, message",
+        [
+            (0.0, 1, r"^window must be positive, got 0\.0$"),
+            (0.05, 0, r"^segment count must be >= 1, got 0$"),
+            (0.001, 1, r"^window of 0\.001s is shorter than one sample at fs=100\.0$"),
+        ],
+    )
+    def test_window_arguments_are_checked_by_name(self, window_s, count, message):
+        with pytest.raises(ValueError, match=message):
+            window_samples(10, 100.0, window_s, count)
 
     def test_seven_recordings_give_21_segments(self):
         recordings = [make_ts(np.arange(512000), fs=51200.0) for _ in range(7)]
